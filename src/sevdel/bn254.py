@@ -277,9 +277,6 @@ class Fp12:
             flat += [int(c.c0), int(c.c1)]
         return f"Fp12{tuple(flat)}"
 
-    def is_one(self):
-        return self == FP12_ONE
-
     def mul(self, o):
         t0 = self.c0.mul(o.c0)
         t1 = self.c1.mul(o.c1)
@@ -428,6 +425,203 @@ def _g1_mul_raw(pt, k):
     zi = _fp_inv(z)
     zi2 = zi * zi % P
     return (x * zi2 % P, y * zi2 * zi % P)
+
+
+# -- multi-exponentiation and the generator table ------------------------------
+# Accumulators below are Jacobian (x, y, z) triples or None for the
+# identity; tables are affine so every addition is a mixed one.
+
+_ONE = mpz(1)
+
+
+def _to_affine(acc):
+    if acc is None:
+        return None
+    x, y, z = acc
+    zi = _fp_inv(z)
+    zi2 = zi * zi % P
+    return (x * zi2 % P, y * zi2 * zi % P)
+
+
+def _batch_affine(points):
+    """Affine forms of finite Jacobian points with one shared inversion."""
+    prefix = []
+    acc = _ONE
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % P
+    inv = _fp_inv(acc)
+    out = [None] * len(points)
+    for k in range(len(points) - 1, -1, -1):
+        x, y, z = points[k]
+        zi = inv * prefix[k] % P
+        inv = inv * z % P
+        zi2 = zi * zi % P
+        out[k] = (x * zi2 % P, y * zi2 * zi % P)
+    return out
+
+
+def _add_affine(acc, x, y):
+    """acc + (x, y) for a Jacobian-or-None accumulator."""
+    if acc is None:
+        return (x, y, _ONE)
+    acc = _jac_add_affine(acc[0], acc[1], acc[2], x, y)
+    return None if acc[2] == 0 else acc
+
+
+def _wnaf(k, w):
+    """(bit position, odd digit) pairs of the width-w NAF of k > 0."""
+    out = []
+    pos = 0
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    while k:
+        tz = (k & -k).bit_length() - 1
+        k >>= tz
+        pos += tz
+        d = k & mask
+        if d >= half:
+            d -= 1 << w
+        out.append((pos, d))
+        k = (k - d) >> w   # the next w - 1 digits are zero
+        pos += w
+    return out
+
+
+def _odd_multiple_tables(points, size):
+    """[P, 3P, ..., (2*size - 1)P] in affine form for every point P."""
+    if size == 1:
+        return [[pt] for pt in points]
+    doubles = _batch_affine([_jac_dbl(x, y, _ONE) for x, y in points])
+    jac = []
+    for (x, y), (dx, dy) in zip(points, doubles):
+        cur = (x, y, _ONE)
+        jac.append(cur)
+        for _ in range(size - 1):
+            cur = _jac_add_affine(cur[0], cur[1], cur[2], dx, dy)
+            jac.append(cur)
+    flat = _batch_affine(jac)
+    return [flat[k:k + size] for k in range(0, len(flat), size)]
+
+
+def _window_width(count, bits):
+    # cost in field multiplications: per term, each table entry past P
+    # itself (a mixed addition and its share of the normalisation, ~20)
+    # and each of the ~bits/(w+1) NAF digits (a mixed addition, ~11); per
+    # call, the two inversions (~150 each) that a table beyond P needs
+    def cost(w):
+        per_term = ((1 << (w - 2)) - 1) * 20 + bits * 11 / (w + 1)
+        return count * per_term + (300 if w > 2 else 0)
+    return min(range(2, 8), key=cost)
+
+
+def _straus(terms):
+    """Jacobian sum of k*P over (P, k) terms, P finite, 0 < k < R.
+
+    Interleaved width-w NAF: one doubling chain shared by every term,
+    per-term tables of odd multiples normalised together.
+    """
+    bits = max(k.bit_length() for _, k in terms)
+    w = _window_width(len(terms), bits)
+    tables = _odd_multiple_tables([pt for pt, _ in terms], 1 << (w - 2))
+    schedule = [[] for _ in range(bits + 1)]
+    for table, (_, k) in zip(tables, terms):
+        for pos, d in _wnaf(k, w):
+            x, y = table[abs(d) >> 1]
+            schedule[pos].append((x, y) if d > 0 else (x, P - y))
+    acc = None
+    for adds in reversed(schedule):
+        if acc is not None:
+            acc = _jac_dbl(acc[0], acc[1], acc[2])
+        for x, y in adds:
+            acc = _add_affine(acc, x, y)
+    return acc
+
+
+# Fixed-base table for G1_GEN: row i holds j * 2^(6i) * G for j = 1..32, so
+# a scalar in signed base-64 digits [-31, 32] costs one mixed addition per
+# digit and no doubling.  43 rows cover 254-bit scalars plus the top carry.
+_GEN_WINDOW = 6
+_gen_rows = None
+
+
+def _generator_rows():
+    global _gen_rows
+    if _gen_rows is None:
+        half = 1 << (_GEN_WINDOW - 1)
+        rows = []
+        bx, by = G1_GEN
+        for _ in range(-(-int(R).bit_length() // _GEN_WINDOW)):
+            cur = (bx, by, _ONE)
+            jac = [cur]
+            for _ in range(half - 1):
+                cur = _jac_add_affine(cur[0], cur[1], cur[2], bx, by)
+                jac.append(cur)
+            row = _batch_affine(jac)
+            rows.append(row)
+            bx, by = _to_affine(_jac_dbl(row[-1][0], row[-1][1], _ONE))
+        _gen_rows = rows
+    return _gen_rows
+
+
+def _add_gen_multiple(acc, k):
+    """acc + k*G_GEN through the generator table; 0 <= k < R."""
+    rows = _generator_rows()
+    mask, half = (1 << _GEN_WINDOW) - 1, 1 << (_GEN_WINDOW - 1)
+    i = 0
+    while k:
+        d = k & mask
+        k >>= _GEN_WINDOW
+        if d > half:
+            d -= 1 << _GEN_WINDOW
+            k += 1
+        if d > 0:
+            x, y = rows[i][d - 1]
+            acc = _add_affine(acc, x, y)
+        elif d < 0:
+            x, y = rows[i][-d - 1]
+            acc = _add_affine(acc, x, P - y)
+        i += 1
+    return acc
+
+
+def g1_msm(points, scalars):
+    """sum_i k_i * P_i as one multi-exponentiation.
+
+    Scalars are reduced mod R (negative ones included); identity points
+    and zero scalars drop out.  Terms on G1_GEN go through the generator
+    table, the rest through Straus; one inversion normalises the result.
+    """
+    gen_k = 0
+    terms = []
+    for pt, k in zip(points, scalars, strict=True):
+        k %= R
+        if pt is None or k == 0:
+            continue
+        if pt == G1_GEN:
+            gen_k += k
+        else:
+            terms.append((pt, k))
+    acc = _straus(terms) if terms else None
+    gen_k %= R
+    if gen_k:
+        acc = _add_gen_multiple(acc, gen_k)
+    return _to_affine(acc)
+
+
+def g1_gen_multiples(count):
+    """k * G_GEN for k in [0, count), affine, as a running Jacobian sum
+    normalised 1024 points at a time."""
+    if count > 0:
+        yield None
+    made, cur = 1, None
+    gx, gy = G1_GEN
+    while made < count:
+        jac = []
+        for _ in range(min(1024, count - made)):
+            cur = _add_affine(cur, gx, gy)
+            jac.append(cur)
+        made += len(jac)
+        yield from _batch_affine(jac)
 
 
 def g1_to_bytes(pt):

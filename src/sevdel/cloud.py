@@ -140,18 +140,17 @@ def encrypt_file(
     v = rng.scalar(order, nonzero=True)
     key = FileEncryptionKey(v=v, V=params.g1 ** v)
     g1_raw = params.g1.raw
-    v_raw = key.V.raw
-    dexp = group.g1_double_exp
     g1pow = group.g1_pow
+    sb = group.scalar_bytes
     rows_prime = []
     rows_dprime = []
     r_buf = bytearray()
     for row in blocks.rows:
         rs = rng.scalars(manifest.s, order)
-        rows_prime.append([dexp(g1_raw, m, v_raw, r) for m, r in zip(row, rs)])
+        # E' = g1^m V^r = g1^(m + v*r): both components are powers of g1
+        rows_prime.append([g1pow(g1_raw, (m + v * r) % order) for m, r in zip(row, rs)])
         rows_dprime.append([g1pow(g1_raw, r) for r in rs])
-        for r in rs:
-            r_buf += scalar_to_bytes(group, r)
+        r_buf += b"".join(r.to_bytes(sb, "big") for r in rs)   # rs lie in [0, order)
     enclave.seal(_SEAL_KEY, scalar_to_bytes(group, key.v))
     enclave.seal(_SEAL_RAND, bytes(r_buf))
     enclave.seal(_SEAL_META, json.dumps(
@@ -173,30 +172,28 @@ _dlog_tables: dict = {}
 
 
 def _dlog_table(group, bits: int):
+    """Baby steps {g1_key(g1^k): k} for k below 2^min(bits, 16), the giant
+    stride g1^-(2^baby_bits), and baby_bits; built once per group."""
     baby_bits = min(bits, _BSGS_BABY_MAX_BITS)
     cache_key = (group.name, baby_bits)
     table = _dlog_tables.get(cache_key)
     if table is None:
-        baby = {}
-        acc = group.g1_identity()
-        gen = group.g1_gen
-        for k in range(1 << baby_bits):
-            baby[group.g1_to_bytes(acc)] = k
-            acc = group.g1_op(acc, gen)
-        stride = group.g1_inv(group.g1_pow(gen, 1 << baby_bits))
-        table = (baby, stride)
+        key = group.g1_key
+        baby = {key(pt): k for k, pt in enumerate(group.g1_gen_multiples(1 << baby_bits))}
+        stride = group.g1_inv(group.g1_pow(group.g1_gen, 1 << baby_bits))
+        table = (baby, stride, baby_bits)
         _dlog_tables[cache_key] = table
-    return table, baby_bits
+    return table
 
 
-def _dlog(group, raw, bits: int) -> int:
+def _dlog(group, table, raw, bits: int) -> int:
     """Baby-step/giant-step over [0, 2^bits); DlogOutOfRange on miss."""
-    (baby, stride), baby_bits = _dlog_table(group, bits)
+    baby, stride, baby_bits = table
     giant_steps = 1 << max(bits - baby_bits, 0)
     cur = raw
-    to_bytes, op = group.g1_to_bytes, group.g1_op
+    key, op = group.g1_key, group.g1_op
     for t in range(giant_steps):
-        k = baby.get(to_bytes(cur))
+        k = baby.get(key(cur))
         if k is not None:
             val = (t << baby_bits) + k
             if val < (1 << bits):
@@ -218,17 +215,19 @@ def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, 
     e_prime, e_dprime = e_pair
     group = params.group
     lifted = group.g1_op(e_prime.raw, group.g1_inv(group.g1_pow(e_dprime.raw, v)))
-    return _dlog(group, lifted, sector_bits)
+    return _dlog(group, _dlog_table(group, sector_bits), lifted, sector_bits)
 
 
 def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) -> BlockMatrix:
-    """Bulk decryption; one unseal, shared dlog table."""
+    """Bulk decryption; one unseal, one dlog table fetch."""
     v, sector_bits = _unseal_key(params, enclave)
     group = params.group
+    table = _dlog_table(group, sector_bits)
     op, pw, inv = group.g1_op, group.g1_pow, group.g1_inv
     rows = []
     for rp, rpp in zip(cts.rows_prime, cts.rows_dprime):
-        rows.append([_dlog(group, op(a, inv(pw(b, v))), sector_bits) for a, b in zip(rp, rpp)])
+        rows.append([_dlog(group, table, op(a, inv(pw(b, v))), sector_bits)
+                     for a, b in zip(rp, rpp)])
     return BlockMatrix(rows)
 
 
@@ -242,24 +241,21 @@ def gen_enc_tags(
 ) -> EncTagSet:
     """Tag ciphertext blocks:
     sigma_i = (H(I_M||i) * prod_j u_j^{h(E'_ij)} v_j^{h(E''_ij)})^a
-    with h mapping components through elem_to_scalar.
+    with h mapping components through elem_to_scalar; a is folded into
+    the exponents, so each tag is one multi-exponentiation.
     """
     cts.check_shape(manifest)
     if len(u) != manifest.s or len(v_gens) != manifest.s:
         raise DimensionMismatch("sector generator count disagrees with manifest")
     group = params.group
-    g1op, g1pow = group.g1_op, group.g1_pow
-    u_raw = [e.raw for e in u]
-    v_raw = [e.raw for e in v_gens]
+    a = server_keys.a
+    gens = [e.raw for e in u] + [e.raw for e in v_gens]
     sigma = []
     for i in range(1, manifest.n + 1):
-        acc = block_point(params, manifest.file_id, i).raw
-        row_p = cts.rows_prime[i - 1]
-        row_pp = cts.rows_dprime[i - 1]
-        for j in range(manifest.s):
-            acc = g1op(acc, g1pow(u_raw[j], elem_to_scalar(G1Elem(group, row_p[j]))))
-            acc = g1op(acc, g1pow(v_raw[j], elem_to_scalar(G1Elem(group, row_pp[j]))))
-        sigma.append(G1Elem(group, g1pow(acc, server_keys.a)))
+        comps = [*cts.rows_prime[i - 1], *cts.rows_dprime[i - 1]]
+        exps = [a * elem_to_scalar(G1Elem(group, c)) for c in comps]
+        base = block_point(params, manifest.file_id, i).raw
+        sigma.append(G1Elem(group, group.g1_msm([base, *gens], [a, *exps])))
     return EncTagSet(sigma=tuple(sigma))
 
 
@@ -295,24 +291,16 @@ def prove_encryption(
         off = (row * s + col) * sb
         return scalar_from_bytes(group, r_blob[off:off + sb])
 
-    g1op, g1pow = group.g1_op, group.g1_pow
-    p1p_raw = [group.g1_identity() for _ in range(s)]
-    p1pp_raw = [group.g1_identity() for _ in range(s)]
-    q = [0] * s
-    r_agg = [0] * s
-    p2 = params.g1_identity()
-    for i, l in challenge.items:
-        row_p = cts.rows_prime[i - 1]
-        row_pp = cts.rows_dprime[i - 1]
-        row_m = blocks.rows[i - 1]
-        for j in range(s):
-            p1p_raw[j] = g1op(p1p_raw[j], g1pow(row_p[j], l))
-            p1pp_raw[j] = g1op(p1pp_raw[j], g1pow(row_pp[j], l))
-            q[j] = (q[j] + l * row_m[j]) % order
-            r_agg[j] = (r_agg[j] + l * sealed_r(i - 1, j)) % order
-        p2 = p2 * (tags.phi[i - 1] ** l)
-    p1_prime = tuple(G1Elem(group, r) for r in p1p_raw)
-    p1_dprime = tuple(G1Elem(group, r) for r in p1pp_raw)
+    rows = [i - 1 for i, _ in challenge.items]
+    ls = [l for _, l in challenge.items]
+    msm = group.g1_msm
+    p1_prime = tuple(G1Elem(group, msm([cts.rows_prime[i][j] for i in rows], ls))
+                     for j in range(s))
+    p1_dprime = tuple(G1Elem(group, msm([cts.rows_dprime[i][j] for i in rows], ls))
+                      for j in range(s))
+    q = [sum(l * blocks.rows[i][j] for i, l in zip(rows, ls)) % order for j in range(s)]
+    r_agg = [sum(l * sealed_r(i, j) for i, l in zip(rows, ls)) % order for j in range(s)]
+    p2 = params.g1_msm([tags.phi[i] for i in rows], ls)
     context = enc_proof_context(params, manifest, challenge)
     proof = prove_opening(
         params, cts.v_pub, list(zip(p1_prime, p1_dprime)), p2, q, r_agg, context,

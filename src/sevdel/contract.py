@@ -25,6 +25,7 @@ from .errors import (
     DuplicateOwner,
     DuplicateTags,
     InsufficientBalance,
+    InvariantViolation,
     MalformedProof,
     UnknownOwner,
     WrongState,
@@ -146,29 +147,29 @@ def verify_audit_response(
     s = len(u)
     if len(response.q1_prime) != s or len(response.q1_dprime) != s:
         raise MalformedProof("audit aggregate arity mismatch")
-    group = params.group
     v_gens = vgen_points(params, file_id, s)
-    q1p = [params.g1_identity() for _ in range(s)]
-    q1pp = [params.g1_identity() for _ in range(s)]
-    q2 = params.g1_identity()
-    agg_base = params.g1_identity()
-    for i, gamma in challenge.items:
+    rows_p, rows_pp = [], []
+    for i, _ in challenge.items:
         row_p = response.revealed_prime.get(i)
         row_pp = response.revealed_dprime.get(i)
         if row_p is None or row_pp is None or len(row_p) != s or len(row_pp) != s:
             raise MalformedProof(f"revealed components missing for block {i}")
-        base = block_point(params, file_id, i)
-        for j in range(s):
-            q1p[j] = q1p[j] * (row_p[j] ** gamma)
-            q1pp[j] = q1pp[j] * (row_pp[j] ** gamma)
-            base = base * (u[j] ** elem_to_scalar(row_p[j]))
-            base = base * (v_gens[j] ** elem_to_scalar(row_pp[j]))
-        agg_base = agg_base * (base ** gamma)
-        q2 = q2 * (sigma[i - 1] ** gamma)
-    if list(q1p) != list(response.q1_prime) or list(q1pp) != list(response.q1_dprime):
+        rows_p.append(row_p)
+        rows_pp.append(row_pp)
+    gammas = [gamma for _, gamma in challenge.items]
+    msm = params.g1_msm
+    q1p = [msm([row[j] for row in rows_p], gammas) for j in range(s)]
+    q1pp = [msm([row[j] for row in rows_pp], gammas) for j in range(s)]
+    if q1p != list(response.q1_prime) or q1pp != list(response.q1_dprime):
         return False
-    if q2 != response.q2:
+    if msm([sigma[i - 1] for i in challenge.indices], gammas) != response.q2:
         return False
+    # prod_i (H_i prod_j u_j^h(E'_ij) v_j^h(E''_ij))^gamma_i, with the
+    # exponents of each generator summed over the challenged blocks
+    e_u = [sum(g * elem_to_scalar(row[j]) for g, row in zip(gammas, rows_p)) for j in range(s)]
+    e_v = [sum(g * elem_to_scalar(row[j]) for g, row in zip(gammas, rows_pp)) for j in range(s)]
+    blocks = [block_point(params, file_id, i) for i in challenge.indices]
+    agg_base = msm([*blocks, *u, *v_gens], [*gammas, *e_u, *e_v])
     return pairing(response.q2, params.g2) == pairing(agg_base, A)
 
 
@@ -224,7 +225,8 @@ class Contract:
             "state_after": after,
             "ledger_delta": {k: v for k, v in sorted(delta.items()) if v},
         })
-        assert self.total_funds() == self._total0, "currency conservation violated"
+        if self.total_funds() != self._total0:
+            raise InvariantViolation("currency conservation violated")
 
     def dump_log(self, fp) -> None:
         for entry in self.log:

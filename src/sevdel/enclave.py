@@ -17,6 +17,7 @@ from .errors import (
     AlreadyDestroyed,
     DuplicateEnclave,
     EnclaveDestroyed,
+    InvariantViolation,
     SecretNotFound,
     UnknownFile,
 )
@@ -80,7 +81,8 @@ class Enclave:
             for buf in self._secrets.values():
                 buf[:] = b"\x00" * len(buf)
             self._state = STATE_DESTROYED
-            assert self.verify_zeroized(), "zeroization failed"
+            if not self.verify_zeroized():
+                raise InvariantViolation("zeroization failed")
             receipt = DeletionReceipt(
                 file_id=self.file_id,
                 enclave_id=self.enclave_id,

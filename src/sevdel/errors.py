@@ -5,6 +5,11 @@ class SevdelError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvariantViolation(SevdelError):
+    """A self-check of the program failed; raised explicitly, so it also
+    fires under python -O."""
+
+
 # -- group arithmetic / encodings -------------------------------------------
 
 class InvalidElement(SevdelError):

@@ -59,10 +59,6 @@ class _Elem:
         op, _pow, inv, _eq, _ser = self._ops()
         return type(self)(self.group, op(self.raw, inv(other.raw)))
 
-    def inverse(self):
-        op, _pow, inv, _eq, _ser = self._ops()
-        return type(self)(self.group, inv(self.raw))
-
     def __eq__(self, other):
         if not isinstance(other, type(self)) or other.group is not self.group:
             return NotImplemented
@@ -126,6 +122,8 @@ class Bn254Backend:
         return self._c.g1_add(a, b)
 
     def g1_pow(self, a, k):
+        if a == self.g1_gen:
+            return self._c.g1_msm((a,), (k,))
         return self._c.g1_mul(a, k)
 
     def g1_inv(self, a):
@@ -144,7 +142,17 @@ class Bn254Backend:
         return self._c.g1_from_bytes(data)
 
     def g1_double_exp(self, a, x, b, y):
-        return self._c.g1_add(self._c.g1_mul(a, x), self._c.g1_mul(b, y))
+        return self._c.g1_msm((a, b), (x, y))
+
+    def g1_msm(self, bases, scalars):
+        return self._c.g1_msm(bases, scalars)
+
+    def g1_key(self, a):
+        # 2x plus the parity of y names a point; no point maps to -1
+        return -1 if a is None else 2 * a[0] + (a[1] & 1)
+
+    def g1_gen_multiples(self, count):
+        return self._c.g1_gen_multiples(count)
 
     def g1_hash(self, data):
         return self._c.g1_hash(data)
@@ -161,9 +169,6 @@ class Bn254Backend:
 
     def g2_eq(self, a, b):
         return a == b
-
-    def g2_identity(self):
-        return None
 
     def g2_to_bytes(self, a):
         return self._c.g2_to_bytes(a)
@@ -242,14 +247,19 @@ class ToyBackend:
         return v
 
     g1_op = g2_op = gt_op = _op
-    g1_pow = g2_pow = gt_pow = _pow
+    g2_pow = gt_pow = _pow
+
+    def g1_pow(self, a, k):
+        # g1 = 1, so g1^k is k mod order; a product by 1 would leave every
+        # stored component with a spare digit allocated (48 B, not 40 B)
+        return k % self.order if a == 1 else self._pow(a, k)
     g1_inv = g2_inv = gt_inv = _inv
     g1_eq = g2_eq = gt_eq = _eq
 
     def g1_identity(self):
         return 0
 
-    g2_identity = gt_identity = g1_identity
+    gt_identity = g1_identity
 
     def g1_to_bytes(self, a):
         return self._to_bytes(a, b"\x11")
@@ -268,6 +278,15 @@ class ToyBackend:
 
     def g1_double_exp(self, a, x, b, y):
         return (a * x + b * y) % self.order
+
+    def g1_msm(self, bases, scalars):
+        return sum(a * k for a, k in zip(bases, scalars, strict=True)) % self.order
+
+    def g1_key(self, a):
+        return a
+
+    def g1_gen_multiples(self, count):
+        return range(count)
 
     def g1_hash(self, data):
         h = hashlib.sha256(b"sevdel/toy-h2c:" + data).digest()
@@ -316,14 +335,18 @@ class SystemParams:
     def g1_identity(self) -> G1Elem:
         return G1Elem(self.group, self.group.g1_identity())
 
-    def g2_identity(self) -> G2Elem:
-        return G2Elem(self.group, self.group.g2_identity())
-
     def gt_identity(self) -> GTElem:
         return GTElem(self.group, self.group.gt_identity())
 
     def g1_from_bytes(self, data: bytes) -> G1Elem:
         return G1Elem(self.group, self.group.g1_from_bytes(data))
+
+    def g1_msm(self, bases, scalars) -> G1Elem:
+        """prod_i bases[i] ** scalars[i] as one multi-exponentiation."""
+        group = self.group
+        if any(b.group is not group for b in bases):
+            raise InvalidElement("group mismatch in multi-exponentiation")
+        return G1Elem(group, group.g1_msm([b.raw for b in bases], scalars))
 
     def g2_from_bytes(self, data: bytes) -> G2Elem:
         return G2Elem(self.group, self.group.g2_from_bytes(data))

@@ -81,11 +81,11 @@ def prove_opening(
     g1 = params.g1
     order = params.order
     s = len(q)
-    alphas = [rng.scalar(order) for _ in range(s)]
-    betas = [rng.scalar(order) for _ in range(s)]
-    t_open = tuple((g1 ** alphas[j]) * (v_pub ** betas[j]) for j in range(s))
-    t_rand = tuple(g1 ** betas[j] for j in range(s))
-    t_value = tuple(g1 ** alphas[j] for j in range(s))
+    alphas = rng.scalars(s, order)
+    betas = rng.scalars(s, order)
+    t_open = tuple(params.g1_msm([g1, v_pub], [a, b]) for a, b in zip(alphas, betas))
+    t_rand = tuple(g1 ** b for b in betas)
+    t_value = tuple(g1 ** a for a in alphas)
     c = fs_challenge(order, _fs_parts(context, v_pub, p1, p2, q, (t_open, t_rand, t_value)))
     z_value, z_rand = respond(alphas, betas, c, q, r_agg, order)
     return EncNizk(t_open, t_rand, t_value, c, z_value, z_rand)
@@ -117,14 +117,17 @@ def check_equations(
     z_value: tuple[int, ...],
     z_rand: tuple[int, ...],
 ) -> bool:
-    """Sigma verification equations against the public aggregates q."""
-    g1 = params.g1
+    """Sigma verification equations against the public aggregates q,
+    each rearranged into one multi-exponentiation against its commitment:
+    g1^z_v V^z_r P1'^-c = t_open, g1^z_r P1''^-c = t_rand and
+    g1^(z_v - c*Q) = t_value."""
+    g1, order, msm = params.g1, params.order, params.g1_msm
     for j, (p1p, p1pp) in enumerate(p1):
-        if (g1 ** z_value[j]) * (v_pub ** z_rand[j]) != t_open[j] * (p1p ** c):
+        if msm([g1, v_pub, p1p], [z_value[j], z_rand[j], -c]) != t_open[j]:
             return False
-        if g1 ** z_rand[j] != t_rand[j] * (p1pp ** c):
+        if msm([g1, p1pp], [z_rand[j], -c]) != t_rand[j]:
             return False
-        if g1 ** z_value[j] != t_value[j] * ((g1 ** q[j]) ** c):
+        if g1 ** ((z_value[j] - c * q[j]) % order) != t_value[j]:
             return False
     return True
 

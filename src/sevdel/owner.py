@@ -108,16 +108,15 @@ def outsource(
     blocks.check_shape(manifest)
     rng = default_rng(rng)
     group = params.group
-    x = tuple(rng.scalar(params.order, nonzero=True) for _ in range(manifest.s))
+    x = tuple(rng.scalars(manifest.s, params.order, nonzero=True))
     u = tuple(params.g1 ** xj for xj in x)
     u_raw = [e.raw for e in u]
-    g1op, g1pow = group.g1_op, group.g1_pow
+    msm, g1pow = group.g1_msm, group.g1_pow
     phi = []
     for i, row in enumerate(blocks.rows, start=1):
-        acc = block_point(params, manifest.file_id, i).raw
-        for uj, m in zip(u_raw, row):
-            acc = g1op(acc, g1pow(uj, m))
-        phi.append(G1Elem(group, g1pow(acc, keys.w)))
+        # w stays outside: the inner exponents are short sector values
+        h = block_point(params, manifest.file_id, i).raw
+        phi.append(G1Elem(group, g1pow(msm([h, *u_raw], [1, *row]), keys.w)))
     return SectorGenerators(x=x, u=u), TagSet(phi=tuple(phi))
 
 
@@ -165,11 +164,8 @@ def verify_encryption_proof(
 
     # (a) aggregated tag equation:
     #     e(P2, g2) == e(prod_i H(I_M||i)^l_i * prod_j u_j^Q_j, W)
-    agg = params.g1_identity()
-    for i, l in challenge.items:
-        agg = agg * (block_point(params, manifest.file_id, i) ** l)
-    for uj, qj in zip(u, proof.q):
-        agg = agg * (uj ** qj)
+    bases = [block_point(params, manifest.file_id, i) for i, _ in challenge.items]
+    agg = params.g1_msm([*bases, *u], [*(l for _, l in challenge.items), *proof.q])
     if pairing(proof.p2, params.g2) != pairing(agg, W):
         return False
 
@@ -196,29 +192,27 @@ def audit_respond(
         raise MissingBlock("owner holds no leaked ciphertexts")
     group = params.group
     s = manifest.s
-    q1p_raw = [group.g1_identity() for _ in range(s)]
-    q1pp_raw = [group.g1_identity() for _ in range(s)]
-    q2 = params.g1_identity()
-    revealed_prime: dict[int, tuple[G1Elem, ...]] = {}
-    revealed_dprime: dict[int, tuple[G1Elem, ...]] = {}
-    g1op, g1pow = group.g1_op, group.g1_pow
-    for i, gamma in audit_challenge.items:
+    rows_p, rows_pp = [], []
+    for i, _ in audit_challenge.items:
         row_p = leaked.row_prime(i - 1)
         row_pp = leaked.row_dprime(i - 1)
         if row_p is None or row_pp is None:
             raise MissingBlock(f"challenged ciphertext block {i} not held")
-        for j in range(s):
-            q1p_raw[j] = g1op(q1p_raw[j], g1pow(row_p[j], gamma))
-            q1pp_raw[j] = g1op(q1pp_raw[j], g1pow(row_pp[j], gamma))
-        q2 = q2 * (sigma.sigma[i - 1] ** gamma)
-        revealed_prime[i] = tuple(G1Elem(group, r) for r in row_p)
-        revealed_dprime[i] = tuple(G1Elem(group, r) for r in row_pp)
+        rows_p.append(row_p)
+        rows_pp.append(row_pp)
+    gammas = [gamma for _, gamma in audit_challenge.items]
+    msm = group.g1_msm
+    indices = audit_challenge.indices
     return AuditResponse(
-        q1_prime=tuple(G1Elem(group, r) for r in q1p_raw),
-        q1_dprime=tuple(G1Elem(group, r) for r in q1pp_raw),
-        q2=q2,
-        revealed_prime=revealed_prime,
-        revealed_dprime=revealed_dprime,
+        q1_prime=tuple(G1Elem(group, msm([row[j] for row in rows_p], gammas))
+                       for j in range(s)),
+        q1_dprime=tuple(G1Elem(group, msm([row[j] for row in rows_pp], gammas))
+                        for j in range(s)),
+        q2=params.g1_msm([sigma.sigma[i - 1] for i in indices], gammas),
+        revealed_prime={i: tuple(G1Elem(group, r) for r in row)
+                        for i, row in zip(indices, rows_p)},
+        revealed_dprime={i: tuple(G1Elem(group, r) for r in row)
+                         for i, row in zip(indices, rows_pp)},
     )
 
 

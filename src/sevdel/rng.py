@@ -36,25 +36,41 @@ class Rng:
     def child(self, label: str | bytes) -> "Rng":
         raise NotImplementedError
 
-    def randrange(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
+    def _uniform(self, count: int, bound: int) -> list[int]:
+        """count uniform integers in [0, bound) via rejection sampling.
+
+        Each draw takes fixed-width chunks from the stream until one falls
+        below the rejection limit.  All count chunks are read at once, and
+        only rejections cost a further read, so the bytes consumed and the
+        values returned are those of count separate draws.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         nbytes = (bound.bit_length() + 7) // 8 + 8
         limit = (1 << (8 * nbytes)) // bound * bound
-        while True:
-            v = int.from_bytes(self.read(nbytes), "big")
-            if v < limit:
-                return v % bound
+        from_bytes = int.from_bytes
+        out: list[int] = []
+        while len(out) < count:
+            buf = self.read((count - len(out)) * nbytes)
+            for off in range(0, len(buf), nbytes):
+                v = from_bytes(buf[off:off + nbytes], "big")
+                if v < limit:
+                    out.append(v % bound)
+        return out
+
+    def randrange(self, bound: int) -> int:
+        """Uniform integer in [0, bound) via rejection sampling."""
+        return self._uniform(1, bound)[0]
 
     def scalar(self, modulus: int, nonzero: bool = False) -> int:
         """Uniform residue in [0, modulus), or [1, modulus) if nonzero."""
-        if nonzero:
-            return 1 + self.randrange(modulus - 1)
-        return self.randrange(modulus)
+        return self.scalars(1, modulus, nonzero)[0]
 
     def scalars(self, count: int, modulus: int, nonzero: bool = False) -> list[int]:
-        return [self.scalar(modulus, nonzero) for _ in range(count)]
+        """count scalar() draws, read from the stream in one buffer."""
+        if nonzero:
+            return [1 + v for v in self._uniform(count, modulus - 1)]
+        return self._uniform(count, modulus)
 
     def sample(self, n: int, k: int) -> list[int]:
         """k distinct values from [0, n), sampled without replacement.

@@ -11,7 +11,7 @@ import json
 import struct
 
 from .cloud import CiphertextMatrix, EncProof, EncTagSet
-from .codec import BlockMatrix, FileManifest
+from .codec import _SECTOR_FMT, BlockMatrix, FileManifest
 from .errors import InvalidElement
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
 from .nizk import EncNizk
@@ -19,8 +19,6 @@ from .owner import AuditResponse, Challenge, TagSet
 
 CIPHERTEXT_MAGIC = b"SEVDELCTXMATRIX\x00"   # 16 bytes
 WIRE_VERSION = 1
-
-_SECTOR_FMT = {8: "B", 16: "H", 32: "I"}
 
 
 def _pack_elems(elems) -> bytes:
