@@ -15,13 +15,21 @@ Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
 as (x, y) tuples with None for the identity; scalar multiplication works
 internally in Jacobian coordinates.
+
+Every G1 scalar multiplication goes through g1_msm (g1_mul is its one-term
+case): powers of the generator use a fixed-base table, every other term
+runs in one interleaved width-w NAF (Straus), where the GLV endomorphism
+phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
+than 128 bits.  The GLV constants are derived and checked at import.
+_g1_mul_raw, plain double-and-add, is kept as the tests' reference.
 """
 
 from __future__ import annotations
 
 import hashlib
+from math import isqrt
 
-from .errors import InvalidElement
+from .errors import InvalidElement, InvariantViolation
 
 try:
     from gmpy2 import mpz, invert as _invert
@@ -37,9 +45,16 @@ P = mpz(218882428718392752222464057452572750886963111572978236626890378946452262
 R = mpz(21888242871839275222246405745257275088548364400416034343698204186575808495617)
 B = mpz(3)
 
-assert P == 36 * U**4 + 36 * U**3 + 24 * U**2 + 6 * U + 1
-assert R == 36 * U**4 + 36 * U**3 + 18 * U**2 + 6 * U + 1
-assert P % 4 == 3  # enables the simple square-root rule
+
+def _check(ok, what):
+    # explicit raise, so the constant checks also run under python -O
+    if not ok:
+        raise InvariantViolation(what)
+
+
+_check(P == 36 * U**4 + 36 * U**3 + 24 * U**2 + 6 * U + 1, "P does not match u")
+_check(R == 36 * U**4 + 36 * U**3 + 18 * U**2 + 6 * U + 1, "R does not match u")
+_check(P % 4 == 3, "P is not 3 mod 4")  # enables the simple square-root rule
 
 G1_GEN = (mpz(1), mpz(2))
 
@@ -402,10 +417,13 @@ def _jac_add_affine(x1, y1, z1, x2, y2):
 
 
 def g1_mul(pt, k):
-    return _g1_mul_raw(pt, k % R)
+    """k * pt, as the one-term case of g1_msm."""
+    return g1_msm((pt,), (k,))
 
 
 def _g1_mul_raw(pt, k):
+    # plain double-and-add on the unreduced k: the reference the tests
+    # check g1_mul and g1_msm against
     if pt is None or k == 0:
         return None
     x2, y2 = pt
@@ -503,14 +521,76 @@ def _odd_multiple_tables(points, size):
     return [flat[k:k + size] for k in range(0, len(flat), size)]
 
 
-def _window_width(count, bits):
-    # cost in field multiplications: per term, each table entry past P
-    # itself (a mixed addition and its share of the normalisation, ~20)
-    # and each of the ~bits/(w+1) NAF digits (a mixed addition, ~11); per
-    # call, the two inversions (~150 each) that a table beyond P needs
+# GLV endomorphism (Gallant, Lambert and Vanstone, CRYPTO 2001).  The curve
+# has j = 0, so phi(x, y) = (beta*x, y) with beta^3 = 1 maps it to itself;
+# on G1 (cofactor 1) phi is multiplication by a cube root of unity lambda
+# mod R.  A scalar k splits into k1 + k2*lambda with |k1|, |k2| < 2^128 by
+# rounding against a short basis of the lattice {(a, b): a + b*lambda = 0}.
+
+def _cube_root_of_unity(n):
+    """A cube root of 1 other than 1 modulo the prime n = 1 mod 3."""
+    g = 2
+    while pow(g, (n - 1) // 3, n) == 1:
+        g += 1
+    return pow(g, (n - 1) // 3, n)
+
+
+def _short_basis(n, lam):
+    """Vectors (a1, b1), (a2, b2) with a + b*lam = 0 mod n and determinant
+    n, from the extended Euclidean algorithm on (n, lam) stopped at sqrt(n)."""
+    root = isqrt(n)
+    seq = [(n, 0), (lam, 1)]            # (r_i, t_i) with r_i = t_i*lam mod n
+    while seq[-2][0] >= root:           # until seq[-2] is the first r below it
+        (r0, t0), (r1, t1) = seq[-2], seq[-1]
+        q = r0 // r1
+        seq.append((r0 - q * r1, t0 - q * t1))
+    (rm, tm), (r1, t1), (r2, t2) = seq[-3:]
+    a1, b1 = r1, -t1
+    a2, b2 = min((rm, -tm), (r2, -t2), key=lambda v: v[0] ** 2 + v[1] ** 2)
+    if a1 * b2 - a2 * b1 < 0:
+        a2, b2 = -a2, -b2
+    return (a1, b1), (a2, b2)
+
+
+def _phi_eigenvalue():
+    """The cube root of unity lambda mod R with phi(G) = lambda*G."""
+    lam = _cube_root_of_unity(int(R))
+    phi_gen = (_BETA * G1_GEN[0] % P, G1_GEN[1])
+    for cand in (lam, lam * lam % int(R)):
+        if _g1_mul_raw(G1_GEN, cand) == phi_gen:
+            return cand
+    raise InvariantViolation("no cube root of unity mod R acts as phi on G1")
+
+
+_BETA = mpz(_cube_root_of_unity(int(P)))
+_check(_BETA != 1 and pow(_BETA, 3, P) == 1, "beta is not a cube root of unity mod P")
+_LAMBDA = _phi_eigenvalue()
+(_GLV_A1, _GLV_B1), (_GLV_A2, _GLV_B2) = _short_basis(int(R), _LAMBDA)
+_check(_GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1 == R
+       and (_GLV_A1 + _GLV_B1 * _LAMBDA) % R == 0
+       and (_GLV_A2 + _GLV_B2 * _LAMBDA) % R == 0, "GLV basis does not span the lattice")
+# rounding leaves |k1| <= (|a1| + |a2|)/2 and |k2| <= (|b1| + |b2|)/2
+_check(max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) < 1 << 129,
+       "GLV basis too long for 128-bit halves")
+
+
+def _glv_split(k):
+    """(k1, k2) with k1 + k2*lambda = k mod R and |k1|, |k2| < 2^128."""
+    c1 = (2 * _GLV_B2 * k + R) // (2 * R)     # round(b2*k / R)
+    c2 = (R - 2 * _GLV_B1 * k) // (2 * R)     # round(-b1*k / R)
+    return k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2
+
+
+def _window_width(points, digit_bits):
+    # cost in field multiplications: per point, each table entry past P
+    # itself (a mixed addition and its share of the normalisation, ~20;
+    # the phi copy of a table adds one per entry and is left out); per bit
+    # of the scalars' halves, 1/(w+1) of a NAF digit's mixed addition
+    # (~11); per call, the two inversions (~150 each) that a table beyond
+    # P needs
     def cost(w):
-        per_term = ((1 << (w - 2)) - 1) * 20 + bits * 11 / (w + 1)
-        return count * per_term + (300 if w > 2 else 0)
+        return (points * ((1 << (w - 2)) - 1) * 20 + digit_bits * 11 / (w + 1)
+                + (300 if w > 2 else 0))
     return min(range(2, 8), key=cost)
 
 
@@ -518,16 +598,30 @@ def _straus(terms):
     """Jacobian sum of k*P over (P, k) terms, P finite, 0 < k < R.
 
     Interleaved width-w NAF: one doubling chain shared by every term,
-    per-term tables of odd multiples normalised together.
+    per-term tables of odd multiples normalised together.  A scalar wider
+    than 128 bits runs as its GLV halves k1 on P and k2 on phi(P), whose
+    table is P's with every x times beta, so the chain is half as long.
     """
-    bits = max(k.bit_length() for _, k in terms)
-    w = _window_width(len(terms), bits)
+    halves = []                         # (term index, on phi(P), signed scalar)
+    for i, (_, k) in enumerate(terms):
+        if k.bit_length() > 128:
+            k1, k2 = _glv_split(k)
+            halves += [(i, False, k1), (i, True, k2)]
+        else:
+            halves.append((i, False, k))
+    sizes = [abs(k).bit_length() for _, _, k in halves]
+    bits = max(sizes)
+    w = _window_width(len(terms), sum(sizes))
     tables = _odd_multiple_tables([pt for pt, _ in terms], 1 << (w - 2))
     schedule = [[] for _ in range(bits + 1)]
-    for table, (_, k) in zip(tables, terms):
-        for pos, d in _wnaf(k, w):
+    for i, on_phi, k in halves:
+        table = tables[i]
+        if on_phi:
+            table = [(_BETA * x % P, y) for x, y in table]
+        flip = k < 0
+        for pos, d in _wnaf(abs(k), w):
             x, y = table[abs(d) >> 1]
-            schedule[pos].append((x, y) if d > 0 else (x, P - y))
+            schedule[pos].append((x, y) if (d > 0) != flip else (x, P - y))
     acc = None
     for adds in reversed(schedule):
         if acc is not None:

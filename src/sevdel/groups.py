@@ -122,8 +122,6 @@ class Bn254Backend:
         return self._c.g1_add(a, b)
 
     def g1_pow(self, a, k):
-        if a == self.g1_gen:
-            return self._c.g1_msm((a,), (k,))
         return self._c.g1_mul(a, k)
 
     def g1_inv(self, a):

@@ -21,6 +21,7 @@ from .contract import Contract, Ledger, LogicalClock, verify_audit_response
 from .enclave import EnclaveRegistry
 from .errors import (
     EnclaveDestroyed,
+    InvariantViolation,
     MissingBlock,
     ScenarioError,
     SevdelError,
@@ -387,7 +388,8 @@ def run_scenario(scenario: Scenario) -> Transcript:
 
 # -- benchmarking -------------------------------------------------------------
 
-BENCH_PHASES = ("tagging", "encryption", "proof_gen", "proof_verify", "audit_verify")
+BENCH_PHASES = ("tagging", "encryption", "decryption", "proof_gen", "proof_verify",
+                "audit_verify")
 
 
 def _quantile(values: list[float], q: float) -> float:
@@ -408,7 +410,9 @@ def bench(
     """Measure wall time per protocol phase for each file size.
 
     Returns rows {size_bytes, phase, median_s, p95_s}; one extra row per
-    size reports the serialized proof size in bytes.
+    size reports the serialized proof size in bytes.  Raises
+    InvariantViolation when a decryption, proof or audit it times comes out
+    wrong, so no rejecting or broken path is ever reported as a time.
     """
     rows: list[dict] = []
     for size in sizes:
@@ -419,6 +423,7 @@ def bench(
         okeys = owner.keygen(params, rng.child("ok"))
         skeys = cloud.server_keygen(params, rng.child("sk"))
         ch = owner.gen_challenge(manifest, min(challenge_count, manifest.n), seed)
+        cloud._dlog_table(params.group, sector_bits)   # built once, outside the timing
         times: dict[str, list[float]] = {ph: [] for ph in BENCH_PHASES}
         proof_bytes = 0
         for rep in range(reps):
@@ -435,6 +440,12 @@ def bench(
             times["encryption"].append(_time.perf_counter() - t0)
 
             t0 = _time.perf_counter()
+            back = codec.join(manifest, cloud.decrypt_file(params, enclave, cts))
+            times["decryption"].append(_time.perf_counter() - t0)
+            if back != data:
+                raise InvariantViolation("bench run decrypted a file wrongly")
+
+            t0 = _time.perf_counter()
             proof = cloud.prove_encryption(params, enclave, manifest, blocks,
                                            cts, tags, ch, rng.child(f"p{rep}"))
             times["proof_gen"].append(_time.perf_counter() - t0)
@@ -443,7 +454,8 @@ def bench(
             ok = owner.verify_encryption_proof(params, manifest, gens.u, okeys.W,
                                                skeys.A, v_pub, ch, proof)
             times["proof_verify"].append(_time.perf_counter() - t0)
-            assert ok, "bench run produced a rejected proof"
+            if not ok:
+                raise InvariantViolation("bench run produced a rejected proof")
             proof_bytes = len(wire.encode_proof(params, proof))
 
             v_gens = vgen_points(params, manifest.file_id, manifest.s)
@@ -454,7 +466,8 @@ def bench(
             ok = verify_audit_response(params, manifest.file_id, gens.u, skeys.A,
                                        enc_tags.sigma, ch, resp)
             times["audit_verify"].append(_time.perf_counter() - t0)
-            assert ok, "bench run produced a rejected audit"
+            if not ok:
+                raise InvariantViolation("bench run produced a rejected audit")
         for phase in BENCH_PHASES:
             rows.append({
                 "size_bytes": size,

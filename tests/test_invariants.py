@@ -56,3 +56,49 @@ def test_invariant_checks_raise_with_and_without_optimisation(flags):
     assert lines[0] == f"optimize {1 if flags else 0}"
     assert lines[1] == "conservation InvariantViolation currency conservation violated"
     assert lines[2] == "zeroization InvariantViolation zeroization failed"
+
+
+# Runs bench with one check broken at a time and prints what it raised.
+BENCH_SCRIPT = textwrap.dedent("""
+    import sys
+    from sevdel import cloud, owner, scenario
+
+    print("optimize", sys.flags.optimize)
+
+    real_decrypt = cloud.decrypt_file
+
+    def off_by_one(*args):
+        blocks = real_decrypt(*args)
+        blocks.rows[0][0] ^= 1
+        return blocks
+
+    probes = [
+        ("decryption", cloud, "decrypt_file", off_by_one),
+        ("proof", owner, "verify_encryption_proof", lambda *args: False),
+        ("audit", scenario, "verify_audit_response", lambda *args: False),
+    ]
+    for name, mod, attr, fake in probes:
+        real = getattr(mod, attr)
+        setattr(mod, attr, fake)
+        try:
+            scenario.bench([512], reps=1, group="toy")
+            print(name, "timed")
+        except Exception as exc:
+            print(name, type(exc).__name__, exc)
+        finally:
+            setattr(mod, attr, real)
+""")
+
+
+@pytest.mark.parametrize("flags", [["-O"], []])
+def test_bench_refuses_to_time_a_wrong_result(flags):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *flags, "-c", BENCH_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"optimize {1 if flags else 0}",
+        "decryption InvariantViolation bench run decrypted a file wrongly",
+        "proof InvariantViolation bench run produced a rejected proof",
+        "audit InvariantViolation bench run produced a rejected audit",
+    ]

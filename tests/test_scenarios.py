@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from sevdel.cli import main
 from sevdel.errors import ScenarioError
-from sevdel.scenario import Scenario, bench, bench_csv, run_scenario
+from sevdel.scenario import BENCH_PHASES, Scenario, bench, bench_csv, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CANONICAL = sorted(SCENARIO_DIR.glob("*.json"))
@@ -145,3 +145,11 @@ def test_bench_rows_and_csv(tmp_path):
     csv_text = bench_csv(rows)
     assert csv_text.splitlines()[0] == "size_bytes,phase,median_s,p95_s"
     assert len(csv_text.splitlines()) == len(rows) + 1
+
+
+@pytest.mark.parametrize("group", ["toy", "bn254"])
+def test_bench_reports_decryption(group):
+    rows = bench([512], reps=1, group=group, s=8, sector_bits=16)
+    phases = [r["phase"] for r in rows]
+    assert phases == [*BENCH_PHASES, "proof_size_bytes"]
+    assert rows[phases.index("decryption")]["median_s"] > 0
