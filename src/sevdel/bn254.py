@@ -7,21 +7,33 @@ used by the Ethereum precompiles:
     G2:  y^2 = x^3 + 3/(9+i)     over Fp2 = Fp[i]/(i^2+1)   (sextic D-twist)
     GT:  order-r subgroup of Fp12*
 
-The tower is Fp2 -> Fp6 = Fp2[v]/(v^3 - xi) -> Fp12 = Fp6[w]/(w^2 - v) with
-xi = 9+i, and the pairing is the optimal ate construction (NAF Miller loop
-over 6u+2 followed by the Frobenius-decomposed final exponentiation).
+Fp12 = Fp2[w]/(w^6 - xi) with xi = 9+i, read as the tower Fp6[w]/(w^2 - v)
+over Fp6 = Fp2[v]/(v^3 - xi).  An Fp12 element is flat: a tuple of 12 ints,
+the real and imaginary parts of its coefficients at w^0, ..., w^5 (also the
+order of the GT encoding).  Multiplication is Karatsuba over the tower with
+lazy reduction, one reduction mod P per output coefficient; Miller lines
+are sparse (coefficients at w^0, w^1, w^3 only).
+
+The pairing is the optimal ate construction: a NAF Miller loop over 6u+2
+with the doubling and addition steps in homogeneous projective coordinates
+on ints (Costello, Lange and Naehrig, PKC 2010), then the final
+exponentiation, whose hard part raises to u three times with Granger-Scott
+cyclotomic squarings (PKC 2010) over the NAF of u.  G2 decoding checks
+subgroup membership with the psi test of El Housni, Guillevic and Piellard
+(eprint 2022/348): [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q).
 
 Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
 as (x, y) tuples with None for the identity; scalar multiplication works
-internally in Jacobian coordinates.
+internally in Jacobian coordinates (g2_mul by NAF double-and-add).
 
 Every G1 scalar multiplication goes through g1_msm (g1_mul is its one-term
 case): powers of the generator use a fixed-base table, every other term
 runs in one interleaved width-w NAF (Straus), where the GLV endomorphism
 phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
-than 128 bits.  The GLV constants are derived and checked at import.
-_g1_mul_raw, plain double-and-add, is kept as the tests' reference.
+than 128 bits.  The GLV, Frobenius and psi constants and the loop digits
+are checked at import by _check.  _g1_mul_raw and _g2_mul_raw, plain
+double-and-add, are kept as the tests' references.
 """
 
 from __future__ import annotations
@@ -76,6 +88,23 @@ def _fp_sqrt(a):
         return mpz(0)
     y = pow(a, (P + 1) // 4, P)
     return y if y * y % P == a else None
+
+
+_INV2 = (P + 1) // 2
+
+
+def _naf(k):
+    """Non-adjacent form of k > 0, least significant digit first."""
+    out = []
+    while k > 0:
+        if k & 1:
+            d = 2 - (k & 3)
+            out.append(d)
+            k -= d
+        else:
+            out.append(0)
+        k >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +168,6 @@ class Fp2:
         t = _fp_inv((a0 * a0 + a1 * a1) % P)
         return Fp2(a0 * t % P, -a1 * t % P)
 
-    def pow(self, e):
-        out = FP2_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out.mul(base)
-            base = base.sqr()
-            e >>= 1
-        return out
-
     def sqrt(self):
         """Square root in Fp2 via the norm decomposition, or None."""
         a, b = self.c0, self.c1
@@ -163,11 +182,10 @@ class Fp2:
         s = _fp_sqrt((a * a + b * b) % P)
         if s is None:
             return None
-        inv2 = _fp_inv(mpz(2))
-        d = (a + s) * inv2 % P
+        d = (a + s) * _INV2 % P
         x = _fp_sqrt(d)
         if x is None:
-            d = (a - s) * inv2 % P
+            d = (a - s) * _INV2 % P
             x = _fp_sqrt(d)
             if x is None:
                 return None
@@ -176,7 +194,6 @@ class Fp2:
         return root if root.sqr() == self else None
 
 
-FP2_ZERO = Fp2(mpz(0), mpz(0))
 FP2_ONE = Fp2(mpz(1), mpz(0))
 XI = Fp2(mpz(9), mpz(1))
 
@@ -189,126 +206,185 @@ G2_GEN = (
         mpz(4082367875863433681332203403145435568316851327593401208105741076214120093531)),
 )
 
-# Frobenius slot multipliers: gamma = xi^((p-1)/6); pi^2 uses its Fp norm.
-_GAMMA1 = [FP2_ONE] + [XI.pow(k * (P - 1) // 6) for k in range(1, 6)]
-_GAMMA2 = [g.mul(g.conj()) for g in _GAMMA1]  # real (c1 = 0) by construction
+# Frobenius multipliers.  (a*w^k)^p = conj(a) * gamma^k * w^k with
+# gamma = xi^((p-1)/6), so x -> x^p scales the conjugated coefficient at w^k
+# by _FROB1[k] = gamma^k, and x -> x^(p^2) scales the one at w^k by its norm
+# _FROB2[k] = xi^(k(p^2-1)/6), which lies in Fp.  gamma^6 = xi^(p-1) fixes
+# gamma up to a sixth root of unity, its norm up to sign, and the G2
+# membership identity checked on G2_GEN below (psi uses gamma^3) the sign.
+_GAMMA = Fp2(mpz(8376118865763821496583973867626364092589906065868298776909617916018768340080),
+             mpz(16469823323077808223889137241176536799009286646108169935659301613961712198316))
+_check(_GAMMA.sqr().mul(_GAMMA).sqr().mul(XI) == XI.conj(), "gamma^6 is not xi^(p-1)")
+_gamma_powers = [FP2_ONE]
+for _ in range(5):
+    _gamma_powers.append(_gamma_powers[-1].mul(_GAMMA))
+_FROB1 = tuple((g.c0, g.c1) for g in _gamma_powers)
+_FROB2 = tuple(g.mul(g.conj()).c0 for g in _gamma_powers)
+_check(_FROB2[1] == pow(82, (P - 1) // 6, P), "norm of gamma is not 82^((p-1)/6)")  # 82 = xi*conj(xi)
+_check(_FROB2[3] == P - 1, "xi is a square in Fp2")  # so psi^2 negates y
+# psi, the p-power map on the twist: (x, y) -> (conj(x)*gamma^2, conj(y)*gamma^3)
+_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3]
+del _gamma_powers
 
 
 # ---------------------------------------------------------------------------
-# Fp6 = Fp2[v] / (v^3 - xi), elements c0 + c1*v + c2*v^2
+# Fp12, flat.  The ints c[2k], c[2k+1] are the real and imaginary parts of
+# the coefficient at w^k.  In tower terms an element is g + h*w with g, h in
+# Fp6: g holds the coefficients at w^0, w^2, w^4 and h those at w^1, w^3, w^5.
+# The _fp6_* and _fp4_* helpers take and return unreduced ints.
 # ---------------------------------------------------------------------------
 
-class Fp6:
-    __slots__ = ("c0", "c1", "c2")
-
-    def __init__(self, c0, c1, c2):
-        self.c0 = c0
-        self.c1 = c1
-        self.c2 = c2
-
-    def __eq__(self, other):
-        return self.c0 == other.c0 and self.c1 == other.c1 and self.c2 == other.c2
-
-    def is_zero(self):
-        return self.c0.is_zero() and self.c1.is_zero() and self.c2.is_zero()
-
-    def add(self, o):
-        return Fp6(self.c0.add(o.c0), self.c1.add(o.c1), self.c2.add(o.c2))
-
-    def sub(self, o):
-        return Fp6(self.c0.sub(o.c0), self.c1.sub(o.c1), self.c2.sub(o.c2))
-
-    def neg(self):
-        return Fp6(self.c0.neg(), self.c1.neg(), self.c2.neg())
-
-    def mul(self, o):
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = o.c0, o.c1, o.c2
-        t0 = a0.mul(b0)
-        t1 = a1.mul(b1)
-        t2 = a2.mul(b2)
-        c0 = a1.add(a2).mul(b1.add(b2)).sub(t1).sub(t2).mul_xi().add(t0)
-        c1 = a0.add(a1).mul(b0.add(b1)).sub(t0).sub(t1).add(t2.mul_xi())
-        c2 = a0.add(a2).mul(b0.add(b2)).sub(t0).sub(t2).add(t1)
-        return Fp6(c0, c1, c2)
-
-    def sqr(self):
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        s0 = a0.sqr()
-        s1 = a0.mul(a1).dbl()
-        s2 = a0.sub(a1).add(a2).sqr()
-        s3 = a1.mul(a2).dbl()
-        s4 = a2.sqr()
-        c0 = s0.add(s3.mul_xi())
-        c1 = s1.add(s4.mul_xi())
-        c2 = s1.add(s2).add(s3).sub(s0).sub(s4)
-        return Fp6(c0, c1, c2)
-
-    def mul_fp2(self, k):
-        return Fp6(self.c0.mul(k), self.c1.mul(k), self.c2.mul(k))
-
-    def mul_v(self):
-        # multiply by v: (c0, c1, c2) -> (xi*c2, c0, c1)
-        return Fp6(self.c2.mul_xi(), self.c0, self.c1)
-
-    def inv(self):
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        t0 = a0.sqr()
-        t1 = a1.sqr()
-        t2 = a2.sqr()
-        t3 = a0.mul(a1)
-        t4 = a0.mul(a2)
-        t5 = a1.mul(a2)
-        c0 = t0.sub(t5.mul_xi())
-        c1 = t2.mul_xi().sub(t3)
-        c2 = t1.sub(t4)
-        f = a0.mul(c0).add(a2.mul(c1).mul_xi()).add(a1.mul(c2).mul_xi()).inv()
-        return Fp6(c0.mul(f), c1.mul(f), c2.mul(f))
+def _fp6_mul(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
+    """(A0 + A1 v + A2 v^2)(B0 + B1 v + B2 v^2) with Ak = a(2k) + a(2k+1) i:
+    Karatsuba over Fp6, six Fp2 products."""
+    p0 = a0 * b0 - a1 * b1
+    p1 = a0 * b1 + a1 * b0                          # A0 B0
+    q0 = a2 * b2 - a3 * b3
+    q1 = a2 * b3 + a3 * b2                          # A1 B1
+    r0 = a4 * b4 - a5 * b5
+    r1 = a4 * b5 + a5 * b4                          # A2 B2
+    x0, x1, y0, y1 = a2 + a4, a3 + a5, b2 + b4, b3 + b5
+    s0 = x0 * y0 - x1 * y1 - q0 - r0
+    s1 = x0 * y1 + x1 * y0 - q1 - r1                # A1 B2 + A2 B1
+    x0, x1, y0, y1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    t0 = x0 * y0 - x1 * y1 - p0 - q0
+    t1 = x0 * y1 + x1 * y0 - p1 - q1                # A0 B1 + A1 B0
+    x0, x1, y0, y1 = a0 + a4, a1 + a5, b0 + b4, b1 + b5
+    u0 = x0 * y0 - x1 * y1 - p0 - r0
+    u1 = x0 * y1 + x1 * y0 - p1 - r1                # A0 B2 + A2 B0
+    return (p0 + 9 * s0 - s1, p1 + s0 + 9 * s1,     # v^3 = xi = 9 + i
+            t0 + 9 * r0 - r1, t1 + r0 + 9 * r1,
+            u0 + q0, u1 + q1)
 
 
-FP6_ZERO = Fp6(FP2_ZERO, FP2_ZERO, FP2_ZERO)
-FP6_ONE = Fp6(FP2_ONE, FP2_ZERO, FP2_ZERO)
+def _fp6_mul_01(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3):
+    """(A0 + A1 v + A2 v^2)(B0 + B1 v): five Fp2 products."""
+    p0 = a0 * b0 - a1 * b1
+    p1 = a0 * b1 + a1 * b0                          # A0 B0
+    q0 = a2 * b2 - a3 * b3
+    q1 = a2 * b3 + a3 * b2                          # A1 B1
+    r0 = a4 * b2 - a5 * b3
+    r1 = a4 * b3 + a5 * b2                          # A2 B1
+    x0, x1, y0, y1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    return (p0 + 9 * r0 - r1, p1 + r0 + 9 * r1,
+            x0 * y0 - x1 * y1 - p0 - q0, x0 * y1 + x1 * y0 - p1 - q1,
+            a4 * b0 - a5 * b1 + q0, a4 * b1 + a5 * b0 + q1)
 
 
-# ---------------------------------------------------------------------------
-# Fp12 = Fp6[w] / (w^2 - v), elements c0 + c1*w
-# ---------------------------------------------------------------------------
+def _fp12_join(t, u, s):
+    """(g + h w)(g' + h' w) from t = g g', u = h h', s = (g + h)(g' + h'):
+    g g' + v h h' + (s - t - u) w, reduced; v (x0, x1, x2) = (xi x2, x0, x1)."""
+    t0, t1, t2, t3, t4, t5 = t
+    u0, u1, u2, u3, u4, u5 = u
+    s0, s1, s2, s3, s4, s5 = s
+    return Fp12(((t0 + 9 * u4 - u5) % P, (t1 + u4 + 9 * u5) % P,
+                 (s0 - t0 - u0) % P, (s1 - t1 - u1) % P,
+                 (t2 + u0) % P, (t3 + u1) % P,
+                 (s2 - t2 - u2) % P, (s3 - t3 - u3) % P,
+                 (t4 + u2) % P, (t5 + u3) % P,
+                 (s4 - t4 - u4) % P, (s5 - t5 - u5) % P))
+
+
+def _fp4_sqr(a0, a1, b0, b1):
+    """(A + B s)^2 = (A^2 + xi B^2) + 2AB s in Fp4 = Fp2[s]/(s^2 - xi)."""
+    x0 = (a0 + a1) * (a0 - a1)
+    x1 = 2 * a0 * a1                                # A^2
+    y0 = (b0 + b1) * (b0 - b1)
+    y1 = 2 * b0 * b1                                # B^2
+    c0, c1 = a0 + b0, a1 + b1
+    return (x0 + 9 * y0 - y1, x1 + y0 + 9 * y1,
+            (c0 + c1) * (c0 - c1) - x0 - y0, 2 * c0 * c1 - x1 - y1)
+
 
 class Fp12:
-    __slots__ = ("c0", "c1")
+    __slots__ = ("c",)
 
-    def __init__(self, c0, c1):
-        self.c0 = c0
-        self.c1 = c1
+    def __init__(self, c):
+        self.c = c
 
     def __eq__(self, other):
-        return self.c0 == other.c0 and self.c1 == other.c1
+        return self.c == other.c
 
     def __repr__(self):
-        g, h = self.c0, self.c1
-        coeffs = [g.c0, h.c0, g.c1, h.c1, g.c2, h.c2]
-        flat = []
-        for c in coeffs:
-            flat += [int(c.c0), int(c.c1)]
-        return f"Fp12{tuple(flat)}"
+        return f"Fp12{tuple(int(x) for x in self.c)}"
 
     def mul(self, o):
-        t0 = self.c0.mul(o.c0)
-        t1 = self.c1.mul(o.c1)
-        c1 = self.c0.add(self.c1).mul(o.c0.add(o.c1)).sub(t0).sub(t1)
-        return Fp12(t0.add(t1.mul_v()), c1)
+        g0, g1, h0, h1, g2, g3, h2, h3, g4, g5, h4, h5 = self.c
+        k0, k1, l0, l1, k2, k3, l2, l3, k4, k5, l4, l5 = o.c
+        return _fp12_join(
+            _fp6_mul(g0, g1, g2, g3, g4, g5, k0, k1, k2, k3, k4, k5),
+            _fp6_mul(h0, h1, h2, h3, h4, h5, l0, l1, l2, l3, l4, l5),
+            _fp6_mul(g0 + h0, g1 + h1, g2 + h2, g3 + h3, g4 + h4, g5 + h5,
+                     k0 + l0, k1 + l1, k2 + l2, k3 + l3, k4 + l4, k5 + l5))
+
+    def mul_line(self, line):
+        """Product with a sparse Miller line l0 + l1 w + l3 w^3, given as
+        the six ints of l0, l1, l3 (in tower terms g' = l0, h' = l1 + l3 v)."""
+        a0, a1, b0, b1, c0, c1 = line
+        g0, g1, h0, h1, g2, g3, h2, h3, g4, g5, h4, h5 = self.c
+        return _fp12_join(
+            (g0 * a0 - g1 * a1, g0 * a1 + g1 * a0, g2 * a0 - g3 * a1,
+             g2 * a1 + g3 * a0, g4 * a0 - g5 * a1, g4 * a1 + g5 * a0),
+            _fp6_mul_01(h0, h1, h2, h3, h4, h5, b0, b1, c0, c1),
+            _fp6_mul_01(g0 + h0, g1 + h1, g2 + h2, g3 + h3, g4 + h4, g5 + h5,
+                        a0 + b0, a1 + b1, c0, c1))
 
     def sqr(self):
-        t = self.c0.mul(self.c1)
-        c0 = self.c0.add(self.c1).mul(self.c0.add(self.c1.mul_v())).sub(t).sub(t.mul_v())
-        return Fp12(c0, t.add(t))
+        # (g + h w)^2 = (g + h)(g + v h) - gh - v gh + 2gh w
+        g0, g1, h0, h1, g2, g3, h2, h3, g4, g5, h4, h5 = self.c
+        t0, t1, t2, t3, t4, t5 = _fp6_mul(g0, g1, g2, g3, g4, g5, h0, h1, h2, h3, h4, h5)
+        s0, s1, s2, s3, s4, s5 = _fp6_mul(
+            g0 + h0, g1 + h1, g2 + h2, g3 + h3, g4 + h4, g5 + h5,
+            g0 + 9 * h4 - h5, g1 + h4 + 9 * h5, g2 + h0, g3 + h1, g4 + h2, g5 + h3)
+        return Fp12(((s0 - t0 - 9 * t4 + t5) % P, (s1 - t1 - t4 - 9 * t5) % P,
+                     2 * t0 % P, 2 * t1 % P,
+                     (s2 - t2 - t0) % P, (s3 - t3 - t1) % P,
+                     2 * t2 % P, 2 * t3 % P,
+                     (s4 - t4 - t2) % P, (s5 - t5 - t3) % P,
+                     2 * t4 % P, 2 * t5 % P))
+
+    def cyclotomic_sqr(self):
+        """Square of an element of the cyclotomic subgroup, the image of the
+        easy part of the final exponentiation (Granger-Scott): three Fp4
+        squarings, Fp4 = Fp2[s] with s = w^3, on the coefficient pairs at
+        (w^0, w^3), (w^1, w^4) and (w^2, w^5)."""
+        z0, z1, x0, x1, y0, y1, z2, z3, x2, x3, y2, y3 = self.c
+        a0, a1, a2, a3 = _fp4_sqr(z0, z1, z2, z3)
+        b0, b1, b2, b3 = _fp4_sqr(x0, x1, x2, x3)
+        c0, c1, c2, c3 = _fp4_sqr(y0, y1, y2, y3)
+        d0, d1 = 9 * c2 - c3, c2 + 9 * c3            # xi times the s part of the third
+        return Fp12(((3 * a0 - 2 * z0) % P, (3 * a1 - 2 * z1) % P,
+                     (3 * d0 + 2 * x0) % P, (3 * d1 + 2 * x1) % P,
+                     (3 * b0 - 2 * y0) % P, (3 * b1 - 2 * y1) % P,
+                     (3 * a2 + 2 * z2) % P, (3 * a3 + 2 * z3) % P,
+                     (3 * c0 - 2 * x2) % P, (3 * c1 - 2 * x3) % P,
+                     (3 * b2 + 2 * y2) % P, (3 * b3 + 2 * y3) % P))
 
     def conj(self):
-        return Fp12(self.c0, self.c1.neg())
+        # x^(p^6): negate h
+        g0, g1, h0, h1, g2, g3, h2, h3, g4, g5, h4, h5 = self.c
+        return Fp12((g0, g1, -h0 % P, -h1 % P, g2, g3, -h2 % P, -h3 % P,
+                     g4, g5, -h4 % P, -h5 % P))
 
     def inv(self):
-        t = self.c0.sqr().sub(self.c1.sqr().mul_v()).inv()
-        return Fp12(self.c0.mul(t), self.c1.mul(t).neg())
+        # (g + h w)^-1 = (g - h w) / (g^2 - v h^2); the Fp6 inverse of the
+        # denominator m runs in Fp2 arithmetic
+        g0, g1, h0, h1, g2, g3, h2, h3, g4, g5, h4, h5 = self.c
+        a0, a1, a2, a3, a4, a5 = _fp6_mul(g0, g1, g2, g3, g4, g5, g0, g1, g2, g3, g4, g5)
+        b0, b1, b2, b3, b4, b5 = _fp6_mul(h0, h1, h2, h3, h4, h5, h0, h1, h2, h3, h4, h5)
+        m0 = Fp2((a0 - 9 * b4 + b5) % P, (a1 - b4 - 9 * b5) % P)
+        m1 = Fp2((a2 - b0) % P, (a3 - b1) % P)
+        m2 = Fp2((a4 - b2) % P, (a5 - b3) % P)
+        n0 = m0.sqr().sub(m1.mul(m2).mul_xi())
+        n1 = m2.sqr().mul_xi().sub(m0.mul(m1))
+        n2 = m1.sqr().sub(m0.mul(m2))
+        k = m0.mul(n0).add(m2.mul(n1).mul_xi()).add(m1.mul(n2).mul_xi()).inv()
+        n0, n1, n2 = n0.mul(k), n1.mul(k), n2.mul(k)
+        d = (n0.c0, n0.c1, n1.c0, n1.c1, n2.c0, n2.c1)
+        x0, x1, x2, x3, x4, x5 = _fp6_mul(g0, g1, g2, g3, g4, g5, *d)
+        y0, y1, y2, y3, y4, y5 = _fp6_mul(h0, h1, h2, h3, h4, h5, *d)
+        return Fp12((x0 % P, x1 % P, -y0 % P, -y1 % P, x2 % P, x3 % P,
+                     -y2 % P, -y3 % P, x4 % P, x5 % P, -y4 % P, -y5 % P))
 
     def pow(self, e):
         if e < 0:
@@ -323,29 +399,18 @@ class Fp12:
         return out
 
     def frobenius(self):
-        g, h = self.c0, self.c1
-        return Fp12(
-            Fp6(g.c0.conj(),
-                g.c1.conj().mul(_GAMMA1[2]),
-                g.c2.conj().mul(_GAMMA1[4])),
-            Fp6(h.c0.conj().mul(_GAMMA1[1]),
-                h.c1.conj().mul(_GAMMA1[3]),
-                h.c2.conj().mul(_GAMMA1[5])),
-        )
+        c = self.c
+        out = []
+        for k, (f0, f1) in enumerate(_FROB1):
+            a, b = c[2 * k], -c[2 * k + 1]
+            out += ((a * f0 - b * f1) % P, (a * f1 + b * f0) % P)
+        return Fp12(tuple(out))
 
     def frobenius_p2(self):
-        g, h = self.c0, self.c1
-        return Fp12(
-            Fp6(g.c0,
-                g.c1.mul(_GAMMA2[2]),
-                g.c2.mul(_GAMMA2[4])),
-            Fp6(h.c0.mul(_GAMMA2[1]),
-                h.c1.mul(_GAMMA2[3]),
-                h.c2.mul(_GAMMA2[5])),
-        )
+        return Fp12(tuple(x * _FROB2[k >> 1] % P for k, x in enumerate(self.c)))
 
 
-FP12_ONE = Fp12(FP6_ONE, FP6_ZERO)
+FP12_ONE = Fp12((mpz(1),) + (mpz(0),) * 11)
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +863,8 @@ def g2_add(a, b):
 
 
 def _g2_mul_raw(pt, k):
+    # plain affine double-and-add: the reference the tests check g2_mul and
+    # the subgroup test against
     if pt is None or k == 0:
         return None
     acc = None
@@ -808,13 +875,87 @@ def _g2_mul_raw(pt, k):
     return acc
 
 
+def _g2_jac_dbl(x, y, z):
+    a = x.sqr()
+    b = y.sqr()
+    c = b.sqr()
+    d = x.add(b).sqr().sub(a).sub(c).dbl()
+    e = a.mul_int(3)
+    x3 = e.sqr().sub(d.dbl())
+    return x3, e.mul(d.sub(x3)).sub(c.mul_int(8)), y.mul(z).dbl()
+
+
+def _g2_jac_add_affine(x1, y1, z1, x2, y2):
+    """(x1, y1, z1) + (x2, y2) for a finite Jacobian point; None for the identity."""
+    z1z1 = z1.sqr()
+    h = x2.mul(z1z1).sub(x1)
+    r = y2.mul(z1).mul(z1z1).sub(y1)
+    if h.is_zero():
+        return _g2_jac_dbl(x1, y1, z1) if r.is_zero() else None
+    hh = h.sqr()
+    hhh = h.mul(hh)
+    v = x1.mul(hh)
+    x3 = r.sqr().sub(hhh).sub(v.dbl())
+    return x3, r.mul(v.sub(x3)).sub(y1.mul(hhh)), z1.mul(h)
+
+
+def _g2_jac_mul(pt, k):
+    """k * pt for k >= 0 by NAF double-and-add in Jacobian coordinates.
+
+    Valid on every twist point, not only on G2: the twist has odd order, so
+    no doubling meets y = 0, and a sum that reaches the identity restarts.
+    """
+    if pt is None or k == 0:
+        return None
+    qx, qy = pt
+    nqy = qy.neg()
+    acc = None
+    for d in reversed(_naf(k)):
+        if acc is not None:
+            acc = _g2_jac_dbl(*acc)
+        if d:
+            y = qy if d > 0 else nqy
+            acc = (qx, y, FP2_ONE) if acc is None else _g2_jac_add_affine(*acc, qx, y)
+    if acc is None:
+        return None
+    x, y, z = acc
+    zi = z.inv()
+    zi2 = zi.sqr()
+    return (x.mul(zi2), y.mul(zi2).mul(zi))
+
+
 def g2_mul(pt, k):
-    return _g2_mul_raw(pt, k % R)
+    return _g2_jac_mul(pt, k % R)
+
+
+def _psi(pt):
+    """The p-power endomorphism of the twist: p * pt on G2."""
+    if pt is None:
+        return None
+    x, y = pt
+    return (x.conj().mul(_PSI_X), y.conj().mul(_PSI_Y))
+
+
+def _psi2(pt):
+    """psi applied twice: x scaled by xi^((p^2-1)/3), y negated."""
+    if pt is None:
+        return None
+    x, y = pt
+    return (x.mul_int(_FROB2[2]), y.neg())
 
 
 def g2_in_subgroup(pt):
-    # the twist has composite order, so the cofactor test is not optional
-    return g2_is_on_curve(pt) and _g2_mul_raw(pt, int(R)) is None
+    """Whether a twist point lies in G2: [u+1]Q + psi([u]Q) + psi^2([u]Q)
+    equals psi^3([2u]Q) exactly on G2 (the twist has composite order, so the
+    test is not optional); one 63-bit scalar multiplication."""
+    if not g2_is_on_curve(pt):
+        return False
+    uq = _g2_jac_mul(pt, U)
+    lhs = g2_add(g2_add(g2_add(uq, pt), _psi(uq)), _psi2(uq))
+    return lhs == _psi(_psi2(g2_add(uq, uq)))
+
+
+_check(g2_in_subgroup(G2_GEN), "G2 membership identity fails on G2_GEN")
 
 
 def g2_to_bytes(pt):
@@ -858,72 +999,91 @@ def g2_from_bytes(data):
 # Optimal ate pairing
 # ---------------------------------------------------------------------------
 
-def _naf(k):
-    out = []
-    while k > 0:
-        if k & 1:
-            d = 2 - (k & 3)
-            out.append(d)
-            k -= d
-        else:
-            out.append(0)
-        k >>= 1
-    return out
+def _is_naf_tail(digits, k):
+    """Whether 1 followed by digits (most significant first) is a NAF of k."""
+    value = 1
+    for d in digits:
+        value = 2 * value + d
+    return value == k and not any(a and b for a, b in zip([1] + digits, digits))
 
 
+# loop digits, most significant first, without the leading 1
 _ATE_NAF = list(reversed(_naf(6 * U + 2)))[1:]
+_U_NAF = list(reversed(_naf(U)))[1:]
+_check(_is_naf_tail(_ATE_NAF, 6 * U + 2) and _is_naf_tail(_U_NAF, U),
+       "loop digits are not the NAFs of 6u+2 and u")
+
+# 3b' for the doubling step, b' = 3/xi the twist's constant
+_B3 = (TWIST_B.c0 * 3 % P, TWIST_B.c1 * 3 % P)
 
 
-def _line_dbl(rx, ry, rz, px, py):
-    """Doubling step: returns line coeffs (a, b, c) and the doubled point.
+def _dbl_step(t, px, py):
+    """2T and the tangent line at T evaluated at (px, py).
 
-    Jacobian doubling fused with the tangent-line evaluation at the G1
-    point (px, py); formulas follow the standard BN optimal-ate recipe.
+    T = (X, Y, Z) in homogeneous projective coordinates as six ints; the
+    formulas are those of Costello, Lange and Naehrig for a D-type twist,
+    with the doubled point scaled by 4 to avoid halving.  The line is
+    -2YZ*py + 3X^2*px w + (3b'Z^2 - Y^2) w^3.
     """
-    rt = rz.sqr()
-    aa = rx.sqr()
-    bb = ry.sqr()
-    cc = bb.sqr()
-    d = rx.add(bb).sqr().sub(aa).sub(cc).dbl()
-    e = aa.mul_int(3)
-    f = e.sqr()
-    c8 = cc.dbl().dbl().dbl()
-    nx = f.sub(d.dbl())
-    ny = e.mul(d.sub(nx)).sub(c8)
-    nz = ry.add(rz).sqr().sub(bb).sub(rt)
-    a = rx.add(e).sqr().sub(aa).sub(f).sub(bb.dbl().dbl())
-    b = e.mul(rt).dbl().neg().mul_int(px)
-    c = nz.mul(rt).dbl().mul_int(py)
-    return a, b, c, nx, ny, nz
+    x0, x1, y0, y1, z0, z1 = t
+    b0 = (y0 + y1) * (y0 - y1) % P
+    b1 = 2 * y0 * y1 % P                             # B = Y^2
+    c0 = (z0 + z1) * (z0 - z1) % P
+    c1 = 2 * z0 * z1 % P                             # Z^2
+    e0 = (_B3[0] * c0 - _B3[1] * c1) % P
+    e1 = (_B3[0] * c1 + _B3[1] * c0) % P             # E = 3b'Z^2
+    h0 = 2 * (y0 * z0 - y1 * z1) % P
+    h1 = 2 * (y0 * z1 + y1 * z0) % P                 # H = 2YZ
+    a0 = (x0 * y0 - x1 * y1) % P
+    a1 = (x0 * y1 + x1 * y0) % P                     # XY
+    s0, s1 = b0 - 3 * e0, b1 - 3 * e1                # B - 3E
+    g0, g1 = b0 + 3 * e0, b1 + 3 * e1                # B + 3E
+    point = (2 * (a0 * s0 - a1 * s1) % P, 2 * (a0 * s1 + a1 * s0) % P,
+             ((g0 + g1) * (g0 - g1) - 12 * (e0 + e1) * (e0 - e1)) % P,
+             (2 * g0 * g1 - 24 * e0 * e1) % P,
+             4 * (b0 * h0 - b1 * h1) % P, 4 * (b0 * h1 + b1 * h0) % P)
+    line = (-h0 * py % P, -h1 * py % P,
+            3 * (x0 + x1) * (x0 - x1) * px % P, 6 * x0 * x1 * px % P,
+            e0 - b0, e1 - b1)
+    return point, line
 
 
-def _line_add(rx, ry, rz, qx, qy, qy2, px, py):
-    """Mixed-addition step with the chord line through R and affine Q."""
-    rt = rz.sqr()
-    bq = qx.mul(rt)
-    d = qy.add(rz).sqr().sub(qy2).sub(rt).mul(rt)
-    h = bq.sub(rx)
-    i = h.sqr()
-    e = i.dbl().dbl()
-    j = h.mul(e)
-    l1 = d.sub(ry).sub(ry)
-    v = rx.mul(e)
-    nx = l1.sqr().sub(j).sub(v.dbl())
-    nz = rz.add(h).sqr().sub(rt).sub(i)
-    ny = v.sub(nx).mul(l1).sub(ry.mul(j).dbl())
-    t = qy.add(nz).sqr().sub(qy2).sub(nz.sqr())
-    a = l1.mul(qx).dbl().sub(t)
-    b = l1.neg().mul_int(px).dbl()
-    c = nz.mul_int(py).dbl()
-    return a, b, c, nx, ny, nz
+def _add_step(t, q, px, py):
+    """T + Q for affine Q = (qx, qy), as four ints, and the line through
+    them evaluated at (px, py): with theta = Y - qy Z and lambda = X - qx Z,
+    lambda*py - theta*px w + (theta qx - lambda qy) w^3."""
+    x0, x1, y0, y1, z0, z1 = t
+    qx0, qx1, qy0, qy1 = q
+    th0 = (y0 - qy0 * z0 + qy1 * z1) % P
+    th1 = (y1 - qy0 * z1 - qy1 * z0) % P             # theta
+    la0 = (x0 - qx0 * z0 + qx1 * z1) % P
+    la1 = (x1 - qx0 * z1 - qx1 * z0) % P             # lambda
+    c0 = (th0 + th1) * (th0 - th1) % P
+    c1 = 2 * th0 * th1 % P                           # C = theta^2
+    d0 = (la0 + la1) * (la0 - la1) % P
+    d1 = 2 * la0 * la1 % P                           # D = lambda^2
+    e0 = (la0 * d0 - la1 * d1) % P
+    e1 = (la0 * d1 + la1 * d0) % P                   # E = lambda^3
+    f0 = z0 * c0 - z1 * c1
+    f1 = z0 * c1 + z1 * c0                           # F = Z C
+    g0 = (x0 * d0 - x1 * d1) % P
+    g1 = (x0 * d1 + x1 * d0) % P                     # G = X D
+    h0 = (e0 + f0 - 2 * g0) % P
+    h1 = (e1 + f1 - 2 * g1) % P                      # H = E + F - 2G
+    u0, u1 = g0 - h0, g1 - h1
+    point = ((la0 * h0 - la1 * h1) % P, (la0 * h1 + la1 * h0) % P,
+             (th0 * u0 - th1 * u1 - e0 * y0 + e1 * y1) % P,
+             (th0 * u1 + th1 * u0 - e0 * y1 - e1 * y0) % P,
+             (z0 * e0 - z1 * e1) % P, (z0 * e1 + z1 * e0) % P)
+    line = (la0 * py % P, la1 * py % P, -th0 * px % P, -th1 * px % P,
+            (th0 * qx0 - th1 * qx1 - la0 * qy0 + la1 * qy1) % P,
+            (th0 * qx1 + th1 * qx0 - la0 * qy1 - la1 * qy0) % P)
+    return point, line
 
 
-def _mul_line(f, a, b, c):
-    """Multiply f by the sparse line value c + b*w + a*v*w."""
-    t1 = f.c1.mul(Fp6(b, a, FP2_ZERO))
-    t3 = f.c0.mul_fp2(c)
-    c1 = f.c0.add(f.c1).mul(Fp6(b.add(c), a, FP2_ZERO)).sub(t1).sub(t3)
-    return Fp12(t3.add(t1.mul_v()), c1)
+def _g2_ints(pt):
+    x, y = pt
+    return (x.c0, x.c1, y.c0, y.c1)
 
 
 def miller_loop(p1, p2):
@@ -931,46 +1091,46 @@ def miller_loop(p1, p2):
     if p1 is None or p2 is None:
         return FP12_ONE
     px, py = p1
-    qx, qy = p2
-    nqy = qy.neg()
-    qy2 = qy.sqr()
+    q = _g2_ints(p2)
+    nq = _g2_ints(g2_neg(p2))
+    t = q + (mpz(1), mpz(0))
     f = FP12_ONE
-    rx, ry, rz = qx, qy, FP2_ONE
     for d in _ATE_NAF:
-        f = f.sqr()
-        a, b, c, rx, ry, rz = _line_dbl(rx, ry, rz, px, py)
-        f = _mul_line(f, a, b, c)
-        if d == 1:
-            a, b, c, rx, ry, rz = _line_add(rx, ry, rz, qx, qy, qy2, px, py)
-            f = _mul_line(f, a, b, c)
-        elif d == -1:
-            a, b, c, rx, ry, rz = _line_add(rx, ry, rz, qx, nqy, qy2, px, py)
-            f = _mul_line(f, a, b, c)
-    # Frobenius correction terms: Q1 = pi(Q), Q2 = -pi^2(Q)
-    q1x = qx.conj().mul(_GAMMA1[2])
-    q1y = qy.conj().mul(_GAMMA1[3])
-    q2x = qx.mul(_GAMMA2[2])
-    q1y2 = q1y.sqr()
-    a, b, c, rx, ry, rz = _line_add(rx, ry, rz, q1x, q1y, q1y2, px, py)
-    f = _mul_line(f, a, b, c)
-    q2y2 = qy2
-    a, b, c, rx, ry, rz = _line_add(rx, ry, rz, q2x, qy, q2y2, px, py)
-    f = _mul_line(f, a, b, c)
+        t, line = _dbl_step(t, px, py)
+        f = f.sqr().mul_line(line)
+        if d:
+            t, line = _add_step(t, q if d == 1 else nq, px, py)
+            f = f.mul_line(line)
+    # Frobenius correction lines through Q1 = psi(Q) and Q2 = -psi^2(Q)
+    for corr in (_psi(p2), g2_neg(_psi2(p2))):
+        t, line = _add_step(t, _g2_ints(corr), px, py)
+        f = f.mul_line(line)
     return f
+
+
+def _pow_u(f):
+    """f^u for f in the cyclotomic subgroup: cyclotomic squarings over the
+    NAF of u, with conj as the inverse."""
+    out, f_inv = f, f.conj()
+    for d in _U_NAF:
+        out = out.cyclotomic_sqr()
+        if d:
+            out = out.mul(f if d == 1 else f_inv)
+    return out
 
 
 def final_exponentiation(f):
     """Map a Miller-loop value into the order-r target group."""
-    # easy part: f^((p^6-1)(p^2+1))
+    # easy part: f^((p^6-1)(p^2+1)), which lands in the cyclotomic subgroup
     t = f.conj().mul(f.inv())
     t = t.frobenius_p2().mul(t)
     # hard part (Frobenius decomposition in powers of u)
     fp1 = t.frobenius()
     fp2 = t.frobenius_p2()
     fp3 = fp2.frobenius()
-    fu1 = t.pow(U)
-    fu2 = fu1.pow(U)
-    fu3 = fu2.pow(U)
+    fu1 = _pow_u(t)
+    fu2 = _pow_u(fu1)
+    fu3 = _pow_u(fu2)
     y3 = fu1.frobenius().conj()
     fu2p = fu2.frobenius()
     fu3p = fu3.frobenius()
@@ -980,13 +1140,13 @@ def final_exponentiation(f):
     y5 = fu2.conj()
     y4 = fu1.mul(fu2p).conj()
     y6 = fu3.mul(fu3p).conj()
-    t0 = y6.sqr().mul(y4).mul(y5)
+    t0 = y6.cyclotomic_sqr().mul(y4).mul(y5)
     t1 = y3.mul(y5).mul(t0)
     t0 = t0.mul(y2)
-    t1 = t1.sqr().mul(t0).sqr()
+    t1 = t1.cyclotomic_sqr().mul(t0).cyclotomic_sqr()
     t0 = t1.mul(y1)
     t1 = t1.mul(y0)
-    return t0.sqr().mul(t1)
+    return t0.cyclotomic_sqr().mul(t1)
 
 
 def pairing(p1, p2):
@@ -1003,3 +1163,9 @@ def gt_mul(a, b):
 def gt_pow(a, k):
     k %= R
     return a.pow(k)
+
+
+def gt_to_bytes(a):
+    """The 12 coefficients of a, 32 bytes each, big-endian: real then
+    imaginary part of the coefficient at w^0, then at w^1, ..., w^5."""
+    return b"".join(int(x).to_bytes(FP_BYTES, "big") for x in a.c)

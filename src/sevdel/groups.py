@@ -191,7 +191,7 @@ class Bn254Backend:
         return self._c.FP12_ONE
 
     def gt_to_bytes(self, a):
-        return hashlib.sha256(repr(a).encode()).digest()
+        return self._c.gt_to_bytes(a)
 
     def pair(self, a, b):
         return self._c.pairing(a, b)

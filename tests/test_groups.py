@@ -1,5 +1,7 @@
 """Bilinear-group layer: field laws, pairing, hashing, serialization."""
 
+import random
+
 import pytest
 
 from sevdel import bn254
@@ -71,11 +73,16 @@ def test_pairing_group_mismatch():
 
 
 def test_fast_final_exponentiation_matches_canonical():
-    # optimal-ate output must equal the plain f^((p^12-1)/r) pairing
+    # optimal-ate output must equal the plain f^((p^12-1)/r) pairing; the
+    # arbitrary element is not unitary, so a cyclotomic shortcut taken
+    # before the easy part would show
+    hard = (int(bn254.P) ** 12 - 1) // int(bn254.R)
     f = bn254.miller_loop(bn254.g1_mul(bn254.G1_GEN, 7), bn254.g2_mul(bn254.G2_GEN, 11))
-    fast = bn254.final_exponentiation(f)
-    slow = f.pow((int(bn254.P) ** 12 - 1) // int(bn254.R))
-    assert fast == slow
+    rng = random.Random(73)
+    x = bn254.Fp12(tuple(rng.randrange(int(bn254.P)) for _ in range(12)))
+    assert x.conj().mul(x) != bn254.FP12_ONE
+    for elem in (f, x):
+        assert bn254.final_exponentiation(elem) == elem.pow(hard)
 
 
 def test_generator_orders():

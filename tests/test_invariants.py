@@ -102,3 +102,61 @@ def test_bench_refuses_to_time_a_wrong_result(flags):
         "proof InvariantViolation bench run produced a rejected proof",
         "audit InvariantViolation bench run produced a rejected audit",
     ]
+
+
+# Executes the bn254 source with one constant corrupted at a time and prints
+# what its import-time checks raised; an unchanged copy must load.
+P_INT = 21888242871839275222246405745257275088696311157297823662689037894645226208583
+GAMMA = (8376118865763821496583973867626364092589906065868298776909617916018768340080,
+         16469823323077808223889137241176536799009286646108169935659301613961712198316)
+CONSTANT_MUTATIONS = [
+    # a gamma that is no sixth root of xi^(p-1)
+    ("gamma", str(GAMMA[0]), str(GAMMA[0] + 1)),
+    # -gamma passes the sixth-power and norm checks but flips psi's y
+    ("gamma_sign", f"mpz({GAMMA[0]}),\n             mpz({GAMMA[1]})",
+     f"mpz({P_INT - GAMMA[0]}),\n             mpz({P_INT - GAMMA[1]})"),
+    ("psi", "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3]",
+     "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3].neg()"),
+    ("u_naf", "_U_NAF = list(reversed(_naf(U)))[1:]", "_U_NAF = list(reversed(_naf(U + 2)))[1:]"),
+]
+CONSTANT_SCRIPT = textwrap.dedent("""
+    import sys, types
+    from pathlib import Path
+    import sevdel
+
+    print("optimize", sys.flags.optimize)
+    path = Path(sevdel.__file__).with_name("bn254.py")
+    source = path.read_text()
+
+    def load(text):
+        mod = types.ModuleType("sevdel._bn254_copy")
+        mod.__package__ = "sevdel"
+        exec(compile(text, str(path), "exec"), mod.__dict__)
+
+    load(source)
+    print("unchanged loads")
+    for name, old, new in MUTATIONS:
+        assert source.count(old) == 1, name
+        try:
+            load(source.replace(old, new))
+            print(name, "loaded")
+        except Exception as exc:
+            print(name, type(exc).__name__, exc)
+""")
+
+
+@pytest.mark.parametrize("flags", [["-O"], []])
+def test_bn254_constant_checks_refuse_a_corrupted_constant(flags):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = f"MUTATIONS = {CONSTANT_MUTATIONS!r}\n" + CONSTANT_SCRIPT
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"optimize {1 if flags else 0}",
+        "unchanged loads",
+        "gamma InvariantViolation gamma^6 is not xi^(p-1)",
+        "gamma_sign InvariantViolation G2 membership identity fails on G2_GEN",
+        "psi InvariantViolation G2 membership identity fails on G2_GEN",
+        "u_naf InvariantViolation loop digits are not the NAFs of 6u+2 and u",
+    ]
