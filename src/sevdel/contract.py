@@ -2,9 +2,9 @@
 
 One contract instance manages per-file service records.  The provider
 escrows a deposit; owners stake acceptance; the provider registers the
-ciphertext tags; within the audit window an owner who can aggregate the
-*leaked* ciphertext blocks named by a fresh challenge gets her stake back
-and marks the record for penalty.  After the audit window the record is
+ciphertext tags; within the audit window an owner who can reveal the
+*leaked* ciphertext blocks named by a fresh challenge gets their stake
+back and marks the record for penalty.  After the audit window the record is
 settled exactly once: refund (no accepted audit) or penalty (deposit
 split pro-rata over successful auditors, remainder back to the provider).
 
@@ -39,7 +39,7 @@ from .groups import (
     pairing,
     vgen_points,
 )
-from .owner import AuditResponse, Challenge
+from .owner import AuditResponse, Challenge, check_challenge
 
 STATE_INIT = "INIT"
 STATE_CREATED = "CREATED"
@@ -138,30 +138,33 @@ def verify_audit_response(
 ) -> bool:
     """Node-side audit check over owner-revealed ciphertext components.
 
-    Rejects unless (1) the Q1 aggregates match the revealed components,
-    (2) Q2 matches the registered tags, and (3) the pairing equation
-    e(Q2, g2) = e(prod_i base_i^g_i, A) holds for bases recomputed from
-    the revealed components.  Only a holder of the true ciphertext blocks
-    can satisfy (3), because the registered tags bind those components.
+    Raises MalformedProof unless the challenge is well formed (see
+    owner.check_challenge, with n = len(sigma)) and the response reveals
+    both ciphertext rows, each of s components, for exactly the challenged
+    indices.  Rejects unless (1) Q2 matches the registered tags and (2)
+    the pairing equation e(Q2, g2) = e(prod_i base_i^g_i, A) holds for
+    bases recomputed from the revealed rows.  Only a holder of the true
+    ciphertext blocks can satisfy (2), because the registered tags bind
+    those components.
+
+    The response carries no ciphertext aggregates Q1'_j = prod_i E'_ij^g_i
+    (nor Q1''_j): the rows enter (2) only through h(.), so they must be
+    revealed anyway, and anyone who can produce the rows gets matching
+    aggregates for free.  Comparing aggregates against the rows they are
+    computed from would add no soundness.
     """
     s = len(u)
-    if len(response.q1_prime) != s or len(response.q1_dprime) != s:
-        raise MalformedProof("audit aggregate arity mismatch")
+    check_challenge(challenge, len(sigma), params.order)
+    indices = set(challenge.indices)
+    if set(response.revealed_prime) != indices or set(response.revealed_dprime) != indices:
+        raise MalformedProof("revealed rows do not match the challenged indices")
+    rows_p = [response.revealed_prime[i] for i in challenge.indices]
+    rows_pp = [response.revealed_dprime[i] for i in challenge.indices]
+    if any(len(row) != s for row in (*rows_p, *rows_pp)):
+        raise MalformedProof(f"revealed row is not {s} components")
     v_gens = vgen_points(params, file_id, s)
-    rows_p, rows_pp = [], []
-    for i, _ in challenge.items:
-        row_p = response.revealed_prime.get(i)
-        row_pp = response.revealed_dprime.get(i)
-        if row_p is None or row_pp is None or len(row_p) != s or len(row_pp) != s:
-            raise MalformedProof(f"revealed components missing for block {i}")
-        rows_p.append(row_p)
-        rows_pp.append(row_pp)
     gammas = [gamma for _, gamma in challenge.items]
     msm = params.g1_msm
-    q1p = [msm([row[j] for row in rows_p], gammas) for j in range(s)]
-    q1pp = [msm([row[j] for row in rows_pp], gammas) for j in range(s)]
-    if q1p != list(response.q1_prime) or q1pp != list(response.q1_dprime):
-        return False
     if msm([sigma[i - 1] for i in challenge.indices], gammas) != response.q2:
         return False
     # prod_i (H_i prod_j u_j^h(E'_ij) v_j^h(E''_ij))^gamma_i, with the

@@ -79,13 +79,13 @@ class Challenge:
 class AuditResponse:
     """Owner's reply to an audit challenge over leaked ciphertexts.
 
-    Carries the per-sector aggregates plus the challenged ciphertext
-    components themselves; the verifying node needs the components to
+    Carries the tag aggregate Q2 = prod_i sigma_i^g_i plus the challenged
+    ciphertext rows themselves; the verifying node needs the rows to
     recompute the tag bases, since it holds only the registered tags.
+    There are no ciphertext aggregates: no verifier equation uses them,
+    and anyone holding the rows could compute them.
     """
 
-    q1_prime: tuple[G1Elem, ...]
-    q1_dprime: tuple[G1Elem, ...]
     q2: G1Elem
     revealed_prime: dict[int, tuple[G1Elem, ...]]
     revealed_dprime: dict[int, tuple[G1Elem, ...]]
@@ -130,6 +130,22 @@ def gen_challenge(manifest: FileManifest, count: int, rng_seed) -> Challenge:
     return Challenge(items=items, nonce=rng.read(16))
 
 
+def check_challenge(challenge: Challenge, n: int, order: int) -> None:
+    """Raise MalformedProof unless the challenge names at least one block,
+    its indices are distinct and in [1, n], and no coefficient is 0 mod
+    the group order; an empty or all-zero challenge is met by identities."""
+    if not challenge.items:
+        raise MalformedProof("empty challenge")
+    indices = challenge.indices
+    if len(set(indices)) != len(indices):
+        raise MalformedProof("duplicate challenged index")
+    for i, gamma in challenge.items:
+        if not 1 <= i <= n:
+            raise MalformedProof(f"challenged index {i} outside [1, {n}]")
+        if gamma % order == 0:
+            raise MalformedProof(f"zero coefficient for challenged block {i}")
+
+
 def enc_proof_context(params: SystemParams, manifest: FileManifest, challenge: Challenge) -> bytes:
     return b"sevdel/enc-proof:" + params.digest() + manifest.file_id + challenge.canonical_bytes()
 
@@ -158,9 +174,7 @@ def verify_encryption_proof(
     order = params.order
     if not all(0 <= qj < order for qj in proof.q):
         raise MalformedProof("aggregate out of scalar range")
-    for i, _ in challenge.items:
-        if not 1 <= i <= manifest.n:
-            raise MalformedProof("challenged index outside file")
+    check_challenge(challenge, manifest.n, order)
 
     # (a) aggregated tag equation:
     #     e(P2, g2) == e(prod_i H(I_M||i)^l_i * prod_j u_j^Q_j, W)
@@ -182,16 +196,15 @@ def audit_respond(
     sigma,
     audit_challenge: Challenge,
 ) -> AuditResponse:
-    """Aggregate the leaked ciphertext blocks named by the audit challenge.
+    """Answer an audit challenge with the leaked ciphertext rows it names
+    and the tag aggregate Q2 = prod_i sigma_i^g_i.
 
-    Q1'_j = prod_i (E'_ij)^g_i, Q1''_j likewise, Q2 = prod_i sigma_i^g_i.
     Raises missing-block if the owner does not hold a challenged block,
     which is exactly the position of an owner who never saw the ciphertext.
     """
     if leaked is None:
         raise MissingBlock("owner holds no leaked ciphertexts")
     group = params.group
-    s = manifest.s
     rows_p, rows_pp = [], []
     for i, _ in audit_challenge.items:
         row_p = leaked.row_prime(i - 1)
@@ -201,13 +214,8 @@ def audit_respond(
         rows_p.append(row_p)
         rows_pp.append(row_pp)
     gammas = [gamma for _, gamma in audit_challenge.items]
-    msm = group.g1_msm
     indices = audit_challenge.indices
     return AuditResponse(
-        q1_prime=tuple(G1Elem(group, msm([row[j] for row in rows_p], gammas))
-                       for j in range(s)),
-        q1_dprime=tuple(G1Elem(group, msm([row[j] for row in rows_pp], gammas))
-                        for j in range(s)),
         q2=params.g1_msm([sigma.sigma[i - 1] for i in indices], gammas),
         revealed_prime={i: tuple(G1Elem(group, r) for r in row)
                         for i, row in zip(indices, rows_p)},

@@ -12,7 +12,7 @@ import struct
 
 from .cloud import CiphertextMatrix, EncProof, EncTagSet
 from .codec import _SECTOR_FMT, BlockMatrix, FileManifest
-from .errors import InvalidElement
+from .errors import InvalidElement, MalformedProof
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
 from .nizk import EncNizk
 from .owner import AuditResponse, Challenge, TagSet
@@ -192,11 +192,12 @@ def decode_proof(params: SystemParams, text: str) -> EncProof:
     )
 
 
+_AUDIT_RESPONSE_KEYS = frozenset({"q2", "revealed_prime", "revealed_dprime"})
+
+
 def encode_audit_response(resp: AuditResponse) -> str:
     return json.dumps(
         {
-            "q1_prime": [e.hex() for e in resp.q1_prime],
-            "q1_dprime": [e.hex() for e in resp.q1_dprime],
             "q2": resp.q2.hex(),
             "revealed_prime": {str(i): [e.hex() for e in row]
                                for i, row in sorted(resp.revealed_prime.items())},
@@ -208,15 +209,29 @@ def encode_audit_response(resp: AuditResponse) -> str:
 
 
 def decode_audit_response(params: SystemParams, text: str) -> AuditResponse:
-    d = json.loads(text)
+    """Decode an audit response, raising only SevdelError: MalformedProof
+    for text that is not exactly the encoded shape (a response carrying
+    ciphertext aggregates included), InvalidElement for a bad point."""
+    try:
+        d = json.loads(text)
+        if not isinstance(d, dict) or d.keys() != _AUDIT_RESPONSE_KEYS:
+            raise MalformedProof(
+                "audit response must hold exactly q2, revealed_prime and revealed_dprime")
 
-    def elems(values):
-        return tuple(params.g1_from_bytes(bytes.fromhex(v)) for v in values)
+        def elem(value):
+            return params.g1_from_bytes(bytes.fromhex(value))
 
-    return AuditResponse(
-        q1_prime=elems(d["q1_prime"]),
-        q1_dprime=elems(d["q1_dprime"]),
-        q2=params.g1_from_bytes(bytes.fromhex(d["q2"])),
-        revealed_prime={int(i): elems(row) for i, row in d["revealed_prime"].items()},
-        revealed_dprime={int(i): elems(row) for i, row in d["revealed_dprime"].items()},
-    )
+        def rows(mapping):
+            if not isinstance(mapping, dict) or not all(
+                    isinstance(row, list) for row in mapping.values()):
+                raise MalformedProof("revealed rows must map block indices to lists")
+            return {int(i): tuple(elem(v) for v in row) for i, row in mapping.items()}
+
+        return AuditResponse(
+            q2=elem(d["q2"]),
+            revealed_prime=rows(d["revealed_prime"]),
+            revealed_dprime=rows(d["revealed_dprime"]),
+        )
+    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise MalformedProof(f"audit response does not decode: {exc}") from exc

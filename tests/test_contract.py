@@ -1,5 +1,7 @@
 """Contract state machine: windows, escrow arithmetic, audit verification."""
 
+import dataclasses
+
 import pytest
 
 from sevdel import cloud, codec, owner
@@ -15,6 +17,7 @@ from sevdel.errors import (
     DuplicateOwner,
     DuplicateTags,
     InsufficientBalance,
+    MalformedProof,
     UnknownOwner,
     WrongState,
     WrongWindow,
@@ -287,21 +290,144 @@ def test_audit_random_forgery_never_passes(toy_params):
                 G1Elem(group, group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
             fake_rows_pp[i] = tuple(
                 G1Elem(group, group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
-        q1p = [toy_params.g1_identity() for _ in range(dep.manifest.s)]
-        q1pp = [toy_params.g1_identity() for _ in range(dep.manifest.s)]
         q2 = toy_params.g1_identity()
         for i, gamma in ch.items:
-            for j in range(dep.manifest.s):
-                q1p[j] = q1p[j] * (fake_rows_p[i][j] ** gamma)
-                q1pp[j] = q1pp[j] * (fake_rows_pp[i][j] ** gamma)
             q2 = q2 * (dep.enc_tags.sigma[i - 1] ** gamma)  # sigma is public
         resp = owner.AuditResponse(
-            q1_prime=tuple(q1p), q1_dprime=tuple(q1pp), q2=q2,
-            revealed_prime=fake_rows_p, revealed_dprime=fake_rows_pp)
+            q2=q2, revealed_prime=fake_rows_p, revealed_dprime=fake_rows_pp)
         if verify_audit_response(toy_params, dep.manifest.file_id, dep.gens.u,
                                  dep.skeys.A, dep.enc_tags.sigma, ch, resp):
             accepted += 1
     assert accepted == 0
+
+
+# -- adversarial audits, both backends ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def any_dep(any_params):
+    return _Deployment(any_params, seed=b"adv-dep", size=48)
+
+
+def _identity_rows(params, indices, s):
+    return {i: tuple(params.g1_identity() for _ in range(s)) for i in indices}
+
+
+BAD_CHALLENGES = {   # name: (items for n blocks and group order, expected reason)
+    "empty": (lambda n, order: (), "empty challenge"),
+    "duplicate": (lambda n, order: ((1, 5), (1, 7)), "duplicate"),
+    "index-0": (lambda n, order: ((0, 5),), "outside"),
+    "index-n+1": (lambda n, order: ((n + 1, 5),), "outside"),
+    "coefficient-0": (lambda n, order: ((1, 0),), "zero coefficient"),
+    "coefficient-order": (lambda n, order: ((1, order),), "zero coefficient"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHALLENGES))
+def test_verifiers_refuse_malformed_challenges(any_dep, case):
+    dep, params = any_dep, any_dep.params
+    make_items, reason = BAD_CHALLENGES[case]
+    items = make_items(dep.manifest.n, params.order)
+    s = dep.manifest.s
+    bad = owner.Challenge(items=items, nonce=b"\x00" * 16)
+    indices = {i for i, _ in items}
+    # what an owner without ciphertexts would send: identities throughout
+    forged = owner.AuditResponse(q2=params.g1_identity(),
+                                 revealed_prime=_identity_rows(params, indices, s),
+                                 revealed_dprime=_identity_rows(params, indices, s))
+    with pytest.raises(MalformedProof, match=reason):
+        verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
+                              dep.enc_tags.sigma, bad, forged)
+    ch = dep.audit_challenge()
+    proof = cloud.prove_encryption(params, dep.enclave, dep.manifest, dep.blocks, dep.cts,
+                                   dep.tags, ch, SeededRng(b"adv-proof"))
+    with pytest.raises(MalformedProof, match=reason):
+        owner.verify_encryption_proof(params, dep.manifest, dep.gens.u, dep.okeys.W,
+                                      dep.skeys.A, dep.v_pub, bad, proof)
+
+
+def test_owner_without_ciphertexts_is_not_paid(any_dep):
+    # identities answer an empty or all-zero challenge on both sides of the
+    # pairing equation; the contract must refuse them before paying
+    dep, params = any_dep, any_dep.params
+    contract, ledger, clock = _deploy_to_claimed(params, dep)
+    clock.advance_to(25)
+    empty = owner.Challenge(items=(), nonce=b"\x00" * 16)
+    zero = owner.Challenge(items=((1, 0), (2, params.order)), nonce=b"\x00" * 16)
+    for ch in (empty, zero):
+        forged = owner.AuditResponse(
+            q2=params.g1_identity(),
+            revealed_prime=_identity_rows(params, ch.indices, dep.manifest.s),
+            revealed_dprime=_identity_rows(params, ch.indices, dep.manifest.s))
+        with pytest.raises(MalformedProof):
+            contract.audit_verify(N, "own", ch, forged)
+    assert contract.records[N].audited == []
+    assert ledger.balance("own") == 450
+    assert [e["op"] for e in contract.log] == ["service", "register_tags", "agree", "claim"]
+    clock.advance_to(T3)
+    with pytest.raises(WrongState):
+        contract.penalty(N)
+
+
+def test_audit_refuses_rows_not_matching_the_challenge(any_dep):
+    dep, params = any_dep, any_dep.params
+    ch = dep.audit_challenge()
+    resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
+    extra = next(i for i in range(1, dep.manifest.n + 1) if i not in ch.indices)
+    row = tuple(dep.cts.prime_elem(extra - 1, j) for j in range(dep.manifest.s))
+    first = ch.indices[0]
+    dropped = {i: r for i, r in resp.revealed_dprime.items() if i != first}
+    short = {**resp.revealed_prime, first: resp.revealed_prime[first][:-1]}
+    for forged in (
+        dataclasses.replace(resp, revealed_prime={**resp.revealed_prime, extra: row}),
+        dataclasses.replace(resp, revealed_dprime=dropped),
+        dataclasses.replace(resp, revealed_prime=short),
+    ):
+        with pytest.raises(MalformedProof):
+            verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
+                                  dep.enc_tags.sigma, ch, forged)
+
+
+def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
+    # every component is a genuine leaked ciphertext, yet none of these
+    # answers the challenge; the honest answer is accepted afterwards
+    dep, params = any_dep, any_dep.params
+    contract, ledger, clock = _deploy_to_claimed(params, dep)
+    clock.advance_to(25)
+    ch = dep.audit_challenge()
+    assert len(ch.items) >= 2
+    resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
+    a, b = ch.indices[:2]
+    outside = next(i for i in range(1, dep.manifest.n + 1) if i not in ch.indices)
+
+    def rows_of(k):
+        s = dep.manifest.s
+        return (tuple(dep.cts.prime_elem(k - 1, j) for j in range(s)),
+                tuple(dep.cts.dprime_elem(k - 1, j) for j in range(s)))
+
+    def with_rows(placed):
+        prime, dprime = dict(resp.revealed_prime), dict(resp.revealed_dprime)
+        for i, k in placed.items():
+            prime[i], dprime[i] = rows_of(k)
+        return dataclasses.replace(resp, revealed_prime=prime, revealed_dprime=dprime)
+
+    reweighted = owner.Challenge(items=tuple((i, g + 1) for i, g in ch.items), nonce=ch.nonce)
+    other = dep.audit_challenge(seed=78)
+    forgeries = {
+        "two challenged rows swapped": with_rows({a: b, b: a}),
+        "a true row under the wrong index": with_rows({a: outside}),
+        "q2 of the same blocks, other coefficients": dataclasses.replace(
+            resp, q2=owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags,
+                                         reweighted).q2),
+        "q2 of another challenge": dataclasses.replace(
+            resp, q2=owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags,
+                                         other).q2),
+    }
+    for what, forged in forgeries.items():
+        assert not contract.audit_verify(N, "own", ch, forged), what
+    assert contract.records[N].audited == []
+    assert ledger.balance("own") == 450
+    assert contract.audit_verify(N, "own", ch, resp)
+    assert ledger.balance("own") == 500
 
 
 # -- refund / penalty / timer -------------------------------------------------------

@@ -254,9 +254,8 @@ def test_audit_singleton_aggregation(any_params):
                                   vgen_points(any_params, manifest.file_id, manifest.s))
     ch = owner.Challenge(items=((2, 1),), nonce=b"\x00" * 16)
     resp = owner.audit_respond(any_params, manifest, cts, enc_tags, ch)
-    for j in range(manifest.s):
-        assert resp.q1_prime[j] == cts.prime_elem(1, j)
-        assert resp.q1_dprime[j] == cts.dprime_elem(1, j)
+    assert resp.revealed_prime == {2: tuple(cts.prime_elem(1, j) for j in range(manifest.s))}
+    assert resp.revealed_dprime == {2: tuple(cts.dprime_elem(1, j) for j in range(manifest.s))}
     assert resp.q2 == enc_tags.sigma[1]
 
 

@@ -1,10 +1,14 @@
 """Wire encodings: round-trips, validation, header checks."""
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sevdel import cloud, codec, owner, wire
 from sevdel.enclave import EnclaveRegistry
-from sevdel.errors import InvalidElement
+from sevdel.errors import InvalidElement, MalformedProof, SevdelError
 from sevdel.groups import vgen_points
 from sevdel.rng import SeededRng
 
@@ -81,11 +85,68 @@ def test_proof_roundtrip(artifacts):
 
 
 def test_audit_response_roundtrip(artifacts):
-    params, *_ , resp = artifacts
+    params, *_, ch, _, resp = artifacts
     again = wire.decode_audit_response(params, wire.encode_audit_response(resp))
     assert again.q2 == resp.q2
-    assert again.q1_prime == resp.q1_prime
     assert again.revealed_prime == resp.revealed_prime
+    assert again.revealed_dprime == resp.revealed_dprime
+    assert set(again.revealed_prime) == set(ch.indices)
+
+
+def test_audit_response_decoder_refuses_other_shapes(artifacts):
+    params, *_, resp = artifacts
+    good = json.loads(wire.encode_audit_response(resp))
+    q2 = good["q2"]
+    row = good["revealed_prime"][next(iter(good["revealed_prime"]))]
+    bad_texts = [
+        json.dumps({**good, "q1_prime": [q2], "q1_dprime": [q2]}),   # the old shape
+        json.dumps({k: v for k, v in good.items() if k != "q2"}),
+        json.dumps({**good, "revealed_prime": {"one": row}}),          # non-int row key
+        json.dumps({**good, "q2": "zz"}),                               # bad hex
+        json.dumps({**good, "q2": 7}),
+        json.dumps({**good, "revealed_dprime": [row]}),
+        json.dumps({**good, "revealed_dprime": {"1": q2}}),
+        json.dumps({**good, "revealed_dprime": {"1": {v: 0 for v in row}}}),  # row not a list
+        json.dumps([good]),
+        "{" + json.dumps(good),
+        "[" * 100000,
+    ]
+    for text in bad_texts:
+        with pytest.raises(MalformedProof):
+            wire.decode_audit_response(params, text)
+    with pytest.raises(InvalidElement):
+        wire.decode_audit_response(params, json.dumps({**good, "q2": "ff" * 9}))
+
+
+_SCALAR = st.none() | st.booleans() | st.integers() | st.text(max_size=20)
+_FLAT = _SCALAR | st.lists(_SCALAR, max_size=4)
+_JSON = _FLAT | st.lists(_FLAT, max_size=4) | st.dictionaries(st.text(max_size=4), _FLAT,
+                                                               max_size=4)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_audit_response_decoder_raises_only_sevdel_errors(artifacts, data):
+    # arbitrary text, the true encoding with one field replaced by arbitrary
+    # JSON, or with one span of text replaced: each decodes or raises a
+    # SevdelError
+    params, *_, resp = artifacts
+    text = wire.encode_audit_response(resp)
+    kind = data.draw(st.sampled_from(["text", "json", "splice"]))
+    if kind == "text":
+        candidate = data.draw(st.text())
+    elif kind == "json":
+        fields = json.loads(text)
+        fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON)
+        candidate = json.dumps(fields)
+    else:
+        start = data.draw(st.integers(0, len(text)))
+        end = data.draw(st.integers(start, min(len(text), start + 12)))
+        candidate = text[:start] + data.draw(st.text(max_size=12)) + text[end:]
+    try:
+        wire.decode_audit_response(params, candidate)
+    except SevdelError:
+        pass
 
 
 def test_decoded_proof_still_verifies_on_bn254():
