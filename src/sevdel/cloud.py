@@ -30,7 +30,7 @@ from .groups import (
     scalar_from_bytes,
     scalar_to_bytes,
 )
-from .nizk import EncNizk, prove_opening
+from .nizk import prove_opening
 from .owner import Challenge, TagSet, enc_proof_context
 from .rng import Rng, default_rng
 
@@ -106,7 +106,8 @@ class EncProof:
     p1_dprime: tuple[G1Elem, ...]
     p2: G1Elem
     q: tuple[int, ...]
-    nizk: EncNizk
+    challenge: int    # batched DLEQ over the P1 pairs, see sevdel.nizk
+    response: int
 
 
 def server_keygen(params: SystemParams, rng: Rng | None = None) -> ServerKeyPair:
@@ -302,7 +303,7 @@ def prove_encryption(
     r_agg = [sum(l * sealed_r(i, j) for i, l in zip(rows, ls)) % order for j in range(s)]
     p2 = params.g1_msm([tags.phi[i] for i in rows], ls)
     context = enc_proof_context(params, manifest, challenge)
-    proof = prove_opening(
+    c, z = prove_opening(
         params, cts.v_pub, list(zip(p1_prime, p1_dprime)), p2, q, r_agg, context,
         rng=default_rng(rng),
     )
@@ -311,7 +312,8 @@ def prove_encryption(
         p1_dprime=p1_dprime,
         p2=p2,
         q=tuple(q),
-        nizk=proof,
+        challenge=c,
+        response=z,
     )
 
 

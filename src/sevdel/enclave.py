@@ -131,12 +131,6 @@ class EnclaveRegistry:
             self._by_file.setdefault(file_id, []).append(enclave_id)
             return enc
 
-    def get(self, enclave_id: str) -> Enclave:
-        try:
-            return self._enclaves[enclave_id]
-        except KeyError:
-            raise UnknownFile(f"no enclave with id {enclave_id}") from None
-
     def alive_for(self, file_id: bytes) -> Enclave | None:
         for eid in self._by_file.get(file_id, ()):
             enc = self._enclaves[eid]

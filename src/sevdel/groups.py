@@ -46,30 +46,24 @@ class _Elem:
     def __mul__(self, other):
         if other.group is not self.group or type(other) is not type(self):
             raise InvalidElement("group mismatch in element product")
-        op, _pow, _inv, _eq, _ser = self._ops()
+        op, _pow, _eq, _ser = self._ops()
         return type(self)(self.group, op(self.raw, other.raw))
 
     def __pow__(self, k: int):
-        op, pw, _inv, _eq, _ser = self._ops()
+        op, pw, _eq, _ser = self._ops()
         return type(self)(self.group, pw(self.raw, k))
-
-    def __truediv__(self, other):
-        if other.group is not self.group or type(other) is not type(self):
-            raise InvalidElement("group mismatch in element quotient")
-        op, _pow, inv, _eq, _ser = self._ops()
-        return type(self)(self.group, op(self.raw, inv(other.raw)))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)) or other.group is not self.group:
             return NotImplemented
-        op, _pow, _inv, eq, _ser = self._ops()
+        op, _pow, eq, _ser = self._ops()
         return eq(self.raw, other.raw)
 
     def __hash__(self):
         return hash((self.kind, self.group.name, self.to_bytes()))
 
     def to_bytes(self) -> bytes:
-        return self._ops()[4](self.raw)
+        return self._ops()[3](self.raw)
 
     def hex(self) -> str:
         return self.to_bytes().hex()
@@ -83,7 +77,7 @@ class G1Elem(_Elem):
 
     def _ops(self):
         g = self.group
-        return g.g1_op, g.g1_pow, g.g1_inv, g.g1_eq, g.g1_to_bytes
+        return g.g1_op, g.g1_pow, g.g1_eq, g.g1_to_bytes
 
 
 class G2Elem(_Elem):
@@ -91,7 +85,7 @@ class G2Elem(_Elem):
 
     def _ops(self):
         g = self.group
-        return g.g2_op, g.g2_pow, g.g2_inv, g.g2_eq, g.g2_to_bytes
+        return g.g2_op, g.g2_pow, g.g2_eq, g.g2_to_bytes
 
 
 class GTElem(_Elem):
@@ -99,7 +93,7 @@ class GTElem(_Elem):
 
     def _ops(self):
         g = self.group
-        return g.gt_op, g.gt_pow, g.gt_inv, g.gt_eq, g.gt_to_bytes
+        return g.gt_op, g.gt_pow, g.gt_eq, g.gt_to_bytes
 
 
 class Bn254Backend:

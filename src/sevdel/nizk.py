@@ -1,70 +1,101 @@
-"""Fiat-Shamir proof that aggregated ciphertexts open to known aggregates.
+"""Batched Chaum-Pedersen proof that aggregated ciphertexts open to the
+stated aggregates.
 
-For each sector j the prover shows knowledge of (Q_j, R_j) with
+For each sector j the prover knows R_j with
 
-    P1'_j  = g1^Q_j * V^R_j        (aggregated first components)
-    P1''_j = g1^R_j                (aggregated randomness components)
+    P1''_j          = g1^R_j
+    P1'_j * g1^-Q_j = V^R_j
 
-while the verifier additionally pins the witness Q_j to the publicly
-stated aggregate via a third commitment.  Without that link a prover
-could exhibit *some* opening of P1 while quoting the tag-satisfying
-aggregates alongside, so the link is what makes the proof bind the
-ciphertexts to the tagged plaintext.
+that is, the pairs (P1''_j, P1'_j g1^-Q_j) share one discrete log under
+(g1, V): P1'_j encrypts g1^Q_j under V with the randomness in P1''_j.
+Q_j is stated in public and checked by the tag equation, so only R_j is
+a witness; a proof of knowledge of Q_j would show nothing the verifier
+cannot compute from the statement itself.
 
-One Fiat-Shamir challenge covers all sectors; it is derived from the
-system parameters, the file identity, the challenge, V, the aggregates
-and every commitment.
+All s statements are folded into one with weights rho_j:
+
+    X = prod_j P1''_j^rho_j,    Y = prod_j P1'_j^rho_j * g1^-(sum_j rho_j Q_j)
+
+and a single DLEQ proves log_g1 X = log_V Y with one nonce k:
+c = H(statement || X || Y || g1^k || V^k), z = k + c * sum_j rho_j R_j.
+Write e_j = log_V(P1'_j g1^-Q_j) - log_g1 P1''_j.  The statement holds
+iff every e_j is 0, and the folded pair passes iff sum_j rho_j e_j is 0.
+If some e_j is not 0, then for the other weights fixed at most one value
+of rho_j mod the order makes the sum vanish, so with 128-bit weights a
+false statement survives folding with probability at most 2^-128 on
+bn254 (the toy order is 48 bits and gives no security anyway).  That
+bound needs rho to be unpredictable when the statement is chosen, so the
+weights are a hash of the whole statement: a prover that knew rho first
+could offset P1''_1 by g1^rho_2 and P1''_2 by g1^-rho_1, and the two
+errors would cancel in X.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .errors import MalformedProof
 from .groups import G1Elem, SystemParams, scalar_to_bytes
 from .rng import Rng, default_rng
 
-
-@dataclass(frozen=True)
-class EncNizk:
-    """Sigma transcript: commitments, derived challenge, responses."""
-
-    t_open: tuple[G1Elem, ...]    # g1^alpha_j * V^beta_j
-    t_rand: tuple[G1Elem, ...]    # g1^beta_j
-    t_value: tuple[G1Elem, ...]   # g1^alpha_j
-    challenge: int
-    z_value: tuple[int, ...]      # alpha_j + c*Q_j
-    z_rand: tuple[int, ...]       # beta_j + c*R_j
+WEIGHT_BITS = 128
 
 
-def fs_challenge(order: int, parts: list[bytes]) -> int:
+def _digest(tag: bytes, parts: list[bytes]) -> bytes:
     h = hashlib.sha256()
-    h.update(b"sevdel/fs:")
+    h.update(tag)
     for part in parts:
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)
-    return int.from_bytes(h.digest(), "big") % order
+    return h.digest()
 
 
-def _fs_parts(
+def _statement(
     context: bytes,
     v_pub: G1Elem,
     p1: list[tuple[G1Elem, G1Elem]],
     p2: G1Elem,
     q: list[int],
-    commitments: tuple[tuple[G1Elem, ...], ...],
 ) -> list[bytes]:
-    group = v_pub.group
     parts = [context, v_pub.to_bytes(), p2.to_bytes()]
     for a, b in p1:
         parts.append(a.to_bytes())
         parts.append(b.to_bytes())
-    for qj in q:
-        parts.append(scalar_to_bytes(group, qj))
-    for row in commitments:
-        parts.extend(t.to_bytes() for t in row)
+    parts.extend(scalar_to_bytes(v_pub.group, qj) for qj in q)
     return parts
+
+
+def _weights(order: int, statement: list[bytes], s: int) -> list[int]:
+    """s weights of WEIGHT_BITS bits, nonzero mod order, hashed from the
+    fixed statement."""
+    seed = _digest(b"sevdel/dleq-weights:", statement)
+    rho: list[int] = []
+    counter = 0
+    while len(rho) < s:
+        block = hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+        counter += 1
+        w = int.from_bytes(block[:WEIGHT_BITS // 8], "big")
+        if w % order:
+            rho.append(w)
+    return rho
+
+
+def _fold(
+    params: SystemParams,
+    p1: list[tuple[G1Elem, G1Elem]],
+    q: list[int],
+    rho: list[int],
+) -> tuple[G1Elem, G1Elem]:
+    """(X, Y): the weighted products of (P1''_j, P1'_j g1^-Q_j)."""
+    x = params.g1_msm([b for _, b in p1], rho)
+    shift = -sum(r * qj for r, qj in zip(rho, q)) % params.order
+    y = params.g1_msm([*(a for a, _ in p1), params.g1], [*rho, shift])
+    return x, y
+
+
+def _challenge(order: int, statement: list[bytes], points: tuple[G1Elem, ...]) -> int:
+    parts = statement + [pt.to_bytes() for pt in points]
+    return int.from_bytes(_digest(b"sevdel/dleq-challenge:", parts), "big") % order
 
 
 def prove_opening(
@@ -76,60 +107,15 @@ def prove_opening(
     r_agg: list[int],
     context: bytes,
     rng: Rng | None = None,
-) -> EncNizk:
-    rng = default_rng(rng)
-    g1 = params.g1
+) -> tuple[int, int]:
+    """The (challenge, response) pair of the batched DLEQ for witnesses r_agg."""
     order = params.order
-    s = len(q)
-    alphas = rng.scalars(s, order)
-    betas = rng.scalars(s, order)
-    t_open = tuple(params.g1_msm([g1, v_pub], [a, b]) for a, b in zip(alphas, betas))
-    t_rand = tuple(g1 ** b for b in betas)
-    t_value = tuple(g1 ** a for a in alphas)
-    c = fs_challenge(order, _fs_parts(context, v_pub, p1, p2, q, (t_open, t_rand, t_value)))
-    z_value, z_rand = respond(alphas, betas, c, q, r_agg, order)
-    return EncNizk(t_open, t_rand, t_value, c, z_value, z_rand)
-
-
-def respond(
-    alphas: list[int],
-    betas: list[int],
-    c: int,
-    q: list[int],
-    r_agg: list[int],
-    order: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Third sigma round; split out so tests can replay fixed commitments."""
-    z_value = tuple((alphas[j] + c * q[j]) % order for j in range(len(q)))
-    z_rand = tuple((betas[j] + c * r_agg[j]) % order for j in range(len(q)))
-    return z_value, z_rand
-
-
-def check_equations(
-    params: SystemParams,
-    v_pub: G1Elem,
-    p1: list[tuple[G1Elem, G1Elem]],
-    q: list[int],
-    t_open: tuple[G1Elem, ...],
-    t_rand: tuple[G1Elem, ...],
-    t_value: tuple[G1Elem, ...],
-    c: int,
-    z_value: tuple[int, ...],
-    z_rand: tuple[int, ...],
-) -> bool:
-    """Sigma verification equations against the public aggregates q,
-    each rearranged into one multi-exponentiation against its commitment:
-    g1^z_v V^z_r P1'^-c = t_open, g1^z_r P1''^-c = t_rand and
-    g1^(z_v - c*Q) = t_value."""
-    g1, order, msm = params.g1, params.order, params.g1_msm
-    for j, (p1p, p1pp) in enumerate(p1):
-        if msm([g1, v_pub, p1p], [z_value[j], z_rand[j], -c]) != t_open[j]:
-            return False
-        if msm([g1, p1pp], [z_rand[j], -c]) != t_rand[j]:
-            return False
-        if g1 ** ((z_value[j] - c * q[j]) % order) != t_value[j]:
-            return False
-    return True
+    statement = _statement(context, v_pub, p1, p2, q)
+    rho = _weights(order, statement, len(q))
+    x, y = _fold(params, p1, q, rho)
+    k = default_rng(rng).scalar(order)
+    c = _challenge(order, statement, (x, y, params.g1 ** k, v_pub ** k))
+    return c, (k + c * sum(r * rj for r, rj in zip(rho, r_agg))) % order
 
 
 def verify_opening(
@@ -138,26 +124,18 @@ def verify_opening(
     p1: list[tuple[G1Elem, G1Elem]],
     p2: G1Elem,
     q: list[int],
-    proof: EncNizk,
+    challenge: int,
+    response: int,
     context: bytes,
 ) -> bool:
-    s = len(q)
-    if not (
-        len(proof.t_open) == len(proof.t_rand) == len(proof.t_value)
-        == len(proof.z_value) == len(proof.z_rand) == len(p1) == s
-    ):
-        raise MalformedProof("sigma transcript arity mismatch")
+    """Recompute g1^z X^-c and V^z Y^-c and accept iff they hash to c."""
+    if len(p1) != len(q):
+        raise MalformedProof("proof arity mismatch")
     order = params.order
-    if not all(0 <= z < order for z in proof.z_value + proof.z_rand):
-        raise MalformedProof("sigma response out of range")
-    expect_c = fs_challenge(
-        order,
-        _fs_parts(context, v_pub, p1, p2, q, (proof.t_open, proof.t_rand, proof.t_value)),
-    )
-    if proof.challenge != expect_c:
-        return False
-    return check_equations(
-        params, v_pub, p1, q,
-        proof.t_open, proof.t_rand, proof.t_value,
-        proof.challenge, proof.z_value, proof.z_rand,
-    )
+    if not (0 <= challenge < order and 0 <= response < order):
+        raise MalformedProof("proof scalar out of range")
+    statement = _statement(context, v_pub, p1, p2, q)
+    x, y = _fold(params, p1, q, _weights(order, statement, len(q)))
+    t1 = params.g1_msm([params.g1, x], [response, -challenge])
+    t2 = params.g1_msm([v_pub, y], [response, -challenge])
+    return _challenge(order, statement, (x, y, t1, t2)) == challenge

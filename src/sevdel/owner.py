@@ -186,7 +186,8 @@ def verify_encryption_proof(
     # (b) NIZK linking the aggregated ciphertexts to the same aggregates
     p1 = list(zip(proof.p1_prime, proof.p1_dprime))
     context = enc_proof_context(params, manifest, challenge)
-    return verify_opening(params, V, p1, proof.p2, list(proof.q), proof.nizk, context)
+    return verify_opening(params, V, p1, proof.p2, list(proof.q),
+                          proof.challenge, proof.response, context)
 
 
 def audit_respond(

@@ -14,7 +14,6 @@ from .cloud import CiphertextMatrix, EncProof, EncTagSet
 from .codec import _SECTOR_FMT, BlockMatrix, FileManifest
 from .errors import InvalidElement, MalformedProof
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
-from .nizk import EncNizk
 from .owner import AuditResponse, Challenge, TagSet
 
 CIPHERTEXT_MAGIC = b"SEVDELCTXMATRIX\x00"   # 16 bytes
@@ -144,6 +143,9 @@ def decode_challenge(text: str) -> Challenge:
     return Challenge(items=items, nonce=bytes.fromhex(d["nonce"]))
 
 
+_PROOF_KEYS = frozenset({"p1_prime", "p1_dprime", "p2", "q", "challenge", "response"})
+
+
 def encode_proof(params: SystemParams, proof: EncProof) -> str:
     group = params.group
     return json.dumps(
@@ -152,44 +154,45 @@ def encode_proof(params: SystemParams, proof: EncProof) -> str:
             "p1_dprime": [e.hex() for e in proof.p1_dprime],
             "p2": proof.p2.hex(),
             "q": [scalar_to_bytes(group, v).hex() for v in proof.q],
-            "nizk": {
-                "t_open": [e.hex() for e in proof.nizk.t_open],
-                "t_rand": [e.hex() for e in proof.nizk.t_rand],
-                "t_value": [e.hex() for e in proof.nizk.t_value],
-                "challenge": scalar_to_bytes(group, proof.nizk.challenge).hex(),
-                "z_value": [scalar_to_bytes(group, z).hex() for z in proof.nizk.z_value],
-                "z_rand": [scalar_to_bytes(group, z).hex() for z in proof.nizk.z_rand],
-            },
+            "challenge": scalar_to_bytes(group, proof.challenge).hex(),
+            "response": scalar_to_bytes(group, proof.response).hex(),
         },
         sort_keys=True,
     )
 
 
 def decode_proof(params: SystemParams, text: str) -> EncProof:
-    d = json.loads(text)
+    """Decode an encryption proof, raising only SevdelError: MalformedProof
+    for text that is not exactly the encoded shape, InvalidElement for a
+    bad point or scalar."""
+    try:
+        d = json.loads(text)
+        if not isinstance(d, dict) or d.keys() != _PROOF_KEYS:
+            raise MalformedProof(
+                "proof must hold exactly p1_prime, p1_dprime, p2, q, challenge and response")
 
-    def elems(values):
-        return tuple(params.g1_from_bytes(bytes.fromhex(v)) for v in values)
+        def hex_list(value):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise MalformedProof("proof arrays must be lists of hex strings")
+            return [bytes.fromhex(v) for v in value]
 
-    def scalars(values):
-        return tuple(scalar_from_bytes(params.group, bytes.fromhex(v)) for v in values)
+        def elems(value):
+            return tuple(params.g1_from_bytes(b) for b in hex_list(value))
 
-    nz = d["nizk"]
-    nizk = EncNizk(
-        t_open=elems(nz["t_open"]),
-        t_rand=elems(nz["t_rand"]),
-        t_value=elems(nz["t_value"]),
-        challenge=scalar_from_bytes(params.group, bytes.fromhex(nz["challenge"])),
-        z_value=scalars(nz["z_value"]),
-        z_rand=scalars(nz["z_rand"]),
-    )
-    return EncProof(
-        p1_prime=elems(d["p1_prime"]),
-        p1_dprime=elems(d["p1_dprime"]),
-        p2=params.g1_from_bytes(bytes.fromhex(d["p2"])),
-        q=scalars(d["q"]),
-        nizk=nizk,
-    )
+        def scalar(data):
+            return scalar_from_bytes(params.group, data)
+
+        return EncProof(
+            p1_prime=elems(d["p1_prime"]),
+            p1_dprime=elems(d["p1_dprime"]),
+            p2=params.g1_from_bytes(bytes.fromhex(d["p2"])),
+            q=tuple(scalar(b) for b in hex_list(d["q"])),
+            challenge=scalar(bytes.fromhex(d["challenge"])),
+            response=scalar(bytes.fromhex(d["response"])),
+        )
+    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise MalformedProof(f"proof does not decode: {exc}") from exc
 
 
 _AUDIT_RESPONSE_KEYS = frozenset({"q2", "revealed_prime", "revealed_dprime"})

@@ -1,5 +1,7 @@
 """Cloud protocol: encryption, bounded dlog, ciphertext tags, proving."""
 
+import dataclasses
+
 import pytest
 
 from sevdel import cloud, codec, nizk, owner
@@ -230,20 +232,15 @@ def test_wrong_v_probe(any_params):
         any_params, manifest, gens.u, okeys.W, skeys.A, wrong_v, ch, proof)
 
 
-def test_nizk_special_soundness_extracts_aggregates(toy_params):
-    # two accepting transcripts sharing commitments but with different
-    # challenges must surrender Q_j = sum_i l_i * m_ij
-    params = toy_params
-    rng, _, manifest, blocks, _, enclave, cts, v_pub = _setup_file(params, seed=b"ss")
+def _proved(params, seed, s):
+    """An honest proof, its verifier, and the prover's witnesses R_j."""
+    rng, _, manifest, blocks, _, enclave, cts, v_pub = _setup_file(params, s=s, seed=seed)
     okeys = owner.keygen(params, rng.child("ok"))
     gens, tags = owner.outsource(params, okeys, manifest, blocks, rng.child("o"))
+    skeys = cloud.server_keygen(params, rng.child("sk"))
     ch = owner.gen_challenge(manifest, min(3, manifest.n), rng_seed=31)
     proof = cloud.prove_encryption(params, enclave, manifest, blocks, cts, tags,
                                    ch, rng.child("p"))
-    order = params.order
-    s = manifest.s
-    # recover the prover's witnesses to replay the third round
-    q = list(proof.q)
     r_blob = enclave.unseal(b"row-randomness")
     sb = params.group.scalar_bytes
 
@@ -251,28 +248,70 @@ def test_nizk_special_soundness_extracts_aggregates(toy_params):
         off = (i * s + j) * sb
         return scalar_from_bytes(params.group, r_blob[off:off + sb])
 
-    r_agg = [sum(l * sealed_r(i - 1, j) for i, l in ch.items) % order
+    r_agg = [sum(l * sealed_r(i - 1, j) for i, l in ch.items) % params.order
              for j in range(s)]
-    alphas = [rng.child("a").scalar(order) for _ in range(s)]
-    betas = [rng.child("b").scalar(order) for _ in range(s)]
-    g1 = params.g1
-    t_open = tuple((g1 ** alphas[j]) * (v_pub ** betas[j]) for j in range(s))
-    t_rand = tuple(g1 ** betas[j] for j in range(s))
-    t_value = tuple(g1 ** alphas[j] for j in range(s))
-    p1 = list(zip(proof.p1_prime, proof.p1_dprime))
+    context = owner.enc_proof_context(params, manifest, ch)
+
+    def verify(p):
+        return owner.verify_encryption_proof(
+            params, manifest, gens.u, okeys.W, skeys.A, v_pub, ch, p)
+
+    return rng, v_pub, context, proof, r_agg, verify
+
+
+def test_nizk_special_soundness_extracts_aggregates(toy_params, bn_params):
+    # two accepting transcripts that share the commitments (T1, T2) but
+    # answer different challenges surrender the folded witness
+    # sum_j rho_j R_j, which opens X under g1 and Y under V
+    for params in (toy_params, bn_params):
+        _check_special_soundness(params)
+
+
+def _check_special_soundness(params):
+    rng, v_pub, context, proof, r_agg, _ = _proved(params, b"ss", 2)
+    order, g1 = params.order, params.g1
+    p1, q = list(zip(proof.p1_prime, proof.p1_dprime)), list(proof.q)
+    rho = nizk._weights(order, nizk._statement(context, v_pub, p1, proof.p2, q), len(q))
+    x, y = nizk._fold(params, p1, q, rho)
+    witness = sum(r * rj for r, rj in zip(rho, r_agg)) % order
+    k = rng.child("k").scalar(order)
+    t1, t2 = g1 ** k, v_pub ** k
     c1, c2 = 17, 23
-    z1a, z2a = nizk.respond(alphas, betas, c1, q, r_agg, order)
-    z1b, z2b = nizk.respond(alphas, betas, c2, q, r_agg, order)
-    for c, z1, z2 in ((c1, z1a, z2a), (c2, z1b, z2b)):
-        assert nizk.check_equations(params, v_pub, p1, q,
-                                    t_open, t_rand, t_value, c, z1, z2)
-    inv_dc = pow(c1 - c2, -1, order)
-    for j in range(s):
-        extracted_q = (z1a[j] - z1b[j]) * inv_dc % order
-        expected = sum(l * blocks.rows[i - 1][j] for i, l in ch.items) % order
-        assert extracted_q == expected
-        extracted_r = (z2a[j] - z2b[j]) * inv_dc % order
-        assert extracted_r == r_agg[j]
+    z1, z2 = ((k + c * witness) % order for c in (c1, c2))
+    for c, z in ((c1, z1), (c2, z2)):
+        assert params.g1_msm([g1, x], [z, -c]) == t1
+        assert params.g1_msm([v_pub, y], [z, -c]) == t2
+    extracted = (z1 - z2) * pow(c1 - c2, -1, order) % order
+    assert extracted == witness
+    assert g1 ** extracted == x and v_pub ** extracted == y
+
+
+def test_dleq_rejects_shifted_and_swapped_sectors(any_params):
+    # the tag equation sees only P2 and Q, so each forged statement reaches
+    # the DLEQ; the prover re-proves it with every witness list it can form
+    # from its own R_j, and the verifier must refuse each proof
+    params = any_params
+    rng, v_pub, context, proof, r_agg, verify = _proved(params, b"dleq", 4)
+    assert verify(proof)
+
+    def reproved(p1_prime, p1_dprime, witnesses):
+        p1 = list(zip(p1_prime, p1_dprime))
+        c, z = nizk.prove_opening(params, v_pub, p1, proof.p2, list(proof.q), witnesses,
+                                  context, rng.child("forge"))
+        return dataclasses.replace(proof, p1_prime=tuple(p1_prime),
+                                   p1_dprime=tuple(p1_dprime), challenge=c, response=z)
+
+    for j in range(len(r_agg)):
+        shifted = list(proof.p1_dprime)
+        shifted[j] = shifted[j] * params.g1
+        bumped = r_agg[:j] + [(r_agg[j] + 1) % params.order] + r_agg[j + 1:]
+        for witnesses in (r_agg, bumped):
+            assert not verify(reproved(proof.p1_prime, shifted, witnesses)), j
+    p1p, p1pp, swapped = list(proof.p1_prime), list(proof.p1_dprime), list(r_agg)
+    for seq in (p1p, p1pp, swapped):
+        seq[0], seq[1] = seq[1], seq[0]
+    for witnesses in (r_agg, swapped):
+        assert not verify(reproved(p1p, p1pp, witnesses))
 
 
 # -- deletion ---------------------------------------------------------------------

@@ -231,12 +231,13 @@ def test_scalars_matches_single_draws_on_rejection():
 # -- protocol output is byte-identical to the per-term implementation ---------
 # Digests were computed with the per-term g1_mul/g1_add implementation that
 # g1_msm replaced; they pin ciphertexts, tags, proofs and audit responses.
-# They were re-pinned once, when the audit response lost its ciphertext
-# aggregates; every other part hashed the same before and after that change.
+# They were re-pinned twice: when the audit response lost its ciphertext
+# aggregates, and when the proof of opening became one batched DLEQ.  Each
+# time every other part hashed the same before and after the change.
 
 WIRE_DIGESTS = {
-    ("toy", 4096, 8, 16): "0cc6553764ac9e10c623f34f817745a91c31d17d1dc5a258ed6829e34b1b7437",
-    ("bn254", 64, 4, 8): "ccd4c9e242b9b33a3e44cd534b42bdca1765b1fbf31de5ffd12ea0586fa2fac7",
+    ("toy", 4096, 8, 16): "c64051858a4d9e405a31310950f92e2b166b7b2b66b02fae8957837dbbdceabc",
+    ("bn254", 64, 4, 8): "0d15111bd5c7bd713debd552c9151c30914e25864ede36b9b346d98525fbc866",
 }
 
 

@@ -225,7 +225,7 @@ def test_tag_soundness_small_instance_exhaustive(toy_params):
 
 def test_proof_transcript_reveals_no_sector_value(toy_params):
     # structural zero-knowledge check: the only scalars in a transcript are
-    # multi-term aggregates, blinded responses and the Fiat-Shamir challenge
+    # multi-term aggregates, the blinded response and the Fiat-Shamir challenge
     params = toy_params
     rng, _, manifest, blocks, okeys, gens, tags = _outsourced(params, size=64, s=2,
                                                               seed=b"zk")
@@ -235,11 +235,9 @@ def test_proof_transcript_reveals_no_sector_value(toy_params):
     proof = cloud.prove_encryption(params, enclave, manifest, blocks, cts, tags,
                                    ch, rng.child("p"))
     from sevdel.groups import G1Elem
-    for elem in (*proof.p1_prime, *proof.p1_dprime, proof.p2,
-                 *proof.nizk.t_open, *proof.nizk.t_rand, *proof.nizk.t_value):
+    for elem in (*proof.p1_prime, *proof.p1_dprime, proof.p2):
         assert isinstance(elem, G1Elem)
-    scalars = set(proof.q) | set(proof.nizk.z_value) | set(proof.nizk.z_rand) \
-        | {proof.nizk.challenge}
+    scalars = set(proof.q) | {proof.challenge, proof.response}
     sector_values = {v for row in blocks.rows for v in row}
     assert not scalars & sector_values, "raw sector value appeared in transcript"
 

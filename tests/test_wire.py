@@ -124,29 +124,98 @@ _JSON = _FLAT | st.lists(_FLAT, max_size=4) | st.dictionaries(st.text(max_size=4
                                                                max_size=4)
 
 
+def _mutant(data, text):
+    """Arbitrary text, the true encoding with one field replaced by
+    arbitrary JSON, or with one span of text replaced."""
+    kind = data.draw(st.sampled_from(["text", "json", "splice"]))
+    if kind == "text":
+        return data.draw(st.text())
+    if kind == "json":
+        fields = json.loads(text)
+        fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON)
+        return json.dumps(fields)
+    start = data.draw(st.integers(0, len(text)))
+    end = data.draw(st.integers(start, min(len(text), start + 12)))
+    return text[:start] + data.draw(st.text(max_size=12)) + text[end:]
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_audit_response_decoder_raises_only_sevdel_errors(artifacts, data):
-    # arbitrary text, the true encoding with one field replaced by arbitrary
-    # JSON, or with one span of text replaced: each decodes or raises a
-    # SevdelError
+    # each mutant decodes or raises a SevdelError
     params, *_, resp = artifacts
-    text = wire.encode_audit_response(resp)
-    kind = data.draw(st.sampled_from(["text", "json", "splice"]))
-    if kind == "text":
-        candidate = data.draw(st.text())
-    elif kind == "json":
-        fields = json.loads(text)
-        fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON)
-        candidate = json.dumps(fields)
-    else:
-        start = data.draw(st.integers(0, len(text)))
-        end = data.draw(st.integers(start, min(len(text), start + 12)))
-        candidate = text[:start] + data.draw(st.text(max_size=12)) + text[end:]
     try:
-        wire.decode_audit_response(params, candidate)
+        wire.decode_audit_response(params, _mutant(data, wire.encode_audit_response(resp)))
     except SevdelError:
         pass
+
+
+def test_proof_decoder_refuses_other_shapes(artifacts):
+    params, *_, proof, _ = artifacts
+    good = json.loads(wire.encode_proof(params, proof))
+    p2 = good["p2"]
+    old_nizk = {"t_open": [p2], "t_rand": [p2], "t_value": [p2], "challenge": good["challenge"],
+                "z_value": [good["response"]], "z_rand": [good["response"]]}
+    bad_texts = [
+        json.dumps({k: v for k, v in good.items() if k not in ("challenge", "response")}
+                   | {"nizk": old_nizk}),                                # the old shape
+        json.dumps({**good, "nizk": old_nizk}),
+        json.dumps({k: v for k, v in good.items() if k != "response"}),
+        json.dumps({**good, "q": good["q"][0]}),                         # not a list
+        json.dumps({**good, "p1_prime": [7]}),                           # not hex strings
+        json.dumps({**good, "p1_dprime": [[p2]]}),
+        json.dumps({**good, "p2": "zz"}),                                 # bad hex
+        json.dumps({**good, "challenge": 7}),
+        json.dumps({**good, "response": None}),
+        json.dumps([good]),
+        "{" + json.dumps(good),
+        "[" * 100000,
+    ]
+    for text in bad_texts:
+        with pytest.raises(MalformedProof):
+            wire.decode_proof(params, text)
+    with pytest.raises(InvalidElement):
+        wire.decode_proof(params, json.dumps({**good, "p2": "ff" * 9}))
+    with pytest.raises(InvalidElement):
+        wire.decode_proof(params, json.dumps({**good, "response": "ff" * 8}))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_proof_decoder_raises_only_sevdel_errors(artifacts, data):
+    # each mutant decodes or raises a SevdelError
+    params, *_, proof, _ = artifacts
+    try:
+        wire.decode_proof(params, _mutant(data, wire.encode_proof(params, proof)))
+    except SevdelError:
+        pass
+
+
+def test_proof_size_is_independent_of_file_size():
+    # the owner checks encryption from 3s + 3 wire items whatever the
+    # file size: s = 8 sectors, c = 4 challenged blocks, n = 32 and 4096
+    from sevdel.groups import setup
+    params = setup("toy", 16)
+    s = 8
+    texts = []
+    for n in (32, 4096):
+        rng = SeededRng(b"bandwidth-%d" % n)
+        manifest, blocks = codec.split(rng.child("f").read(n * s * 2), s, 16)
+        assert manifest.n == n
+        okeys = owner.keygen(params, rng.child("k"))
+        gens, tags = owner.outsource(params, okeys, manifest, blocks, rng.child("o"))
+        enclave = EnclaveRegistry().create(manifest.file_id)
+        cts, v_pub = cloud.encrypt_file(params, enclave, manifest, blocks, rng.child("e"))
+        ch = owner.gen_challenge(manifest, 4, rng_seed=n)
+        proof = cloud.prove_encryption(params, enclave, manifest, blocks, cts, tags,
+                                       ch, rng.child("p"))
+        skeys = cloud.server_keygen(params, rng.child("s"))
+        assert owner.verify_encryption_proof(params, manifest, gens.u, okeys.W, skeys.A,
+                                             v_pub, ch, proof)
+        texts.append(wire.encode_proof(params, proof))
+        items = sum(len(v) if isinstance(v, list) else 1 for v in json.loads(texts[-1]).values())
+        assert items == 3 * s + 3
+    assert len(texts[0]) == len(texts[1])
 
 
 def test_decoded_proof_still_verifies_on_bn254():
