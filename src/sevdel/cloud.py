@@ -2,15 +2,17 @@
 
 Each file is encrypted blockwise with lifted ElGamal under a key v that
 lives only inside the file's enclave: E'_ij = g1^{m_ij} V^{r_ij},
-E''_ij = g1^{r_ij}.  Decryption recovers g1^{m_ij} and solves the bounded
-discrete log by baby-step/giant-step, which is why sector values are
-capped at 2^sector_bits.  Destroying the enclave forgets v and every
+E''_ij = g1^{r_ij}.  Decryption recovers g1^{m_ij} = E'_ij g1^{-v r_ij}
+from the sealed r_ij and solves the bounded discrete log by
+baby-step/giant-step, which is why sector values are capped at
+2^sector_bits.  Destroying the enclave forgets v and every
 r_ij, after which neither decryption nor proof generation is possible.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 
 from .codec import BlockMatrix, FileManifest
@@ -203,16 +205,29 @@ def _dlog(group, table, raw, bits: int) -> int:
     raise DlogOutOfRange(f"no exponent below 2^{bits} matches; ciphertext corrupt?")
 
 
-def _unseal_key(params: SystemParams, enclave: Enclave) -> tuple[int, int]:
-    group = params.group
-    v = scalar_from_bytes(group, enclave.unseal(_SEAL_KEY))
-    meta = json.loads(enclave.unseal(_SEAL_META))
-    return v, int(meta["sector_bits"])
+def _unseal_key(params: SystemParams, enclave: Enclave) -> tuple[int, dict]:
+    v = scalar_from_bytes(params.group, enclave.unseal(_SEAL_KEY))
+    return v, json.loads(enclave.unseal(_SEAL_META))
+
+
+def _sealed_rows(group, enclave: Enclave, s: int):
+    """Reader over the sealed r_ij: row(i) parses the s scalars of block
+    i + 1 in one call.  The enclave wrote them from [0, order), so they
+    are not range-checked again."""
+    blob = enclave.unseal(_SEAL_RAND)
+    sb = group.scalar_bytes
+    width = s * sb
+    if sb == 8:
+        unpack = struct.Struct(">%dQ" % s).unpack_from
+        return lambda i: unpack(blob, i * width)
+    return lambda i: [int.from_bytes(blob[off:off + sb], "big")
+                      for off in range(i * width, (i + 1) * width, sb)]
 
 
 def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, G1Elem]) -> int:
     """Recover one sector value: the m with g1^m = E' / (E'')^v."""
-    v, sector_bits = _unseal_key(params, enclave)
+    v, meta = _unseal_key(params, enclave)
+    sector_bits = int(meta["sector_bits"])
     e_prime, e_dprime = e_pair
     group = params.group
     lifted = group.g1_op(e_prime.raw, group.g1_inv(group.g1_pow(e_dprime.raw, v)))
@@ -220,15 +235,25 @@ def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, 
 
 
 def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) -> BlockMatrix:
-    """Bulk decryption; one unseal, one dlog table fetch."""
-    v, sector_bits = _unseal_key(params, enclave)
+    """Bulk decryption from the sealed randomness: E' = g1^(m + v*r), so
+    g1^m = E' * g1^(-v*r), one generator-table power per sector.  E'' is
+    not read; a wrong E' still fails the bounded dlog or decrypts wrong."""
+    v, meta = _unseal_key(params, enclave)
+    n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
+    if cts.n != n or cts.s != s or len(cts.rows_prime) != n:
+        raise DimensionMismatch("ciphertext matrix shape disagrees with the enclave's file")
     group = params.group
+    order = params.order
     table = _dlog_table(group, sector_bits)
-    op, pw, inv = group.g1_op, group.g1_pow, group.g1_inv
+    sealed_r = _sealed_rows(group, enclave, s)
+    op, pw, g1_raw = group.g1_op, group.g1_pow, params.g1.raw
+    neg_v = order - v
     rows = []
-    for rp, rpp in zip(cts.rows_prime, cts.rows_dprime):
-        rows.append([_dlog(group, table, op(a, inv(pw(b, v))), sector_bits)
-                     for a, b in zip(rp, rpp)])
+    for i, rp in enumerate(cts.rows_prime):
+        if len(rp) != s:
+            raise DimensionMismatch("ragged ciphertext matrix")
+        rows.append([_dlog(group, table, op(a, pw(g1_raw, neg_v * r % order)), sector_bits)
+                     for a, r in zip(rp, sealed_r(i))])
     return BlockMatrix(rows)
 
 
@@ -285,13 +310,7 @@ def prove_encryption(
     for i, _ in challenge.items:
         if not 1 <= i <= manifest.n:
             raise IndexOutOfRange(f"challenged block {i} outside [1, {manifest.n}]")
-    r_blob = enclave.unseal(_SEAL_RAND)
-    sb = group.scalar_bytes
-
-    def sealed_r(row: int, col: int) -> int:
-        off = (row * s + col) * sb
-        return scalar_from_bytes(group, r_blob[off:off + sb])
-
+    sealed_r = _sealed_rows(group, enclave, s)
     rows = [i - 1 for i, _ in challenge.items]
     ls = [l for _, l in challenge.items]
     msm = group.g1_msm
@@ -300,7 +319,8 @@ def prove_encryption(
     p1_dprime = tuple(G1Elem(group, msm([cts.rows_dprime[i][j] for i in rows], ls))
                       for j in range(s))
     q = [sum(l * blocks.rows[i][j] for i, l in zip(rows, ls)) % order for j in range(s)]
-    r_agg = [sum(l * sealed_r(i, j) for i, l in zip(rows, ls)) % order for j in range(s)]
+    r_rows = [sealed_r(i) for i in rows]
+    r_agg = [sum(l * r[j] for r, l in zip(r_rows, ls)) % order for j in range(s)]
     p2 = params.g1_msm([tags.phi[i] for i in rows], ls)
     context = enc_proof_context(params, manifest, challenge)
     c, z = prove_opening(

@@ -14,9 +14,10 @@ import json
 import struct
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, EmptyFile
+from .errors import DimensionMismatch, EmptyFile, MalformedProof
 
 _SECTOR_FMT = {8: "B", 16: "H", 32: "I"}
+_MANIFEST_KEYS = frozenset({"file_id", "n", "s", "sector_bits", "original_len"})
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,23 @@ class FileManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
-        d = json.loads(text)
-        return cls(
-            file_id=bytes.fromhex(d["file_id"]),
-            n=int(d["n"]),
-            s=int(d["s"]),
-            sector_bits=int(d["sector_bits"]),
-            original_len=int(d["original_len"]),
-        )
+        """Decode a manifest, raising only SevdelError: MalformedProof for
+        text that is not exactly the encoded shape, DimensionMismatch for
+        a shape the constructor refuses."""
+        try:
+            d = json.loads(text)
+            if not isinstance(d, dict) or d.keys() != _MANIFEST_KEYS:
+                raise MalformedProof(
+                    "manifest must hold exactly file_id, n, s, sector_bits and original_len")
+            if not isinstance(d["file_id"], str) or any(
+                    type(d[k]) is not int for k in _MANIFEST_KEYS - {"file_id"}):
+                raise MalformedProof("manifest file_id must be hex and its sizes integers")
+            file_id = bytes.fromhex(d["file_id"])
+        # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+        except (ValueError, RecursionError) as exc:
+            raise MalformedProof(f"manifest does not decode: {exc}") from exc
+        return cls(file_id=file_id, n=d["n"], s=d["s"], sector_bits=d["sector_bits"],
+                   original_len=d["original_len"])
 
 
 @dataclass

@@ -41,7 +41,8 @@ class IndexOutOfRange(SevdelError):
 
 
 class MalformedProof(SevdelError):
-    """Proof object is structurally broken (wrong arity, bad encoding)."""
+    """Proof or other wire message is structurally broken (wrong arity,
+    bad encoding)."""
 
 
 class MissingBlock(SevdelError):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import time as _time
 from dataclasses import dataclass, field
 
@@ -27,7 +29,7 @@ from .errors import (
     SevdelError,
     UnknownFile,
 )
-from .groups import SystemParams, setup, vgen_points
+from .groups import DOMAIN_BLOCK, SystemParams, setup, vgen_points
 from .rng import SeededRng
 
 PROVIDER = "provider"
@@ -485,3 +487,47 @@ def bench_csv(rows: list[dict]) -> str:
     for r in rows:
         out.append(f'{r["size_bytes"]},{r["phase"]},{r["median_s"]},{r["p95_s"]}')
     return "\n".join(out) + "\n"
+
+
+def bench_layers(group: str = "toy", seed: int = 1) -> dict:
+    """Median ms over 15 calls of the G1 primitives under encryption and
+    decryption: a full-width g1_mul of a hashed point (variable base),
+    one of the generator (fixed-base table), and g1_from_bytes."""
+    calls = 15
+    params = setup(group, 16)
+    backend = params.group
+    rng = SeededRng(seed).child("bench-layers")
+    points = [params.hash_to_g1(DOMAIN_BLOCK, b"bench-%d" % k).raw for k in range(calls)]
+    scalars = rng.scalars(calls, params.order)
+    encodings = [backend.g1_to_bytes(pt) for pt in points]
+    g1 = params.g1.raw
+
+    def median_ms(fn, args):
+        times = []
+        for arg in args:
+            t0 = _time.perf_counter()
+            fn(*arg)
+            times.append(_time.perf_counter() - t0)
+        return round(_quantile(times, 0.5) * 1e3, 6)
+
+    return {
+        "g1_mul_variable_base_ms": median_ms(backend.g1_pow, zip(points, scalars)),
+        "g1_mul_generator_ms": median_ms(backend.g1_pow, ((g1, k) for k in scalars)),
+        "g1_from_bytes_ms": median_ms(backend.g1_from_bytes, ((e,) for e in encodings)),
+    }
+
+
+def bench_report(rows: list[dict], layers: dict, config: dict) -> dict:
+    """The machine-readable bench record: host, run settings, phase rows
+    (as in the CSV) and per-primitive layer times."""
+    from . import bn254
+    return {
+        "env": {
+            "python": platform.python_version(),
+            "gmpy2": bn254.mpz is not int,
+            "cpu_count": os.cpu_count(),
+        },
+        "config": config,
+        "phases": rows,
+        "layers": layers,
+    }

@@ -12,7 +12,7 @@ import struct
 
 from .cloud import CiphertextMatrix, EncProof, EncTagSet
 from .codec import _SECTOR_FMT, BlockMatrix, FileManifest
-from .errors import InvalidElement, MalformedProof
+from .errors import DimensionMismatch, InvalidElement, MalformedProof
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
 from .owner import AuditResponse, Challenge, TagSet
 
@@ -39,9 +39,15 @@ def encode_tagset(tags: TagSet) -> bytes:
     return struct.pack(">I", len(tags.phi)) + _pack_elems(tags.phi)
 
 
-def decode_tagset(params: SystemParams, data: bytes) -> TagSet:
+def _count_prefixed(params: SystemParams, data: bytes) -> tuple[G1Elem, ...]:
+    if len(data) < 4:
+        raise InvalidElement("element array shorter than its count prefix")
     (count,) = struct.unpack_from(">I", data)
-    return TagSet(phi=_unpack_elems(params, data[4:], count))
+    return _unpack_elems(params, data[4:], count)
+
+
+def decode_tagset(params: SystemParams, data: bytes) -> TagSet:
+    return TagSet(phi=_count_prefixed(params, data))
 
 
 def encode_enc_tagset(tags: EncTagSet) -> bytes:
@@ -49,8 +55,7 @@ def encode_enc_tagset(tags: EncTagSet) -> bytes:
 
 
 def decode_enc_tagset(params: SystemParams, data: bytes) -> EncTagSet:
-    (count,) = struct.unpack_from(">I", data)
-    return EncTagSet(sigma=_unpack_elems(params, data[4:], count))
+    return EncTagSet(sigma=_count_prefixed(params, data))
 
 
 # -- block matrix ----------------------------------------------------------------
@@ -65,9 +70,18 @@ def encode_blocks(manifest: FileManifest, blocks: BlockMatrix) -> bytes:
 
 
 def decode_blocks(data: bytes) -> BlockMatrix:
+    """Decode a block matrix, raising only SevdelError: MalformedProof for
+    a length that disagrees with the header, DimensionMismatch for a
+    sector width other than 8, 16 or 32 bits."""
+    if len(data) < 9:
+        raise MalformedProof("block matrix shorter than its header")
     n, s, sector_bits = struct.unpack_from(">IIB", data)
+    if sector_bits not in _SECTOR_FMT:
+        raise DimensionMismatch(f"sector_bits {sector_bits} is not one of 8, 16, 32")
     fmt = "<%d%s" % (s, _SECTOR_FMT[sector_bits])
     row_bytes = s * (sector_bits // 8)
+    if len(data) != 9 + n * row_bytes:
+        raise MalformedProof("block matrix length disagrees with its header")
     rows = [
         list(struct.unpack_from(fmt, data, 9 + i * row_bytes))
         for i in range(n)
@@ -95,19 +109,24 @@ def encode_ciphertexts(params: SystemParams, cts: CiphertextMatrix) -> bytes:
 
 
 def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
-    if data[:16] != CIPHERTEXT_MAGIC:
+    """Decode and validate every component; raises only InvalidElement."""
+    if len(data) < 18 or data[:16] != CIPHERTEXT_MAGIC:
         raise InvalidElement("bad ciphertext file magic")
     version = data[16]
     if version != WIRE_VERSION:
         raise InvalidElement(f"unsupported ciphertext wire version {version}")
     name_len = data[17]
-    name = data[18:18 + name_len].decode()
-    if name != params.group.name:
+    name = data[18:18 + name_len]
+    if name != params.group.name.encode():
         raise InvalidElement(f"ciphertext encoded for group {name!r}")
     off = 18 + name_len
+    width = params.group.g1_bytes
+    if len(data) < off + 8:
+        raise InvalidElement("ciphertext header truncated")
     n, s = struct.unpack_from(">II", data, off)
     off += 8
-    width = params.group.g1_bytes
+    if len(data) != off + (1 + 2 * n * s) * width:
+        raise InvalidElement("ciphertext length disagrees with its header")
     v_pub = params.g1_from_bytes(data[off:off + width])
     off += width
     from_bytes = params.group.g1_from_bytes
@@ -125,8 +144,6 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
 
     rows_prime = read_matrix()
     rows_dprime = read_matrix()
-    if off != len(data):
-        raise InvalidElement("trailing bytes after ciphertext matrix")
     return CiphertextMatrix(rows_prime=rows_prime, rows_dprime=rows_dprime,
                             v_pub=v_pub, n=n, s=s)
 
@@ -137,10 +154,29 @@ def encode_challenge(challenge: Challenge) -> str:
     return challenge.canonical_json()
 
 
+_CHALLENGE_KEYS = frozenset({"items", "nonce"})
+
+
 def decode_challenge(text: str) -> Challenge:
-    d = json.loads(text)
-    items = tuple((int(i), int(l, 16)) for i, l in d["items"])
-    return Challenge(items=items, nonce=bytes.fromhex(d["nonce"]))
+    """Decode a challenge, raising only MalformedProof: the text must be
+    exactly the canonical shape, items a list of [index, hex coefficient]
+    pairs with an integer index."""
+    try:
+        d = json.loads(text)
+        if not isinstance(d, dict) or d.keys() != _CHALLENGE_KEYS:
+            raise MalformedProof("challenge must hold exactly items and nonce")
+        if not isinstance(d["items"], list) or not isinstance(d["nonce"], str):
+            raise MalformedProof("challenge items must be a list and its nonce hex")
+        items = []
+        for item in d["items"]:
+            if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int
+                    and isinstance(item[1], str)):
+                raise MalformedProof("challenge items must be [index, hex coefficient] pairs")
+            items.append((item[0], int(item[1], 16)))
+        return Challenge(items=tuple(items), nonce=bytes.fromhex(d["nonce"]))
+    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise MalformedProof(f"challenge does not decode: {exc}") from exc
 
 
 _PROOF_KEYS = frozenset({"p1_prime", "p1_dprime", "p2", "q", "challenge", "response"})

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sevdel import cloud, codec, nizk, owner
+from sevdel import bn254, cloud, codec, nizk, owner, wire
 from sevdel.cloud import _SEAL_KEY
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import (
@@ -12,6 +12,7 @@ from sevdel.errors import (
     DlogOutOfRange,
     EnclaveDestroyed,
     IndexOutOfRange,
+    InvalidElement,
     UnknownFile,
 )
 from sevdel.groups import elem_to_scalar, pairing, scalar_from_bytes, vgen_points
@@ -126,6 +127,78 @@ def test_corrupted_ciphertext_dlog_out_of_range(toy_params32):
     bumped = cts.prime_elem(0, 0) * (toy_params32.g1 ** (1 << 40))
     with pytest.raises(DlogOutOfRange):
         cloud.decrypt_block(toy_params32, enclave, (bumped, cts.dprime_elem(0, 0)))
+
+
+# -- decryption from the sealed randomness -----------------------------------
+
+def _oracle(params, enclave, cts, i, j):
+    """decrypt_block, which still computes E' / (E'')^v, or the error it raises."""
+    try:
+        return cloud.decrypt_block(params, enclave, (cts.prime_elem(i, j), cts.dprime_elem(i, j)))
+    except DlogOutOfRange:
+        return DlogOutOfRange
+
+
+def test_decrypt_file_matches_decrypt_block_on_every_sector(any_params):
+    _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(any_params, size=40, s=3)
+    back = cloud.decrypt_file(any_params, enclave, cts)
+    assert back.rows == blocks.rows
+    for i in range(manifest.n):
+        for j in range(manifest.s):
+            assert back.rows[i][j] == _oracle(any_params, enclave, cts, i, j)
+
+
+def test_decrypt_file_refuses_another_files_matrix(toy_params):
+    _, _, _, _, _, enclave, _, _ = _setup_file(toy_params, size=96, s=2)
+    _, _, _, _, _, _, other, _ = _setup_file(toy_params, size=96, s=3, seed=b"other")
+    _, _, _, _, _, _, longer, _ = _setup_file(toy_params, size=100, s=2, seed=b"longer")
+    for cts in (other, longer):
+        with pytest.raises(DimensionMismatch):
+            cloud.decrypt_file(toy_params, enclave, cts)
+
+
+def test_decrypt_file_tampered_prime_fails_as_the_oracle(any_params):
+    # a wrong E' comes out as the oracle's wrong sector or as DlogOutOfRange
+    params = any_params
+    _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(params, size=12, s=2)
+    group = params.group
+    shifts = [params.g1.raw, group.g1_pow(params.g1.raw, 1 << 40),
+              params.hash_to_g1(b"sevdel/block", b"tamper").raw]
+    for shift in shifts:
+        tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
+        tampered.rows_prime[1][0] = group.g1_op(tampered.rows_prime[1][0], shift)
+        expected = _oracle(params, enclave, tampered, 1, 0)
+        if expected is DlogOutOfRange:
+            with pytest.raises(DlogOutOfRange):
+                cloud.decrypt_file(params, enclave, tampered)
+        else:
+            assert expected != blocks.rows[1][0]
+            assert cloud.decrypt_file(params, enclave, tampered).rows[1][0] == expected
+
+
+def test_decrypt_file_ignores_a_valid_but_wrong_dprime(any_params):
+    # E'' is not read: another valid point in its place still decrypts right
+    params = any_params
+    _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(params, size=12, s=2)
+    tampered = dataclasses.replace(cts, rows_dprime=[row[:] for row in cts.rows_dprime])
+    tampered.rows_dprime[0][1] = params.hash_to_g1(b"sevdel/block", b"other").raw
+    tampered.rows_dprime[1][0] = params.g1_identity().raw
+    assert cloud.decrypt_file(params, enclave, tampered).rows == blocks.rows
+
+
+def test_off_curve_dprime_is_refused_on_decode(any_params):
+    params = any_params
+    _, _, manifest, _, _, _, cts, _ = _setup_file(params, size=12, s=2)
+    blob = wire.encode_ciphertexts(params, cts)
+    width = params.group.g1_bytes
+    start = len(blob) - manifest.n * manifest.s * width   # first E''
+    if params.group_id == "toy":
+        bad = b"\x11" + b"\xff" * 8                         # beyond the group order
+    else:
+        x = next(x for x in range(1, 100) if pow(x ** 3 + 3, (bn254.P - 1) // 2, bn254.P) != 1)
+        bad = b"\x02" + x.to_bytes(width - 1, "big")          # x^3 + 3 is not a square
+    with pytest.raises(InvalidElement):
+        wire.decode_ciphertexts(params, blob[:start] + bad + blob[start + width:])
 
 
 def test_encrypt_requires_matching_enclave(any_params):
@@ -323,6 +396,8 @@ def test_delete_lifecycle(any_params):
     ch = owner.gen_challenge(manifest, 1, rng_seed=1)
     receipt = cloud.delete_file(registry, manifest.file_id)
     assert receipt.file_id == manifest.file_id
+    with pytest.raises(EnclaveDestroyed):
+        cloud.decrypt_file(any_params, enclave, cts)
     with pytest.raises(EnclaveDestroyed):
         cloud.decrypt_block(any_params, enclave,
                             (cts.prime_elem(0, 0), cts.dprime_elem(0, 0)))

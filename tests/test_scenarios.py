@@ -153,3 +153,19 @@ def test_bench_reports_decryption(group):
     phases = [r["phase"] for r in rows]
     assert phases == [*BENCH_PHASES, "proof_size_bytes"]
     assert rows[phases.index("decryption")]["median_s"] > 0
+
+
+def test_bench_json_writes_env_phases_and_layers(tmp_path):
+    path = tmp_path / "BENCH.json"
+    result = CliRunner().invoke(main, ["bench", "--group", "toy", "--sizes", "512",
+                                       "--reps", "1", "--out", str(tmp_path),
+                                       "--json", str(path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(path.read_text())
+    assert set(report) == {"env", "config", "phases", "layers"}
+    assert set(report["env"]) == {"python", "gmpy2", "cpu_count"}
+    assert report["config"]["sizes"] == [512]
+    assert [r["phase"] for r in report["phases"]] == [*BENCH_PHASES, "proof_size_bytes"]
+    assert set(report["layers"]) == {"g1_mul_variable_base_ms", "g1_mul_generator_ms",
+                                     "g1_from_bytes_ms"}
+    assert all(ms > 0 for ms in report["layers"].values())

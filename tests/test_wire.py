@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sevdel import cloud, codec, owner, wire
 from sevdel.enclave import EnclaveRegistry
-from sevdel.errors import InvalidElement, MalformedProof, SevdelError
+from sevdel.errors import DimensionMismatch, InvalidElement, MalformedProof, SevdelError
 from sevdel.groups import vgen_points
 from sevdel.rng import SeededRng
 
@@ -125,18 +125,21 @@ _JSON = _FLAT | st.lists(_FLAT, max_size=4) | st.dictionaries(st.text(max_size=4
 
 
 def _mutant(data, text):
-    """Arbitrary text, the true encoding with one field replaced by
-    arbitrary JSON, or with one span of text replaced."""
-    kind = data.draw(st.sampled_from(["text", "json", "splice"]))
+    """Arbitrary input, the true encoding with one field replaced by
+    arbitrary JSON (text encodings only), or with one span replaced;
+    ``text`` may be a str or a bytes encoding."""
+    chars = st.text if isinstance(text, str) else st.binary
+    kinds = ["text", "json", "splice"] if isinstance(text, str) else ["text", "splice"]
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "text":
-        return data.draw(st.text())
+        return data.draw(chars())
     if kind == "json":
         fields = json.loads(text)
         fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON)
         return json.dumps(fields)
     start = data.draw(st.integers(0, len(text)))
     end = data.draw(st.integers(start, min(len(text), start + 12)))
-    return text[:start] + data.draw(st.text(max_size=12)) + text[end:]
+    return text[:start] + data.draw(chars(max_size=12)) + text[end:]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -238,3 +241,70 @@ def test_decoded_proof_still_verifies_on_bn254():
     wire_ch = wire.decode_challenge(wire.encode_challenge(ch))
     assert owner.verify_encryption_proof(
         params, manifest, gens.u, okeys.W, skeys.A, v_pub, wire_ch, wire_proof)
+
+
+# -- the other decoders: each mutant decodes or raises a SevdelError -------------
+
+def _decoders(artifacts):
+    """(name, decode, true encoding) for every decoder without its own test above."""
+    params, manifest, blocks, tags, enc_tags, cts, ch, *_ = artifacts
+    return [
+        ("challenge", wire.decode_challenge, wire.encode_challenge(ch)),
+        ("manifest", codec.FileManifest.from_json, manifest.to_json()),
+        ("blocks", wire.decode_blocks, wire.encode_blocks(manifest, blocks)),
+        ("ciphertexts", lambda b: wire.decode_ciphertexts(params, b),
+         wire.encode_ciphertexts(params, cts)),
+        ("tagset", lambda b: wire.decode_tagset(params, b), wire.encode_tagset(tags)),
+        ("enc_tagset", lambda b: wire.decode_enc_tagset(params, b),
+         wire.encode_enc_tagset(enc_tags)),
+    ]
+
+
+@pytest.mark.parametrize("name", ["challenge", "manifest", "blocks", "ciphertexts",
+                                  "tagset", "enc_tagset"])
+@settings(max_examples=200, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_decoders_raise_only_sevdel_errors(artifacts, name, data):
+    _, decode, encoded = next(d for d in _decoders(artifacts) if d[0] == name)
+    try:
+        decode(_mutant(data, encoded))
+    except SevdelError:
+        pass
+
+
+def test_decoders_refuse_known_escapes(artifacts):
+    # inputs that once leaked IndexError, UnicodeDecodeError, struct.error,
+    # KeyError, JSONDecodeError or ValueError
+    params, manifest, blocks, _, _, cts, *_ = artifacts
+    blob = wire.encode_ciphertexts(params, cts)
+    good_blocks = wire.encode_blocks(manifest, blocks)
+    name_at = 18
+    cases = [
+        (lambda: wire.decode_ciphertexts(params, blob[:17]), InvalidElement),
+        (lambda: wire.decode_ciphertexts(
+            params, blob[:name_at] + b"\xff\xfe\xfd" + blob[name_at + 3:]), InvalidElement),
+        (lambda: wire.decode_ciphertexts(params, blob[:name_at + 3 + 4]), InvalidElement),
+        (lambda: wire.decode_tagset(params, b"\x00\x00"), InvalidElement),
+        (lambda: wire.decode_enc_tagset(params, b""), InvalidElement),
+        (lambda: wire.decode_blocks(b"\x00\x00"), MalformedProof),
+        (lambda: wire.decode_blocks(good_blocks + b"\x00"), MalformedProof),
+        (lambda: wire.decode_blocks(good_blocks[:-1]), MalformedProof),
+        (lambda: wire.decode_blocks(good_blocks[:8] + b"\x07" + good_blocks[9:]),
+         DimensionMismatch),
+        (lambda: wire.decode_challenge("{"), MalformedProof),
+        (lambda: wire.decode_challenge('{"items": [[1, "zz"]], "nonce": ""}'), MalformedProof),
+        (lambda: wire.decode_challenge('{"items": [[true, "1"]], "nonce": ""}'),
+         MalformedProof),
+        (lambda: wire.decode_challenge('{"items": []}'), MalformedProof),
+        (lambda: codec.FileManifest.from_json("{}"), MalformedProof),
+        (lambda: codec.FileManifest.from_json("[" * 100000), MalformedProof),
+        (lambda: codec.FileManifest.from_json(
+            manifest.to_json().replace('"n": %d' % manifest.n, '"n": "3"')), MalformedProof),
+        (lambda: codec.FileManifest.from_json(
+            manifest.to_json().replace('"n": %d' % manifest.n, '"n": 0')), DimensionMismatch),
+    ]
+    for call, error in cases:
+        with pytest.raises(error):
+            call()
+    assert codec.FileManifest.from_json(manifest.to_json()) == manifest
