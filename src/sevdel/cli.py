@@ -247,10 +247,8 @@ def run_scenario_cmd(scenario_file, out):
 @_count_opt
 @_seed_opt
 @_out_opt
-@click.option("--json", "json_path", type=click.Path(path_type=Path), default=None,
-              help="Also write env, phase and layer times as JSON to this path.")
-def bench(sizes, reps, group, sectors, sector_bits, challenge_count, seed, out, json_path):
-    """Measure per-phase wall time and proof sizes; write CSV."""
+def bench(sizes, reps, group, sectors, sector_bits, challenge_count, seed, out):
+    """Measure per-phase wall time and proof sizes; write CSV and JSON."""
     size_list = [int(v) for v in sizes.split(",") if v]
     rows = run_bench(size_list, reps=reps, group=group, s=sectors,
                      sector_bits=int(sector_bits),
@@ -259,14 +257,12 @@ def bench(sizes, reps, group, sectors, sector_bits, challenge_count, seed, out, 
     path = _write(out, "bench.csv", csv_text)
     click.echo(csv_text.rstrip())
     click.echo(f"wrote {path}")
-    if json_path is not None:
-        config = {"group": group, "sizes": size_list, "reps": reps, "sectors": sectors,
-                  "sector_bits": int(sector_bits), "challenge_count": challenge_count,
-                  "seed": seed}
-        report = bench_report(rows, bench_layers(group, seed=seed), config)
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        click.echo(f"wrote {json_path}")
+    config = {"group": group, "sizes": size_list, "reps": reps, "sectors": sectors,
+              "sector_bits": int(sector_bits), "challenge_count": challenge_count,
+              "seed": seed}
+    report = bench_report(rows, bench_layers(group, seed=seed), config)
+    report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    click.echo(f"wrote {_write(out, 'bench.json', report_text)}")
 
 
 if __name__ == "__main__":

@@ -71,11 +71,13 @@ def encode_blocks(manifest: FileManifest, blocks: BlockMatrix) -> bytes:
 
 def decode_blocks(data: bytes) -> BlockMatrix:
     """Decode a block matrix, raising only SevdelError: MalformedProof for
-    a length that disagrees with the header, DimensionMismatch for a
-    sector width other than 8, 16 or 32 bits."""
+    a length that disagrees with the header, DimensionMismatch for a zero
+    dimension or a sector width other than 8, 16 or 32 bits."""
     if len(data) < 9:
         raise MalformedProof("block matrix shorter than its header")
     n, s, sector_bits = struct.unpack_from(">IIB", data)
+    if n < 1 or s < 1:
+        raise DimensionMismatch(f"block matrix dimensions {n}x{s} must be at least 1x1")
     if sector_bits not in _SECTOR_FMT:
         raise DimensionMismatch(f"sector_bits {sector_bits} is not one of 8, 16, 32")
     fmt = "<%d%s" % (s, _SECTOR_FMT[sector_bits])
@@ -125,6 +127,8 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
         raise InvalidElement("ciphertext header truncated")
     n, s = struct.unpack_from(">II", data, off)
     off += 8
+    if n < 1 or s < 1:
+        raise InvalidElement(f"ciphertext dimensions {n}x{s} must be at least 1x1")
     if len(data) != off + (1 + 2 * n * s) * width:
         raise InvalidElement("ciphertext length disagrees with its header")
     v_pub = params.g1_from_bytes(data[off:off + width])

@@ -156,12 +156,10 @@ def test_bench_reports_decryption(group):
 
 
 def test_bench_json_writes_env_phases_and_layers(tmp_path):
-    path = tmp_path / "BENCH.json"
     result = CliRunner().invoke(main, ["bench", "--group", "toy", "--sizes", "512",
-                                       "--reps", "1", "--out", str(tmp_path),
-                                       "--json", str(path)])
+                                       "--reps", "1", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    report = json.loads(path.read_text())
+    report = json.loads((tmp_path / "bench.json").read_text())
     assert set(report) == {"env", "config", "phases", "layers"}
     assert set(report["env"]) == {"python", "gmpy2", "cpu_count"}
     assert report["config"]["sizes"] == [512]

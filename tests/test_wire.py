@@ -1,6 +1,7 @@
 """Wire encodings: round-trips, validation, header checks."""
 
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -280,6 +281,9 @@ def test_decoders_refuse_known_escapes(artifacts):
     blob = wire.encode_ciphertexts(params, cts)
     good_blocks = wire.encode_blocks(manifest, blocks)
     name_at = 18
+    dims_at = name_at + len(params.group.name)
+    width = params.group.g1_bytes
+    v_pub = blob[dims_at + 8:dims_at + 8 + width]
     cases = [
         (lambda: wire.decode_ciphertexts(params, blob[:17]), InvalidElement),
         (lambda: wire.decode_ciphertexts(
@@ -292,6 +296,13 @@ def test_decoders_refuse_known_escapes(artifacts):
         (lambda: wire.decode_blocks(good_blocks[:-1]), MalformedProof),
         (lambda: wire.decode_blocks(good_blocks[:8] + b"\x07" + good_blocks[9:]),
          DimensionMismatch),
+        # zero dimensions whose lengths agree with the header once looped 2**32 times
+        (lambda: wire.decode_blocks(struct.pack(">IIB", 0xFFFFFFFF, 0, 8)), DimensionMismatch),
+        (lambda: wire.decode_blocks(struct.pack(">IIB", 0, 0xFFFFFFFF, 8)), DimensionMismatch),
+        (lambda: wire.decode_ciphertexts(
+            params, blob[:dims_at] + struct.pack(">II", 0xFFFFFFFF, 0) + v_pub), InvalidElement),
+        (lambda: wire.decode_ciphertexts(
+            params, blob[:dims_at] + struct.pack(">II", 0, 0xFFFFFFFF) + v_pub), InvalidElement),
         (lambda: wire.decode_challenge("{"), MalformedProof),
         (lambda: wire.decode_challenge('{"items": [[1, "zz"]], "nonce": ""}'), MalformedProof),
         (lambda: wire.decode_challenge('{"items": [[true, "1"]], "nonce": ""}'),
