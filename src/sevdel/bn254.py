@@ -16,7 +16,8 @@ are sparse (coefficients at w^0, w^1, w^3 only).
 
 The pairing is the optimal ate construction: a NAF Miller loop over 6u+2
 with the doubling and addition steps in homogeneous projective coordinates
-on ints (Costello, Lange and Naehrig, PKC 2010), then the final
+on ints (Costello, Lange and Naehrig, PKC 2010), whose lines depend on the
+G2 argument alone and are cached for the last few G2 points, then the final
 exponentiation, whose hard part raises to u three times with Granger-Scott
 cyclotomic squarings (PKC 2010) over the NAF of u.  G2 decoding checks
 subgroup membership with the psi test of El Housni, Guillevic and Piellard
@@ -26,6 +27,9 @@ Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
 as (x, y) tuples with None for the identity; scalar multiplication works
 internally in Jacobian coordinates (g2_mul by NAF double-and-add).
+
+Hash-to-G1 rejects a candidate x on the Jacobi symbol of x^3 + 3 before it
+takes a square root.
 
 Every G1 scalar multiplication goes through g1_msm (g1_mul is its one-term
 case): powers of the generator use a fixed-base table, every other term
@@ -38,6 +42,7 @@ double-and-add, are kept as the tests' references.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from math import isqrt
 
@@ -81,12 +86,15 @@ def _fp_inv(a):
     return _invert(a, P)
 
 
+_SQRT_EXP = (P + 1) // 4
+
+
 def _fp_sqrt(a):
     """Square root mod P (P = 3 mod 4), or None if a is not a residue."""
     a = a % P
     if a == 0:
         return mpz(0)
-    y = pow(a, (P + 1) // 4, P)
+    y = pow(a, _SQRT_EXP, P)
     return y if y * y % P == a else None
 
 
@@ -814,13 +822,38 @@ def g1_from_bytes(data):
     return (x, y)
 
 
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1.
+
+    Binary algorithm: strip the factors of 2 (each flips the sign when
+    n = 3 or 5 mod 8), then swap by quadratic reciprocity (a flip when
+    both are 3 mod 4) and reduce.
+    """
+    a %= n
+    t = 1
+    while a:
+        tz = (a & -a).bit_length() - 1
+        a >>= tz
+        if tz & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 def g1_hash(data: bytes):
-    """Deterministic try-and-increment map onto the curve."""
+    """Deterministic try-and-increment map onto the curve.
+
+    A candidate x whose x^3 + 3 is not a square is thrown away on its
+    Jacobi symbol, so only the accepted candidate pays the square root.
+    """
     for ctr in range(65536):
         h = hashlib.sha256(b"sevdel/bn254-h2c:" + data + ctr.to_bytes(2, "big")).digest()
         x = mpz(int.from_bytes(h, "big")) % P
-        y = _fp_sqrt((x * x * x + B) % P)
-        if y is not None and y != 0:
+        rhs = (x * x * x + B) % P
+        if _jacobi(rhs, P) == 1:
+            y = pow(rhs, _SQRT_EXP, P)
             if h[0] & 1:
                 y = -y % P
             return (x, y)
@@ -1017,13 +1050,14 @@ _check(_is_naf_tail(_ATE_NAF, 6 * U + 2) and _is_naf_tail(_U_NAF, U),
 _B3 = (TWIST_B.c0 * 3 % P, TWIST_B.c1 * 3 % P)
 
 
-def _dbl_step(t, px, py):
-    """2T and the tangent line at T evaluated at (px, py).
+def _dbl_step(t):
+    """2T and the tangent line at T, with px and py factored out.
 
     T = (X, Y, Z) in homogeneous projective coordinates as six ints; the
     formulas are those of Costello, Lange and Naehrig for a D-type twist,
-    with the doubled point scaled by 4 to avoid halving.  The line is
-    -2YZ*py + 3X^2*px w + (3b'Z^2 - Y^2) w^3.
+    with the doubled point scaled by 4 to avoid halving.  The line at
+    (px, py) is -2YZ*py + 3X^2*px w + (3b'Z^2 - Y^2) w^3; it is returned
+    as the six ints of -2YZ, 3X^2 and 3b'Z^2 - Y^2.
     """
     x0, x1, y0, y1, z0, z1 = t
     b0 = (y0 + y1) * (y0 - y1) % P
@@ -1042,16 +1076,18 @@ def _dbl_step(t, px, py):
              ((g0 + g1) * (g0 - g1) - 12 * (e0 + e1) * (e0 - e1)) % P,
              (2 * g0 * g1 - 24 * e0 * e1) % P,
              4 * (b0 * h0 - b1 * h1) % P, 4 * (b0 * h1 + b1 * h0) % P)
-    line = (-h0 * py % P, -h1 * py % P,
-            3 * (x0 + x1) * (x0 - x1) * px % P, 6 * x0 * x1 * px % P,
+    line = (-h0 % P, -h1 % P,
+            3 * (x0 + x1) * (x0 - x1) % P, 6 * x0 * x1 % P,
             e0 - b0, e1 - b1)
     return point, line
 
 
-def _add_step(t, q, px, py):
+def _add_step(t, q):
     """T + Q for affine Q = (qx, qy), as four ints, and the line through
-    them evaluated at (px, py): with theta = Y - qy Z and lambda = X - qx Z,
-    lambda*py - theta*px w + (theta qx - lambda qy) w^3."""
+    them with px and py factored out: with theta = Y - qy Z and lambda =
+    X - qx Z, the line at (px, py) is lambda*py - theta*px w +
+    (theta qx - lambda qy) w^3, returned as the six ints of lambda,
+    -theta and theta qx - lambda qy."""
     x0, x1, y0, y1, z0, z1 = t
     qx0, qx1, qy0, qy1 = q
     th0 = (y0 - qy0 * z0 + qy1 * z1) % P
@@ -1075,7 +1111,7 @@ def _add_step(t, q, px, py):
              (th0 * u0 - th1 * u1 - e0 * y0 + e1 * y1) % P,
              (th0 * u1 + th1 * u0 - e0 * y1 - e1 * y0) % P,
              (z0 * e0 - z1 * e1) % P, (z0 * e1 + z1 * e0) % P)
-    line = (la0 * py % P, la1 * py % P, -th0 * px % P, -th1 * px % P,
+    line = (la0, la1, -th0 % P, -th1 % P,
             (th0 * qx0 - th1 * qx1 - la0 * qy0 + la1 * qy1) % P,
             (th0 * qx1 + th1 * qx0 - la0 * qy1 - la1 * qy0) % P)
     return point, line
@@ -1086,25 +1122,55 @@ def _g2_ints(pt):
     return (x.c0, x.c1, y.c0, y.c1)
 
 
+@functools.lru_cache(maxsize=8)
+def _g2_lines(qx0, qx1, qy0, qy1):
+    """The Miller lines of Q = (qx0 + qx1 i, qy0 + qy1 i), px and py
+    factored out, in the order the loop multiplies them in: per digit of
+    6u+2 the tangent line and, for a nonzero digit, the line through Q or
+    -Q; then the two Frobenius correction lines.
+
+    They depend on Q alone, and every pairing in the protocol takes its G2
+    argument from a few fixed points (g2 and the public keys), so they are
+    kept for the last 8 Q (Costello and Stebila, "Fixed Argument
+    Pairings", LATINCRYPT 2010).
+    """
+    q = (qx0, qx1, qy0, qy1)
+    nq = (qx0, qx1, -qy0 % P, -qy1 % P)
+    t = q + (mpz(1), mpz(0))
+    lines = []
+    for d in _ATE_NAF:
+        t, line = _dbl_step(t)
+        lines.append(line)
+        if d:
+            t, line = _add_step(t, q if d == 1 else nq)
+            lines.append(line)
+    # Frobenius correction lines through Q1 = psi(Q) and Q2 = -psi^2(Q)
+    p2 = (Fp2(qx0, qx1), Fp2(qy0, qy1))
+    for corr in (_psi(p2), g2_neg(_psi2(p2))):
+        t, line = _add_step(t, _g2_ints(corr))
+        lines.append(line)
+    return tuple(lines)
+
+
+def _line_at(line, px, py):
+    """A line from _g2_lines evaluated at (px, py)."""
+    a0, a1, b0, b1, c0, c1 = line
+    return (a0 * py % P, a1 * py % P, b0 * px % P, b1 * px % P, c0, c1)
+
+
 def miller_loop(p1, p2):
     """Miller loop of the optimal ate pairing; p1 in G1, p2 in G2 (affine)."""
     if p1 is None or p2 is None:
         return FP12_ONE
     px, py = p1
-    q = _g2_ints(p2)
-    nq = _g2_ints(g2_neg(p2))
-    t = q + (mpz(1), mpz(0))
+    lines = iter(_g2_lines(*_g2_ints(p2)))
     f = FP12_ONE
     for d in _ATE_NAF:
-        t, line = _dbl_step(t, px, py)
-        f = f.sqr().mul_line(line)
+        f = f.sqr().mul_line(_line_at(next(lines), px, py))
         if d:
-            t, line = _add_step(t, q if d == 1 else nq, px, py)
-            f = f.mul_line(line)
-    # Frobenius correction lines through Q1 = psi(Q) and Q2 = -psi^2(Q)
-    for corr in (_psi(p2), g2_neg(_psi2(p2))):
-        t, line = _add_step(t, _g2_ints(corr), px, py)
-        f = f.mul_line(line)
+            f = f.mul_line(_line_at(next(lines), px, py))
+    for line in lines:                               # the two correction lines
+        f = f.mul_line(_line_at(line, px, py))
     return f
 
 

@@ -28,7 +28,7 @@ from .groups import (
     G2Elem,
     SystemParams,
     block_point,
-    elem_to_scalar,
+    encoding_to_scalar,
     scalar_from_bytes,
     scalar_to_bytes,
 )
@@ -267,19 +267,21 @@ def gen_enc_tags(
 ) -> EncTagSet:
     """Tag ciphertext blocks:
     sigma_i = (H(I_M||i) * prod_j u_j^{h(E'_ij)} v_j^{h(E''_ij)})^a
-    with h mapping components through elem_to_scalar; a is folded into
-    the exponents, so each tag is one multi-exponentiation.
+    with h hashing the canonical encoding of each component through
+    encoding_to_scalar, as the audit verifier does; a is folded into the
+    exponents, so each tag is one multi-exponentiation.
     """
     cts.check_shape(manifest)
     if len(u) != manifest.s or len(v_gens) != manifest.s:
         raise DimensionMismatch("sector generator count disagrees with manifest")
     group = params.group
+    to_bytes = group.g1_to_bytes
     a = server_keys.a
     gens = [e.raw for e in u] + [e.raw for e in v_gens]
     sigma = []
     for i in range(1, manifest.n + 1):
         comps = [*cts.rows_prime[i - 1], *cts.rows_dprime[i - 1]]
-        exps = [a * elem_to_scalar(G1Elem(group, c)) for c in comps]
+        exps = [a * encoding_to_scalar(group, to_bytes(c)) for c in comps]
         base = block_point(params, manifest.file_id, i).raw
         sigma.append(G1Elem(group, group.g1_msm([base, *gens], [a, *exps])))
     return EncTagSet(sigma=tuple(sigma))

@@ -35,7 +35,7 @@ from .groups import (
     G2Elem,
     SystemParams,
     block_point,
-    elem_to_scalar,
+    encoding_to_scalar,
     pairing,
     vgen_points,
 )
@@ -140,12 +140,14 @@ def verify_audit_response(
 
     Raises MalformedProof unless the challenge is well formed (see
     owner.check_challenge, with n = len(sigma)) and the response reveals
-    both ciphertext rows, each of s components, for exactly the challenged
-    indices.  Rejects unless (1) Q2 matches the registered tags and (2)
-    the pairing equation e(Q2, g2) = e(prod_i base_i^g_i, A) holds for
-    bases recomputed from the revealed rows.  Only a holder of the true
-    ciphertext blocks can satisfy (2), because the registered tags bind
-    those components.
+    both ciphertext rows, each of s element-encoding-long byte strings,
+    for exactly the challenged indices.  Rejects unless (1) Q2 matches
+    the registered tags and (2) the pairing equation e(Q2, g2) =
+    e(prod_i base_i^g_i, A) holds for bases recomputed from the revealed
+    rows.  Only a holder of the true ciphertext blocks can satisfy (2),
+    because the registered tags bind the hash of each component's
+    canonical encoding; the components are hashed, never decoded, so any
+    other string, a non-canonical or off-curve one included, fails (2).
 
     The response carries no ciphertext aggregates Q1'_j = prod_i E'_ij^g_i
     (nor Q1''_j): the rows enter (2) only through h(.), so they must be
@@ -160,8 +162,11 @@ def verify_audit_response(
         raise MalformedProof("revealed rows do not match the challenged indices")
     rows_p = [response.revealed_prime[i] for i in challenge.indices]
     rows_pp = [response.revealed_dprime[i] for i in challenge.indices]
-    if any(len(row) != s for row in (*rows_p, *rows_pp)):
-        raise MalformedProof(f"revealed row is not {s} components")
+    group = params.group
+    width = group.g1_bytes
+    if any(len(row) != s or not all(isinstance(c, bytes) and len(c) == width for c in row)
+           for row in (*rows_p, *rows_pp)):
+        raise MalformedProof(f"revealed row is not {s} components of {width} bytes")
     v_gens = vgen_points(params, file_id, s)
     gammas = [gamma for _, gamma in challenge.items]
     msm = params.g1_msm
@@ -169,8 +174,10 @@ def verify_audit_response(
         return False
     # prod_i (H_i prod_j u_j^h(E'_ij) v_j^h(E''_ij))^gamma_i, with the
     # exponents of each generator summed over the challenged blocks
-    e_u = [sum(g * elem_to_scalar(row[j]) for g, row in zip(gammas, rows_p)) for j in range(s)]
-    e_v = [sum(g * elem_to_scalar(row[j]) for g, row in zip(gammas, rows_pp)) for j in range(s)]
+    e_u = [sum(g * encoding_to_scalar(group, row[j]) for g, row in zip(gammas, rows_p))
+           for j in range(s)]
+    e_v = [sum(g * encoding_to_scalar(group, row[j]) for g, row in zip(gammas, rows_pp))
+           for j in range(s)]
     blocks = [block_point(params, file_id, i) for i in challenge.indices]
     agg_base = msm([*blocks, *u, *v_gens], [*gammas, *e_u, *e_v])
     return pairing(response.q2, params.g2) == pairing(agg_base, A)

@@ -375,15 +375,21 @@ def pairing(x: G1Elem, y: G2Elem) -> GTElem:
     return GTElem(x.group, x.group.pair(x.raw, y.raw))
 
 
-def elem_to_scalar(x: G1Elem) -> int:
-    """Deterministic digest of a group element as an exponent mod p.
+def encoding_to_scalar(group, data: bytes) -> int:
+    """Deterministic digest of an element encoding as an exponent mod p.
 
     The ciphertext-tag formula needs ciphertext components in exponent
     position; a group element is not a scalar, so it enters through this
-    hash of its canonical encoding.
+    hash of its canonical encoding.  Any other string, an encoding of no
+    element included, hashes to an unrelated exponent.
     """
-    h = hashlib.sha256(_ELEM_SCALAR_TAG + x.to_bytes()).digest()
-    return int.from_bytes(h, "big") % x.group.order
+    h = hashlib.sha256(_ELEM_SCALAR_TAG + data).digest()
+    return int.from_bytes(h, "big") % group.order
+
+
+def elem_to_scalar(x: G1Elem) -> int:
+    """encoding_to_scalar of the canonical encoding of x."""
+    return encoding_to_scalar(x.group, x.to_bytes())
 
 
 def scalar_to_bytes(group, v: int) -> bytes:

@@ -82,13 +82,15 @@ class AuditResponse:
     Carries the tag aggregate Q2 = prod_i sigma_i^g_i plus the challenged
     ciphertext rows themselves; the verifying node needs the rows to
     recompute the tag bases, since it holds only the registered tags.
-    There are no ciphertext aggregates: no verifier equation uses them,
-    and anyone holding the rows could compute them.
+    Each row component is the canonical encoding of E'_ij or E''_ij: the
+    verifier only hashes it, so it is never decoded.  There are no
+    ciphertext aggregates: no verifier equation uses them, and anyone
+    holding the rows could compute them.
     """
 
     q2: G1Elem
-    revealed_prime: dict[int, tuple[G1Elem, ...]]
-    revealed_dprime: dict[int, tuple[G1Elem, ...]]
+    revealed_prime: dict[int, tuple[bytes, ...]]
+    revealed_dprime: dict[int, tuple[bytes, ...]]
 
 
 def keygen(params: SystemParams, rng: Rng | None = None) -> OwnerKeyPair:
@@ -197,15 +199,15 @@ def audit_respond(
     sigma,
     audit_challenge: Challenge,
 ) -> AuditResponse:
-    """Answer an audit challenge with the leaked ciphertext rows it names
-    and the tag aggregate Q2 = prod_i sigma_i^g_i.
+    """Answer an audit challenge with the leaked ciphertext rows it names,
+    as canonical encodings, and the tag aggregate Q2 = prod_i sigma_i^g_i.
 
     Raises missing-block if the owner does not hold a challenged block,
     which is exactly the position of an owner who never saw the ciphertext.
     """
     if leaked is None:
         raise MissingBlock("owner holds no leaked ciphertexts")
-    group = params.group
+    to_bytes = params.group.g1_to_bytes
     rows_p, rows_pp = [], []
     for i, _ in audit_challenge.items:
         row_p = leaked.row_prime(i - 1)
@@ -218,10 +220,8 @@ def audit_respond(
     indices = audit_challenge.indices
     return AuditResponse(
         q2=params.g1_msm([sigma.sigma[i - 1] for i in indices], gammas),
-        revealed_prime={i: tuple(G1Elem(group, r) for r in row)
-                        for i, row in zip(indices, rows_p)},
-        revealed_dprime={i: tuple(G1Elem(group, r) for r in row)
-                         for i, row in zip(indices, rows_pp)},
+        revealed_prime={i: tuple(map(to_bytes, row)) for i, row in zip(indices, rows_p)},
+        revealed_dprime={i: tuple(map(to_bytes, row)) for i, row in zip(indices, rows_pp)},
     )
 
 

@@ -390,8 +390,8 @@ def run_scenario(scenario: Scenario) -> Transcript:
 
 # -- benchmarking -------------------------------------------------------------
 
-BENCH_PHASES = ("tagging", "encryption", "decryption", "proof_gen", "proof_verify",
-                "audit_verify")
+BENCH_PHASES = ("tagging", "encryption", "ciphertext_tagging", "decryption", "proof_gen",
+                "proof_verify", "audit_respond", "audit_verify")
 
 
 def _quantile(values: list[float], q: float) -> float:
@@ -411,10 +411,11 @@ def bench(
 ) -> list[dict]:
     """Measure wall time per protocol phase for each file size.
 
-    Returns rows {size_bytes, phase, median_s, p95_s}; one extra row per
-    size reports the serialized proof size in bytes.  Raises
-    InvariantViolation when a decryption, proof or audit it times comes out
-    wrong, so no rejecting or broken path is ever reported as a time.
+    Returns rows {size_bytes, phase, median_s, p95_s}; two extra rows per
+    size report the serialized proof and audit response sizes in bytes.
+    Raises InvariantViolation when a decryption, proof or audit it times
+    comes out wrong, so no rejecting or broken path is ever reported as a
+    time.
     """
     rows: list[dict] = []
     for size in sizes:
@@ -427,7 +428,8 @@ def bench(
         ch = owner.gen_challenge(manifest, min(challenge_count, manifest.n), seed)
         cloud._dlog_table(params.group, sector_bits)   # built once, outside the timing
         times: dict[str, list[float]] = {ph: [] for ph in BENCH_PHASES}
-        proof_bytes = 0
+        proof_bytes = response_bytes = 0
+        v_gens = vgen_points(params, manifest.file_id, manifest.s)
         for rep in range(reps):
             registry = EnclaveRegistry()
             t0 = _time.perf_counter()
@@ -440,6 +442,11 @@ def bench(
             cts, v_pub = cloud.encrypt_file(params, enclave, manifest, blocks,
                                             rng.child(f"e{rep}"))
             times["encryption"].append(_time.perf_counter() - t0)
+
+            t0 = _time.perf_counter()
+            enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts,
+                                          gens.u, v_gens)
+            times["ciphertext_tagging"].append(_time.perf_counter() - t0)
 
             t0 = _time.perf_counter()
             back = codec.join(manifest, cloud.decrypt_file(params, enclave, cts))
@@ -460,16 +467,16 @@ def bench(
                 raise InvariantViolation("bench run produced a rejected proof")
             proof_bytes = len(wire.encode_proof(params, proof))
 
-            v_gens = vgen_points(params, manifest.file_id, manifest.s)
-            enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts,
-                                          gens.u, v_gens)
+            t0 = _time.perf_counter()
             resp = owner.audit_respond(params, manifest, cts, enc_tags, ch)
+            times["audit_respond"].append(_time.perf_counter() - t0)
             t0 = _time.perf_counter()
             ok = verify_audit_response(params, manifest.file_id, gens.u, skeys.A,
                                        enc_tags.sigma, ch, resp)
             times["audit_verify"].append(_time.perf_counter() - t0)
             if not ok:
                 raise InvariantViolation("bench run produced a rejected audit")
+            response_bytes = len(wire.encode_audit_response(resp))
         for phase in BENCH_PHASES:
             rows.append({
                 "size_bytes": size,
@@ -477,8 +484,10 @@ def bench(
                 "median_s": round(_quantile(times[phase], 0.5), 6),
                 "p95_s": round(_quantile(times[phase], 0.95), 6),
             })
-        rows.append({"size_bytes": size, "phase": "proof_size_bytes",
-                     "median_s": proof_bytes, "p95_s": proof_bytes})
+        for phase, nbytes in (("proof_size_bytes", proof_bytes),
+                              ("audit_response_size_bytes", response_bytes)):
+            rows.append({"size_bytes": size, "phase": phase,
+                         "median_s": nbytes, "p95_s": nbytes})
     return rows
 
 
@@ -490,9 +499,12 @@ def bench_csv(rows: list[dict]) -> str:
 
 
 def bench_layers(group: str = "toy", seed: int = 1) -> dict:
-    """Median ms over 15 calls of the G1 primitives under encryption and
-    decryption: a full-width g1_mul of a hashed point (variable base),
-    one of the generator (fixed-base table), and g1_from_bytes."""
+    """Median ms over 15 calls of the primitives under the phases, each
+    through the backend: a full-width g1_mul of a hashed point (variable
+    base), one of the generator (fixed-base table), g1_from_bytes,
+    g1_hash of a fresh message, and a pairing of a hashed point with g2
+    (whose Miller lines are cached after the first call, as for every
+    pairing in the protocol)."""
     calls = 15
     params = setup(group, 16)
     backend = params.group
@@ -500,7 +512,7 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     points = [params.hash_to_g1(DOMAIN_BLOCK, b"bench-%d" % k).raw for k in range(calls)]
     scalars = rng.scalars(calls, params.order)
     encodings = [backend.g1_to_bytes(pt) for pt in points]
-    g1 = params.g1.raw
+    g1, g2 = params.g1.raw, params.g2.raw
 
     def median_ms(fn, args):
         times = []
@@ -514,6 +526,8 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
         "g1_mul_variable_base_ms": median_ms(backend.g1_pow, zip(points, scalars)),
         "g1_mul_generator_ms": median_ms(backend.g1_pow, ((g1, k) for k in scalars)),
         "g1_from_bytes_ms": median_ms(backend.g1_from_bytes, ((e,) for e in encodings)),
+        "g1_hash_ms": median_ms(backend.g1_hash, ((b"bench-hash-%d" % k,) for k in range(calls))),
+        "pairing_ms": median_ms(backend.pair, ((pt, g2) for pt in points)),
     }
 
 

@@ -1,8 +1,13 @@
 """Packed binary and canonical JSON encodings for protocol artifacts.
 
 Group elements travel in the fixed-width compressed form defined by the
-backend; every decoder re-validates elements (on-curve plus subgroup), so
-nothing deserialized can smuggle in a bad point.
+backend.  Every decoder re-validates the elements it returns (on-curve
+plus subgroup), so nothing deserialized can smuggle in a bad point.  The
+one exception is the revealed ciphertext rows of an audit response: they
+stay encodings, checked for length only, because the contract never uses
+them as points.  It hashes them, and a string that is not the canonical
+encoding of the registered ciphertext hashes to another exponent and
+fails the audit's pairing equation.
 """
 
 from __future__ import annotations
@@ -254,24 +259,30 @@ def encode_audit_response(resp: AuditResponse) -> str:
 def decode_audit_response(params: SystemParams, text: str) -> AuditResponse:
     """Decode an audit response, raising only SevdelError: MalformedProof
     for text that is not exactly the encoded shape (a response carrying
-    ciphertext aggregates included), InvalidElement for a bad point."""
+    ciphertext aggregates, or a row component that is not one element
+    encoding long, included), InvalidElement for a bad Q2.  Row
+    components are not decoded; see the module docstring."""
+    width = params.group.g1_bytes
     try:
         d = json.loads(text)
         if not isinstance(d, dict) or d.keys() != _AUDIT_RESPONSE_KEYS:
             raise MalformedProof(
                 "audit response must hold exactly q2, revealed_prime and revealed_dprime")
 
-        def elem(value):
-            return params.g1_from_bytes(bytes.fromhex(value))
+        def component(value):
+            data = bytes.fromhex(value)
+            if len(data) != width:
+                raise MalformedProof(f"revealed component must be {width} bytes")
+            return data
 
         def rows(mapping):
             if not isinstance(mapping, dict) or not all(
                     isinstance(row, list) for row in mapping.values()):
                 raise MalformedProof("revealed rows must map block indices to lists")
-            return {int(i): tuple(elem(v) for v in row) for i, row in mapping.items()}
+            return {int(i): tuple(component(v) for v in row) for i, row in mapping.items()}
 
         return AuditResponse(
-            q2=elem(d["q2"]),
+            q2=params.g1_from_bytes(bytes.fromhex(d["q2"])),
             revealed_prime=rows(d["revealed_prime"]),
             revealed_dprime=rows(d["revealed_dprime"]),
         )

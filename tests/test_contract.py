@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sevdel import cloud, codec, owner
+from sevdel import bn254, cloud, codec, owner, wire
 from sevdel.contract import (
     Contract,
     Ledger,
@@ -17,6 +17,7 @@ from sevdel.errors import (
     DuplicateOwner,
     DuplicateTags,
     InsufficientBalance,
+    InvalidElement,
     MalformedProof,
     UnknownOwner,
     WrongState,
@@ -280,16 +281,15 @@ def test_audit_random_forgery_never_passes(toy_params):
     ch = owner.gen_challenge(dep.manifest, 2, rng_seed=5)
     rng = SeededRng(b"forge")
     group = toy_params.group
-    from sevdel.groups import G1Elem
     accepted = 0
     for _ in range(1000):
         fake_rows_p = {}
         fake_rows_pp = {}
         for i, _g in ch.items:
             fake_rows_p[i] = tuple(
-                G1Elem(group, group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
+                group.g1_to_bytes(group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
             fake_rows_pp[i] = tuple(
-                G1Elem(group, group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
+                group.g1_to_bytes(group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
         q2 = toy_params.g1_identity()
         for i, gamma in ch.items:
             q2 = q2 * (dep.enc_tags.sigma[i - 1] ** gamma)  # sigma is public
@@ -309,7 +309,7 @@ def any_dep(any_params):
 
 
 def _identity_rows(params, indices, s):
-    return {i: tuple(params.g1_identity() for _ in range(s)) for i in indices}
+    return {i: tuple(params.g1_identity().to_bytes() for _ in range(s)) for i in indices}
 
 
 BAD_CHALLENGES = {   # name: (items for n blocks and group order, expected reason)
@@ -373,7 +373,7 @@ def test_audit_refuses_rows_not_matching_the_challenge(any_dep):
     ch = dep.audit_challenge()
     resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
     extra = next(i for i in range(1, dep.manifest.n + 1) if i not in ch.indices)
-    row = tuple(dep.cts.prime_elem(extra - 1, j) for j in range(dep.manifest.s))
+    row = tuple(dep.cts.prime_elem(extra - 1, j).to_bytes() for j in range(dep.manifest.s))
     first = ch.indices[0]
     dropped = {i: r for i, r in resp.revealed_dprime.items() if i != first}
     short = {**resp.revealed_prime, first: resp.revealed_prime[first][:-1]}
@@ -401,8 +401,8 @@ def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
 
     def rows_of(k):
         s = dep.manifest.s
-        return (tuple(dep.cts.prime_elem(k - 1, j) for j in range(s)),
-                tuple(dep.cts.dprime_elem(k - 1, j) for j in range(s)))
+        return (tuple(dep.cts.prime_elem(k - 1, j).to_bytes() for j in range(s)),
+                tuple(dep.cts.dprime_elem(k - 1, j).to_bytes() for j in range(s)))
 
     def with_rows(placed):
         prime, dprime = dict(resp.revealed_prime), dict(resp.revealed_dprime)
@@ -428,6 +428,88 @@ def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
     assert ledger.balance("own") == 450
     assert contract.audit_verify(N, "own", ch, resp)
     assert ledger.balance("own") == 500
+
+
+def _non_canonical(params, data):
+    """Strings in place of the canonical encoding data of a point E: none is
+    the encoding the ciphertext tags were made over."""
+    group = params.group
+    if params.group_id == "bn254":
+        P = int(bn254.P)
+        x = int.from_bytes(data[1:], "big")
+        off = next(t for t in range(x + 1, x + 1000)
+                   if pow((t ** 3 + 3) % P, (P - 1) // 2, P) == P - 1)
+        return {
+            "off-curve x": data[:1] + off.to_bytes(32, "big"),
+            "x >= p": data[:1] + (x + P).to_bytes(32, "big"),
+            "-E (parity flag flipped)": bytes([data[0] ^ 1]) + data[1:],
+            "identity": group.g1_to_bytes(None),
+        }
+    # toy: the tag byte stands in for the curve, the value for x
+    v = int.from_bytes(data[1:], "big")
+    return {
+        "off-curve x": b"\x12" + data[1:],
+        "x >= p": data[:1] + (v + group.order).to_bytes(8, "big"),
+        "-E (parity flag flipped)": group.g1_to_bytes(-v % group.order),
+        "identity": group.g1_to_bytes(0),
+    }
+
+
+def test_audit_rejects_non_canonical_row_components(any_dep):
+    # the contract hashes revealed components without decoding them; a
+    # string that is not the canonical encoding of the leaked component
+    # passes the wire decoder but fails the pairing equation, unpaid
+    dep, params = any_dep, any_dep.params
+    contract, ledger, clock = _deploy_to_claimed(params, dep)
+    clock.advance_to(25)
+    ch = dep.audit_challenge()
+    resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
+    i = ch.indices[0]
+    for column in ("revealed_prime", "revealed_dprime"):
+        rows = getattr(resp, column)
+        bad = _non_canonical(params, rows[i][0])
+        if params.group_id == "bn254":
+            # the bad strings are what they claim to be
+            with pytest.raises(InvalidElement):
+                params.g1_from_bytes(bad["off-curve x"])
+            with pytest.raises(InvalidElement):
+                params.g1_from_bytes(bad["x >= p"])
+            assert params.g1_from_bytes(bad["-E (parity flag flipped)"]) == \
+                params.g1_from_bytes(rows[i][0]) ** -1
+        for what, data in bad.items():
+            assert len(data) == params.group.g1_bytes and data != rows[i][0]
+            forged = dataclasses.replace(resp, **{column: {**rows, i: (data, *rows[i][1:])}})
+            received = wire.decode_audit_response(params, wire.encode_audit_response(forged))
+            assert getattr(received, column)[i][0] == data
+            assert not contract.audit_verify(N, "own", ch, received), (column, what)
+    assert contract.records[N].audited == []
+    assert ledger.balance("own") == 450
+    assert [e["op"] for e in contract.log[4:]] == ["audit_verify"] * 8
+    assert contract.audit_verify(N, "own", ch, resp)
+    assert ledger.balance("own") == 500
+
+
+def test_audit_refuses_row_components_of_the_wrong_length_or_type(any_dep):
+    dep, params = any_dep, any_dep.params
+    ch = dep.audit_challenge()
+    resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
+    i = ch.indices[0]
+    for column in ("revealed_prime", "revealed_dprime"):
+        rows = getattr(resp, column)
+        good = rows[i][0]
+        for data in (good + b"\x00", good[:-1], b""):
+            forged = dataclasses.replace(resp, **{column: {**rows, i: (data, *rows[i][1:])}})
+            with pytest.raises(MalformedProof):
+                wire.decode_audit_response(params, wire.encode_audit_response(forged))
+            with pytest.raises(MalformedProof):
+                verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
+                                      dep.enc_tags.sigma, ch, forged)
+        # a decoded point where an encoding belongs is refused, not hashed
+        point = params.g1_from_bytes(good)
+        forged = dataclasses.replace(resp, **{column: {**rows, i: (point, *rows[i][1:])}})
+        with pytest.raises(MalformedProof):
+            verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
+                                  dep.enc_tags.sigma, ch, forged)
 
 
 # -- refund / penalty / timer -------------------------------------------------------

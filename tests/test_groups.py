@@ -1,8 +1,10 @@
 """Bilinear-group layer: field laws, pairing, hashing, serialization."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sevdel import bn254
 from sevdel.errors import InvalidElement, UnknownDomain
@@ -131,6 +133,59 @@ def test_hash_output_in_subgroup():
     pt = bn254.g1_hash(b"subgroup check")
     assert bn254.g1_is_on_curve(pt)
     assert bn254._g1_mul_raw(pt, int(bn254.R)) is None
+
+
+# sha256 over the encodings of bn254.g1_hash(b"fixed-0" ... b"fixed-63"),
+# computed with the g1_hash that took a square root of every candidate
+G1_HASH_DIGEST = "46b96119fbc3ec6864024fe3b45373084abc28c0a7d00a0ec693b7fbb0d8230e"
+
+
+def test_g1_hash_points_unchanged_by_the_jacobi_rejection():
+    h = hashlib.sha256()
+    for k in range(64):
+        h.update(bn254.g1_to_bytes(bn254.g1_hash(b"fixed-%d" % k)))
+    assert h.hexdigest() == G1_HASH_DIGEST
+
+
+_P = int(bn254.P)
+
+
+def _euler(a):
+    # Euler's criterion: a^((p-1)/2) is 1, p-1 or 0 mod p
+    r = pow(a % _P, (_P - 1) // 2, _P)
+    return -1 if r == _P - 1 else r
+
+
+@settings(deadline=None)
+@given(st.integers(-3 * _P, 3 * _P)
+       | st.sampled_from([0, 1, _P - 1, _P, _P + 1, 2 * _P - 1])
+       | st.integers(-4, 4).map(lambda k: k * _P))
+@example(0)
+@example(1)
+@example(_P - 1)
+@example(_P)
+@example(-2 * _P)
+def test_jacobi_matches_euler_criterion(a):
+    assert bn254._jacobi(a, bn254.P) == _euler(a)
+
+
+def test_jacobi_on_small_odd_moduli_is_the_product_of_legendre_symbols():
+    def legendre(a, p):
+        r = pow(a, (p - 1) // 2, p)
+        return -1 if r == p - 1 else r
+
+    for n in range(1, 200, 2):
+        factors, m, f = [], n, 3
+        while m > 1:
+            while m % f == 0:
+                factors.append(f)
+                m //= f
+            f += 2
+        for a in range(-n, 2 * n):
+            expect = 1
+            for p in factors:
+                expect *= legendre(a % p, p)
+            assert bn254._jacobi(a, n) == expect, (a, n)
 
 
 # -- elem_to_scalar -----------------------------------------------------------

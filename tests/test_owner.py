@@ -252,8 +252,11 @@ def test_audit_singleton_aggregation(any_params):
                                   vgen_points(any_params, manifest.file_id, manifest.s))
     ch = owner.Challenge(items=((2, 1),), nonce=b"\x00" * 16)
     resp = owner.audit_respond(any_params, manifest, cts, enc_tags, ch)
-    assert resp.revealed_prime == {2: tuple(cts.prime_elem(1, j) for j in range(manifest.s))}
-    assert resp.revealed_dprime == {2: tuple(cts.dprime_elem(1, j) for j in range(manifest.s))}
+    # rows travel as the canonical encodings of the held components
+    assert resp.revealed_prime == {
+        2: tuple(cts.prime_elem(1, j).to_bytes() for j in range(manifest.s))}
+    assert resp.revealed_dprime == {
+        2: tuple(cts.dprime_elem(1, j).to_bytes() for j in range(manifest.s))}
     assert resp.q2 == enc_tags.sigma[1]
 
 

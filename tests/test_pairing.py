@@ -128,3 +128,28 @@ def test_gt_encoding_is_fixed_width_coefficients():
 def test_pairing_output_has_order_r():
     e = bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)
     assert e != FP12_ONE and e.pow(int(R)) == FP12_ONE
+
+
+def test_cached_miller_lines_beyond_the_cache_size():
+    # more distinct G2 points than the line cache holds: a hit gives the
+    # value of a miss, an evicted point is prepared again, and every value
+    # is bilinear: e(P, [k]G2) = e([k]P, G2)
+    lines = bn254._g2_lines
+    size = lines.cache_parameters()["maxsize"]
+    ks = range(2, size + 5)
+    points = [bn254.g2_mul(bn254.G2_GEN, k) for k in ks]
+    p = bn254._g1_mul_raw(bn254.G1_GEN, 5)
+    lines.cache_clear()
+    missed = [bn254.miller_loop(p, q) for q in points]
+    assert lines.cache_info().misses == len(points)
+    hits = lines.cache_info().hits
+    for q, f in zip(points[-size:], missed[-size:]):
+        assert bn254.miller_loop(p, q) == f
+    assert lines.cache_info().hits == hits + size
+    misses = lines.cache_info().misses
+    for q, f in zip(points[:2], missed[:2]):
+        assert bn254.miller_loop(p, q) == f
+    assert lines.cache_info().misses == misses + 2
+    for k, f in zip(ks, missed):
+        assert bn254.final_exponentiation(f) == bn254.pairing(
+            bn254._g1_mul_raw(p, k), bn254.G2_GEN)

@@ -151,8 +151,19 @@ def test_bench_rows_and_csv(tmp_path):
 def test_bench_reports_decryption(group):
     rows = bench([512], reps=1, group=group, s=8, sector_bits=16)
     phases = [r["phase"] for r in rows]
-    assert phases == [*BENCH_PHASES, "proof_size_bytes"]
-    assert rows[phases.index("decryption")]["median_s"] > 0
+    assert phases == [*BENCH_PHASES, "proof_size_bytes", "audit_response_size_bytes"]
+    for phase in ("decryption", "ciphertext_tagging", "audit_respond"):
+        assert rows[phases.index(phase)]["median_s"] > 0
+    assert rows[phases.index("audit_response_size_bytes")]["median_s"] > 0
+
+
+def test_committed_bench_files_hold_parent_and_change():
+    files = sorted(SCENARIO_DIR.parent.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        record = json.loads(path.read_text())
+        for side in ("parent", "change"):
+            assert {"env", "config", "phases", "layers"} <= set(record[side]), (path.name, side)
 
 
 def test_bench_json_writes_env_phases_and_layers(tmp_path):
@@ -163,7 +174,8 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
     assert set(report) == {"env", "config", "phases", "layers"}
     assert set(report["env"]) == {"python", "gmpy2", "cpu_count"}
     assert report["config"]["sizes"] == [512]
-    assert [r["phase"] for r in report["phases"]] == [*BENCH_PHASES, "proof_size_bytes"]
+    assert [r["phase"] for r in report["phases"]] == [*BENCH_PHASES, "proof_size_bytes",
+                                                      "audit_response_size_bytes"]
     assert set(report["layers"]) == {"g1_mul_variable_base_ms", "g1_mul_generator_ms",
-                                     "g1_from_bytes_ms"}
+                                     "g1_from_bytes_ms", "g1_hash_ms", "pairing_ms"}
     assert all(ms > 0 for ms in report["layers"].values())

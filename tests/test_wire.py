@@ -195,13 +195,19 @@ def test_proof_decoder_raises_only_sevdel_errors(artifacts, data):
         pass
 
 
-def test_proof_size_is_independent_of_file_size():
-    # the owner checks encryption from 3s + 3 wire items whatever the
-    # file size: s = 8 sectors, c = 4 challenged blocks, n = 32 and 4096
+_BANDWIDTH_S, _BANDWIDTH_C = 8, 4
+
+
+@pytest.fixture(scope="module")
+def bandwidth_files():
+    """(params, encoded proof, encoded audit response) on toy for files of
+    n = 32 and 4096 blocks, s = 8 sectors, c = 4 challenged blocks; both
+    messages verify."""
+    from sevdel.contract import verify_audit_response
     from sevdel.groups import setup
     params = setup("toy", 16)
-    s = 8
-    texts = []
+    s, c = _BANDWIDTH_S, _BANDWIDTH_C
+    out = []
     for n in (32, 4096):
         rng = SeededRng(b"bandwidth-%d" % n)
         manifest, blocks = codec.split(rng.child("f").read(n * s * 2), s, 16)
@@ -210,16 +216,42 @@ def test_proof_size_is_independent_of_file_size():
         gens, tags = owner.outsource(params, okeys, manifest, blocks, rng.child("o"))
         enclave = EnclaveRegistry().create(manifest.file_id)
         cts, v_pub = cloud.encrypt_file(params, enclave, manifest, blocks, rng.child("e"))
-        ch = owner.gen_challenge(manifest, 4, rng_seed=n)
+        ch = owner.gen_challenge(manifest, c, rng_seed=n)
         proof = cloud.prove_encryption(params, enclave, manifest, blocks, cts, tags,
                                        ch, rng.child("p"))
         skeys = cloud.server_keygen(params, rng.child("s"))
         assert owner.verify_encryption_proof(params, manifest, gens.u, okeys.W, skeys.A,
                                              v_pub, ch, proof)
-        texts.append(wire.encode_proof(params, proof))
-        items = sum(len(v) if isinstance(v, list) else 1 for v in json.loads(texts[-1]).values())
-        assert items == 3 * s + 3
+        enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
+                                      vgen_points(params, manifest.file_id, s))
+        resp = owner.audit_respond(params, manifest, cts, enc_tags, ch)
+        assert verify_audit_response(params, manifest.file_id, gens.u, skeys.A,
+                                     enc_tags.sigma, ch, resp)
+        out.append((params, wire.encode_proof(params, proof), wire.encode_audit_response(resp)))
+    return out
+
+
+def test_proof_size_is_independent_of_file_size(bandwidth_files):
+    # the owner checks encryption from 3s + 3 wire items whatever the
+    # file size: s = 8 sectors, c = 4 challenged blocks, n = 32 and 4096
+    texts = [proof for _, proof, _ in bandwidth_files]
+    for text in texts:
+        items = sum(len(v) if isinstance(v, list) else 1 for v in json.loads(text).values())
+        assert items == 3 * _BANDWIDTH_S + 3
     assert len(texts[0]) == len(texts[1])
+
+
+def test_audit_response_size_is_independent_of_file_size(bandwidth_files):
+    # the contract checks a leak from 2cs + 1 group elements whatever the
+    # file size: Q2 and the c challenged rows of s components, twice; only
+    # the decimal block indices that key the rows grow, with log n
+    for params, _, text in bandwidth_files:
+        d = json.loads(text)
+        elems = [d["q2"]] + [e for key in ("revealed_prime", "revealed_dprime")
+                             for row in d[key].values() for e in row]
+        assert len(elems) == 2 * _BANDWIDTH_C * _BANDWIDTH_S + 1
+        assert len(d["revealed_prime"]) == len(d["revealed_dprime"]) == _BANDWIDTH_C
+        assert all(len(bytes.fromhex(e)) == params.group.g1_bytes for e in elems)
 
 
 def test_decoded_proof_still_verifies_on_bn254():
