@@ -38,7 +38,6 @@ from .cloud import (
     CiphertextMatrix,
     EncProof,
     EncTagSet,
-    FileEncryptionKey,
     ServerKeyPair,
     decrypt_block,
     decrypt_file,

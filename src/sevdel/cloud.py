@@ -20,7 +20,6 @@ from .enclave import DeletionReceipt, Enclave, EnclaveRegistry
 from .errors import (
     DimensionMismatch,
     DlogOutOfRange,
-    IndexOutOfRange,
     UnknownFile,
 )
 from .groups import (
@@ -33,7 +32,7 @@ from .groups import (
     scalar_to_bytes,
 )
 from .nizk import prove_opening
-from .owner import Challenge, TagSet, enc_proof_context
+from .owner import Challenge, TagSet, check_challenge, enc_proof_context
 from .rng import Rng, default_rng
 
 _SEAL_KEY = b"file-key"
@@ -47,14 +46,6 @@ _BSGS_BABY_MAX_BITS = 16
 class ServerKeyPair:
     a: int            # provider private
     A: G2Elem         # public, A = g2^a
-
-
-@dataclass(frozen=True)
-class FileEncryptionKey:
-    """Per-file ElGamal key; v exists only inside the file's enclave."""
-
-    v: int
-    V: G1Elem
 
 
 @dataclass
@@ -140,8 +131,8 @@ def encrypt_file(
     rng = default_rng(rng)
     group = params.group
     order = params.order
-    v = rng.scalar(order, nonzero=True)
-    key = FileEncryptionKey(v=v, V=params.g1 ** v)
+    v = rng.scalar(order, nonzero=True)    # exists only inside the file's enclave
+    V = params.g1 ** v
     g1_raw = params.g1.raw
     g1pow = group.g1_pow
     sb = group.scalar_bytes
@@ -154,7 +145,7 @@ def encrypt_file(
         rows_prime.append([g1pow(g1_raw, (m + v * r) % order) for m, r in zip(row, rs)])
         rows_dprime.append([g1pow(g1_raw, r) for r in rs])
         r_buf += b"".join(r.to_bytes(sb, "big") for r in rs)   # rs lie in [0, order)
-    enclave.seal(_SEAL_KEY, scalar_to_bytes(group, key.v))
+    enclave.seal(_SEAL_KEY, scalar_to_bytes(group, v))
     enclave.seal(_SEAL_RAND, bytes(r_buf))
     enclave.seal(_SEAL_META, json.dumps(
         {"n": manifest.n, "s": manifest.s, "sector_bits": manifest.sector_bits},
@@ -162,11 +153,11 @@ def encrypt_file(
     cts = CiphertextMatrix(
         rows_prime=rows_prime,
         rows_dprime=rows_dprime,
-        v_pub=key.V,
+        v_pub=V,
         n=manifest.n,
         s=manifest.s,
     )
-    return cts, key.V
+    return cts, V
 
 
 # -- bounded discrete log ------------------------------------------------------
@@ -302,6 +293,8 @@ def prove_encryption(
     P1'_j = prod_i (E'_ij)^l_i, P1''_j = prod_i (E''_ij)^l_i,
     Q_j = sum_i l_i m_ij, P2 = prod_i phi_i^l_i, R_j = sum_i l_i r_ij;
     needs the enclave for the sealed r_ij, so it dies with the enclave.
+    Raises MalformedProof unless the challenge is well formed, by the same
+    owner.check_challenge both verifiers apply.
     """
     blocks.check_shape(manifest)
     cts.check_shape(manifest)
@@ -309,9 +302,7 @@ def prove_encryption(
     group = params.group
     order = params.order
     s = manifest.s
-    for i, _ in challenge.items:
-        if not 1 <= i <= manifest.n:
-            raise IndexOutOfRange(f"challenged block {i} outside [1, {manifest.n}]")
+    check_challenge(challenge, manifest.n, order)
     sealed_r = _sealed_rows(group, enclave, s)
     rows = [i - 1 for i, _ in challenge.items]
     ls = [l for _, l in challenge.items]

@@ -8,6 +8,11 @@ back and marks the record for penalty.  After the audit window the record is
 settled exactly once: refund (no accepted audit) or penalty (deposit
 split pro-rata over successful auditors, remainder back to the provider).
 
+A record moves CREATED -> CLAIMED -> FINISHED (refund) or ABORTED
+(penalty, or the timer after T4).  An owner's standing is derived, not
+stored: accepted means a key of ``owners``, audited means a member of
+``audited``.  Every escrow movement goes through ``Contract._pay``.
+
 Time is a logical integer clock advanced explicitly by the harness, and
 every transition appends one line to an in-memory JSON log, so runs
 replay bit-identically.
@@ -43,11 +48,7 @@ from .owner import AuditResponse, Challenge, check_challenge
 
 STATE_INIT = "INIT"
 STATE_CREATED = "CREATED"
-STATE_ACCEPTED = "ACCEPTED"
 STATE_CLAIMED = "CLAIMED"
-STATE_UPLOADED = "UPLOADED"
-STATE_FULFILLED = "FULFILLED"
-STATE_UNFULFILLED = "UNFULFILLED"
 STATE_FINISHED = "FINISHED"
 STATE_ABORTED = "ABORTED"
 
@@ -117,9 +118,7 @@ class ContractRecord:
     t3: int
     t4: int
     state: str = STATE_CREATED
-    accept_count: int = 0
     owners: dict[str, int] = field(default_factory=dict)          # owner -> stake
-    owner_states: dict[str, str] = field(default_factory=dict)
     audited: list[str] = field(default_factory=list)              # RU_N, accept order
     file_id: bytes | None = None
     sigma_bytes: tuple[bytes, ...] | None = None
@@ -208,6 +207,42 @@ class Contract:
             raise WrongState(f"no service record for {n_ref}")
         return rec
 
+    def _open(self, n_ref: str, op: str, state: str,
+              window: tuple[str, str] | None = None) -> ContractRecord:
+        """The record n_ref, if it is in state and, when window names two of
+        its deadlines, the clock lies between them inclusive."""
+        rec = self._record(n_ref)
+        if rec.state != state:
+            raise WrongState(f"{op} in state {rec.state}")
+        if window and not getattr(rec, window[0]) <= self._now() <= getattr(rec, window[1]):
+            raise WrongWindow(f"{op} outside [{window[0].upper()}, {window[1].upper()}]")
+        return rec
+
+    def _pay(self, rec: ContractRecord, acct: str, amount: int, delta: dict[str, int]) -> None:
+        """Move amount from the record's escrow to acct, or for a negative
+        amount from acct into the escrow, and add the move to delta.  The
+        ledger call comes first, so a refused debit changes nothing."""
+        if amount < 0:
+            self.ledger.debit(acct, -amount)
+        else:
+            self.ledger.credit(acct, amount)
+        rec.escrow -= amount
+        escrow = f"escrow:{rec.n_ref}"
+        delta[acct] = delta.get(acct, 0) + amount
+        delta[escrow] = delta.get(escrow, 0) - amount
+
+    def _settle(self, rec: ContractRecord, op: str, args: dict, state: str,
+                payouts: list[tuple[str, int]]) -> None:
+        """Pay out the whole escrow, in order, and close the record in state."""
+        before = rec.state
+        delta: dict[str, int] = {}
+        for acct, amount in payouts:
+            self._pay(rec, acct, amount, delta)
+        if rec.escrow:
+            raise InvariantViolation(f"{op} left {rec.escrow} in escrow for {rec.n_ref}")
+        rec.state = state
+        self._log(op, args, before, state, delta)
+
     def total_funds(self) -> int:
         return self.ledger.total() + sum(r.escrow for r in self.records.values())
 
@@ -262,34 +297,29 @@ class Contract:
             if deposit <= 0:
                 raise InsufficientBalance("deposit must be positive")
             self.params.g2_from_bytes(provider_pub)  # validate the key now
-            self.ledger.debit(provider, deposit)
             rec = ContractRecord(
                 n_ref=n_ref, provider=provider, provider_pub=provider_pub,
-                deposit=deposit, t1=t1, t2=t2, t3=t3, t4=t4, escrow=deposit,
+                deposit=deposit, t1=t1, t2=t2, t3=t3, t4=t4,
             )
+            delta: dict[str, int] = {}
+            self._pay(rec, provider, -deposit, delta)
             self.records[n_ref] = rec
             self._log("service", {"provider": provider, "n": n_ref, "deposit": deposit,
                                   "t": [t1, t2, t3, t4]},
-                      STATE_INIT, rec.state, {provider: -deposit, f"escrow:{n_ref}": deposit})
+                      STATE_INIT, rec.state, delta)
 
     def agree(self, owner_acct: str, n_ref: str, stake: int) -> None:
         with self._lock:
-            rec = self._record(n_ref)
-            if rec.state != STATE_CREATED:
-                raise WrongState(f"agree in state {rec.state}")
-            if not rec.t1 <= self._now() <= rec.t2:
-                raise WrongWindow("agree outside [T1, T2]")
+            rec = self._open(n_ref, "agree", STATE_CREATED, ("t1", "t2"))
             if stake <= 0:
                 raise InsufficientBalance("stake must be positive")
             if owner_acct in rec.owners:
                 raise DuplicateOwner(f"{owner_acct} already accepted {n_ref}")
-            self.ledger.debit(owner_acct, stake)
+            delta: dict[str, int] = {}
+            self._pay(rec, owner_acct, -stake, delta)
             rec.owners[owner_acct] = stake
-            rec.owner_states[owner_acct] = STATE_ACCEPTED
-            rec.accept_count += 1
-            rec.escrow += stake
             self._log("agree", {"owner": owner_acct, "n": n_ref, "stake": stake},
-                      rec.state, rec.state, {owner_acct: -stake, f"escrow:{n_ref}": stake})
+                      rec.state, rec.state, delta)
 
     def register_tags(
         self,
@@ -300,9 +330,7 @@ class Contract:
     ) -> None:
         """Record (I_M, Sigma) plus the owner's sector generators on-chain."""
         with self._lock:
-            rec = self._record(n_ref)
-            if rec.state != STATE_CREATED:
-                raise WrongState(f"register_tags in state {rec.state}")
+            rec = self._open(n_ref, "register_tags", STATE_CREATED)
             if rec.sigma_bytes is not None:
                 raise DuplicateTags(f"tags already registered for {n_ref}")
             for blob in sigma_bytes:
@@ -324,18 +352,13 @@ class Contract:
 
     def claim(self, n_ref: str) -> None:
         with self._lock:
-            rec = self._record(n_ref)
-            if rec.state != STATE_CREATED:
-                raise WrongState(f"claim in state {rec.state}")
-            if self._now() != rec.t2:
-                raise WrongWindow(f"claim only at T2={rec.t2}")
-            if not any(st == STATE_ACCEPTED for st in rec.owner_states.values()):
+            rec = self._open(n_ref, "claim", STATE_CREATED, ("t2", "t2"))
+            if not rec.owners:
                 raise WrongState("claim requires an accepted owner")
             if rec.sigma_bytes is None:
                 raise WrongState("claim requires registered tags (data outsourcing)")
-            before = rec.state
             rec.state = STATE_CLAIMED
-            self._log("claim", {"n": n_ref}, before, rec.state, {})
+            self._log("claim", {"n": n_ref}, STATE_CREATED, rec.state, {})
 
     def audit_verify(
         self,
@@ -345,14 +368,10 @@ class Contract:
         response: AuditResponse,
     ) -> bool:
         with self._lock:
-            rec = self._record(n_ref)
-            if rec.state != STATE_CLAIMED:
-                raise WrongState(f"audit in state {rec.state}")
-            if not rec.t2 <= self._now() <= rec.t3:
-                raise WrongWindow("audit outside [T2, T3]")
+            rec = self._open(n_ref, "audit", STATE_CLAIMED, ("t2", "t3"))
             if owner_acct not in rec.owners:
                 raise UnknownOwner(f"{owner_acct} never accepted {n_ref}")
-            if rec.owner_states[owner_acct] == STATE_UPLOADED:
+            if owner_acct in rec.audited:
                 raise WrongState(f"{owner_acct} already passed an audit")
             A = self.params.g2_from_bytes(rec.provider_pub)
             sigma = tuple(self.params.g1_from_bytes(b) for b in rec.sigma_bytes)
@@ -361,12 +380,8 @@ class Contract:
                 self.params, rec.file_id, u, A, sigma, challenge, response)
             delta: dict[str, int] = {}
             if ok:
-                stake = rec.owners[owner_acct]
-                rec.escrow -= stake
-                self.ledger.credit(owner_acct, stake)
-                rec.owner_states[owner_acct] = STATE_UPLOADED
+                self._pay(rec, owner_acct, rec.owners[owner_acct], delta)
                 rec.audited.append(owner_acct)
-                delta = {owner_acct: stake, f"escrow:{n_ref}": -stake}
             self._log("audit_verify",
                       {"n": n_ref, "owner": owner_acct,
                        "challenge": challenge.canonical_json(), "accepted": ok},
@@ -376,83 +391,36 @@ class Contract:
     def refund(self, n_ref: str) -> None:
         """No accepted audit: deposit back to provider, stakes back to owners."""
         with self._lock:
-            rec = self._record(n_ref)
-            if rec.state != STATE_CLAIMED:
-                raise WrongState(f"refund in state {rec.state}")
-            if not rec.t3 <= self._now() <= rec.t4:
-                raise WrongWindow("refund outside [T3, T4]")
+            rec = self._open(n_ref, "refund", STATE_CLAIMED, ("t3", "t4"))
             if rec.audited:
                 raise WrongState("refund unavailable after an accepted audit")
-            before = rec.state
-            rec.state = STATE_FULFILLED
-            delta: dict[str, int] = {}
-            self.ledger.credit(rec.provider, rec.deposit)
-            delta[rec.provider] = rec.deposit
-            rec.escrow -= rec.deposit
-            for owner_acct, stake in rec.owners.items():
-                if rec.owner_states[owner_acct] != STATE_UPLOADED:
-                    self.ledger.credit(owner_acct, stake)
-                    rec.escrow -= stake
-                    delta[owner_acct] = delta.get(owner_acct, 0) + stake
-            delta[f"escrow:{n_ref}"] = -(rec.deposit + sum(
-                stake for o, stake in rec.owners.items() if rec.owner_states[o] != STATE_UPLOADED))
-            rec.state = STATE_FINISHED
-            self._log("refund", {"n": n_ref}, before, rec.state, delta)
+            self._settle(rec, "refund", {"n": n_ref}, STATE_FINISHED,
+                         [(rec.provider, rec.deposit), *rec.owners.items()])
 
     def penalty(self, n_ref: str) -> dict[str, int]:
         """Leakage proven: split the deposit pro-rata by stake over the
         successful auditors; the remainder of the deposit goes back to the
         provider, and bystander owners get their stakes back."""
         with self._lock:
-            rec = self._record(n_ref)
-            if rec.state != STATE_CLAIMED:
-                raise WrongState(f"penalty in state {rec.state}")
-            if not rec.t3 <= self._now() <= rec.t4:
-                raise WrongWindow("penalty outside [T3, T4]")
+            rec = self._open(n_ref, "penalty", STATE_CLAIMED, ("t3", "t4"))
             if not rec.audited:
                 raise WrongState("penalty requires an accepted audit")
-            before = rec.state
-            rec.state = STATE_UNFULFILLED
             total_stake = sum(rec.owners[o] for o in rec.audited)
-            shares: dict[str, int] = {}
-            paid = 0
-            for owner_acct in rec.audited:
-                share = rec.deposit * rec.owners[owner_acct] // total_stake
-                shares[owner_acct] = share
-                paid += share
-            remainder = rec.deposit - paid
-            delta: dict[str, int] = {}
-            for owner_acct, share in shares.items():
-                self.ledger.credit(owner_acct, share)
-                delta[owner_acct] = delta.get(owner_acct, 0) + share
-            self.ledger.credit(rec.provider, remainder)
-            delta[rec.provider] = delta.get(rec.provider, 0) + remainder
-            rec.escrow -= rec.deposit
-            swept = rec.deposit
-            for owner_acct, stake in rec.owners.items():
-                if rec.owner_states[owner_acct] != STATE_UPLOADED:
-                    self.ledger.credit(owner_acct, stake)
-                    rec.escrow -= stake
-                    swept += stake
-                    delta[owner_acct] = delta.get(owner_acct, 0) + stake
-            delta[f"escrow:{n_ref}"] = -swept
-            rec.state = STATE_ABORTED
-            self._log("penalty", {"n": n_ref, "shares": shares, "remainder": remainder},
-                      before, rec.state, delta)
+            shares = {o: rec.deposit * rec.owners[o] // total_stake for o in rec.audited}
+            remainder = rec.deposit - sum(shares.values())
+            self._settle(rec, "penalty", {"n": n_ref, "shares": shares, "remainder": remainder},
+                         STATE_ABORTED, [*shares.items(), (rec.provider, remainder),
+                                         *((o, stake) for o, stake in rec.owners.items()
+                                           if o not in rec.audited)])
             return shares
 
     def timer(self, n_ref: str) -> None:
-        """Escrow finalization after T4 for records never settled in window."""
+        """Escrow finalization after T4 for records never settled in window:
+        the provider takes the residual, abandoned stakes included."""
         with self._lock:
             rec = self._record(n_ref)
             if self._now() <= rec.t4:
                 raise WrongWindow("timer only after T4")
             if rec.state in (STATE_FINISHED, STATE_ABORTED):
                 raise WrongState(f"record {n_ref} already settled")
-            before = rec.state
-            residual = rec.escrow
-            self.ledger.credit(rec.provider, residual)
-            rec.escrow = 0
-            rec.state = STATE_ABORTED
-            self._log("timer", {"n": n_ref}, before, rec.state,
-                      {rec.provider: residual, f"escrow:{n_ref}": -residual})
+            self._settle(rec, "timer", {"n": n_ref}, STATE_ABORTED, [(rec.provider, rec.escrow)])

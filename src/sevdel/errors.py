@@ -36,10 +36,6 @@ class CountOutOfRange(SevdelError):
     """Challenge size is not within [1, n]."""
 
 
-class IndexOutOfRange(SevdelError):
-    """Challenged block index is outside the file."""
-
-
 class MalformedProof(SevdelError):
     """Proof or other wire message is structurally broken (wrong arity,
     bad encoding)."""

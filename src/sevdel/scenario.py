@@ -41,6 +41,22 @@ _ACTIONS = (
     "delete", "refund", "penalty", "timer",
 )
 _FAULTS = ("skip-encryption", "tamper-block", "leak-ciphertexts", "double-delete")
+_INTS = {"seed": 0, "file_size": 1, "sectors_per_block": 1, "challenge_count": 1,
+         "deposit": 1, "stake": 1}       # integer fields and their least value
+
+
+def _is_int(value, least: int = 0) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_text(value) -> bool:
+    """A str without lone surrogates, which JSON admits and UTF-8 cannot encode."""
+    return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ScenarioError(what)
 
 
 @dataclass
@@ -65,8 +81,11 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ScenarioError("scenario must be a JSON object")
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
@@ -78,27 +97,43 @@ class Scenario:
         return sc
 
     def validate(self) -> None:
-        if not self.timeline:
-            raise ScenarioError("scenario has an empty timeline")
+        """Raise ScenarioError unless every field has its type and range,
+        so that a scenario which validates can be set up and run."""
+        _require(_is_text(self.name), "name must be a string")
+        for name, least in _INTS.items():
+            _require(_is_int(getattr(self, name), least), f"{name} must be an integer >= {least}")
+        _require(self.seed >> 128 == 0, "seed must be below 2^128")
+        _require(self.group in ("bn254", "toy"), f"unknown group {self.group!r}")
+        _require(_is_int(self.sector_bits) and self.sector_bits in (8, 16, 32),
+                 "sector_bits must be one of 8, 16, 32")
+        _require(self.file_path is None or _is_text(self.file_path), "file_path must be a string")
         dl = self.deadlines
-        if not all(k in dl for k in ("t1", "t2", "t3", "t4")):
-            raise ScenarioError("deadlines must name t1..t4")
-        if not dl["t1"] < dl["t2"] < dl["t3"] < dl["t4"]:
-            raise ScenarioError("deadlines must satisfy T1 < T2 < T3 < T4")
-        last = -1
+        _require(isinstance(dl, dict) and set(dl) == {"t1", "t2", "t3", "t4"}
+                 and all(map(_is_int, dl.values())), "deadlines must map t1..t4 to integers")
+        _require(dl["t1"] < dl["t2"] < dl["t3"] < dl["t4"],
+                 "deadlines must satisfy T1 < T2 < T3 < T4")
+        _require(isinstance(self.initial_balances, dict)
+                 and all(map(_is_int, self.initial_balances.values())),
+                 "initial_balances must map accounts to integers >= 0")
+        _require(isinstance(self.timeline, list) and len(self.timeline) > 0,
+                 "timeline must be a non-empty list")
+        last = 0
         for step in self.timeline:
-            if "time" not in step or "action" not in step:
-                raise ScenarioError(f"timeline step needs time and action: {step}")
-            if step["action"] not in _ACTIONS:
-                raise ScenarioError(f"unknown action {step['action']!r}")
-            if step["time"] < last:
-                raise ScenarioError("timeline times must be non-decreasing")
+            _require(isinstance(step, dict) and _is_int(step.get("time"), last),
+                     f"timeline step needs an integer time, not before the last one: {step}")
+            _require(step.get("action") in _ACTIONS, f"unknown action in {step}")
             last = step["time"]
+        _require(isinstance(self.faults, list), "faults must be a list")
         for fault in self.faults:
-            if fault.get("type") not in _FAULTS:
-                raise ScenarioError(f"unknown fault {fault!r}")
-        if self.file_size < 1:
-            raise ScenarioError("file_size must be positive")
+            _require(isinstance(fault, dict) and fault.get("type") in _FAULTS,
+                     f"unknown fault {fault!r}")
+            blocks = fault.get("blocks", [])
+            _require(_is_int(fault.get("block", 1), 1) and isinstance(blocks, list)
+                     and all(_is_int(i, 1) for i in blocks),
+                     f"fault blocks must be integers >= 1: {fault!r}")
+        _require(isinstance(self.expect, dict)
+                 and isinstance(self.expect.get("balances", {}), dict),
+                 "expect and its balances must be objects")
 
 
 class Transcript:
@@ -234,16 +269,17 @@ class _Runner:
         group = self.params.group
         g1 = self.params.g1.raw
         skip = self.fault("skip-encryption")
-        if skip:
-            for i in skip.get("blocks", [1]):
-                row = self.blocks.rows[i - 1]
-                self.cts.rows_prime[i - 1] = [group.g1_pow(g1, m) for m in row]
-                self.cts.rows_dprime[i - 1] = [group.g1_identity() for _ in row]
-                self.transcript.emit(self.clock.now, "fault",
-                                     type="skip-encryption", block=i)
         tamper = self.fault("tamper-block")
-        if tamper:
-            i = tamper.get("block", 1)
+        skipped = skip.get("blocks", [1]) if skip else []
+        tampered = [tamper.get("block", 1)] if tamper else []
+        if any(i > self.manifest.n for i in skipped + tampered):
+            raise ScenarioError(f"a fault names a block beyond the file's {self.manifest.n}")
+        for i in skipped:
+            row = self.blocks.rows[i - 1]
+            self.cts.rows_prime[i - 1] = [group.g1_pow(g1, m) for m in row]
+            self.cts.rows_dprime[i - 1] = [group.g1_identity() for _ in row]
+            self.transcript.emit(self.clock.now, "fault", type="skip-encryption", block=i)
+        for i in tampered:
             self.cts.rows_prime[i - 1] = [
                 group.g1_op(raw, g1) for raw in self.cts.rows_prime[i - 1]]
             self.transcript.emit(self.clock.now, "fault", type="tamper-block", block=i)

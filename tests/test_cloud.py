@@ -11,8 +11,8 @@ from sevdel.errors import (
     DimensionMismatch,
     DlogOutOfRange,
     EnclaveDestroyed,
-    IndexOutOfRange,
     InvalidElement,
+    MalformedProof,
     UnknownFile,
 )
 from sevdel.groups import elem_to_scalar, pairing, scalar_from_bytes, vgen_points
@@ -288,7 +288,7 @@ def test_prove_rejects_bad_index(any_params):
     _, tags = owner.outsource(any_params, owner.keygen(any_params, rng.child("k")),
                               manifest, blocks, rng.child("o"))
     ch = owner.Challenge(items=((manifest.n + 1, 1),), nonce=b"\x00" * 16)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(MalformedProof, match="outside"):
         cloud.prove_encryption(any_params, enclave, manifest, blocks, cts, tags, ch)
 
 

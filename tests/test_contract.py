@@ -145,7 +145,7 @@ def test_agree_registers_owner(toy_params):
     clock.advance_to(T1)
     contract.agree("own", N, 50)
     rec = contract.records[N]
-    assert rec.accept_count == 1
+    assert len(rec.owners) == 1
     assert rec.owners == {"own": 50}
     assert ledger.balance("own") == 450
     with pytest.raises(DuplicateOwner):
@@ -337,6 +337,9 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     with pytest.raises(MalformedProof, match=reason):
         verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
                               dep.enc_tags.sigma, bad, forged)
+    with pytest.raises(MalformedProof, match=reason):
+        cloud.prove_encryption(params, dep.enclave, dep.manifest, dep.blocks, dep.cts,
+                               dep.tags, bad, SeededRng(b"adv-proof"))
     ch = dep.audit_challenge()
     proof = cloud.prove_encryption(params, dep.enclave, dep.manifest, dep.blocks, dep.cts,
                                    dep.tags, ch, SeededRng(b"adv-proof"))
@@ -611,6 +614,69 @@ def test_timer_refuses_settled_record(toy_params):
         contract.timer(N)
 
 
+def _log_rows(contract):
+    return [(e["op"], e["state_before"], e["state_after"], e["ledger_delta"])
+            for e in contract.log]
+
+
+def test_settlement_log_pinned(toy_params):
+    # the literal state transitions and ledger deltas of each settlement
+    dep = _Deployment(toy_params)
+    E = "escrow:" + N
+    opening = [
+        ("service", "INIT", "CREATED", {E: 1000, "prov": -1000}),
+        ("register_tags", "CREATED", "CREATED", {}),
+        ("agree", "CREATED", "CREATED", {E: 50, "own": -50}),
+    ]
+
+    contract, _, clock = _deploy_to_claimed(toy_params, dep)
+    clock.advance_to(T3)
+    contract.refund(N)
+    assert _log_rows(contract) == opening + [
+        ("claim", "CREATED", "CLAIMED", {}),
+        ("refund", "CLAIMED", "FINISHED", {E: -1050, "own": 50, "prov": 1000}),
+    ]
+
+    contract, _, clock = _deploy_to_claimed(toy_params, dep)
+    clock.advance_to(T4 + 1)
+    contract.timer(N)
+    assert _log_rows(contract) == opening + [
+        ("claim", "CREATED", "CLAIMED", {}),
+        ("timer", "CLAIMED", "ABORTED", {E: -1050, "prov": 1050}),
+    ]
+
+    # two successful auditors, one bystander whose audit is rejected
+    contract, ledger, clock = _contract(
+        toy_params, {"prov": 5000, "own": 500, "own2": 700, "own3": 300})
+    contract.service("prov", N, dep.skeys.A.to_bytes(), 1000, T1, T2, T3, T4)
+    dep.register(contract)
+    clock.advance_to(T1)
+    for acct, stake in (("own", 50), ("own2", 700), ("own3", 100)):
+        contract.agree(acct, N, stake)
+    clock.advance_to(T2)
+    contract.claim(N)
+    clock.advance_to(25)
+    for acct, seed in (("own", 91), ("own3", 93), ("own2", 92)):
+        ch = dep.audit_challenge(seed=seed)
+        resp = owner.audit_respond(toy_params, dep.manifest, dep.cts, dep.enc_tags, ch)
+        if acct == "own3":
+            resp.q2 = resp.q2 * toy_params.g1
+        assert contract.audit_verify(N, acct, ch, resp) == (acct != "own3")
+    clock.advance_to(T3)
+    assert contract.penalty(N) == {"own": 66, "own2": 933}
+    assert _log_rows(contract) == opening + [
+        ("agree", "CREATED", "CREATED", {E: 700, "own2": -700}),
+        ("agree", "CREATED", "CREATED", {E: 100, "own3": -100}),
+        ("claim", "CREATED", "CLAIMED", {}),
+        ("audit_verify", "CLAIMED", "CLAIMED", {E: -50, "own": 50}),
+        ("audit_verify", "CLAIMED", "CLAIMED", {}),
+        ("audit_verify", "CLAIMED", "CLAIMED", {E: -700, "own2": 700}),
+        ("penalty", "CLAIMED", "ABORTED",
+         {E: -1100, "own": 66, "own2": 933, "own3": 100, "prov": 1}),
+    ]
+    assert ledger.snapshot() == {"prov": 4001, "own": 566, "own2": 1633, "own3": 300}
+
+
 def test_transition_log_schema_and_fuzz_legality(toy_params):
     # random op/time fuzzing: failed calls never mutate state, successful
     # ones keep conservation and the log schema
@@ -644,6 +710,10 @@ def test_transition_log_schema_and_fuzz_legality(toy_params):
                 assert after == before, "failed op mutated state"
                 assert ledger.snapshot() == balances_before
             assert contract.total_funds() == total0
+            for rec in contract.records.values():
+                assert rec.escrow >= 0
+                if rec.state in ("FINISHED", "ABORTED"):
+                    assert rec.escrow == 0
         for entry in contract.log:
             assert set(entry) == {"seq", "time", "op", "args_digest",
                                   "state_before", "state_after", "ledger_delta"}

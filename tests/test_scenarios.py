@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_wire import _mutant
 
 from sevdel.cli import main
 from sevdel.errors import ScenarioError
-from sevdel.scenario import BENCH_PHASES, Scenario, bench, bench_csv, run_scenario
+from sevdel.scenario import BENCH_PHASES, Scenario, _Runner, bench, bench_csv, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CANONICAL = sorted(SCENARIO_DIR.glob("*.json"))
@@ -70,6 +73,73 @@ def test_scenario_validation_errors():
             "name": "x", "seed": 1,
             "timeline": [{"time": 5, "action": "setup"},
                          {"time": 1, "action": "service"}]}))
+
+
+HONEST = (SCENARIO_DIR / "honest.json").read_text()
+
+
+def _with(**fields):
+    return json.dumps({**json.loads(HONEST), **fields})
+
+
+def test_scenario_parser_refuses_ill_typed_input():
+    good = json.loads(HONEST)
+    step = good["timeline"][0]
+    bad_texts = [
+        "5",
+        "[[1]]",
+        "[" * 100000,
+        _with(timeline=[5]),
+        _with(timeline=[{**step, "time": "a"}]),
+        _with(timeline=[{**step, "time": -1}]),
+        _with(timeline=[{**step, "time": 0.5}]),
+        _with(timeline=[{**step, "action": ["setup"]}]),
+        _with(timeline={"time": 0}),
+        _with(faults=[3]),
+        _with(faults={"type": "tamper-block"}),
+        _with(faults=[{"type": "tamper-block", "block": 0}]),
+        _with(faults=[{"type": "skip-encryption", "blocks": 1}]),
+        _with(deadlines={**good["deadlines"], "t2": "a"}),
+        _with(deadlines=[10, 20, 30, 40]),
+        _with(file_size="x"),
+        _with(file_size=True),
+        _with(seed=-1),
+        _with(seed=1 << 128),
+        _with(name=5),
+        _with(name="\ud800"),
+        _with(group="p256"),
+        _with(sector_bits=12),
+        _with(sectors_per_block=0),
+        _with(challenge_count=0),
+        _with(deposit="1000"),
+        _with(stake=None),
+        _with(initial_balances={"owner": -1}),
+        _with(initial_balances=[]),
+        _with(expect=[]),
+        _with(file_path=7),
+    ]
+    for text in bad_texts:
+        with pytest.raises(ScenarioError):
+            Scenario.from_json(text)
+
+
+def test_fault_beyond_the_file_is_refused():
+    for fault in ({"type": "tamper-block", "block": 10 ** 6},
+                  {"type": "skip-encryption", "blocks": [1, 10 ** 6]}):
+        with pytest.raises(ScenarioError, match="beyond"):
+            run_scenario(Scenario.from_json(_with(faults=[fault])))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_scenario_parser_raises_only_scenario_errors(data):
+    # each mutant of a canonical scenario is refused with a ScenarioError,
+    # or parses into a scenario the runner can be built from
+    try:
+        sc = Scenario.from_json(_mutant(data, HONEST))
+    except ScenarioError:
+        return
+    _Runner(sc)
 
 
 def test_cli_run_scenario_exit_codes(tmp_path):
