@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass
 
-from .codec import BlockMatrix, FileManifest
+from .codec import BlockMatrix, FileManifest, sector_row
 from .enclave import DeletionReceipt, Enclave, EnclaveRegistry
 from .errors import (
     DimensionMismatch,
@@ -52,9 +52,11 @@ class ServerKeyPair:
 class CiphertextMatrix:
     """n x s lifted-ElGamal pairs plus the public key they were made under.
 
-    Component rows hold raw backend values to keep large files cheap;
-    ``prime_elem``/``dprime_elem`` wrap single entries on demand.  A row
-    of None models a block the holder does not possess.
+    Component rows hold raw backend values, each row the container the
+    backend's ``g1_row`` builds: one array('Q') per row on toy (8 B per
+    component), a list of decoded points on bn254.  ``prime_elem`` and
+    ``dprime_elem`` wrap single entries on demand.  A row of None models
+    a block the holder does not possess.
     """
 
     rows_prime: list
@@ -134,7 +136,7 @@ def encrypt_file(
     v = rng.scalar(order, nonzero=True)    # exists only inside the file's enclave
     V = params.g1 ** v
     g1_raw = params.g1.raw
-    g1pow = group.g1_pow
+    g1pow, g1_row = group.g1_pow, group.g1_row
     sb = group.scalar_bytes
     rows_prime = []
     rows_dprime = []
@@ -142,8 +144,8 @@ def encrypt_file(
     for row in blocks.rows:
         rs = rng.scalars(manifest.s, order)
         # E' = g1^m V^r = g1^(m + v*r): both components are powers of g1
-        rows_prime.append([g1pow(g1_raw, (m + v * r) % order) for m, r in zip(row, rs)])
-        rows_dprime.append([g1pow(g1_raw, r) for r in rs])
+        rows_prime.append(g1_row([g1pow(g1_raw, (m + v * r) % order) for m, r in zip(row, rs)]))
+        rows_dprime.append(g1_row([g1pow(g1_raw, r) for r in rs]))
         r_buf += b"".join(r.to_bytes(sb, "big") for r in rs)   # rs lie in [0, order)
     enclave.seal(_SEAL_KEY, scalar_to_bytes(group, v))
     enclave.seal(_SEAL_RAND, bytes(r_buf))
@@ -202,17 +204,23 @@ def _unseal_key(params: SystemParams, enclave: Enclave) -> tuple[int, dict]:
 
 
 def _sealed_rows(group, enclave: Enclave, s: int):
-    """Reader over the sealed r_ij: row(i) parses the s scalars of block
-    i + 1 in one call.  The enclave wrote them from [0, order), so they
-    are not range-checked again."""
-    blob = enclave.unseal(_SEAL_RAND)
+    """Reader over the sealed r_ij: row(i) unseals and parses only the s
+    scalars of block i + 1.  The enclave wrote them from [0, order), so
+    they are not range-checked again."""
     sb = group.scalar_bytes
     width = s * sb
+
+    def unseal(i):
+        return enclave.unseal(_SEAL_RAND, i * width, (i + 1) * width)
+
     if sb == 8:
-        unpack = struct.Struct(">%dQ" % s).unpack_from
-        return lambda i: unpack(blob, i * width)
-    return lambda i: [int.from_bytes(blob[off:off + sb], "big")
-                      for off in range(i * width, (i + 1) * width, sb)]
+        unpack = struct.Struct(">%dQ" % s).unpack
+        return lambda i: unpack(unseal(i))
+
+    def row(i):
+        blob = unseal(i)
+        return [int.from_bytes(blob[off:off + sb], "big") for off in range(0, width, sb)]
+    return row
 
 
 def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, G1Elem]) -> int:
@@ -243,8 +251,9 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     for i, rp in enumerate(cts.rows_prime):
         if len(rp) != s:
             raise DimensionMismatch("ragged ciphertext matrix")
-        rows.append([_dlog(group, table, op(a, pw(g1_raw, neg_v * r % order)), sector_bits)
-                     for a, r in zip(rp, sealed_r(i))])
+        rows.append(sector_row(sector_bits, [
+            _dlog(group, table, op(a, pw(g1_raw, neg_v * r % order)), sector_bits)
+            for a, r in zip(rp, sealed_r(i))]))
     return BlockMatrix(rows)
 
 
@@ -306,13 +315,13 @@ def prove_encryption(
     sealed_r = _sealed_rows(group, enclave, s)
     rows = [i - 1 for i, _ in challenge.items]
     ls = [l for _, l in challenge.items]
+    r_rows = [sealed_r(i) for i in rows]    # a destroyed enclave refuses before any work
     msm = group.g1_msm
     p1_prime = tuple(G1Elem(group, msm([cts.rows_prime[i][j] for i in rows], ls))
                      for j in range(s))
     p1_dprime = tuple(G1Elem(group, msm([cts.rows_dprime[i][j] for i in rows], ls))
                       for j in range(s))
     q = [sum(l * blocks.rows[i][j] for i, l in zip(rows, ls)) % order for j in range(s)]
-    r_rows = [sealed_r(i) for i in rows]
     r_agg = [sum(l * r[j] for r, l in zip(r_rows, ls)) % order for j in range(s)]
     p2 = params.g1_msm([tags.phi[i] for i in rows], ls)
     context = enc_proof_context(params, manifest, challenge)

@@ -5,18 +5,27 @@ little-endian value of its 1, 2 or 4 bytes.  Sector values are therefore
 bounded by 2^sector_bits, which is what keeps lifted-ElGamal decryption
 (a bounded discrete log) feasible.  The tail block is zero-padded and the
 manifest records the true byte length so joining is exact.
+
+Each row of a BlockMatrix is one typed ``array`` of the sector width
+('B', 'H' or 'I'): about 2 B per 16-bit sector, where a list of ints
+costs 36 B.  Code that reads rows[i][j] sees plain ints either way, and
+join still accepts list rows, refusing any value out of range.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, EmptyFile, MalformedProof
+from .errors import DimensionMismatch, EmptyFile, InvariantViolation, MalformedProof
 
-_SECTOR_FMT = {8: "B", 16: "H", 32: "I"}
+_SECTOR_FMT = {8: "B", 16: "H", 32: "I"}     # array typecode per sector width
+if array("I").itemsize != 4:
+    raise InvariantViolation("32-bit sectors need a 4-byte array('I')")
+_BIG_ENDIAN = sys.byteorder == "big"      # arrays hold native order; sectors are little-endian
 _MANIFEST_KEYS = frozenset({"file_id", "n", "s", "sector_bits", "original_len"})
 
 
@@ -81,9 +90,13 @@ class FileManifest:
 
 @dataclass
 class BlockMatrix:
-    """n x s sector values; rows[i][j] is block i+1, sector j+1."""
+    """n x s sector values; rows[i][j] is block i+1, sector j+1.
 
-    rows: list[list[int]]
+    split, the wire decoder and decryption give each row as an array of
+    the sector width.
+    """
+
+    rows: list
 
     @property
     def n(self) -> int:
@@ -131,11 +144,7 @@ def split(
     block_bytes = s * (sector_bits // 8)
     n = -(-len(data) // block_bytes)
     padded = data + b"\x00" * (n * block_bytes - len(data))
-    fmt = "<%d%s" % (s, _SECTOR_FMT[sector_bits])
-    rows = [
-        list(struct.unpack_from(fmt, padded, i * block_bytes))
-        for i in range(n)
-    ]
+    rows = rows_from_bytes(sector_bits, padded, 0, n, s)
     manifest = FileManifest(
         file_id=file_identity(data, owner_id, file_name),
         n=n,
@@ -146,15 +155,42 @@ def split(
     return manifest, BlockMatrix(rows)
 
 
+def sector_row(sector_bits: int, values) -> array:
+    """One block row: values in an array of the sector width; OverflowError
+    for a value that is negative or not below 2^sector_bits."""
+    return array(_SECTOR_FMT[sector_bits], values)
+
+
+def rows_from_bytes(sector_bits: int, data: bytes, offset: int, n: int, s: int) -> list:
+    """n rows of s little-endian sectors read from data at offset, each an
+    array of the sector width; data must hold them all."""
+    width = s * (sector_bits // 8)
+    rows = [sector_row(sector_bits, data[off:off + width])
+            for off in range(offset, offset + n * width, width)]
+    if _BIG_ENDIAN:
+        for row in rows:
+            row.byteswap()
+    return rows
+
+
+def pack_rows(sector_bits: int, rows) -> bytes:
+    """Little-endian sector bytes of rows, arrays or lists of ints alike;
+    DimensionMismatch for a value that is negative or not below
+    2^sector_bits."""
+    out = []
+    for row in rows:
+        try:
+            packed = sector_row(sector_bits, row)
+        except OverflowError as exc:
+            raise DimensionMismatch(
+                f"sector value outside [0, 2^{sector_bits}): {exc}") from exc
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        out.append(packed.tobytes())
+    return b"".join(out)
+
+
 def join(manifest: FileManifest, blocks: BlockMatrix) -> bytes:
     """Inverse of split: exact original bytes, truncated at original_len."""
     blocks.check_shape(manifest)
-    fmt = "<%d%s" % (manifest.s, _SECTOR_FMT[manifest.sector_bits])
-    bound = 1 << manifest.sector_bits
-    out = bytearray(manifest.n * manifest.block_bytes)
-    for i, row in enumerate(blocks.rows):
-        for v in row:
-            if not 0 <= v < bound:
-                raise DimensionMismatch(f"sector value {v} exceeds 2^{manifest.sector_bits}")
-        struct.pack_into(fmt, out, i * manifest.block_bytes, *row)
-    return bytes(out[: manifest.original_len])
+    return pack_rows(manifest.sector_bits, blocks.rows)[: manifest.original_len]

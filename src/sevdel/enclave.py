@@ -67,12 +67,14 @@ class Enclave:
             self._require_alive()
             self._secrets[key] = bytearray(secret)
 
-    def unseal(self, key: bytes) -> bytes:
+    def unseal(self, key: bytes, start: int = 0, stop: int | None = None) -> bytes:
+        """The secret sealed under key, or only its bytes [start, stop)."""
         with self._lock:
             self._require_alive()
             if key not in self._secrets:
                 raise SecretNotFound(f"no secret sealed under {key!r}")
-            return bytes(self._secrets[key])
+            with memoryview(self._secrets[key]) as view:
+                return bytes(view[start:stop])
 
     def destroy(self) -> DeletionReceipt:
         with self._lock:

@@ -16,6 +16,7 @@ the scheme's equations: ``(h * u**m) ** w``.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import InvalidElement, UnknownDomain
@@ -138,6 +139,10 @@ class Bn254Backend:
 
     def g1_msm(self, bases, scalars):
         return self._c.g1_msm(bases, scalars)
+
+    def g1_row(self, raws):
+        # decoded points: validated once on decode, used by proofs as they are
+        return list(raws)
 
     def g1_key(self, a):
         # 2x plus the parity of y names a point; no point maps to -1
@@ -273,6 +278,11 @@ class ToyBackend:
 
     def g1_msm(self, bases, scalars):
         return sum(a * k for a, k in zip(bases, scalars, strict=True)) % self.order
+
+    def g1_row(self, raws):
+        # elements lie below ORDER < 2^49: one 8-byte slot each, against
+        # 40 B for an int in a list
+        return array("Q", raws)
 
     def g1_key(self, a):
         return a

@@ -40,6 +40,13 @@ _ACTIONS = (
     "claim", "verify_encryption", "decrypt_roundtrip", "leak", "audit",
     "delete", "refund", "penalty", "timer",
 )
+# the step each action needs to have run before it; encrypt needs
+# outsource, which needs setup, so naming the latest one is enough
+_NEEDS = {
+    "service": "setup", "outsource": "setup", "encrypt": "outsource",
+    "register_tags": "encrypt", "verify_encryption": "encrypt", "decrypt_roundtrip": "encrypt",
+    "leak": "encrypt", "audit": "encrypt", "delete": "encrypt",
+}
 _FAULTS = ("skip-encryption", "tamper-block", "leak-ciphertexts", "double-delete")
 _INTS = {"seed": 0, "file_size": 1, "sectors_per_block": 1, "challenge_count": 1,
          "deposit": 1, "stake": 1}       # integer fields and their least value
@@ -186,6 +193,7 @@ class _Runner:
         self.v_pub = None
         self.enc_tags = None
         self.leaked = None
+        self.done: set[str] = set()     # actions that have run
 
     def fault(self, kind: str):
         for f in self.sc.faults:
@@ -199,8 +207,13 @@ class _Runner:
                 group=self.sc.group, file_size=self.sc.file_size,
                 params_digest=self.contract.params_digest.hex())
         for step in self.sc.timeline:
+            action = step["action"]
+            need = _NEEDS.get(action)
+            if need is not None and need not in self.done:
+                raise ScenarioError(f"{action} at time {step['time']} needs a {need} step first")
             self.clock.advance_to(step["time"])
-            getattr(self, "_do_" + step["action"].replace("-", "_"))(step)
+            getattr(self, "_do_" + action)(step)
+            self.done.add(action)
         self._append_contract_log()
         self._check_expectations()
         return tr
@@ -212,8 +225,12 @@ class _Runner:
         self.okeys = owner.keygen(self.params, self.rng.child("owner-keys"))
         self.skeys = cloud.server_keygen(self.params, self.rng.child("server-keys"))
         if sc.file_path is not None:
-            with open(sc.file_path, "rb") as fh:
-                self.data = fh.read()
+            try:
+                with open(sc.file_path, "rb") as fh:
+                    self.data = fh.read()
+            # ValueError: a path with a NUL byte, which JSON admits
+            except (OSError, ValueError) as exc:
+                raise ScenarioError(f"cannot read file_path {sc.file_path!r}: {exc}") from exc
             if not self.data:
                 raise ScenarioError(f"{sc.file_path} is empty")
         else:
@@ -274,14 +291,15 @@ class _Runner:
         tampered = [tamper.get("block", 1)] if tamper else []
         if any(i > self.manifest.n for i in skipped + tampered):
             raise ScenarioError(f"a fault names a block beyond the file's {self.manifest.n}")
+        g1_row = group.g1_row
         for i in skipped:
             row = self.blocks.rows[i - 1]
-            self.cts.rows_prime[i - 1] = [group.g1_pow(g1, m) for m in row]
-            self.cts.rows_dprime[i - 1] = [group.g1_identity() for _ in row]
+            self.cts.rows_prime[i - 1] = g1_row([group.g1_pow(g1, m) for m in row])
+            self.cts.rows_dprime[i - 1] = g1_row([group.g1_identity() for _ in row])
             self.transcript.emit(self.clock.now, "fault", type="skip-encryption", block=i)
         for i in tampered:
-            self.cts.rows_prime[i - 1] = [
-                group.g1_op(raw, g1) for raw in self.cts.rows_prime[i - 1]]
+            self.cts.rows_prime[i - 1] = g1_row([
+                group.g1_op(raw, g1) for raw in self.cts.rows_prime[i - 1]])
             self.transcript.emit(self.clock.now, "fault", type="tamper-block", block=i)
 
     def _do_register_tags(self, step):

@@ -16,7 +16,7 @@ import json
 import struct
 
 from .cloud import CiphertextMatrix, EncProof, EncTagSet
-from .codec import _SECTOR_FMT, BlockMatrix, FileManifest
+from .codec import _SECTOR_FMT, BlockMatrix, FileManifest, pack_rows, rows_from_bytes
 from .errors import DimensionMismatch, InvalidElement, MalformedProof
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
 from .owner import AuditResponse, Challenge, TagSet
@@ -67,11 +67,8 @@ def decode_enc_tagset(params: SystemParams, data: bytes) -> EncTagSet:
 
 def encode_blocks(manifest: FileManifest, blocks: BlockMatrix) -> bytes:
     blocks.check_shape(manifest)
-    fmt = "<%d%s" % (manifest.s, _SECTOR_FMT[manifest.sector_bits])
-    out = bytearray(struct.pack(">IIB", manifest.n, manifest.s, manifest.sector_bits))
-    for row in blocks.rows:
-        out += struct.pack(fmt, *row)
-    return bytes(out)
+    return (struct.pack(">IIB", manifest.n, manifest.s, manifest.sector_bits)
+            + pack_rows(manifest.sector_bits, blocks.rows))
 
 
 def decode_blocks(data: bytes) -> BlockMatrix:
@@ -85,15 +82,9 @@ def decode_blocks(data: bytes) -> BlockMatrix:
         raise DimensionMismatch(f"block matrix dimensions {n}x{s} must be at least 1x1")
     if sector_bits not in _SECTOR_FMT:
         raise DimensionMismatch(f"sector_bits {sector_bits} is not one of 8, 16, 32")
-    fmt = "<%d%s" % (s, _SECTOR_FMT[sector_bits])
-    row_bytes = s * (sector_bits // 8)
-    if len(data) != 9 + n * row_bytes:
+    if len(data) != 9 + n * s * (sector_bits // 8):
         raise MalformedProof("block matrix length disagrees with its header")
-    rows = [
-        list(struct.unpack_from(fmt, data, 9 + i * row_bytes))
-        for i in range(n)
-    ]
-    return BlockMatrix(rows)
+    return BlockMatrix(rows_from_bytes(sector_bits, data, 9, n, s))
 
 
 # -- ciphertext matrix -------------------------------------------------------------
@@ -138,21 +129,15 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
         raise InvalidElement("ciphertext length disagrees with its header")
     v_pub = params.g1_from_bytes(data[off:off + width])
     off += width
-    from_bytes = params.group.g1_from_bytes
+    from_bytes, g1_row = params.group.g1_from_bytes, params.group.g1_row
+    row_bytes = s * width
 
-    def read_matrix():
-        nonlocal off
-        rows = []
-        for _ in range(n):
-            row = []
-            for _ in range(s):
-                row.append(from_bytes(data[off:off + width]))
-                off += width
-            rows.append(row)
-        return rows
+    def read_matrix(start):
+        return [g1_row([from_bytes(data[k:k + width]) for k in range(r, r + row_bytes, width)])
+                for r in range(start, start + n * row_bytes, row_bytes)]
 
-    rows_prime = read_matrix()
-    rows_dprime = read_matrix()
+    rows_prime = read_matrix(off)
+    rows_dprime = read_matrix(off + n * row_bytes)
     return CiphertextMatrix(rows_prime=rows_prime, rows_dprime=rows_dprime,
                             v_pub=v_pub, n=n, s=s)
 

@@ -301,10 +301,11 @@ def test_criterion_6_binding_exhaustive_small_instance():
     collisions = 0
     q_collisions = 0
     alternatives = []
+    honest = [list(row) for row in blocks.rows]
     for code in range(8 ** 6):
         vals = [(code >> (3 * t)) & 7 for t in range(6)]
         rows = [vals[0:2], vals[2:4], vals[4:6]]
-        if rows == blocks.rows:
+        if rows == honest:
             continue
         q = [sum(coeffs[i] * rows[i - 1][j] for i in coeffs) % order
              for j in range(2)]

@@ -1,6 +1,8 @@
 """Cloud protocol: encryption, bounded dlog, ciphertext tags, proving."""
 
 import dataclasses
+import sys
+from array import array
 
 import pytest
 
@@ -15,7 +17,7 @@ from sevdel.errors import (
     MalformedProof,
     UnknownFile,
 )
-from sevdel.groups import elem_to_scalar, pairing, scalar_from_bytes, vgen_points
+from sevdel.groups import elem_to_scalar, pairing, scalar_from_bytes, setup, vgen_points
 from sevdel.rng import SeededRng
 
 
@@ -101,7 +103,7 @@ def test_decrypt_boundary_32bit(toy_params32):
     top = (1 << 32) - 1
     data = top.to_bytes(4, "little")
     manifest, blocks = codec.split(data, 1, 32)
-    assert blocks.rows == [[top]]
+    assert [list(row) for row in blocks.rows] == [[top]]
     registry = EnclaveRegistry()
     enclave = registry.create(manifest.file_id)
     cts, _ = cloud.encrypt_file(toy_params32, enclave, manifest, blocks,
@@ -406,3 +408,64 @@ def test_delete_lifecycle(any_params):
     with pytest.raises(UnknownFile):
         cloud.delete_file(registry, manifest.file_id)
     assert enclave.verify_zeroized()
+
+
+def _toy_rows_of_every_stage(params, size, s):
+    """The ciphertext rows of encrypt_file and decode_ciphertexts and the
+    block rows of split, decode_blocks and decrypt_file for one toy file."""
+    data = SeededRng(b"typed-rows").read(size)
+    manifest, blocks = codec.split(data, s, params.sector_bits)
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"typed-enc"))
+    decoded = wire.decode_ciphertexts(params, wire.encode_ciphertexts(params, cts))
+    cloud_blocks = wire.decode_blocks(wire.encode_blocks(manifest, blocks))
+    back = cloud.decrypt_file(params, enclave, decoded)
+    assert codec.join(manifest, back) == data
+    ct_rows = [rows for m in (cts, decoded) for rows in (m.rows_prime, m.rows_dprime)]
+    return ct_rows, [blocks.rows, cloud_blocks.rows, back.rows]
+
+
+@pytest.mark.parametrize("bits, typecode", [(8, "B"), (16, "H"), (32, "I")])
+def test_toy_rows_are_typed_arrays(bits, typecode):
+    params = setup("toy", sector_bits=bits)
+    ct_rows, block_rows = _toy_rows_of_every_stage(params, 200, 4)
+    for rows in ct_rows:
+        assert all(type(row) is array and row.typecode == "Q" and len(row) == 4 for row in rows)
+    for rows in block_rows:
+        assert all(type(row) is array and row.typecode == typecode and len(row) == 4
+                   for row in rows)
+
+
+def test_toy_rows_stay_small(toy_params):
+    # 64 KiB, s = 64: 512 rows; a list of ints held about 40 B per
+    # ciphertext component and 36 B per 16-bit sector
+    ct_rows, block_rows = _toy_rows_of_every_stage(toy_params, 64 * 1024, 64)
+    sectors = 64 * 1024 // 2
+    for rows in ct_rows:
+        assert sum(map(sys.getsizeof, rows)) <= 10 * sectors
+    for rows in block_rows:
+        assert sum(map(sys.getsizeof, rows)) <= 4 * sectors
+
+
+def test_randomness_is_unsealed_one_needed_row_at_a_time(any_params, monkeypatch):
+    # a proof reads the c challenged rows of r, a decryption each row once
+    rng, data, manifest, blocks, _, enclave, cts, _ = _setup_file(any_params, size=96, s=2)
+    okeys = owner.keygen(any_params, rng.child("ok"))
+    _, tags = owner.outsource(any_params, okeys, manifest, blocks, rng.child("o"))
+    reads = []
+    unseal = type(enclave).unseal
+
+    def counting(self, key, start=0, stop=None):
+        out = unseal(self, key, start, stop)
+        reads.append((key, len(out)))
+        return out
+
+    monkeypatch.setattr(type(enclave), "unseal", counting)
+    row_bytes = manifest.s * any_params.group.scalar_bytes
+    ch = owner.gen_challenge(manifest, 3, rng_seed=41)
+    cloud.prove_encryption(any_params, enclave, manifest, blocks, cts, tags, ch, rng.child("p"))
+    assert reads == [(cloud._SEAL_RAND, row_bytes)] * 3
+    reads.clear()
+    assert codec.join(manifest, cloud.decrypt_file(any_params, enclave, cts)) == data
+    assert [r for r in reads if r[0] == cloud._SEAL_RAND] == [
+        (cloud._SEAL_RAND, row_bytes)] * manifest.n

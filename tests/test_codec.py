@@ -17,7 +17,7 @@ def test_sixteen_bytes_one_block():
     manifest, blocks = split(data, s=4, sector_bits=32)
     assert manifest.n == 1
     # little-endian 32-bit words, computed by hand
-    assert blocks.rows == [[
+    assert [list(row) for row in blocks.rows] == [[
         0x03020100, 0x07060504, 0x0B0A0908, 0x0F0E0D0C,
     ]]
     assert join(manifest, blocks) == data
@@ -28,7 +28,7 @@ def test_seventeen_bytes_pads_second_block():
     manifest, blocks = split(data, s=4, sector_bits=32)
     assert manifest.n == 2
     assert manifest.original_len == 17
-    assert blocks.rows[1] == [0x10, 0, 0, 0]  # byte 16 then zero padding
+    assert list(blocks.rows[1]) == [0x10, 0, 0, 0]  # byte 16 then zero padding
     assert join(manifest, blocks) == data
 
 
@@ -75,7 +75,8 @@ def test_ragged_matrix_rejected():
 def test_oversized_sector_rejected():
     data = bytes(8)
     manifest, blocks = split(data, s=2, sector_bits=32)
-    blocks.rows[0][0] = 1 << 40
+    # an array row cannot hold 2^40, so the tampered row is a list
+    blocks.rows[0] = [1 << 40, 0]
     with pytest.raises(DimensionMismatch):
         join(manifest, blocks)
 
@@ -113,3 +114,31 @@ def test_block_matrix_shape_helpers():
     blocks.check_shape(manifest)
     with pytest.raises(DimensionMismatch):
         BlockMatrix(blocks.rows + [blocks.rows[0]]).check_shape(manifest)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_join_refuses_list_rows_out_of_range(bits):
+    manifest, blocks = split(bytes(4 * (bits // 8)), s=2, sector_bits=bits)
+    top = (1 << bits) - 1
+    blocks.rows[0] = [top, 0]
+    blocks.rows[1] = [0, top]
+    full, zero = top.to_bytes(bits // 8, "little"), bytes(bits // 8)
+    assert join(manifest, blocks) == full + zero + zero + full
+    for bad in (-1, 1 << bits, -(1 << bits), 1 << 64):
+        for row in ([bad, 0], [0, bad]):
+            blocks.rows[1] = row
+            with pytest.raises(DimensionMismatch):
+                join(manifest, blocks)
+
+
+@pytest.mark.parametrize("bits, typecode", [(8, "B"), (16, "H"), (32, "I")])
+def test_split_rows_are_arrays_of_the_sector_width(bits, typecode):
+    data = bytes(range(1, 40))
+    manifest, blocks = split(data, s=3, sector_bits=bits)
+    width = bits // 8
+    for i, row in enumerate(blocks.rows):
+        assert row.typecode == typecode and len(row) == 3
+        for j, v in enumerate(row):
+            off = (i * 3 + j) * width
+            assert v == int.from_bytes(data[off:off + width].ljust(width, b"\0"), "little")
+    assert join(manifest, blocks) == data

@@ -145,3 +145,26 @@ def test_irreversibility_random_op_sequences():
             except (EnclaveDestroyed, AlreadyDestroyed):
                 pass
         assert enc.verify_zeroized()
+
+
+def test_unseal_range_is_the_slice_of_the_secret():
+    enc = EnclaveRegistry().create(FID_A)
+    secret = bytes(range(200))
+    enc.seal(b"k", secret)
+    for start, stop in ((0, None), (0, 200), (0, 0), (8, 16), (192, 200), (150, None),
+                        (199, 200), (10, 5), (0, 500), (300, None)):
+        assert enc.unseal(b"k", start, stop) == secret[start:stop]
+    assert enc.unseal(b"k", 40) == secret[40:]
+    with pytest.raises(SecretNotFound):
+        enc.unseal(b"missing", 0, 8)
+
+
+def test_unseal_range_after_destroy_fails():
+    enc = EnclaveRegistry().create(FID_A)
+    enc.seal(b"k", bytes(range(64)))
+    assert enc.unseal(b"k", 8, 16) == bytes(range(8, 16))
+    enc.destroy()
+    with pytest.raises(EnclaveDestroyed):
+        enc.unseal(b"k", 8, 16)
+    with pytest.raises(EnclaveDestroyed):
+        enc.unseal(b"k", 0)

@@ -60,7 +60,7 @@ def test_outsource_all_zero_blocks(any_params):
 def test_outsource_single_sector_recomputed(any_params):
     # n=1, s=1, m=3: phi_1 = (H(I_M||1) * u_1^3)^w recomputed from scratch
     manifest, blocks = codec.split(b"\x03", 1, any_params.sector_bits)
-    assert blocks.rows == [[3]]
+    assert [list(row) for row in blocks.rows] == [[3]]
     keys = owner.keygen(any_params, SeededRng(b"single"))
     gens, tags = owner.outsource(any_params, keys, manifest, blocks, SeededRng(b"single2"))
     expected = (block_point(any_params, manifest.file_id, 1) * gens.u[0] ** 3) ** keys.w

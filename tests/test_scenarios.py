@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_wire import _mutant
 
 from sevdel.cli import main
-from sevdel.errors import ScenarioError
+from sevdel.errors import ScenarioError, SevdelError
 from sevdel.scenario import BENCH_PHASES, Scenario, _Runner, bench, bench_csv, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -140,6 +140,63 @@ def test_scenario_parser_raises_only_scenario_errors(data):
     except ScenarioError:
         return
     _Runner(sc)
+
+
+@pytest.mark.parametrize("group", ["toy", "bn254"])
+def test_faulted_rows_have_the_type_of_their_neighbours(group):
+    sc = Scenario.from_json(_with(
+        group=group, file_size=64, sector_bits=8,
+        timeline=[{"time": 0, "action": "setup"}, {"time": 1, "action": "outsource"},
+                  {"time": 2, "action": "encrypt"}],
+        faults=[{"type": "skip-encryption", "blocks": [1]},
+                {"type": "tamper-block", "block": 3}]))
+    runner = _Runner(sc)
+    runner.run()
+    cts = runner.cts
+    for rows in (cts.rows_prime, cts.rows_dprime):
+        assert len({type(row) for row in rows}) == 1
+        assert len({getattr(row, "typecode", None) for row in rows}) == 1
+    assert cts.rows_prime[0] != cts.rows_prime[1] and cts.rows_prime[2] != cts.rows_prime[3]
+
+
+def _timeline(*actions):
+    return [{"time": t, "action": a} for t, a in enumerate(actions)]
+
+
+def test_steps_refuse_to_run_before_their_prerequisites(tmp_path):
+    cases = [
+        _timeline("encrypt"),
+        _timeline("setup", "audit"),
+        _timeline("setup", "encrypt"),
+        _timeline("service"),
+        _timeline("outsource"),
+        _timeline("setup", "outsource", "register_tags"),
+        _timeline("setup", "outsource", "verify_encryption"),
+        _timeline("setup", "outsource", "decrypt_roundtrip"),
+        _timeline("setup", "leak"),
+        _timeline("setup", "outsource", "delete"),
+    ]
+    for timeline in cases:
+        with pytest.raises(ScenarioError, match="needs a"):
+            run_scenario(Scenario.from_json(_with(timeline=timeline)))
+    for path in (tmp_path / "missing.bin", tmp_path, "nul\u0000byte"):
+        with pytest.raises(ScenarioError, match="file_path"):
+            run_scenario(Scenario.from_json(_with(file_path=str(path))))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_reordered_and_truncated_timelines_raise_only_sevdel_errors(data):
+    steps = json.loads(HONEST)["timeline"]
+    order = data.draw(st.permutations(range(len(steps))))
+    kept = order[:data.draw(st.integers(1, len(steps)))]
+    # the actions move, the times stay in order
+    timeline = [{"time": steps[t]["time"], "action": steps[k]["action"]}
+                for t, k in enumerate(kept)]
+    try:
+        run_scenario(Scenario.from_json(_with(timeline=timeline, file_size=256)))
+    except SevdelError:
+        pass
 
 
 def test_cli_run_scenario_exit_codes(tmp_path):
