@@ -31,9 +31,11 @@ internally in Jacobian coordinates (g2_mul by NAF double-and-add).
 Hash-to-G1 rejects a candidate x on the Jacobi symbol of x^3 + 3 before it
 takes a square root.
 
-Every G1 scalar multiplication goes through g1_msm (g1_mul is its one-term
-case): powers of the generator use a fixed-base table, every other term
-runs in one interleaved width-w NAF (Straus), where the GLV endomorphism
+Every G1 scalar multiplication goes through g1_msm_rows, a batch of
+multi-exponentiations over shared points whose tables are built once per
+batch (g1_msm is its one-row case, g1_mul its one-term case): powers of
+the generator use a fixed-base table, every other term runs in one
+interleaved width-w NAF (Straus) per row, where the GLV endomorphism
 phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
 than 128 bits.  The GLV, Frobenius and psi constants and the loop digits
 are checked at import by _check.  _g1_mul_raw and _g2_mul_raw, plain
@@ -46,7 +48,7 @@ import functools
 import hashlib
 from math import isqrt
 
-from .errors import InvalidElement, InvariantViolation
+from .errors import DimensionMismatch, InvalidElement, InvariantViolation
 
 try:
     from gmpy2 import mpz, invert as _invert
@@ -660,41 +662,64 @@ def _window_width(points, digit_bits):
     # the phi copy of a table adds one per entry and is left out); per bit
     # of the scalars' halves, 1/(w+1) of a NAF digit's mixed addition
     # (~11); per call, the two inversions (~150 each) that a table beyond
-    # P needs
+    # P needs.  A batch builds its shared tables once but pays digits in
+    # every row, so its digit_bits sum over the rows: the table cost is
+    # spread over them.  One call never picks w = 8, which beats w = 7
+    # only above about 4200 digit bits per point; one point's halves
+    # carry at most 2 * 128.
     def cost(w):
         return (points * ((1 << (w - 2)) - 1) * 20 + digit_bits * 11 / (w + 1)
                 + (300 if w > 2 else 0))
-    return min(range(2, 8), key=cost)
+    return min(range(2, 9), key=cost)
+
+
+def _halves(k):
+    """0 < k < R as ((signed half, on phi(P)), ...): k itself up to 128
+    bits, else its GLV halves k1 on P and k2 on phi(P)."""
+    if k.bit_length() <= 128:
+        return ((k, False),)
+    k1, k2 = _glv_split(k)
+    return ((k1, False), (k2, True))
+
+
+class _Tables:
+    """Odd-multiple tables of finite points at one NAF width, and on
+    demand the phi copy of each: the table with every x times beta."""
+
+    def __init__(self, points, digit_bits):
+        self.width = _window_width(len(points), digit_bits)
+        size = 1 << (self.width - 2)
+        # at most 256 Jacobian entries wait for one shared inversion
+        step = max(1, 256 // size)
+        self.plain = [table for k in range(0, len(points), step)
+                      for table in _odd_multiple_tables(points[k:k + step], size)]
+        self.phi = [None] * len(points)
+
+    def get(self, slot, on_phi):
+        if not on_phi:
+            return self.plain[slot]
+        table = self.phi[slot]
+        if table is None:
+            table = self.phi[slot] = [(_BETA * x % P, y) for x, y in self.plain[slot]]
+        return table
 
 
 def _straus(terms):
-    """Jacobian sum of k*P over (P, k) terms, P finite, 0 < k < R.
+    """Jacobian sum, or None, of k*Q over (tables, slot, signed half k,
+    on phi) terms: Q is the point behind that slot (or its phi image) and
+    |k| < 2^128.
 
     Interleaved width-w NAF: one doubling chain shared by every term,
-    per-term tables of odd multiples normalised together.  A scalar wider
-    than 128 bits runs as its GLV halves k1 on P and k2 on phi(P), whose
-    table is P's with every x times beta, so the chain is half as long.
+    each term read from its own table at that table's width.
     """
-    halves = []                         # (term index, on phi(P), signed scalar)
-    for i, (_, k) in enumerate(terms):
-        if k.bit_length() > 128:
-            k1, k2 = _glv_split(k)
-            halves += [(i, False, k1), (i, True, k2)]
-        else:
-            halves.append((i, False, k))
-    sizes = [abs(k).bit_length() for _, _, k in halves]
-    bits = max(sizes)
-    w = _window_width(len(terms), sum(sizes))
-    tables = _odd_multiple_tables([pt for pt, _ in terms], 1 << (w - 2))
+    bits = max(abs(k).bit_length() for _, _, k, _ in terms)
     schedule = [[] for _ in range(bits + 1)]
-    for i, on_phi, k in halves:
-        table = tables[i]
-        if on_phi:
-            table = [(_BETA * x % P, y) for x, y in table]
+    for tables, slot, k, on_phi in terms:
+        table = tables.get(slot, on_phi)
         flip = k < 0
-        for pos, d in _wnaf(abs(k), w):
-            x, y = table[abs(d) >> 1]
-            schedule[pos].append((x, y) if (d > 0) != flip else (x, P - y))
+        for pos, d in _wnaf(abs(k), tables.width):
+            pt = table[abs(d) >> 1]
+            schedule[pos].append(pt if (d > 0) != flip else (pt[0], P - pt[1]))
     acc = None
     for adds in reversed(schedule):
         if acc is not None:
@@ -752,27 +777,78 @@ def _add_gen_multiple(acc, k):
 
 
 def g1_msm(points, scalars):
-    """sum_i k_i * P_i as one multi-exponentiation.
+    """sum_i k_i * P_i as one multi-exponentiation: the one-row case of
+    g1_msm_rows, every point shared.
 
     Scalars are reduced mod R (negative ones included); identity points
     and zero scalars drop out.  Terms on G1_GEN go through the generator
     table, the rest through Straus; one inversion normalises the result.
     """
-    gen_k = 0
-    terms = []
-    for pt, k in zip(points, scalars, strict=True):
-        k %= R
-        if pt is None or k == 0:
-            continue
-        if pt == G1_GEN:
-            gen_k += k
-        else:
-            terms.append((pt, k))
-    acc = _straus(terms) if terms else None
-    gen_k %= R
-    if gen_k:
-        acc = _add_gen_multiple(acc, gen_k)
-    return _to_affine(acc)
+    return g1_msm_rows(points, (((), scalars),))[0]
+
+
+def g1_msm_rows(shared, rows):
+    """[sum_j k_j * B_j for each row (own, scalars)], B the shared points
+    followed by the row's own: one multi-exponentiation per row over
+    points that every row shares.
+
+    A row's scalars are a sequence: the first len(shared) go to the
+    shared points, the rest to its own; DimensionMismatch if the count
+    disagrees.  Terms
+    drop out and reach the generator table as in g1_msm.  The shared
+    points' tables are built once per call, their width sized for all
+    rows together; a row's own points get tables sized for that row;
+    one inversion normalises every row's result.
+    """
+    shared = list(shared)
+    nshared = len(shared)
+    on_gen = [pt == G1_GEN for pt in shared]
+    slots = {}                          # shared index -> table slot, in slot order
+    shared_bits = 0
+    work = []                           # per row: generator scalar, shared halves, own terms
+    for own, scalars in rows:
+        if len(scalars) != nshared + len(own):
+            raise DimensionMismatch(
+                f"{len(scalars)} scalars for {nshared} shared and {len(own)} own points")
+        gen_k = 0
+        halves = []
+        for j in range(nshared):
+            k = scalars[j] % R
+            if k == 0 or shared[j] is None:
+                continue
+            if on_gen[j]:
+                gen_k += k
+                continue
+            slot = slots.setdefault(j, len(slots))
+            for h, on_phi in _halves(k):
+                halves.append((slot, h, on_phi))
+                shared_bits += abs(h).bit_length()
+        own_terms = []
+        for pt, k in zip(own, scalars[nshared:]):
+            k %= R
+            if k == 0 or pt is None:
+                continue
+            if pt == G1_GEN:
+                gen_k += k
+            else:
+                own_terms.append((pt, k))
+        work.append((gen_k % R, halves, own_terms))
+    tables = _Tables([shared[j] for j in slots], shared_bits) if slots else None
+    accs = []
+    for gen_k, halves, own_terms in work:
+        terms = [(tables, slot, h, on_phi) for slot, h, on_phi in halves]
+        if own_terms:
+            own_halves = [(slot, h, on_phi) for slot, (_, k) in enumerate(own_terms)
+                          for h, on_phi in _halves(k)]
+            own_tables = _Tables([pt for pt, _ in own_terms],
+                                 sum(abs(h).bit_length() for _, h, _ in own_halves))
+            terms += [(own_tables, slot, h, on_phi) for slot, h, on_phi in own_halves]
+        acc = _straus(terms) if terms else None
+        if gen_k:
+            acc = _add_gen_multiple(acc, gen_k)
+        accs.append(acc)
+    finite = iter(_batch_affine([acc for acc in accs if acc is not None]))
+    return [None if acc is None else next(finite) for acc in accs]
 
 
 def g1_gen_multiples(count):

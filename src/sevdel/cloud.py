@@ -15,7 +15,7 @@ import json
 import struct
 from dataclasses import dataclass
 
-from .codec import BlockMatrix, FileManifest, sector_row
+from .codec import BlockMatrix, FileManifest, check_rows, sector_row
 from .enclave import DeletionReceipt, Enclave, EnclaveRegistry
 from .errors import (
     DimensionMismatch,
@@ -70,8 +70,15 @@ class CiphertextMatrix:
         return self.v_pub.group
 
     def check_shape(self, manifest: FileManifest) -> None:
-        if self.n != manifest.n or self.s != manifest.s:
-            raise DimensionMismatch("ciphertext matrix shape disagrees with manifest")
+        self.check_dims(manifest.n, manifest.s)
+
+    def check_dims(self, n: int, s: int) -> None:
+        """MissingBlock for a row of None, DimensionMismatch unless both
+        components hold n rows of s entries."""
+        if self.n != n or self.s != s:
+            raise DimensionMismatch(f"ciphertext matrix is {self.n}x{self.s}, expected {n}x{s}")
+        check_rows(self.rows_prime, n, s, "ciphertext E' rows")
+        check_rows(self.rows_dprime, n, s, "ciphertext E'' rows")
 
     def row_prime(self, row: int):
         return self.rows_prime[row]
@@ -239,8 +246,7 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     not read; a wrong E' still fails the bounded dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
-    if cts.n != n or cts.s != s or len(cts.rows_prime) != n:
-        raise DimensionMismatch("ciphertext matrix shape disagrees with the enclave's file")
+    cts.check_dims(n, s)
     group = params.group
     order = params.order
     table = _dlog_table(group, sector_bits)
@@ -249,8 +255,6 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     neg_v = order - v
     rows = []
     for i, rp in enumerate(cts.rows_prime):
-        if len(rp) != s:
-            raise DimensionMismatch("ragged ciphertext matrix")
         rows.append(sector_row(sector_bits, [
             _dlog(group, table, op(a, pw(g1_raw, neg_v * r % order)), sector_bits)
             for a, r in zip(rp, sealed_r(i))]))
@@ -269,7 +273,8 @@ def gen_enc_tags(
     sigma_i = (H(I_M||i) * prod_j u_j^{h(E'_ij)} v_j^{h(E''_ij)})^a
     with h hashing the canonical encoding of each component through
     encoding_to_scalar, as the audit verifier does; a is folded into the
-    exponents, so each tag is one multi-exponentiation.
+    exponents, so each tag is one row of a batched multi-exponentiation
+    over the 2s sector generators every row shares.
     """
     cts.check_shape(manifest)
     if len(u) != manifest.s or len(v_gens) != manifest.s:
@@ -278,13 +283,14 @@ def gen_enc_tags(
     to_bytes = group.g1_to_bytes
     a = server_keys.a
     gens = [e.raw for e in u] + [e.raw for e in v_gens]
-    sigma = []
-    for i in range(1, manifest.n + 1):
-        comps = [*cts.rows_prime[i - 1], *cts.rows_dprime[i - 1]]
-        exps = [a * encoding_to_scalar(group, to_bytes(c)) for c in comps]
-        base = block_point(params, manifest.file_id, i).raw
-        sigma.append(G1Elem(group, group.g1_msm([base, *gens], [a, *exps])))
-    return EncTagSet(sigma=tuple(sigma))
+
+    def rows():
+        # H(I_M||i) is each row's own base; rows are made as they are consumed
+        for i, (row_p, row_pp) in enumerate(zip(cts.rows_prime, cts.rows_dprime), start=1):
+            exps = [a * encoding_to_scalar(group, to_bytes(c)) for c in (*row_p, *row_pp)]
+            yield (block_point(params, manifest.file_id, i).raw,), [*exps, a]
+
+    return EncTagSet(sigma=tuple(G1Elem(group, raw) for raw in group.g1_msm_rows(gens, rows())))
 
 
 def prove_encryption(

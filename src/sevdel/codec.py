@@ -20,7 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, EmptyFile, InvariantViolation, MalformedProof
+from .errors import DimensionMismatch, EmptyFile, InvariantViolation, MalformedProof, MissingBlock
 
 _SECTOR_FMT = {8: "B", 16: "H", 32: "I"}     # array typecode per sector width
 if array("I").itemsize != 4:
@@ -107,11 +107,19 @@ class BlockMatrix:
         return len(self.rows[0]) if self.rows else 0
 
     def check_shape(self, manifest: FileManifest) -> None:
-        if self.n != manifest.n:
-            raise DimensionMismatch(f"block count {self.n} != manifest n {manifest.n}")
-        for row in self.rows:
-            if len(row) != manifest.s:
-                raise DimensionMismatch("ragged block matrix")
+        check_rows(self.rows, manifest.n, manifest.s, "block rows")
+
+
+def check_rows(rows, n: int, s: int, what: str) -> None:
+    """MissingBlock for a row of None (a block the holder does not
+    possess), DimensionMismatch unless rows holds n rows of s entries."""
+    if len(rows) != n:
+        raise DimensionMismatch(f"{what}: {len(rows)} rows, expected {n}")
+    for i, row in enumerate(rows, start=1):
+        if row is None:
+            raise MissingBlock(f"{what}: block {i} not held")
+        if len(row) != s:
+            raise DimensionMismatch(f"{what}: block {i} has {len(row)} entries, expected {s}")
 
 
 def file_identity(content: bytes, owner_id: bytes = b"", file_name: bytes = b"") -> bytes:

@@ -19,7 +19,7 @@ import hashlib
 from array import array
 from dataclasses import dataclass, field
 
-from .errors import InvalidElement, UnknownDomain
+from .errors import DimensionMismatch, InvalidElement, UnknownDomain
 
 # Domain-separation tags for every hash-to-G1 use in the protocol.
 DOMAIN_BLOCK = b"sevdel/block"      # per-block point H(I_M || i)
@@ -139,6 +139,9 @@ class Bn254Backend:
 
     def g1_msm(self, bases, scalars):
         return self._c.g1_msm(bases, scalars)
+
+    def g1_msm_rows(self, shared, rows):
+        return self._c.g1_msm_rows(shared, rows)
 
     def g1_row(self, raws):
         # decoded points: validated once on decode, used by proofs as they are
@@ -277,7 +280,13 @@ class ToyBackend:
         return (a * x + b * y) % self.order
 
     def g1_msm(self, bases, scalars):
-        return sum(a * k for a, k in zip(bases, scalars, strict=True)) % self.order
+        if len(bases) != len(scalars):
+            raise DimensionMismatch(f"{len(scalars)} scalars for {len(bases)} bases")
+        return sum(a * k for a, k in zip(bases, scalars)) % self.order
+
+    def g1_msm_rows(self, shared, rows):
+        # no tables to share: one g1_msm per row, rows consumed one at a time
+        return [self.g1_msm([*shared, *own], scalars) for own, scalars in rows]
 
     def g1_row(self, raws):
         # elements lie below ORDER < 2^49: one 8-byte slot each, against

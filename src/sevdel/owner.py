@@ -112,13 +112,14 @@ def outsource(
     group = params.group
     x = tuple(rng.scalars(manifest.s, params.order, nonzero=True))
     u = tuple(params.g1 ** xj for xj in x)
-    u_raw = [e.raw for e in u]
-    msm, g1pow = group.g1_msm, group.g1_pow
-    phi = []
-    for i, row in enumerate(blocks.rows, start=1):
-        # w stays outside: the inner exponents are short sector values
-        h = block_point(params, manifest.file_id, i).raw
-        phi.append(G1Elem(group, g1pow(msm([h, *u_raw], [1, *row]), keys.w)))
+    # one batched product over the shared u_j, H(I_M||i) each row's own
+    # base; w stays outside, so the inner exponents are short sector values
+    phi = group.g1_msm_rows([e.raw for e in u], (
+        ((block_point(params, manifest.file_id, i).raw,), [*row, 1])
+        for i, row in enumerate(blocks.rows, start=1)))
+    g1pow = group.g1_pow
+    for i, h in enumerate(phi):
+        phi[i] = G1Elem(group, g1pow(h, keys.w))   # in place: no second list of n points
     return SectorGenerators(x=x, u=u), TagSet(phi=tuple(phi))
 
 

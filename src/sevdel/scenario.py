@@ -29,7 +29,7 @@ from .errors import (
     SevdelError,
     UnknownFile,
 )
-from .groups import DOMAIN_BLOCK, SystemParams, setup, vgen_points
+from .groups import DOMAIN_BLOCK, DOMAIN_VGEN, SystemParams, setup, vgen_points
 from .rng import SeededRng
 
 PROVIDER = "provider"
@@ -558,13 +558,17 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     base), one of the generator (fixed-base table), g1_from_bytes,
     g1_hash of a fresh message, and a pairing of a hashed point with g2
     (whose Miller lines are cached after the first call, as for every
-    pairing in the protocol)."""
+    pairing in the protocol); and, per row, the median of 3 calls of
+    g1_msm_rows over 16 shared hashed points and 32 rows of full-width
+    scalars, the shape of ciphertext tagging at s = 8."""
     calls = 15
     params = setup(group, 16)
     backend = params.group
     rng = SeededRng(seed).child("bench-layers")
     points = [params.hash_to_g1(DOMAIN_BLOCK, b"bench-%d" % k).raw for k in range(calls)]
     scalars = rng.scalars(calls, params.order)
+    shared = [params.hash_to_g1(DOMAIN_VGEN, b"bench-%d" % j).raw for j in range(16)]
+    batches = [[((), rng.scalars(16, params.order)) for _ in range(32)] for _ in range(3)]
     encodings = [backend.g1_to_bytes(pt) for pt in points]
     g1, g2 = params.g1.raw, params.g2.raw
 
@@ -582,6 +586,8 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
         "g1_from_bytes_ms": median_ms(backend.g1_from_bytes, ((e,) for e in encodings)),
         "g1_hash_ms": median_ms(backend.g1_hash, ((b"bench-hash-%d" % k,) for k in range(calls))),
         "pairing_ms": median_ms(backend.pair, ((pt, g2) for pt in points)),
+        "g1_msm_rows_ms": round(
+            median_ms(backend.g1_msm_rows, ((shared, rows) for rows in batches)) / 32, 6),
     }
 
 

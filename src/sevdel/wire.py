@@ -90,6 +90,9 @@ def decode_blocks(data: bytes) -> BlockMatrix:
 # -- ciphertext matrix -------------------------------------------------------------
 
 def encode_ciphertexts(params: SystemParams, cts: CiphertextMatrix) -> bytes:
+    """The header's n x s and every row of both components; MissingBlock
+    or DimensionMismatch for a matrix whose rows disagree with it."""
+    cts.check_dims(cts.n, cts.s)
     group = params.group
     name = group.name.encode()
     out = bytearray()

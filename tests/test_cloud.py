@@ -15,6 +15,7 @@ from sevdel.errors import (
     EnclaveDestroyed,
     InvalidElement,
     MalformedProof,
+    MissingBlock,
     UnknownFile,
 )
 from sevdel.groups import elem_to_scalar, pairing, scalar_from_bytes, setup, vgen_points
@@ -264,6 +265,66 @@ def test_enc_tag_pairing_oracle_and_tamper(any_params):
     group = any_params.group
     cts.rows_prime[0][0] = group.g1_op(cts.rows_prime[0][0], any_params.g1.raw)
     assert pairing(tags.sigma[0], any_params.g2) != pairing(base_for(1), skeys.A)
+
+
+# -- rows missing or of the wrong size -------------------------------------------
+
+def _malformed(rows):
+    """(case, rows, error) for each way a row list can disagree with its
+    matrix: a row of None (a block not held), a short, long, extra or
+    missing row."""
+    def swap(k, row):
+        return [row if i == k else r for i, r in enumerate(rows)]
+    return [
+        ("None row", swap(1, None), MissingBlock),
+        ("short row", swap(1, rows[1][:-1]), DimensionMismatch),
+        ("long row", swap(0, rows[0] + rows[0][:1]), DimensionMismatch),
+        ("extra row", [*rows, rows[0]], DimensionMismatch),
+        ("missing row", rows[:-1], DimensionMismatch),
+    ]
+
+
+def test_malformed_ciphertext_rows_raise_sevdel_errors(any_params):
+    params = any_params
+    rng, _, manifest, blocks, _, enclave, cts, _ = _setup_file(params, size=12, s=2)
+    okeys = owner.keygen(params, rng.child("ok"))
+    gens, tags = owner.outsource(params, okeys, manifest, blocks, rng.child("o"))
+    skeys = cloud.server_keygen(params, rng.child("sk"))
+    v_gens = vgen_points(params, manifest.file_id, manifest.s)
+    ch = owner.gen_challenge(manifest, manifest.n, b"malformed")
+    for component in ("rows_prime", "rows_dprime"):
+        for case, rows, error in _malformed(getattr(cts, component)):
+            bad = dataclasses.replace(cts, **{component: rows})
+            calls = [
+                lambda: cloud.gen_enc_tags(params, skeys, manifest, bad, gens.u, v_gens),
+                lambda: cloud.decrypt_file(params, enclave, bad),
+                lambda: cloud.prove_encryption(params, enclave, manifest, blocks, bad, tags, ch),
+                lambda: wire.encode_ciphertexts(params, bad),
+            ]
+            for call in calls:
+                with pytest.raises(error):
+                    call()
+    # the honest matrix still goes through every path
+    assert cloud.decrypt_file(params, enclave, cts).rows == blocks.rows
+    cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u, v_gens)
+
+
+def test_malformed_block_rows_raise_sevdel_errors(any_params):
+    params = any_params
+    rng, _, manifest, blocks, _, _, _, _ = _setup_file(params, size=12, s=2)
+    okeys = owner.keygen(params, rng.child("ok"))
+    for case, rows, error in _malformed(blocks.rows):
+        bad = codec.BlockMatrix(rows)
+        enclave = EnclaveRegistry().create(manifest.file_id)
+        calls = [
+            lambda: owner.outsource(params, okeys, manifest, bad),
+            lambda: codec.join(manifest, bad),
+            lambda: wire.encode_blocks(manifest, bad),
+            lambda: cloud.encrypt_file(params, enclave, manifest, bad),
+        ]
+        for call in calls:
+            with pytest.raises(error):
+                call()
 
 
 # -- proving -------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""G1 multi-exponentiation, the generator table, the dlog table source,
-batched scalar draws, and byte-identical protocol output.
+"""G1 multi-exponentiation, its batched rows, the generator table, the
+dlog table source, batched scalar draws, and byte-identical protocol output.
 
-``g1_msm`` and the generator table are checked against per-term
-double-and-add (``bn254._g1_mul_raw``) and ``g1_add`` on bn254, and against
-``g1_pow``/``g1_op`` on toy.
+``g1_msm``, ``g1_msm_rows`` and the generator table are checked against
+per-term double-and-add (``bn254._g1_mul_raw``) and ``g1_add`` on bn254, and
+against ``g1_pow``/``g1_op`` on toy.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sevdel import bn254, cloud, codec, owner, wire
 from sevdel.enclave import EnclaveRegistry
-from sevdel.errors import InvalidElement
+from sevdel.errors import DimensionMismatch, InvalidElement
 from sevdel.groups import setup, vgen_points
 from sevdel.rng import Rng, SeededRng
 
@@ -113,8 +113,112 @@ def test_msm_pinned_edge_cases(any_params, case):
 
 def test_msm_rejects_mismatched_lengths(any_params):
     group = any_params.group
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         group.g1_msm([group.g1_gen, group.g1_gen], [1])
+
+
+# -- batched rows over shared bases ---------------------------------------------
+
+def _row_pool(params):
+    """pool(params) plus -P for the first unrelated point P, so a draw can
+    hold P together with -P."""
+    base = pool(params)
+    return base + [params.group.g1_inv(base[3])]
+
+
+# a scalar is v + m * order: negative, zero, wider than the order, or a
+# multiple of it
+_row_scalar = st.tuples(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-2**300, 2**300)),
+                        st.sampled_from([0, 0, 0, 1, -1, 2]))
+
+
+@st.composite
+def _batches(draw):
+    shared = draw(st.lists(st.integers(0, 8), max_size=6))
+    rows = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 7]))):
+        own = draw(st.lists(st.integers(0, 8), max_size=3))
+        count = len(shared) + len(own)
+        rows.append((own, draw(st.lists(_row_scalar, min_size=count, max_size=count))))
+    return shared, rows
+
+
+def _check_rows_property(params, batch):
+    group = params.group
+    bases = _row_pool(params)
+    shared = [bases[i] for i in batch[0]]
+    rows = [([bases[i] for i in own], [v + m * params.order for v, m in ks])
+            for own, ks in batch[1]]
+    got = group.g1_msm_rows(shared, rows)
+    assert got == [per_term(group, [*shared, *own], ks) for own, ks in rows]
+    assert got == [group.g1_msm([*shared, *own], ks) for own, ks in rows]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=_batches())
+def test_msm_rows_match_per_row_products_toy(batch):
+    _check_rows_property(setup("toy", 16), batch)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=_batches())
+def test_msm_rows_match_per_row_products_bn254(batch):
+    _check_rows_property(setup("bn254", 8), batch)
+
+
+def test_msm_rows_pinned_edge_cases(any_params):
+    group = any_params.group
+    r = any_params.order
+    ident, gen, gen_inv, p, q = pool(any_params)[:5]
+    p_inv = group.g1_inv(p)
+    mul = _reference_mul(group)
+    assert group.g1_msm_rows([p, q], []) == []
+    assert group.g1_msm_rows([], [([q], [5])]) == [mul(q, 5)]
+    assert group.g1_msm_rows([], [([], [])]) == [ident]
+    rows = [
+        ([], [3, 4]),                       # shared bases only
+        ([p_inv], [1, 0, 1]),               # P with -P: the identity
+        ([p, gen], [2, 1, -2, r + 7]),      # a shared base repeated as own, cancelling
+        ([ident, q], [0, 0, 9, -r]),        # identity own base, zero scalars
+        ([gen_inv], [r - 1, 5, 1]),         # generator term, on G1_GEN and its inverse
+    ]
+    assert group.g1_msm_rows([p, q], rows) == [
+        per_term(group, [p, q], [3, 4]), ident, per_term(group, [q, gen], [1, 7]),
+        ident, per_term(group, [p, q, gen], [r - 1, 5, -1])]
+
+
+def test_msm_rows_reject_mismatched_scalar_counts(any_params):
+    group = any_params.group
+    p, q = pool(any_params)[3:5]
+    for rows in ([([], [1])], [([q], [1, 2, 3, 4])], [([], [1, 2]), ([q], [1, 2])]):
+        with pytest.raises(DimensionMismatch):
+            group.g1_msm_rows([p, q], rows)
+
+
+def test_window_width_of_one_call_is_unchanged():
+    # one call picks from 2..7 only: w = 8 pays only when the digits of
+    # many rows share one table
+    for points in range(1, 41):
+        for bits in range(0, points * 256 + 1, 37):
+            cost = lambda w: ((points * ((1 << (w - 2)) - 1) * 20 + bits * 11 / (w + 1))
+                              + (300 if w > 2 else 0))
+            assert bn254._window_width(points, bits) == min(range(2, 8), key=cost)
+    # 16 sector generators under 32 rows of 254-bit scalars, as in tagging
+    assert bn254._window_width(16, 32 * 16 * 254) == 8
+
+
+def test_msm_rows_at_the_widest_window(bn_params):
+    # a tagging-sized batch: 16 shared bases, 32 rows of full-width scalars,
+    # one own base per row; the shared tables run at w = 8
+    group = bn_params.group
+    rng = SeededRng(b"msm-rows-wide")
+    shared = [bn_params.hash_to_g1(b"sevdel/vgen", b"wide-%d" % j).raw for j in range(16)]
+    rows = [([bn_params.hash_to_g1(b"sevdel/block", b"wide-%d" % i).raw],
+             rng.scalars(17, bn_params.order)) for i in range(32)]
+    got = group.g1_msm_rows(shared, rows)
+    assert got == [group.g1_msm([*shared, *own], ks) for own, ks in rows]
+    own, ks = rows[0]
+    assert got[0] == per_term(group, [*shared, *own], ks)
 
 
 def test_params_msm_wraps_elements_and_checks_groups(toy_params, bn_params):
