@@ -5,8 +5,11 @@ lives only inside the file's enclave: E'_ij = g1^{m_ij} V^{r_ij},
 E''_ij = g1^{r_ij}.  Decryption recovers g1^{m_ij} = E'_ij g1^{-v r_ij}
 from the sealed r_ij and solves the bounded discrete log by
 baby-step/giant-step, which is why sector values are capped at
-2^sector_bits.  Destroying the enclave forgets v and every
-r_ij, after which neither decryption nor proof generation is possible.
+2^sector_bits.  Both directions are powers of g1 only, so they run as
+batched generator-table walks (the backend's g1_gen_add), one call per
+chunk of about _BATCH_SECTORS sectors.  Destroying the enclave forgets v
+and every r_ij, after which neither decryption nor proof generation is
+possible.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _SEAL_META = b"meta"
 
 _BSGS_BABY_MAX_BITS = 16
 
+# sectors per batched generator-table walk: enough walks to spread each
+# table row's shared inversion, few enough that no file-sized list exists
+_BATCH_SECTORS = 512
+
 
 @dataclass(frozen=True)
 class ServerKeyPair:
@@ -72,13 +79,14 @@ class CiphertextMatrix:
     def check_shape(self, manifest: FileManifest) -> None:
         self.check_dims(manifest.n, manifest.s)
 
-    def check_dims(self, n: int, s: int) -> None:
+    def check_dims(self, n: int, s: int, only=None) -> None:
         """MissingBlock for a row of None, DimensionMismatch unless both
-        components hold n rows of s entries."""
+        components hold n rows of s entries; with only, a collection of
+        0-based indices, the row counts and just those rows are checked."""
         if self.n != n or self.s != s:
             raise DimensionMismatch(f"ciphertext matrix is {self.n}x{self.s}, expected {n}x{s}")
-        check_rows(self.rows_prime, n, s, "ciphertext E' rows")
-        check_rows(self.rows_dprime, n, s, "ciphertext E'' rows")
+        check_rows(self.rows_prime, n, s, "ciphertext E' rows", only)
+        check_rows(self.rows_dprime, n, s, "ciphertext E'' rows", only)
 
     def row_prime(self, row: int):
         return self.rows_prime[row]
@@ -123,6 +131,12 @@ def _require_bound(enclave: Enclave, manifest: FileManifest) -> None:
         raise UnknownFile("enclave is bound to a different file")
 
 
+def _batches(n: int, s: int):
+    """Row ranges [lo, hi) of about _BATCH_SECTORS sectors covering n rows."""
+    step = max(1, _BATCH_SECTORS // s)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def encrypt_file(
     params: SystemParams,
     enclave: Enclave,
@@ -132,8 +146,12 @@ def encrypt_file(
 ) -> tuple[CiphertextMatrix, G1Elem]:
     """Encrypt every sector under a fresh enclave-held key.
 
-    The per-sector randomness r_ij is sealed into the enclave (the later
-    encryption proof needs it); it never leaves the enclave otherwise.
+    Both components are powers of g1, E' = g1^(m + v*r) and E'' = g1^r,
+    so each chunk of about _BATCH_SECTORS sectors is one g1_gen_add from
+    the identity over both exponents of every sector; r_ij are drawn one
+    row at a time, in row order.  The per-sector randomness r_ij is sealed
+    into the enclave (the later encryption proof needs it); it never
+    leaves the enclave otherwise.
     """
     blocks.check_shape(manifest)
     _require_bound(enclave, manifest)
@@ -142,18 +160,25 @@ def encrypt_file(
     order = params.order
     v = rng.scalar(order, nonzero=True)    # exists only inside the file's enclave
     V = params.g1 ** v
-    g1_raw = params.g1.raw
-    g1pow, g1_row = group.g1_pow, group.g1_row
+    s = manifest.s
+    gen_add, g1_row = group.g1_gen_add, group.g1_row
     sb = group.scalar_bytes
+    ident = group.g1_identity()
     rows_prime = []
     rows_dprime = []
     r_buf = bytearray()
-    for row in blocks.rows:
-        rs = rng.scalars(manifest.s, order)
-        # E' = g1^m V^r = g1^(m + v*r): both components are powers of g1
-        rows_prime.append(g1_row([g1pow(g1_raw, (m + v * r) % order) for m, r in zip(row, rs)]))
-        rows_dprime.append(g1_row([g1pow(g1_raw, r) for r in rs]))
-        r_buf += b"".join(r.to_bytes(sb, "big") for r in rs)   # rs lie in [0, order)
+    for lo, hi in _batches(manifest.n, s):
+        exps = []
+        for row in blocks.rows[lo:hi]:
+            rs = rng.scalars(s, order)
+            # E' = g1^m V^r = g1^(m + v*r): both components are powers of g1
+            exps += [m + v * r for m, r in zip(row, rs)]
+            exps += rs
+            r_buf += b"".join(r.to_bytes(sb, "big") for r in rs)   # rs lie in [0, order)
+        pts = gen_add([ident] * len(exps), exps)
+        for off in range(0, len(pts), 2 * s):
+            rows_prime.append(g1_row(pts[off:off + s]))
+            rows_dprime.append(g1_row(pts[off + s:off + 2 * s]))
     enclave.seal(_SEAL_KEY, scalar_to_bytes(group, v))
     enclave.seal(_SEAL_RAND, bytes(r_buf))
     enclave.seal(_SEAL_META, json.dumps(
@@ -242,8 +267,10 @@ def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, 
 
 def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) -> BlockMatrix:
     """Bulk decryption from the sealed randomness: E' = g1^(m + v*r), so
-    g1^m = E' * g1^(-v*r), one generator-table power per sector.  E'' is
-    not read; a wrong E' still fails the bounded dlog or decrypts wrong."""
+    g1^m = E' * g1^(-v*r).  Each chunk of about _BATCH_SECTORS sectors is
+    one g1_gen_add that starts each walk at E' and adds -v*r times g1,
+    giving g1^m affine for the dlog lookup.  E'' is not read; a wrong E'
+    still fails the bounded dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)
@@ -251,13 +278,18 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     order = params.order
     table = _dlog_table(group, sector_bits)
     sealed_r = _sealed_rows(group, enclave, s)
-    op, pw, g1_raw = group.g1_op, group.g1_pow, params.g1.raw
     neg_v = order - v
     rows = []
-    for i, rp in enumerate(cts.rows_prime):
-        rows.append(sector_row(sector_bits, [
-            _dlog(group, table, op(a, pw(g1_raw, neg_v * r % order)), sector_bits)
-            for a, r in zip(rp, sealed_r(i))]))
+    for lo, hi in _batches(n, s):
+        starts = []
+        exps = []
+        for i in range(lo, hi):
+            starts += cts.rows_prime[i]
+            exps += [neg_v * r for r in sealed_r(i)]
+        lifted = group.g1_gen_add(starts, exps)
+        for off in range(0, len(lifted), s):
+            rows.append(sector_row(sector_bits, [
+                _dlog(group, table, pt, sector_bits) for pt in lifted[off:off + s]]))
     return BlockMatrix(rows)
 
 
@@ -311,16 +343,17 @@ def prove_encryption(
     Raises MalformedProof unless the challenge is well formed, by the same
     owner.check_challenge both verifiers apply.
     """
-    blocks.check_shape(manifest)
-    cts.check_shape(manifest)
     _require_bound(enclave, manifest)
     group = params.group
     order = params.order
     s = manifest.s
     check_challenge(challenge, manifest.n, order)
-    sealed_r = _sealed_rows(group, enclave, s)
     rows = [i - 1 for i, _ in challenge.items]
     ls = [l for _, l in challenge.items]
+    # the header and the challenged rows: the proof reads no other row
+    check_rows(blocks.rows, manifest.n, s, "block rows", rows)
+    cts.check_dims(manifest.n, s, rows)
+    sealed_r = _sealed_rows(group, enclave, s)
     r_rows = [sealed_r(i) for i in rows]    # a destroyed enclave refuses before any work
     msm = group.g1_msm
     p1_prime = tuple(G1Elem(group, msm([cts.rows_prime[i][j] for i in rows], ls))

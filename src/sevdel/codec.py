@@ -110,16 +110,19 @@ class BlockMatrix:
         check_rows(self.rows, manifest.n, manifest.s, "block rows")
 
 
-def check_rows(rows, n: int, s: int, what: str) -> None:
+def check_rows(rows, n: int, s: int, what: str, only=None) -> None:
     """MissingBlock for a row of None (a block the holder does not
-    possess), DimensionMismatch unless rows holds n rows of s entries."""
+    possess), DimensionMismatch unless rows holds n rows of s entries.
+    With only, 0-based indices below n, the count and just those rows
+    are checked."""
     if len(rows) != n:
         raise DimensionMismatch(f"{what}: {len(rows)} rows, expected {n}")
-    for i, row in enumerate(rows, start=1):
+    for i in range(n) if only is None else only:
+        row = rows[i]
         if row is None:
-            raise MissingBlock(f"{what}: block {i} not held")
+            raise MissingBlock(f"{what}: block {i + 1} not held")
         if len(row) != s:
-            raise DimensionMismatch(f"{what}: block {i} has {len(row)} entries, expected {s}")
+            raise DimensionMismatch(f"{what}: block {i + 1} has {len(row)} entries, expected {s}")
 
 
 def file_identity(content: bytes, owner_id: bytes = b"", file_name: bytes = b"") -> bytes:

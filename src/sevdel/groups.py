@@ -143,6 +143,9 @@ class Bn254Backend:
     def g1_msm_rows(self, shared, rows):
         return self._c.g1_msm_rows(shared, rows)
 
+    def g1_gen_add(self, points, scalars):
+        return self._c.g1_gen_add(points, scalars)
+
     def g1_row(self, raws):
         # decoded points: validated once on decode, used by proofs as they are
         return list(raws)
@@ -287,6 +290,12 @@ class ToyBackend:
     def g1_msm_rows(self, shared, rows):
         # no tables to share: one g1_msm per row, rows consumed one at a time
         return [self.g1_msm([*shared, *own], scalars) for own, scalars in rows]
+
+    def g1_gen_add(self, points, scalars):
+        # P * g1^k with g1 = 1
+        if len(points) != len(scalars):
+            raise DimensionMismatch(f"{len(scalars)} scalars for {len(points)} points")
+        return [(p + k) % self.order for p, k in zip(points, scalars)]
 
     def g1_row(self, raws):
         # elements lie below ORDER < 2^49: one 8-byte slot each, against

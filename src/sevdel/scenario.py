@@ -560,7 +560,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     (whose Miller lines are cached after the first call, as for every
     pairing in the protocol); and, per row, the median of 3 calls of
     g1_msm_rows over 16 shared hashed points and 32 rows of full-width
-    scalars, the shape of ciphertext tagging at s = 8."""
+    scalars, the shape of ciphertext tagging at s = 8; and, per point, the
+    median of 3 calls of g1_gen_add on 512 identity starts with full-width
+    scalars, the shape of an encryption or decryption chunk."""
     calls = 15
     params = setup(group, 16)
     backend = params.group
@@ -569,6 +571,8 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     scalars = rng.scalars(calls, params.order)
     shared = [params.hash_to_g1(DOMAIN_VGEN, b"bench-%d" % j).raw for j in range(16)]
     batches = [[((), rng.scalars(16, params.order)) for _ in range(32)] for _ in range(3)]
+    walks = [rng.scalars(512, params.order) for _ in range(3)]
+    identities = [backend.g1_identity()] * 512
     encodings = [backend.g1_to_bytes(pt) for pt in points]
     g1, g2 = params.g1.raw, params.g2.raw
 
@@ -588,6 +592,8 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
         "pairing_ms": median_ms(backend.pair, ((pt, g2) for pt in points)),
         "g1_msm_rows_ms": round(
             median_ms(backend.g1_msm_rows, ((shared, rows) for rows in batches)) / 32, 6),
+        "g1_gen_add_ms": round(
+            median_ms(backend.g1_gen_add, ((identities, ks) for ks in walks)) / 512, 6),
     }
 
 

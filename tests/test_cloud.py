@@ -355,6 +355,40 @@ def test_prove_rejects_bad_index(any_params):
         cloud.prove_encryption(any_params, enclave, manifest, blocks, cts, tags, ch)
 
 
+def test_prove_checks_only_the_challenged_rows(any_params):
+    params = any_params
+    rng, _, manifest, blocks, _, enclave, cts, v_pub = _setup_file(params)
+    okeys = owner.keygen(params, rng.child("ok"))
+    gens, tags = owner.outsource(params, okeys, manifest, blocks, rng.child("o"))
+    skeys = cloud.server_keygen(params, rng.child("sk"))
+    ch = owner.Challenge(items=((2, 5), (4, 7)), nonce=b"\x02" * 16)
+
+    def swap(rows, k, row):
+        return [row if i == k else r for i, r in enumerate(rows)]
+
+    def prove(blk, ct):
+        return cloud.prove_encryption(params, enclave, manifest, blk, ct, tags, ch,
+                                      rng.child("p"))
+
+    def unheld(rows):   # blocks 1 and 3, which the challenge does not name
+        return swap(swap(rows, 0, None), 2, None)
+
+    proof = prove(codec.BlockMatrix(unheld(blocks.rows)),
+                  dataclasses.replace(cts, rows_prime=unheld(cts.rows_prime),
+                                      rows_dprime=unheld(cts.rows_dprime)))
+    assert proof == prove(blocks, cts)
+    assert owner.verify_encryption_proof(params, manifest, gens.u, okeys.W, skeys.A, v_pub,
+                                         ch, proof)
+    # a challenged row (block 4) that is not held or is short still raises
+    for bad, error in ((lambda row: None, MissingBlock), (lambda row: row[:-1], DimensionMismatch)):
+        with pytest.raises(error):
+            prove(codec.BlockMatrix(swap(blocks.rows, 3, bad(blocks.rows[3]))), cts)
+        for component in ("rows_prime", "rows_dprime"):
+            rows = getattr(cts, component)
+            with pytest.raises(error):
+                prove(blocks, dataclasses.replace(cts, **{component: swap(rows, 3, bad(rows[3]))}))
+
+
 def test_wrong_v_probe(any_params):
     rng, _, manifest, blocks, _, enclave, cts, v_pub = _setup_file(any_params)
     okeys = owner.keygen(any_params, rng.child("ok"))

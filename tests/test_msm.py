@@ -1,9 +1,10 @@
-"""G1 multi-exponentiation, its batched rows, the generator table, the
-dlog table source, batched scalar draws, and byte-identical protocol output.
+"""G1 multi-exponentiation, its batched rows, the generator table and its
+batched walks, the dlog table source, batched scalar draws, and
+byte-identical protocol output.
 
-``g1_msm``, ``g1_msm_rows`` and the generator table are checked against
-per-term double-and-add (``bn254._g1_mul_raw``) and ``g1_add`` on bn254, and
-against ``g1_pow``/``g1_op`` on toy.
+``g1_msm``, ``g1_msm_rows``, ``g1_gen_add`` and the generator table are
+checked against per-term double-and-add (``bn254._g1_mul_raw``) and
+``g1_add`` on bn254, and against ``g1_pow``/``g1_op`` on toy.
 """
 
 import hashlib
@@ -259,6 +260,86 @@ def test_generator_table_under_one_mib(bn_params):
         for row in rows)
     assert size <= 1 << 20
     assert all(bn254.g1_is_on_curve(pt) for row in rows for pt in row)
+
+
+@pytest.mark.parametrize("row", [0, 21, 42])
+def test_generator_table_entries(row):
+    # entry j of row i is (j + 1) * 2^(6i) * G, for the first, a middle and
+    # the last row; both generator walkers read this table
+    rows = bn254._generator_rows()
+    assert len(rows) == 43 and all(len(r) == 32 for r in rows)
+    for j, pt in enumerate(rows[row]):
+        assert pt == bn254._g1_mul_raw(bn254.G1_GEN, (j + 1) << (6 * row)), j
+
+
+# -- batched generator walks: P_i + k_i * g1 -----------------------------------
+
+def _check_gen_add(params, starts, scalars):
+    group = params.group
+    mul = _reference_mul(group)
+    expect = [group.g1_op(p, mul(group.g1_gen, k)) for p, k in zip(starts, scalars)]
+    assert group.g1_gen_add(starts, scalars) == expect
+
+
+def test_gen_add_pinned_scalars_from_every_start(any_params):
+    # digit carries at 31/32/33, the order and past it, a negative scalar,
+    # and a full-width one, each from the identity, g1, 1/g1 and others
+    r = any_params.order
+    ks = [0, 1, 31, 32, 33, r - 1, r, r + 5, -7, 2**253]
+    for start in pool(any_params):
+        _check_gen_add(any_params, [start] * len(ks), ks)
+
+
+def test_gen_add_cancellation_and_doubling(any_params):
+    group = any_params.group
+    mul = _reference_mul(group)
+    gen, ident = group.g1_gen, group.g1_identity()
+    ks = [5, 64, 2**200 + 3, any_params.order - 2]
+    # a start of -k*G ends at the identity
+    assert group.g1_gen_add([mul(gen, -k) for k in ks], ks) == [ident] * len(ks)
+    cases = [
+        (mul(gen, 5), 5),               # the start is row 0's entry: a doubling
+        (mul(gen, 64), 64),             # the start is row 1's entry, row 0 adds nothing
+        (mul(gen, 62), 2 + 64),         # the walk reaches 64*G, then adds row 1's 64*G
+        (mul(gen, -64), 64 + 4096),     # cancels at row 1, then starts again at row 2
+        (mul(gen, -31), -31),           # a negative digit met by its own entry
+    ]
+    _check_gen_add(any_params, [p for p, _ in cases], [k for _, k in cases])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(walks=st.lists(st.tuples(st.integers(0, 7), st.integers(-2**300, 2**300)), max_size=12),
+       group=st.sampled_from(["toy", "bn254"]))
+def test_gen_add_matches_reference(walks, group):
+    params = setup(group, 8)
+    _check_gen_add(params, [pool(params)[i] for i, _ in walks], [k for _, k in walks])
+
+
+def test_gen_add_rejects_mismatched_lengths(any_params):
+    group = any_params.group
+    for points, scalars in (([group.g1_gen, group.g1_gen], [1]), ([], [3])):
+        with pytest.raises(DimensionMismatch):
+            group.g1_gen_add(points, scalars)
+    assert group.g1_gen_add([], []) == []
+
+
+def test_roundtrip_across_a_batch_boundary(bn_params):
+    # one batch plus 8 sectors at s = 8, one block all zero: the second
+    # batch runs, and decrypting the zero block cancels to the identity
+    s = 8
+    sectors = cloud._BATCH_SECTORS + 8
+    data = bytearray(SeededRng(b"gen-add-roundtrip").read(sectors))
+    data[8 * 5:8 * 6] = bytes(8)
+    manifest, blocks = codec.split(bytes(data), s, bn_params.sector_bits)
+    assert manifest.n * s == sectors
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    cts, v_pub = cloud.encrypt_file(bn_params, enclave, manifest, blocks, SeededRng(b"enc"))
+    # sampled components against double-and-add; E' of the zero block is V^r
+    sealed = cloud._sealed_rows(bn_params.group, enclave, s)
+    for i in (0, 5, manifest.n - 1):
+        assert cts.rows_dprime[i] == [bn254._g1_mul_raw(bn254.G1_GEN, r) for r in sealed(i)]
+    assert cts.rows_prime[5] == [bn254._g1_mul_raw(v_pub.raw, r) for r in sealed(5)]
+    assert cloud.decrypt_file(bn_params, enclave, cts).rows == blocks.rows
 
 
 def test_generator_multiples_are_a_running_sum(any_params):
