@@ -14,11 +14,10 @@ from .enclave import DeletionReceipt, Enclave, EnclaveRegistry
 from .groups import (
     G1Elem,
     G2Elem,
-    GTElem,
     SystemParams,
     block_point,
     elem_to_scalar,
-    pairing,
+    pairing_eq,
     setup,
     vgen_points,
 )

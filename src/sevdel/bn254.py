@@ -9,10 +9,10 @@ used by the Ethereum precompiles:
 
 Fp12 = Fp2[w]/(w^6 - xi) with xi = 9+i, read as the tower Fp6[w]/(w^2 - v)
 over Fp6 = Fp2[v]/(v^3 - xi).  An Fp12 element is flat: a tuple of 12 ints,
-the real and imaginary parts of its coefficients at w^0, ..., w^5 (also the
-order of the GT encoding).  Multiplication is Karatsuba over the tower with
-lazy reduction, one reduction mod P per output coefficient; Miller lines
-are sparse (coefficients at w^0, w^1, w^3 only).
+the real and imaginary parts of its coefficients at w^0, ..., w^5.
+Multiplication is Karatsuba over the tower with lazy reduction, one
+reduction mod P per output coefficient; Miller lines are sparse
+(coefficients at w^0, w^1, w^3 only).
 
 The pairing is the optimal ate construction: a NAF Miller loop over 6u+2
 with the doubling and addition steps in homogeneous projective coordinates
@@ -1363,18 +1363,3 @@ def pairing(p1, p2):
     if p1 is None or p2 is None:
         return FP12_ONE
     return final_exponentiation(miller_loop(p1, p2))
-
-
-def gt_mul(a, b):
-    return a.mul(b)
-
-
-def gt_pow(a, k):
-    k %= R
-    return a.pow(k)
-
-
-def gt_to_bytes(a):
-    """The 12 coefficients of a, 32 bytes each, big-endian: real then
-    imaginary part of the coefficient at w^0, then at w^1, ..., w^5."""
-    return b"".join(int(x).to_bytes(FP_BYTES, "big") for x in a.c)

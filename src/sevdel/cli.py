@@ -11,6 +11,7 @@ composite runs, never across separate processes.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import click
 
 from . import cloud, codec, owner, wire
 from .enclave import EnclaveRegistry
-from .errors import SevdelError
+from .errors import MalformedProof, SevdelError
 from .groups import scalar_from_bytes, scalar_to_bytes, setup as group_setup, vgen_points
 from .rng import SeededRng
 from .scenario import (
@@ -59,9 +60,31 @@ def _write(out: Path, name: str, data) -> Path:
     return path
 
 
+def _clean_errors(fn):
+    """Report a SevdelError as one error line and exit code 2."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except SevdelError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+    return wrapper
+
+
+def _load(out: Path, name: str, parse=None):
+    """The artifact out/name: its bytes, or parse of its JSON, where parse
+    only picks and decodes fields.  Raises MalformedProof for a file that
+    is missing, unparsable or incomplete."""
+    try:
+        data = (out / name).read_bytes()
+        return data if parse is None else parse(json.loads(data))
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+        raise MalformedProof(f"{name} is missing, unparsable or incomplete: {exc}") from exc
+
+
 def _load_params(out: Path):
-    cfg = json.loads((out / "params.json").read_text())
-    return group_setup(cfg["group"], cfg["sector_bits"]), cfg
+    return _load(out, "params.json", lambda d: group_setup(d["group"], d["sector_bits"]))
 
 
 @main.command()
@@ -69,6 +92,7 @@ def _load_params(out: Path):
 @_bits_opt
 @_seed_opt
 @_out_opt
+@_clean_errors
 def setup(group, sector_bits, seed, out):
     """Bootstrap system parameters and the provider key pair."""
     params = group_setup(group, int(sector_bits))
@@ -89,9 +113,10 @@ def setup(group, sector_bits, seed, out):
 @_seed_opt
 @_out_opt
 @click.option("--owner-id", default="owner", show_default=True)
+@_clean_errors
 def outsource(file_path, sectors, seed, out, owner_id):
     """Split the file, generate owner keys and per-block tags."""
-    params, _ = _load_params(out)
+    params = _load_params(out)
     data = file_path.read_bytes()
     manifest, blocks = codec.split(data, sectors, params.sector_bits,
                                    owner_id=owner_id.encode(),
@@ -114,21 +139,20 @@ def outsource(file_path, sectors, seed, out, owner_id):
 @main.command()
 @_seed_opt
 @_out_opt
+@_clean_errors
 def encrypt(seed, out):
     """Encrypt previously outsourced blocks and tag the ciphertexts.
 
     The enclave (and hence the decryption key) exists only for the
     duration of this invocation; that is the deletion guarantee at work.
     """
-    params, _ = _load_params(out)
-    manifest = codec.FileManifest.from_json((out / "manifest.json").read_text())
-    blocks = wire.decode_blocks((out / "blocks.bin").read_bytes())
-    owner_pub = json.loads((out / "owner.json").read_text())
-    u = tuple(params.g1_from_bytes(bytes.fromhex(h)) for h in owner_pub["u"])
-    provider = json.loads((out / "provider.json").read_text())
-    skeys = cloud.ServerKeyPair(
-        a=scalar_from_bytes(params.group, bytes.fromhex(provider["a"])),
-        A=params.g2_from_bytes(bytes.fromhex(provider["A"])))
+    params = _load_params(out)
+    manifest = codec.FileManifest.from_json(_load(out, "manifest.json"))
+    blocks = wire.decode_blocks(_load(out, "blocks.bin"))
+    u_bytes = _load(out, "owner.json", lambda d: [bytes.fromhex(h) for h in d["u"]])
+    a, A = _load(out, "provider.json", lambda d: (bytes.fromhex(d["a"]), bytes.fromhex(d["A"])))
+    u = tuple(map(params.g1_from_bytes, u_bytes))
+    skeys = cloud.ServerKeyPair(a=scalar_from_bytes(params.group, a), A=params.g2_from_bytes(A))
     registry = EnclaveRegistry()
     enclave = registry.create(manifest.file_id)
     rng = SeededRng(seed)
@@ -225,14 +249,10 @@ main.command(name="audit", help="Leakage audit against the contract; executes th
 @main.command(name="run-scenario")
 @click.argument("scenario_file", type=click.Path(exists=True, path_type=Path))
 @_out_opt
+@_clean_errors
 def run_scenario_cmd(scenario_file, out):
     """Execute a declarative scenario file; exit 0 iff expectations hold."""
-    try:
-        sc = Scenario.from_json(scenario_file.read_text())
-        _run_and_report(sc, out)
-    except SevdelError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    _run_and_report(Scenario.from_json(scenario_file.read_text()), out)
 
 
 @main.command()

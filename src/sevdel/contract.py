@@ -41,7 +41,7 @@ from .groups import (
     SystemParams,
     block_point,
     encoding_to_scalar,
-    pairing,
+    pairing_eq,
     vgen_points,
 )
 from .owner import AuditResponse, Challenge, check_challenge
@@ -51,6 +51,16 @@ STATE_CREATED = "CREATED"
 STATE_CLAIMED = "CLAIMED"
 STATE_FINISHED = "FINISHED"
 STATE_ABORTED = "ABORTED"
+
+
+def _require(ok: bool, what: str) -> None:
+    """Refuse an ill-typed contract call before it reads or changes state."""
+    if not ok:
+        raise MalformedProof(f"ill-typed contract call: {what}")
+
+
+def _ints(*values) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 class LogicalClock:
@@ -157,13 +167,15 @@ def verify_audit_response(
     s = len(u)
     check_challenge(challenge, len(sigma), params.order)
     indices = set(challenge.indices)
-    if set(response.revealed_prime) != indices or set(response.revealed_dprime) != indices:
+    if not all(isinstance(rows, dict) and rows.keys() == indices
+               for rows in (response.revealed_prime, response.revealed_dprime)):
         raise MalformedProof("revealed rows do not match the challenged indices")
     rows_p = [response.revealed_prime[i] for i in challenge.indices]
     rows_pp = [response.revealed_dprime[i] for i in challenge.indices]
     group = params.group
     width = group.g1_bytes
-    if any(len(row) != s or not all(isinstance(c, bytes) and len(c) == width for c in row)
+    if any(not isinstance(row, (list, tuple)) or len(row) != s
+           or not all(isinstance(c, bytes) and len(c) == width for c in row)
            for row in (*rows_p, *rows_pp)):
         raise MalformedProof(f"revealed row is not {s} components of {width} bytes")
     v_gens = vgen_points(params, file_id, s)
@@ -179,7 +191,7 @@ def verify_audit_response(
            for j in range(s)]
     blocks = [block_point(params, file_id, i) for i in challenge.indices]
     agg_base = msm([*blocks, *u, *v_gens], [*gammas, *e_u, *e_v])
-    return pairing(response.q2, params.g2) == pairing(agg_base, A)
+    return pairing_eq((response.q2, params.g2), (agg_base, A))
 
 
 class Contract:
@@ -202,6 +214,7 @@ class Contract:
         return self.clock.now
 
     def _record(self, n_ref: str) -> ContractRecord:
+        _require(isinstance(n_ref, str), "n_ref must be a str")
         rec = self.records.get(n_ref)
         if rec is None:
             raise WrongState(f"no service record for {n_ref}")
@@ -287,6 +300,9 @@ class Contract:
         deposit: int,
         t1: int, t2: int, t3: int, t4: int,
     ) -> None:
+        _require(isinstance(n_ref, str) and isinstance(provider, str)
+                 and isinstance(provider_pub, bytes) and _ints(deposit, t1, t2, t3, t4),
+                 "service takes str names, key bytes and int amount and deadlines")
         with self._lock:
             if n_ref in self.records:
                 raise WrongState(f"record {n_ref} already created")
@@ -309,6 +325,7 @@ class Contract:
                       STATE_INIT, rec.state, delta)
 
     def agree(self, owner_acct: str, n_ref: str, stake: int) -> None:
+        _require(isinstance(owner_acct, str) and _ints(stake), "agree takes a str and an int")
         with self._lock:
             rec = self._open(n_ref, "agree", STATE_CREATED, ("t1", "t2"))
             if stake <= 0:
@@ -329,6 +346,9 @@ class Contract:
         u_bytes: list[bytes],
     ) -> None:
         """Record (I_M, Sigma) plus the owner's sector generators on-chain."""
+        _require(isinstance(file_id, bytes) and all(
+            isinstance(blobs, (list, tuple)) and all(isinstance(b, bytes) for b in blobs)
+            for blobs in (sigma_bytes, u_bytes)), "register_tags takes bytes and lists of bytes")
         with self._lock:
             rec = self._open(n_ref, "register_tags", STATE_CREATED)
             if rec.sigma_bytes is not None:
@@ -367,6 +387,9 @@ class Contract:
         challenge: Challenge,
         response: AuditResponse,
     ) -> bool:
+        _require(isinstance(owner_acct, str) and isinstance(challenge, Challenge)
+                 and isinstance(response, AuditResponse),
+                 "audit_verify takes a str, a Challenge and an AuditResponse")
         with self._lock:
             rec = self._open(n_ref, "audit", STATE_CLAIMED, ("t2", "t3"))
             if owner_acct not in rec.owners:

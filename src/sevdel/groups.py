@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidElement, UnknownDomain
 
@@ -26,7 +26,7 @@ DOMAIN_BLOCK = b"sevdel/block"      # per-block point H(I_M || i)
 DOMAIN_VGEN = b"sevdel/vgen"        # ciphertext-tag sector generators
 DOMAIN_DELETE = b"sevdel/delete"    # owner-signed deletion requests
 
-DEFAULT_HASH_DOMAINS = (DOMAIN_BLOCK, DOMAIN_VGEN, DOMAIN_DELETE)
+HASH_DOMAINS = (DOMAIN_BLOCK, DOMAIN_VGEN, DOMAIN_DELETE)
 
 _ELEM_SCALAR_TAG = b"sevdel/elem-scalar:"
 
@@ -87,14 +87,6 @@ class G2Elem(_Elem):
     def _ops(self):
         g = self.group
         return g.g2_op, g.g2_pow, g.g2_eq, g.g2_to_bytes
-
-
-class GTElem(_Elem):
-    kind = "gt"
-
-    def _ops(self):
-        g = self.group
-        return g.gt_op, g.gt_pow, g.gt_eq, g.gt_to_bytes
 
 
 class Bn254Backend:
@@ -167,9 +159,6 @@ class Bn254Backend:
     def g2_pow(self, a, k):
         return self._c.g2_mul(a, k)
 
-    def g2_inv(self, a):
-        return self._c.g2_neg(a)
-
     def g2_eq(self, a, b):
         return a == b
 
@@ -178,25 +167,6 @@ class Bn254Backend:
 
     def g2_from_bytes(self, data):
         return self._c.g2_from_bytes(data)
-
-    # GT
-    def gt_op(self, a, b):
-        return self._c.gt_mul(a, b)
-
-    def gt_pow(self, a, k):
-        return self._c.gt_pow(a, k)
-
-    def gt_inv(self, a):
-        return a.conj()  # pairing outputs are unitary
-
-    def gt_eq(self, a, b):
-        return a == b
-
-    def gt_identity(self):
-        return self._c.FP12_ONE
-
-    def gt_to_bytes(self, a):
-        return self._c.gt_to_bytes(a)
 
     def pair(self, a, b):
         return self._c.pairing(a, b)
@@ -214,24 +184,16 @@ class ToyBackend:
 
     # smallest prime above 2^48: leaves headroom over the 32-bit sector
     # bound so out-of-range corruptions cannot wrap back into range
-    ORDER = 281474976710677
-
-    def __init__(self, order: int = ORDER):
-        self.order = order
-        self.scalar_bytes = 8
-        self.g1_bytes = 9
-        self.g2_bytes = 9
-        self.g1_gen = 1
-        self.g2_gen = 1
+    order = 281474976710677
+    scalar_bytes = 8
+    g1_bytes = g2_bytes = 9
+    g1_gen = g2_gen = 1
 
     def _op(self, a, b):
         return (a + b) % self.order
 
     def _pow(self, a, k):
         return a * (k % self.order) % self.order
-
-    def _inv(self, a):
-        return -a % self.order
 
     def _eq(self, a, b):
         return a == b
@@ -249,20 +211,21 @@ class ToyBackend:
             raise InvalidElement("toy element out of range")
         return v
 
-    g1_op = g2_op = gt_op = _op
-    g2_pow = gt_pow = _pow
+    g1_op = g2_op = _op
+    g2_pow = _pow
 
     def g1_pow(self, a, k):
         # g1 = 1, so g1^k is k mod order; a product by 1 would leave every
         # stored component with a spare digit allocated (48 B, not 40 B)
         return k % self.order if a == 1 else self._pow(a, k)
-    g1_inv = g2_inv = gt_inv = _inv
-    g1_eq = g2_eq = gt_eq = _eq
+
+    def g1_inv(self, a):
+        return -a % self.order
+
+    g1_eq = g2_eq = _eq
 
     def g1_identity(self):
         return 0
-
-    gt_identity = g1_identity
 
     def g1_to_bytes(self, a):
         return self._to_bytes(a, b"\x11")
@@ -275,9 +238,6 @@ class ToyBackend:
 
     def g2_from_bytes(self, data):
         return self._from_bytes(data, b"\x12")
-
-    def gt_to_bytes(self, a):
-        return self._to_bytes(a, b"\x13")
 
     def g1_double_exp(self, a, x, b, y):
         return (a * x + b * y) % self.order
@@ -298,7 +258,7 @@ class ToyBackend:
         return [(p + k) % self.order for p, k in zip(points, scalars)]
 
     def g1_row(self, raws):
-        # elements lie below ORDER < 2^49: one 8-byte slot each, against
+        # elements lie below order < 2^49: one 8-byte slot each, against
         # 40 B for an int in a list
         return array("Q", raws)
 
@@ -336,7 +296,6 @@ class SystemParams:
     g1: G1Elem
     g2: G2Elem
     sector_bits: int
-    hash_domains: tuple[bytes, ...] = field(default=DEFAULT_HASH_DOMAINS)
 
     @property
     def group(self):
@@ -347,16 +306,13 @@ class SystemParams:
         return self.group.order
 
     def hash_to_g1(self, domain: bytes, msg: bytes) -> G1Elem:
-        if domain not in self.hash_domains:
+        if domain not in HASH_DOMAINS:
             raise UnknownDomain(f"hash domain {domain!r} not registered")
         framed = len(domain).to_bytes(2, "big") + domain + msg
         return G1Elem(self.group, self.group.g1_hash(framed))
 
     def g1_identity(self) -> G1Elem:
         return G1Elem(self.group, self.group.g1_identity())
-
-    def gt_identity(self) -> GTElem:
-        return GTElem(self.group, self.group.gt_identity())
 
     def g1_from_bytes(self, data: bytes) -> G1Elem:
         return G1Elem(self.group, self.group.g1_from_bytes(data))
@@ -378,7 +334,7 @@ class SystemParams:
         h.update(self.g1.to_bytes())
         h.update(self.g2.to_bytes())
         h.update(self.sector_bits.to_bytes(2, "big"))
-        for d in self.hash_domains:
+        for d in HASH_DOMAINS:
             h.update(len(d).to_bytes(2, "big") + d)
         return h.digest()
 
@@ -396,11 +352,14 @@ def setup(group: str = "bn254", sector_bits: int = 32) -> SystemParams:
     )
 
 
-def pairing(x: G1Elem, y: G2Elem) -> GTElem:
-    """Bilinear map e(x, y); inputs must share a backend."""
-    if x.group is not y.group:
+def pairing_eq(lhs: tuple[G1Elem, G2Elem], rhs: tuple[G1Elem, G2Elem]) -> bool:
+    """e(a, b) == e(c, d) for lhs = (a, b) and rhs = (c, d), the one pairing
+    check of the protocol; all four arguments must share a backend."""
+    (a, b), (c, d) = lhs, rhs
+    group = a.group
+    if any(x.group is not group for x in (b, c, d)):
         raise InvalidElement("pairing arguments from different groups")
-    return GTElem(x.group, x.group.pair(x.raw, y.raw))
+    return group.pair(a.raw, b.raw) == group.pair(c.raw, d.raw)
 
 
 def encoding_to_scalar(group, data: bytes) -> int:

@@ -19,7 +19,7 @@ from .groups import (
     G2Elem,
     SystemParams,
     block_point,
-    pairing,
+    pairing_eq,
 )
 from .nizk import verify_opening
 from .rng import Rng, SeededRng, default_rng
@@ -134,10 +134,16 @@ def gen_challenge(manifest: FileManifest, count: int, rng_seed) -> Challenge:
 
 
 def check_challenge(challenge: Challenge, n: int, order: int) -> None:
-    """Raise MalformedProof unless the challenge names at least one block,
+    """Raise MalformedProof unless the challenge is a tuple of (index,
+    coefficient) int pairs with a bytes nonce, names at least one block,
     its indices are distinct and in [1, n], and no coefficient is 0 mod
     the group order; an empty or all-zero challenge is met by identities."""
-    if not challenge.items:
+    items = challenge.items
+    if not (isinstance(items, tuple) and isinstance(challenge.nonce, bytes)
+            and all(isinstance(item, tuple) and len(item) == 2
+                    and all(type(x) is int for x in item) for item in items)):
+        raise MalformedProof("challenge items must be (index, coefficient) int pairs")
+    if not items:
         raise MalformedProof("empty challenge")
     indices = challenge.indices
     if len(set(indices)) != len(indices):
@@ -183,7 +189,7 @@ def verify_encryption_proof(
     #     e(P2, g2) == e(prod_i H(I_M||i)^l_i * prod_j u_j^Q_j, W)
     bases = [block_point(params, manifest.file_id, i) for i, _ in challenge.items]
     agg = params.g1_msm([*bases, *u], [*(l for _, l in challenge.items), *proof.q])
-    if pairing(proof.p2, params.g2) != pairing(agg, W):
+    if not pairing_eq((proof.p2, params.g2), (agg, W)):
         return False
 
     # (b) NIZK linking the aggregated ciphertexts to the same aggregates
@@ -241,4 +247,4 @@ def sign_delete_request(params: SystemParams, keys: OwnerKeyPair, file_id: bytes
 
 
 def verify_delete_request(params: SystemParams, W: G2Elem, payload: bytes, sig: G1Elem) -> bool:
-    return pairing(sig, params.g2) == pairing(params.hash_to_g1(DOMAIN_DELETE, payload), W)
+    return pairing_eq((sig, params.g2), (params.hash_to_g1(DOMAIN_DELETE, payload), W))

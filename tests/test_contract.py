@@ -1,5 +1,6 @@
 """Contract state machine: windows, escrow arithmetic, audit verification."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -346,6 +347,99 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     with pytest.raises(MalformedProof, match=reason):
         owner.verify_encryption_proof(params, dep.manifest, dep.gens.u, dep.okeys.W,
                                       dep.skeys.A, dep.v_pub, bad, proof)
+
+
+def _at_stage(dep, stage):
+    """A contract over dep in which the stage's call, well typed, is legal:
+    fresh (service), created (register_tags), agreeing (agree), claimable
+    (claim) or claimed (audit_verify)."""
+    contract, ledger, clock = _contract(dep.params)
+    if stage != "fresh":
+        contract.service("prov", N, dep.skeys.A.to_bytes(), 1000, T1, T2, T3, T4)
+    if stage in ("agreeing", "claimable", "claimed"):
+        dep.register(contract)
+        clock.advance_to(T1)
+    if stage in ("claimable", "claimed"):
+        contract.agree("own", N, 50)
+        clock.advance_to(T2)
+    if stage == "claimed":
+        contract.claim(N)
+        clock.advance_to(25)
+    return contract, ledger
+
+
+def _stage_call(dep, stage, **kw):
+    """The call that is legal at stage, with the arguments in kw replaced."""
+    if stage == "fresh":
+        op, args = "service", dict(provider="prov", n_ref=N, provider_pub=dep.skeys.A.to_bytes(),
+                                   deposit=100, t1=T1, t2=T2, t3=T3, t4=T4)
+    elif stage == "created":
+        op, args = "register_tags", dict(n_ref=N, file_id=dep.manifest.file_id,
+                                         sigma_bytes=[e.to_bytes() for e in dep.enc_tags.sigma],
+                                         u_bytes=[e.to_bytes() for e in dep.gens.u])
+    elif stage == "agreeing":
+        op, args = "agree", dict(owner_acct="own", n_ref=N, stake=5)
+    elif stage == "claimable":
+        op, args = "claim", dict(n_ref=N)
+    else:
+        ch = dep.audit_challenge()
+        resp = owner.audit_respond(dep.params, dep.manifest, dep.cts, dep.enc_tags, ch)
+        op, args = "audit_verify", dict(n_ref=N, owner_acct="own", challenge=ch, response=resp)
+    return lambda contract: getattr(contract, op)(**{**args, **kw})
+
+
+def _retyped(dep, index=None, coefficient=None):
+    # the first challenged item with its index or coefficient replaced
+    ch = dep.audit_challenge()
+    (i, gamma), rest = ch.items[0], ch.items[1:]
+    item = (i if index is None else index, gamma if coefficient is None else coefficient)
+    return owner.Challenge(items=(item, *rest), nonce=ch.nonce)
+
+
+ILL_TYPED_CALLS = {   # name: (stage, replaced arguments given the deployment)
+    "service-deposit-str": ("fresh", lambda dep: {"deposit": "100"}),
+    "service-deposit-float": ("fresh", lambda dep: {"deposit": 100.0}),
+    "service-deposit-bool": ("fresh", lambda dep: {"deposit": True}),
+    "service-deadline-str": ("fresh", lambda dep: {"t1": "a"}),
+    "service-provider-pub-none": ("fresh", lambda dep: {"provider_pub": None}),
+    "service-provider-pub-hex": ("fresh", lambda dep: {"provider_pub": dep.skeys.A.hex()}),
+    "service-n-ref-list": ("fresh", lambda dep: {"n_ref": [N]}),
+    "agree-stake-str": ("agreeing", lambda dep: {"stake": "5"}),
+    "agree-stake-float": ("agreeing", lambda dep: {"stake": 5.5}),
+    "agree-stake-bool": ("agreeing", lambda dep: {"stake": True}),
+    "agree-owner-list": ("agreeing", lambda dep: {"owner_acct": ["own"]}),
+    "register-sigma-int": ("created", lambda dep: {"sigma_bytes": [5]}),
+    "register-sigma-none": ("created", lambda dep: {"sigma_bytes": None}),
+    "register-u-none": ("created", lambda dep: {"u_bytes": None}),
+    "register-file-id-str": ("created", lambda dep: {"file_id": dep.manifest.file_id.hex()}),
+    "claim-n-ref-list": ("claimable", lambda dep: {"n_ref": [N]}),
+    "audit-challenge-none": ("claimed", lambda dep: {"challenge": None}),
+    "audit-response-none": ("claimed", lambda dep: {"response": None}),
+    "audit-index-str": ("claimed", lambda dep: {
+        "challenge": _retyped(dep, index=str(dep.audit_challenge().items[0][0]))}),
+    "audit-coefficient-float": ("claimed", lambda dep: {
+        "challenge": _retyped(dep, coefficient=5.0)}),
+    "audit-nonce-str": ("claimed", lambda dep: {"challenge": owner.Challenge(
+        items=dep.audit_challenge().items, nonce="00")}),
+    "audit-owner-list": ("claimed", lambda dep: {"owner_acct": ["own"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_TYPED_CALLS))
+def test_ill_typed_contract_calls_raise_only_sevdel_errors(any_dep, case):
+    # contract calls are untrusted input: a call of the wrong types is
+    # refused with MalformedProof and changes no balance, record or log
+    # line; the same call well typed then goes through
+    stage, replaced = ILL_TYPED_CALLS[case]
+    contract, ledger = _at_stage(any_dep, stage)
+    balances, records, log = ledger.snapshot(), copy.deepcopy(contract.records), list(contract.log)
+    with pytest.raises(MalformedProof):
+        _stage_call(any_dep, stage, **replaced(any_dep))(contract)
+    assert ledger.snapshot() == balances
+    assert contract.records == records
+    assert contract.log == log
+    assert _stage_call(any_dep, stage)(contract) in (None, True)
+    assert len(contract.log) == len(log) + 1
 
 
 def test_owner_without_ciphertexts_is_not_paid(any_dep):

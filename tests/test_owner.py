@@ -7,7 +7,7 @@ import pytest
 from sevdel import cloud, codec, owner
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import CountOutOfRange, MalformedProof, MissingBlock
-from sevdel.groups import block_point, pairing, vgen_points
+from sevdel.groups import block_point, pairing_eq, vgen_points
 from sevdel.rng import SeededRng
 
 
@@ -37,8 +37,9 @@ def test_keygen_distinct_keys(any_params):
 
 def test_keygen_public_key_definition(any_params):
     keys = owner.keygen(any_params, SeededRng(b"kg-def"))
-    e = pairing(any_params.g1, any_params.g2)
-    assert pairing(any_params.g1, keys.W) == e ** keys.w
+    # e(g1, W) = e(g1, g2)^w = e(g1^w, g2)
+    assert pairing_eq((any_params.g1, keys.W), (any_params.g1 ** keys.w, any_params.g2))
+    assert not pairing_eq((any_params.g1, keys.W), (any_params.g1 ** (keys.w + 1), any_params.g2))
 
 
 def test_keygen_public_key_deserializes(any_params):
@@ -74,7 +75,7 @@ def test_outsource_pairing_equation_oracle(any_params):
         base = block_point(any_params, manifest.file_id, i)
         for j in range(manifest.s):
             base = base * gens.u[j] ** blocks.rows[i - 1][j]
-        assert pairing(tags.phi[i - 1], any_params.g2) == pairing(base, okeys.W)
+        assert pairing_eq((tags.phi[i - 1], any_params.g2), (base, okeys.W))
 
 
 def test_outsource_shape_mismatch(any_params):

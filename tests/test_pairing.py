@@ -1,16 +1,16 @@
 """BN254 pairing internals: pinned outputs, the flat Fp12 tower against a
-schoolbook reference, cyclotomic squaring and the GT encoding."""
+schoolbook reference, cyclotomic squaring and the Miller-line cache."""
 
 import random
 
 from sevdel import bn254
 from sevdel.bn254 import FP12_ONE, Fp2, Fp12, P, R
-from sevdel.groups import pairing, setup
 
 # e(G1_GEN, G2_GEN) and e([7]G1_GEN, [11]G2_GEN), computed with the earlier
-# Fp2 -> Fp6 -> Fp12 object tower; coefficient order as in gt_to_bytes.  A
-# wrong map can still be bilinear (a power of the pairing, say), so the
-# algebraic tests alone do not pin it.
+# Fp2 -> Fp6 -> Fp12 object tower, in Fp12.c order: real then imaginary
+# part of the coefficient at w^0, then at w^1, ..., w^5.  A wrong map can
+# still be bilinear (a power of the pairing, say), so the algebraic tests
+# alone do not pin it.
 E_GEN = (
     8493334370784016972005089913588211327688223499729897951716206968320726508021,
     3758435817766288188804561253838670030762970764366672594784247447067868088068,
@@ -115,14 +115,6 @@ def test_cyclotomic_sqr_matches_sqr_after_easy_part():
 def test_pow_u_matches_pow():
     t = _easy_part(_random_fp12(random.Random(16)))
     assert bn254._pow_u(t) == t.pow(bn254.U)
-
-
-def test_gt_encoding_is_fixed_width_coefficients():
-    params = setup("bn254", sector_bits=8)
-    data = pairing(params.g1, params.g2).to_bytes()
-    assert len(data) == 12 * 32
-    assert tuple(int.from_bytes(data[32 * k:32 * k + 32], "big") for k in range(12)) == E_GEN
-    assert params.gt_identity().to_bytes() == (1).to_bytes(32, "big") + bytes(352)
 
 
 def test_pairing_output_has_order_r():

@@ -237,6 +237,62 @@ def test_cli_artifact_pipeline(tmp_path):
         assert (out / name).exists(), name
 
 
+def _artifacts(tmp_path, runner):
+    demo = tmp_path / "demo.bin"
+    demo.write_bytes(bytes(range(256)))
+    out = tmp_path / "out"
+    for args in (["setup", "--group", "toy", "--out", str(out)],
+                 ["outsource", "--file", str(demo), "--out", str(out)]):
+        assert runner.invoke(main, args).exit_code == 0
+    return demo, out
+
+
+def _drop_key(name, key):
+    def corrupt(out):
+        d = json.loads((out / name).read_text())
+        del d[key]
+        (out / name).write_text(json.dumps(d))
+    return corrupt
+
+
+def _set_key(name, key, value):
+    def corrupt(out):
+        d = json.loads((out / name).read_text())
+        d[key] = value
+        (out / name).write_text(json.dumps(d))
+    return corrupt
+
+
+BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
+    "encrypt-owner-without-u": ("encrypt", _drop_key("owner.json", "u")),
+    "encrypt-owner-u-not-hex": ("encrypt", _set_key("owner.json", "u", ["zz"])),
+    "encrypt-owner-missing": ("encrypt", lambda out: (out / "owner.json").unlink()),
+    "encrypt-provider-not-json": ("encrypt", lambda out: (out / "provider.json").write_text("[")),
+    "encrypt-blocks-truncated": ("encrypt", lambda out: (out / "blocks.bin").write_bytes(
+        (out / "blocks.bin").read_bytes()[:5])),
+    "encrypt-manifest-missing": ("encrypt", lambda out: (out / "manifest.json").unlink()),
+    "outsource-params-unparsable": ("outsource", lambda out: (out / "params.json").write_text("{")),
+    "outsource-params-without-group": ("outsource", _drop_key("params.json", "group")),
+    "outsource-params-unknown-group": ("outsource", _set_key("params.json", "group", "p256")),
+    "outsource-params-bad-sector-bits": ("outsource", _set_key("params.json", "sector_bits", 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_ARTIFACTS))
+def test_cli_artifact_commands_fail_cleanly(tmp_path, case):
+    # a missing, unparsable or incomplete artifact is an error message and
+    # exit code 2, never a traceback
+    runner = CliRunner()
+    demo, out = _artifacts(tmp_path, runner)
+    command, corrupt = BROKEN_ARTIFACTS[case]
+    corrupt(out)
+    args = [command, "--out", str(out)] + (["--file", str(demo)] if command == "outsource" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_cli_composite_verbs(tmp_path):
     runner = CliRunner()
     for verb in ("verify", "delete", "audit"):
