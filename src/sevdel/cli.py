@@ -11,7 +11,6 @@ composite runs, never across separate processes.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -32,20 +31,32 @@ from .scenario import (
     run_scenario,
 )
 
-_seed_opt = click.option("--seed", default=1, show_default=True, help="Deterministic run seed.")
+_seed_opt = click.option("--seed", default=1, show_default=True,
+                         type=click.IntRange(0, 2 ** 128 - 1), help="Deterministic run seed.")
 _out_opt = click.option("--out", type=click.Path(path_type=Path), default=Path("sevdel-out"),
                         show_default=True, help="Artifact/transcript directory.")
 _sectors_opt = click.option("--sectors", default=8, show_default=True,
-                            help="Sectors per block (s).")
+                            type=click.IntRange(min=1), help="Sectors per block (s).")
 _bits_opt = click.option("--sector-bits", default=16, show_default=True,
                          type=click.Choice(["8", "16", "32"]), help="Sector width in bits.")
 _count_opt = click.option("--challenge-count", default=8, show_default=True,
-                          help="Blocks sampled per challenge.")
+                          type=click.IntRange(min=1), help="Blocks sampled per challenge.")
 _group_opt = click.option("--group", default="bn254", show_default=True,
                           type=click.Choice(["bn254", "toy"]), help="Pairing backend.")
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a SevdelError from any command as one error line, exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SevdelError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Secure-and-verifiable deletion protocol simulator."""
 
@@ -58,18 +69,6 @@ def _write(out: Path, name: str, data) -> Path:
     else:
         path.write_text(data)
     return path
-
-
-def _clean_errors(fn):
-    """Report a SevdelError as one error line and exit code 2."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SevdelError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-    return wrapper
 
 
 def _load(out: Path, name: str, parse=None):
@@ -92,7 +91,6 @@ def _load_params(out: Path):
 @_bits_opt
 @_seed_opt
 @_out_opt
-@_clean_errors
 def setup(group, sector_bits, seed, out):
     """Bootstrap system parameters and the provider key pair."""
     params = group_setup(group, int(sector_bits))
@@ -113,7 +111,6 @@ def setup(group, sector_bits, seed, out):
 @_seed_opt
 @_out_opt
 @click.option("--owner-id", default="owner", show_default=True)
-@_clean_errors
 def outsource(file_path, sectors, seed, out, owner_id):
     """Split the file, generate owner keys and per-block tags."""
     params = _load_params(out)
@@ -139,7 +136,6 @@ def outsource(file_path, sectors, seed, out, owner_id):
 @main.command()
 @_seed_opt
 @_out_opt
-@_clean_errors
 def encrypt(seed, out):
     """Encrypt previously outsourced blocks and tag the ciphertexts.
 
@@ -249,16 +245,25 @@ main.command(name="audit", help="Leakage audit against the contract; executes th
 @main.command(name="run-scenario")
 @click.argument("scenario_file", type=click.Path(exists=True, path_type=Path))
 @_out_opt
-@_clean_errors
 def run_scenario_cmd(scenario_file, out):
     """Execute a declarative scenario file; exit 0 iff expectations hold."""
     _run_and_report(Scenario.from_json(scenario_file.read_text()), out)
 
 
+def _parse_sizes(ctx, param, value):
+    try:
+        sizes = [int(v) for v in value.split(",") if v]
+        if all(size >= 1 for size in sizes):
+            return sizes
+    except ValueError:
+        pass
+    raise click.BadParameter(f"{value!r} is not a comma-separated list of positive integers")
+
+
 @main.command()
-@click.option("--sizes", default="65536,1048576", show_default=True,
+@click.option("--sizes", default="65536,1048576", show_default=True, callback=_parse_sizes,
               help="Comma-separated file sizes in bytes.")
-@click.option("--reps", default=3, show_default=True)
+@click.option("--reps", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--group", default="toy", show_default=True,
               type=click.Choice(["bn254", "toy"]),
               help="Backend to measure (bn254 is slow above a few KiB).")
@@ -269,15 +274,14 @@ def run_scenario_cmd(scenario_file, out):
 @_out_opt
 def bench(sizes, reps, group, sectors, sector_bits, challenge_count, seed, out):
     """Measure per-phase wall time and proof sizes; write CSV and JSON."""
-    size_list = [int(v) for v in sizes.split(",") if v]
-    rows = run_bench(size_list, reps=reps, group=group, s=sectors,
+    rows = run_bench(sizes, reps=reps, group=group, s=sectors,
                      sector_bits=int(sector_bits),
                      challenge_count=challenge_count, seed=seed)
     csv_text = bench_csv(rows)
     path = _write(out, "bench.csv", csv_text)
     click.echo(csv_text.rstrip())
     click.echo(f"wrote {path}")
-    config = {"group": group, "sizes": size_list, "reps": reps, "sectors": sectors,
+    config = {"group": group, "sizes": sizes, "reps": reps, "sectors": sectors,
               "sector_bits": int(sector_bits), "challenge_count": challenge_count,
               "seed": seed}
     report = bench_report(rows, bench_layers(group, seed=seed), config)

@@ -88,12 +88,6 @@ class CiphertextMatrix:
         check_rows(self.rows_prime, n, s, "ciphertext E' rows", only)
         check_rows(self.rows_dprime, n, s, "ciphertext E'' rows", only)
 
-    def row_prime(self, row: int):
-        return self.rows_prime[row]
-
-    def row_dprime(self, row: int):
-        return self.rows_dprime[row]
-
     def prime_elem(self, row: int, col: int) -> G1Elem:
         return G1Elem(self.group, self.rows_prime[row][col])
 

@@ -47,14 +47,6 @@ class FileManifest:
         if self.n * self.s * (self.sector_bits // 8) < self.original_len:
             raise DimensionMismatch("matrix capacity below original length")
 
-    @property
-    def sector_bytes(self) -> int:
-        return self.sector_bits // 8
-
-    @property
-    def block_bytes(self) -> int:
-        return self.s * self.sector_bytes
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -90,7 +90,7 @@ class Enclave:
                 enclave_id=self.enclave_id,
                 destroyed_at=self._registry.now(),
             )
-            self._registry._record_destroy(receipt)
+            self._registry.receipts.append(receipt)
             return receipt
 
     def verify_zeroized(self) -> bool:
@@ -152,6 +152,3 @@ class EnclaveRegistry:
         if enc is None:
             raise UnknownFile(f"no alive enclave bound to {file_id.hex()[:16]}")
         return enc.destroy()
-
-    def _record_destroy(self, receipt: DeletionReceipt) -> None:
-        self.receipts.append(receipt)

@@ -32,7 +32,11 @@ _ELEM_SCALAR_TAG = b"sevdel/elem-scalar:"
 
 
 class _Elem:
-    """Group element bound to its backend; multiplicative notation."""
+    """Group element bound to its backend; multiplicative notation.
+
+    Elements of the same class and backend are equal when their raw values
+    are: ints on toy, affine coordinates on bn254.
+    """
 
     __slots__ = ("group", "raw")
     kind = ""
@@ -41,30 +45,13 @@ class _Elem:
         self.group = group
         self.raw = raw
 
-    def _ops(self):
-        raise NotImplementedError
-
-    def __mul__(self, other):
-        if other.group is not self.group or type(other) is not type(self):
-            raise InvalidElement("group mismatch in element product")
-        op, _pow, _eq, _ser = self._ops()
-        return type(self)(self.group, op(self.raw, other.raw))
-
-    def __pow__(self, k: int):
-        op, pw, _eq, _ser = self._ops()
-        return type(self)(self.group, pw(self.raw, k))
-
     def __eq__(self, other):
-        if not isinstance(other, type(self)) or other.group is not self.group:
+        if type(other) is not type(self) or other.group is not self.group:
             return NotImplemented
-        op, _pow, eq, _ser = self._ops()
-        return eq(self.raw, other.raw)
+        return self.raw == other.raw
 
     def __hash__(self):
         return hash((self.kind, self.group.name, self.to_bytes()))
-
-    def to_bytes(self) -> bytes:
-        return self._ops()[3](self.raw)
 
     def hex(self) -> str:
         return self.to_bytes().hex()
@@ -76,17 +63,26 @@ class _Elem:
 class G1Elem(_Elem):
     kind = "g1"
 
-    def _ops(self):
-        g = self.group
-        return g.g1_op, g.g1_pow, g.g1_eq, g.g1_to_bytes
+    def __mul__(self, other):
+        if type(other) is not G1Elem or other.group is not self.group:
+            raise InvalidElement("group mismatch in element product")
+        return G1Elem(self.group, self.group.g1_op(self.raw, other.raw))
+
+    def __pow__(self, k: int):
+        return G1Elem(self.group, self.group.g1_pow(self.raw, k))
+
+    def to_bytes(self) -> bytes:
+        return self.group.g1_to_bytes(self.raw)
 
 
 class G2Elem(_Elem):
     kind = "g2"
 
-    def _ops(self):
-        g = self.group
-        return g.g2_op, g.g2_pow, g.g2_eq, g.g2_to_bytes
+    def __pow__(self, k: int):
+        return G2Elem(self.group, self.group.g2_pow(self.raw, k))
+
+    def to_bytes(self) -> bytes:
+        return self.group.g2_to_bytes(self.raw)
 
 
 class Bn254Backend:
@@ -113,9 +109,6 @@ class Bn254Backend:
 
     def g1_inv(self, a):
         return self._c.g1_neg(a)
-
-    def g1_eq(self, a, b):
-        return a == b
 
     def g1_identity(self):
         return None
@@ -153,14 +146,8 @@ class Bn254Backend:
         return self._c.g1_hash(data)
 
     # G2
-    def g2_op(self, a, b):
-        return self._c.g2_add(a, b)
-
     def g2_pow(self, a, k):
         return self._c.g2_mul(a, k)
-
-    def g2_eq(self, a, b):
-        return a == b
 
     def g2_to_bytes(self, a):
         return self._c.g2_to_bytes(a)
@@ -189,14 +176,11 @@ class ToyBackend:
     g1_bytes = g2_bytes = 9
     g1_gen = g2_gen = 1
 
-    def _op(self, a, b):
+    def g1_op(self, a, b):
         return (a + b) % self.order
 
     def _pow(self, a, k):
         return a * (k % self.order) % self.order
-
-    def _eq(self, a, b):
-        return a == b
 
     def _to_bytes(self, a, tag):
         return tag + int(a).to_bytes(8, "big")
@@ -211,7 +195,6 @@ class ToyBackend:
             raise InvalidElement("toy element out of range")
         return v
 
-    g1_op = g2_op = _op
     g2_pow = _pow
 
     def g1_pow(self, a, k):
@@ -221,8 +204,6 @@ class ToyBackend:
 
     def g1_inv(self, a):
         return -a % self.order
-
-    g1_eq = g2_eq = _eq
 
     def g1_identity(self):
         return 0
@@ -292,7 +273,6 @@ def get_backend(name: str):
 class SystemParams:
     """Public system parameters fixed at setup time."""
 
-    group_id: str
     g1: G1Elem
     g2: G2Elem
     sector_bits: int
@@ -300,6 +280,10 @@ class SystemParams:
     @property
     def group(self):
         return self.g1.group
+
+    @property
+    def group_id(self) -> str:
+        return self.group.name
 
     @property
     def order(self) -> int:
@@ -345,7 +329,6 @@ def setup(group: str = "bn254", sector_bits: int = 32) -> SystemParams:
         raise ValueError("sector_bits must be one of 8, 16, 32")
     backend = get_backend(group)
     return SystemParams(
-        group_id=backend.name,
         g1=G1Elem(backend, backend.g1_gen),
         g2=G2Elem(backend, backend.g2_gen),
         sector_bits=sector_bits,

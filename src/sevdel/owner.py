@@ -209,16 +209,18 @@ def audit_respond(
     """Answer an audit challenge with the leaked ciphertext rows it names,
     as canonical encodings, and the tag aggregate Q2 = prod_i sigma_i^g_i.
 
-    Raises missing-block if the owner does not hold a challenged block,
-    which is exactly the position of an owner who never saw the ciphertext.
+    Raises MalformedProof for a challenge that check_challenge refuses, and
+    missing-block if the owner does not hold a challenged block, which is
+    exactly the position of an owner who never saw the ciphertext.
     """
+    check_challenge(audit_challenge, manifest.n, params.order)
     if leaked is None:
         raise MissingBlock("owner holds no leaked ciphertexts")
     to_bytes = params.group.g1_to_bytes
     rows_p, rows_pp = [], []
     for i, _ in audit_challenge.items:
-        row_p = leaked.row_prime(i - 1)
-        row_pp = leaked.row_dprime(i - 1)
+        row_p = leaked.rows_prime[i - 1]
+        row_pp = leaked.rows_dprime[i - 1]
         if row_p is None or row_pp is None:
             raise MissingBlock(f"challenged ciphertext block {i} not held")
         rows_p.append(row_p)

@@ -144,12 +144,11 @@ class Scenario:
 
 
 class Transcript:
-    def __init__(self, scenario_name: str):
+    def __init__(self):
         self.lines: list[dict] = []
         self.verdicts: dict[str, object] = {}
         self.failures: list[str] = []
         self._seq = 0
-        self._name = scenario_name
 
     def emit(self, time: int, event: str, **payload) -> None:
         self._seq += 1
@@ -162,9 +161,6 @@ class Transcript:
     def to_text(self) -> str:
         return "".join(json.dumps(line, sort_keys=True) + "\n" for line in self.lines)
 
-    def dump(self, fp) -> None:
-        fp.write(self.to_text())
-
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -175,7 +171,7 @@ class _Runner:
         self.sc = sc
         self.rng = SeededRng(sc.seed).child(b"scenario:" + sc.name.encode())
         self.clock = LogicalClock()
-        self.transcript = Transcript(sc.name)
+        self.transcript = Transcript()
         self.params: SystemParams = setup(sc.group, sc.sector_bits)
         self.ledger = Ledger(dict(sc.initial_balances))
         self.contract = Contract(self.params, self.ledger, self.clock)
@@ -469,8 +465,10 @@ def bench(
     size report the serialized proof and audit response sizes in bytes.
     Raises InvariantViolation when a decryption, proof or audit it times
     comes out wrong, so no rejecting or broken path is ever reported as a
-    time.
+    time.  Raises ScenarioError for reps < 1, which would time nothing.
     """
+    if reps < 1:
+        raise ScenarioError(f"reps must be >= 1, got {reps}")
     rows: list[dict] = []
     for size in sizes:
         params = setup(group, sector_bits)

@@ -347,6 +347,9 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     with pytest.raises(MalformedProof, match=reason):
         owner.verify_encryption_proof(params, dep.manifest, dep.gens.u, dep.okeys.W,
                                       dep.skeys.A, dep.v_pub, bad, proof)
+    # the owner's responder holds every row, and still answers no such challenge
+    with pytest.raises(MalformedProof, match=reason):
+        owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, bad)
 
 
 def _at_stage(dep, stage):

@@ -11,6 +11,8 @@ from sevdel.errors import InvalidElement, UnknownDomain
 from sevdel.groups import (
     DOMAIN_BLOCK,
     DOMAIN_VGEN,
+    G1Elem,
+    G2Elem,
     SystemParams,
     elem_to_scalar,
     pairing_eq,
@@ -79,6 +81,51 @@ def test_pairing_group_mismatch():
         args[position] = (bn.g1, bn.g2)[position % 2]
         with pytest.raises(InvalidElement):
             pairing_eq((args[0], args[1]), (args[2], args[3]))
+
+
+# -- element semantics -----------------------------------------------------------
+
+def _other_backend(params):
+    return setup("bn254" if params.group_id == "toy" else "toy")
+
+
+def test_elements_with_equal_raw_values_are_equal_with_equal_hashes(any_params):
+    group, g1, g2 = any_params.group, any_params.g1, any_params.g2
+    for elem, cls in ((g1 ** 5, G1Elem), (g2 ** 5, G2Elem)):
+        twin = cls(group, elem.raw)
+        assert twin is not elem and twin == elem and not twin != elem
+        assert hash(twin) == hash(elem)
+    assert g1 ** 5 != g1 ** 6 and g2 ** 5 != g2 ** 6
+
+
+def test_elements_of_another_backend_compare_unequal(any_params):
+    other = _other_backend(any_params)
+    assert not any_params.g1 == other.g1 and any_params.g1 != other.g1
+    assert not any_params.g2 == other.g2 and any_params.g2 != other.g2
+
+
+def test_g1_and_g2_elements_with_the_same_raw_value_are_unequal(any_params):
+    group = any_params.group
+    for raw in (any_params.g1.raw, any_params.g2.raw):
+        assert G1Elem(group, raw) != G2Elem(group, raw)
+        assert not G2Elem(group, raw) == G1Elem(group, raw)
+
+
+def test_products_across_backends_or_groups_raise(any_params):
+    other = _other_backend(any_params)
+    with pytest.raises(InvalidElement, match="group mismatch"):
+        any_params.g1 * other.g1
+    with pytest.raises(InvalidElement, match="group mismatch"):
+        any_params.g1 * any_params.g2
+
+
+def test_g2_powers(any_params):
+    p, g2 = any_params.order, any_params.g2
+    rng = SeededRng(b"g2-powers")
+    a, b = rng.scalar(p, nonzero=True), rng.scalar(p, nonzero=True)
+    assert (g2 ** a) ** b == g2 ** (a * b % p)
+    assert g2 ** (p + 1) == g2 and g2 ** p == g2 ** 0 != g2
+    assert pairing_eq((any_params.g1, g2 ** a), (any_params.g1 ** a, g2))
 
 
 def test_fast_final_exponentiation_matches_canonical():

@@ -293,6 +293,37 @@ def test_cli_artifact_commands_fail_cleanly(tmp_path, case):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+_TOY_BENCH = ["bench", "--group", "toy", "--sizes", "64", "--reps", "1"]
+BAD_OPTIONS = {   # name: command line, before --out
+    "bench-reps-0": _TOY_BENCH + ["--reps", "0"],
+    "bench-sizes-0": _TOY_BENCH + ["--sizes", "0"],
+    "bench-sizes-abc": _TOY_BENCH + ["--sizes", "abc"],
+    "bench-challenge-count-0": _TOY_BENCH + ["--challenge-count", "0"],
+    "bench-sectors-0": _TOY_BENCH + ["--sectors", "0"],
+    "bench-seed-negative": _TOY_BENCH + ["--seed", "-1"],
+    "outsource-sectors-0": ["outsource", "--sectors", "0"],
+    "setup-seed-negative": ["setup", "--group", "toy", "--seed", "-1"],
+    "setup-seed-2^128": ["setup", "--group", "toy", "--seed", str(2 ** 128)],
+    "verify-sectors-0": ["verify", "--group", "toy", "--sectors", "0"],
+    "delete-challenge-count-0": ["delete", "--group", "toy", "--challenge-count", "0"],
+    "audit-seed-negative": ["audit", "--group", "toy", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_cli_bad_options_fail_cleanly(tmp_path, case):
+    # an option out of range is a usage error or an error line with exit
+    # code 2 on every command, never a traceback
+    runner = CliRunner()
+    demo, out = _artifacts(tmp_path, runner)
+    args = BAD_OPTIONS[case] + ["--out", str(out)]
+    if args[0] == "outsource":
+        args += ["--file", str(demo)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+
+
 def test_cli_composite_verbs(tmp_path):
     runner = CliRunner()
     for verb in ("verify", "delete", "audit"):
@@ -314,6 +345,12 @@ def test_cli_verify_real_file(tmp_path):
 
 def test_bench_empty_sizes():
     assert bench([]) == []
+
+
+def test_bench_refuses_zero_reps():
+    # no repetition would leave every phase without a time to report
+    with pytest.raises(ScenarioError, match="reps"):
+        bench([64], reps=0)
 
 
 def test_bench_rows_and_csv(tmp_path):
