@@ -42,6 +42,10 @@ lockstep, with affine additions that share one inversion per table row.
 The GLV, Frobenius and psi constants and the loop digits are checked at
 import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
 kept as the tests' references.
+
+The module is the backend: groups.setup("bn254") binds the module itself
+to elements and params; its last section holds the names only the group
+layer uses.
 """
 
 from __future__ import annotations
@@ -435,12 +439,6 @@ def g1_is_on_curve(pt):
         return True
     x, y = pt
     return (y * y - (x * x * x + B)) % P == 0
-
-
-def g1_neg(pt):
-    if pt is None:
-        return None
-    return (pt[0], -pt[1] % P)
 
 
 def g1_add(a, b):
@@ -1363,3 +1361,52 @@ def pairing(p1, p2):
     if p1 is None or p2 is None:
         return FP12_ONE
     return final_exponentiation(miller_loop(p1, p2))
+
+
+# ---------------------------------------------------------------------------
+# The module as group backend: groups.setup("bn254") binds it to elements and
+# params.  g1_pow, g1_op, g2_pow and pair look their kernel up as a module
+# global on every call, so a wrapper put on the kernel sees every call.
+# ---------------------------------------------------------------------------
+
+name = "bn254"
+order = int(R)
+scalar_bytes = 32
+g1_bytes = G1_BYTES
+g2_bytes = G2_BYTES
+g1_gen = G1_GEN
+g2_gen = G2_GEN
+
+
+def g1_identity():
+    return None
+
+
+def g1_op(a, b):
+    return g1_add(a, b)
+
+
+def g1_pow(a, k):
+    return g1_mul(a, k)
+
+
+def g1_double_exp(a, x, b, y):
+    return g1_msm((a, b), (x, y))
+
+
+def g1_row(raws):
+    # decoded points: validated once on decode, used by proofs as they are
+    return list(raws)
+
+
+def g1_key(a):
+    # 2x plus the parity of y names a point; no point maps to -1
+    return -1 if a is None else 2 * a[0] + (a[1] & 1)
+
+
+def g2_pow(a, k):
+    return g2_mul(a, k)
+
+
+def pair(a, b):
+    return pairing(a, b)

@@ -202,7 +202,7 @@ def _dlog_table(group, bits: int):
     if table is None:
         key = group.g1_key
         baby = {key(pt): k for k, pt in enumerate(group.g1_gen_multiples(1 << baby_bits))}
-        stride = group.g1_inv(group.g1_pow(group.g1_gen, 1 << baby_bits))
+        stride = group.g1_pow(group.g1_gen, -(1 << baby_bits))
         table = (baby, stride, baby_bits)
         _dlog_tables[cache_key] = table
     return table
@@ -255,7 +255,7 @@ def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, 
     sector_bits = int(meta["sector_bits"])
     e_prime, e_dprime = e_pair
     group = params.group
-    lifted = group.g1_op(e_prime.raw, group.g1_inv(group.g1_pow(e_dprime.raw, v)))
+    lifted = group.g1_op(e_prime.raw, group.g1_pow(e_dprime.raw, -v))
     return _dlog(group, _dlog_table(group, sector_bits), lifted, sector_bits)
 
 

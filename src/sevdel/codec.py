@@ -40,8 +40,8 @@ class FileManifest:
     original_len: int
 
     def __post_init__(self):
-        if self.n < 1 or self.s < 1:
-            raise DimensionMismatch("manifest requires n >= 1 and s >= 1")
+        if self.n < 1 or self.s < 1 or self.original_len < 1:
+            raise DimensionMismatch("manifest requires n, s and original_len >= 1")
         if self.sector_bits not in _SECTOR_FMT:
             raise DimensionMismatch("sector_bits must be one of 8, 16, 32")
         if self.n * self.s * (self.sector_bits // 8) < self.original_len:

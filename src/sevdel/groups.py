@@ -2,7 +2,8 @@
 
 Every protocol module works against this layer.  Two backends exist:
 
-* ``bn254`` -- the real pairing curve (see :mod:`sevdel.bn254`); default.
+* ``bn254`` -- the real pairing curve; the module :mod:`sevdel.bn254` is
+  the backend itself.  Default.
 * ``toy``  -- an insecure oracle group for tests and fast simulation.
   Elements are their own discrete logs modulo a small prime, the group
   operation is addition of exponents and the "pairing" multiplies them.
@@ -85,80 +86,6 @@ class G2Elem(_Elem):
         return self.group.g2_to_bytes(self.raw)
 
 
-class Bn254Backend:
-    """Raw-op facade over :mod:`sevdel.bn254`."""
-
-    name = "bn254"
-
-    def __init__(self):
-        from . import bn254
-        self._c = bn254
-        self.order = int(bn254.R)
-        self.scalar_bytes = 32
-        self.g1_bytes = bn254.G1_BYTES
-        self.g2_bytes = bn254.G2_BYTES
-        self.g1_gen = bn254.G1_GEN
-        self.g2_gen = bn254.G2_GEN
-
-    # G1
-    def g1_op(self, a, b):
-        return self._c.g1_add(a, b)
-
-    def g1_pow(self, a, k):
-        return self._c.g1_mul(a, k)
-
-    def g1_inv(self, a):
-        return self._c.g1_neg(a)
-
-    def g1_identity(self):
-        return None
-
-    def g1_to_bytes(self, a):
-        return self._c.g1_to_bytes(a)
-
-    def g1_from_bytes(self, data):
-        return self._c.g1_from_bytes(data)
-
-    def g1_double_exp(self, a, x, b, y):
-        return self._c.g1_msm((a, b), (x, y))
-
-    def g1_msm(self, bases, scalars):
-        return self._c.g1_msm(bases, scalars)
-
-    def g1_msm_rows(self, shared, rows):
-        return self._c.g1_msm_rows(shared, rows)
-
-    def g1_gen_add(self, points, scalars):
-        return self._c.g1_gen_add(points, scalars)
-
-    def g1_row(self, raws):
-        # decoded points: validated once on decode, used by proofs as they are
-        return list(raws)
-
-    def g1_key(self, a):
-        # 2x plus the parity of y names a point; no point maps to -1
-        return -1 if a is None else 2 * a[0] + (a[1] & 1)
-
-    def g1_gen_multiples(self, count):
-        return self._c.g1_gen_multiples(count)
-
-    def g1_hash(self, data):
-        return self._c.g1_hash(data)
-
-    # G2
-    def g2_pow(self, a, k):
-        return self._c.g2_mul(a, k)
-
-    def g2_to_bytes(self, a):
-        return self._c.g2_to_bytes(a)
-
-    def g2_from_bytes(self, data):
-        return self._c.g2_from_bytes(data)
-
-    def pair(self, a, b):
-        return self._c.pairing(a, b)
-
-
 class ToyBackend:
     """Insecure exponent-arithmetic group for oracles and simulation.
 
@@ -201,9 +128,6 @@ class ToyBackend:
         # g1 = 1, so g1^k is k mod order; a product by 1 would leave every
         # stored component with a spare digit allocated (48 B, not 40 B)
         return k % self.order if a == 1 else self._pow(a, k)
-
-    def g1_inv(self, a):
-        return -a % self.order
 
     def g1_identity(self):
         return 0
@@ -257,16 +181,18 @@ class ToyBackend:
         return a * b % self.order
 
 
-_BACKENDS = {"bn254": Bn254Backend, "toy": ToyBackend}
-_backend_cache: dict[str, object] = {}
+_TOY = ToyBackend()
 
 
 def get_backend(name: str):
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown group backend {name!r}")
-    if name not in _backend_cache:
-        _backend_cache[name] = _BACKENDS[name]()
-    return _backend_cache[name]
+    """The toy instance, or the bn254 module itself, imported only here so
+    a toy run never pays its import-time checks."""
+    if name == "toy":
+        return _TOY
+    if name == "bn254":
+        from . import bn254
+        return bn254
+    raise ValueError(f"unknown group backend {name!r}")
 
 
 @dataclass(frozen=True)

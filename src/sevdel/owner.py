@@ -136,8 +136,9 @@ def gen_challenge(manifest: FileManifest, count: int, rng_seed) -> Challenge:
 def check_challenge(challenge: Challenge, n: int, order: int) -> None:
     """Raise MalformedProof unless the challenge is a tuple of (index,
     coefficient) int pairs with a bytes nonce, names at least one block,
-    its indices are distinct and in [1, n], and no coefficient is 0 mod
-    the group order; an empty or all-zero challenge is met by identities."""
+    its indices are distinct and in [1, n], and every coefficient lies in
+    [1, 2^COEFF_BITS) and is not 0 mod the group order; an empty or
+    all-zero challenge is met by identities."""
     items = challenge.items
     if not (isinstance(items, tuple) and isinstance(challenge.nonce, bytes)
             and all(isinstance(item, tuple) and len(item) == 2
@@ -153,6 +154,9 @@ def check_challenge(challenge: Challenge, n: int, order: int) -> None:
             raise MalformedProof(f"challenged index {i} outside [1, {n}]")
         if gamma % order == 0:
             raise MalformedProof(f"zero coefficient for challenged block {i}")
+        if not 1 <= gamma < 1 << COEFF_BITS:
+            raise MalformedProof(
+                f"coefficient for challenged block {i} outside [1, 2^{COEFF_BITS})")
 
 
 def enc_proof_context(params: SystemParams, manifest: FileManifest, challenge: Challenge) -> bytes:

@@ -157,7 +157,8 @@ _CHALLENGE_KEYS = frozenset({"items", "nonce"})
 def decode_challenge(text: str) -> Challenge:
     """Decode a challenge, raising only MalformedProof: the text must be
     exactly the canonical shape, items a list of [index, hex coefficient]
-    pairs with an integer index."""
+    pairs with an integer index, every hex string as encode_challenge
+    writes it (lower case, no sign, prefix, space or leading zero)."""
     try:
         d = json.loads(text)
         if not isinstance(d, dict) or d.keys() != _CHALLENGE_KEYS:
@@ -169,8 +170,14 @@ def decode_challenge(text: str) -> Challenge:
             if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int
                     and isinstance(item[1], str)):
                 raise MalformedProof("challenge items must be [index, hex coefficient] pairs")
-            items.append((item[0], int(item[1], 16)))
-        return Challenge(items=tuple(items), nonce=bytes.fromhex(d["nonce"]))
+            gamma = int(item[1], 16)
+            if gamma < 0 or format(gamma, "x") != item[1]:
+                raise MalformedProof(f"challenge coefficient {item[1]!r} is not canonical hex")
+            items.append((item[0], gamma))
+        nonce = bytes.fromhex(d["nonce"])
+        if nonce.hex() != d["nonce"]:
+            raise MalformedProof("challenge nonce is not canonical hex")
+        return Challenge(items=tuple(items), nonce=nonce)
     # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
     except (ValueError, RecursionError) as exc:
         raise MalformedProof(f"challenge does not decode: {exc}") from exc
@@ -267,6 +274,8 @@ def decode_audit_response(params: SystemParams, text: str) -> AuditResponse:
             if not isinstance(mapping, dict) or not all(
                     isinstance(row, list) for row in mapping.values()):
                 raise MalformedProof("revealed rows must map block indices to lists")
+            if not all(str(int(i)) == i for i in mapping):
+                raise MalformedProof("revealed row keys must be canonical decimal indices")
             return {int(i): tuple(component(v) for v in row) for i, row in mapping.items()}
 
         return AuditResponse(

@@ -1,5 +1,7 @@
 """File codec: splitting, padding, identity, round-trips."""
 
+import json
+
 import pytest
 
 from sevdel.codec import BlockMatrix, FileManifest, file_identity, join, split
@@ -84,6 +86,14 @@ def test_oversized_sector_rejected():
 def test_manifest_capacity_invariant():
     with pytest.raises(DimensionMismatch):
         FileManifest(file_id=b"\x00" * 32, n=1, s=1, sector_bits=8, original_len=100)
+
+
+def test_manifest_refuses_original_len_below_one():
+    # join would truncate an 11-byte file to 9 bytes at -3, and to b"" at 0
+    good = json.loads(split(b"hello world", s=2, sector_bits=16)[0].to_json())
+    for bad in (-3, 0):
+        with pytest.raises(DimensionMismatch):
+            FileManifest.from_json(json.dumps({**good, "original_len": bad}))
 
 
 def test_file_identity_binds_owner_and_name():

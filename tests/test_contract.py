@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 
 import pytest
 
@@ -320,6 +321,8 @@ BAD_CHALLENGES = {   # name: (items for n blocks and group order, expected reaso
     "index-n+1": (lambda n, order: ((n + 1, 5),), "outside"),
     "coefficient-0": (lambda n, order: ((1, 0),), "zero coefficient"),
     "coefficient-order": (lambda n, order: ((1, order),), "zero coefficient"),
+    "coefficient-negative": (lambda n, order: ((1, -31),), "coefficient .* outside"),
+    "coefficient-2^128": (lambda n, order: ((1, 1 << 128),), "coefficient .* outside"),
 }
 
 
@@ -350,6 +353,24 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     # the owner's responder holds every row, and still answers no such challenge
     with pytest.raises(MalformedProof, match=reason):
         owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, bad)
+
+
+def test_challenge_decoder_takes_only_canonical_hex(any_dep):
+    # each spelling below once decoded to a challenge the verifiers went
+    # on to check; only the spelling encode_challenge writes decodes
+    ch = any_dep.audit_challenge()
+    text = wire.encode_challenge(ch)
+    decoded = wire.decode_challenge(text)
+    assert decoded == ch
+    owner.check_challenge(decoded, any_dep.manifest.n, any_dep.params.order)
+    good = json.loads(text)
+    (i, _), *rest = good["items"]
+    for coefficient in ("-1f", "0x10", " 5 ", "05", "1F", "+1f", ""):
+        with pytest.raises(MalformedProof):
+            wire.decode_challenge(json.dumps({**good, "items": [[i, coefficient], *rest]}))
+    for nonce in ("ab cd", "AB" + good["nonce"][2:], " " + good["nonce"]):
+        with pytest.raises(MalformedProof):
+            wire.decode_challenge(json.dumps({**good, "nonce": nonce}))
 
 
 def _at_stage(dep, stage):

@@ -79,7 +79,7 @@ def test_g1_mul_on_the_generator_and_identity():
 
 
 # bases: hashed points and the negation of the first, so P meets -P
-_BASES = [*POINTS, bn254.g1_neg(POINTS[0])]
+_BASES = [*POINTS, _raw(POINTS[0], -1)]
 _scalar = st.one_of(st.integers(0, 2**16 - 1), st.integers(0, 2**128 - 1),
                     st.integers(2**253, R - 1), st.integers(-R, -1))
 _terms = st.lists(st.tuples(st.integers(0, len(_BASES) - 1), _scalar), max_size=20)

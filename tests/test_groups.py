@@ -1,7 +1,11 @@
 """Bilinear-group layer: field laws, pairing, hashing, serialization."""
 
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -322,6 +326,21 @@ def test_params_digest_stable(any_params):
     again = setup(any_params.group_id, any_params.sector_bits)
     assert again.digest() == any_params.digest()
     assert isinstance(any_params, SystemParams)
+
+
+def test_backends_are_shared_and_bn254_is_its_module():
+    assert setup("bn254").group is setup("bn254", 16).group is bn254
+    assert setup("toy").group is setup("toy", 32).group
+
+
+def test_toy_setup_never_imports_bn254():
+    # the bn254 import-time checks would add to every toy run's setup
+    code = ("import sys, sevdel; sevdel.setup('toy'); "
+            "print('sevdel.bn254' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_setup_rejects_bad_sector_bits():

@@ -45,7 +45,7 @@ def _pool(params):
     gen = group.g1_gen
     rng = SeededRng(b"msm-pool/" + group.name.encode())
     others = [mul(gen, rng.scalar(params.order, nonzero=True)) for _ in range(5)]
-    return [group.g1_identity(), gen, group.g1_inv(gen)] + others
+    return [group.g1_identity(), gen, mul(gen, -1)] + others
 
 
 _POOLS = {}
@@ -87,8 +87,8 @@ def _edge_cases(params):
     group = params.group
     r = params.order
     ident, gen, gen_inv, p, q = pool(params)[:5]
-    p_inv = group.g1_inv(p)
     mul = _reference_mul(group)
+    p_inv = mul(p, -1)
     return [
         ("empty", [], [], ident),
         ("all identity bases", [ident, ident, ident], [5, r - 1, -3], ident),
@@ -124,7 +124,7 @@ def _row_pool(params):
     """pool(params) plus -P for the first unrelated point P, so a draw can
     hold P together with -P."""
     base = pool(params)
-    return base + [params.group.g1_inv(base[3])]
+    return base + [_reference_mul(params.group)(base[3], -1)]
 
 
 # a scalar is v + m * order: negative, zero, wider than the order, or a
@@ -171,8 +171,8 @@ def test_msm_rows_pinned_edge_cases(any_params):
     group = any_params.group
     r = any_params.order
     ident, gen, gen_inv, p, q = pool(any_params)[:5]
-    p_inv = group.g1_inv(p)
     mul = _reference_mul(group)
+    p_inv = mul(p, -1)
     assert group.g1_msm_rows([p, q], []) == []
     assert group.g1_msm_rows([], [([q], [5])]) == [mul(q, 5)]
     assert group.g1_msm_rows([], [([], [])]) == [ident]
@@ -358,7 +358,7 @@ def test_dlog_keys_are_distinct_and_miss_the_identity(any_params):
     keys = [group.g1_key(pt) for pt in group.g1_gen_multiples(4096)]
     assert len(set(keys)) == len(keys)
     p = pool(any_params)[3]
-    assert group.g1_key(p) != group.g1_key(group.g1_inv(p))
+    assert group.g1_key(p) != group.g1_key(_reference_mul(group)(p, -1))
     if group.name == "bn254":
         assert keys[0] == -1
         assert all(k >= 0 for k in keys[1:])

@@ -97,11 +97,15 @@ def test_audit_response_decoder_refuses_other_shapes(artifacts):
     params, *_, resp = artifacts
     good = json.loads(wire.encode_audit_response(resp))
     q2 = good["q2"]
-    row = good["revealed_prime"][next(iter(good["revealed_prime"]))]
+    first = next(iter(good["revealed_prime"]))
+    row = good["revealed_prime"][first]
     bad_texts = [
         json.dumps({**good, "q1_prime": [q2], "q1_dprime": [q2]}),   # the old shape
         json.dumps({k: v for k, v in good.items() if k != "q2"}),
         json.dumps({**good, "revealed_prime": {"one": row}}),          # non-int row key
+        # a second spelling of one index, which int() would fold into the first
+        *(json.dumps({**good, "revealed_prime": {**good["revealed_prime"], alias: row}})
+          for alias in ("0" + first, " " + first, "+" + first)),
         json.dumps({**good, "q2": "zz"}),                               # bad hex
         json.dumps({**good, "q2": 7}),
         json.dumps({**good, "revealed_dprime": [row]}),
