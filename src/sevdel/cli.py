@@ -72,18 +72,27 @@ def _write(out: Path, name: str, data) -> Path:
 
 
 def _load(out: Path, name: str, parse=None):
-    """The artifact out/name: its bytes, or parse of its JSON, where parse
-    only picks and decodes fields.  Raises MalformedProof for a file that
-    is missing, unparsable or incomplete."""
+    """The artifact out/name: its bytes, or parse of its UTF-8 text.
+    Raises MalformedProof for a file that is missing, not UTF-8,
+    unparsable or incomplete."""
     try:
         data = (out / name).read_bytes()
-        return data if parse is None else parse(json.loads(data))
+        return data if parse is None else parse(data.decode())
     except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
         raise MalformedProof(f"{name} is missing, unparsable or incomplete: {exc}") from exc
 
 
 def _load_params(out: Path):
-    return _load(out, "params.json", lambda d: group_setup(d["group"], d["sector_bits"]))
+    """The params that params.json names; MalformedProof unless they
+    rebuild to its params_digest."""
+    def parse(text):
+        d = json.loads(text)
+        params = group_setup(d["group"], d["sector_bits"])
+        if params.digest().hex() != d["params_digest"]:
+            raise MalformedProof("params.json: params_digest disagrees with its group "
+                                 "and sector_bits")
+        return params
+    return _load(out, "params.json", parse)
 
 
 @main.command()
@@ -143,10 +152,14 @@ def encrypt(seed, out):
     duration of this invocation; that is the deletion guarantee at work.
     """
     params = _load_params(out)
-    manifest = codec.FileManifest.from_json(_load(out, "manifest.json"))
+    manifest = _load(out, "manifest.json", codec.FileManifest.from_json)
+    if manifest.sector_bits != params.sector_bits:
+        raise MalformedProof(f"manifest.json: sector_bits {manifest.sector_bits} disagrees "
+                             f"with params.json ({params.sector_bits})")
     blocks = wire.decode_blocks(_load(out, "blocks.bin"))
-    u_bytes = _load(out, "owner.json", lambda d: [bytes.fromhex(h) for h in d["u"]])
-    a, A = _load(out, "provider.json", lambda d: (bytes.fromhex(d["a"]), bytes.fromhex(d["A"])))
+    u_bytes = _load(out, "owner.json", lambda t: [bytes.fromhex(h) for h in json.loads(t)["u"]])
+    a, A = _load(out, "provider.json",
+                 lambda t: [bytes.fromhex(json.loads(t)[k]) for k in ("a", "A")])
     u = tuple(map(params.g1_from_bytes, u_bytes))
     skeys = cloud.ServerKeyPair(a=scalar_from_bytes(params.group, a), A=params.g2_from_bytes(A))
     registry = EnclaveRegistry()

@@ -26,7 +26,22 @@ _SECTOR_FMT = {8: "B", 16: "H", 32: "I"}     # array typecode per sector width
 if array("I").itemsize != 4:
     raise InvariantViolation("32-bit sectors need a 4-byte array('I')")
 _BIG_ENDIAN = sys.byteorder == "big"      # arrays hold native order; sectors are little-endian
-_MANIFEST_KEYS = frozenset({"file_id", "n", "s", "sector_bits", "original_len"})
+
+
+def decode_canonical(text: str, build, encode, what: str):
+    """build(json.loads(text)), accepted only if encode writes it back as
+    exactly text: one spelling per artifact, JSON layout and hex case
+    included.  MalformedProof for text that is not a str, does not parse,
+    has the wrong shape or is not canonical; an error that build raises
+    itself (InvalidElement, DimensionMismatch) passes through."""
+    try:
+        result = build(json.loads(text))
+    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
+        raise MalformedProof(f"{what} does not decode: {exc}") from exc
+    if not isinstance(text, str) or encode(result) != text:
+        raise MalformedProof(f"{what} is not in its canonical encoding")
+    return result
 
 
 @dataclass(frozen=True)
@@ -62,22 +77,14 @@ class FileManifest:
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
         """Decode a manifest, raising only SevdelError: MalformedProof for
-        text that is not exactly the encoded shape, DimensionMismatch for
-        a shape the constructor refuses."""
-        try:
-            d = json.loads(text)
-            if not isinstance(d, dict) or d.keys() != _MANIFEST_KEYS:
-                raise MalformedProof(
-                    "manifest must hold exactly file_id, n, s, sector_bits and original_len")
-            if not isinstance(d["file_id"], str) or any(
-                    type(d[k]) is not int for k in _MANIFEST_KEYS - {"file_id"}):
-                raise MalformedProof("manifest file_id must be hex and its sizes integers")
-            file_id = bytes.fromhex(d["file_id"])
-        # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
-        except (ValueError, RecursionError) as exc:
-            raise MalformedProof(f"manifest does not decode: {exc}") from exc
-        return cls(file_id=file_id, n=d["n"], s=d["s"], sector_bits=d["sector_bits"],
-                   original_len=d["original_len"])
+        text other than what to_json writes, integer sizes included,
+        DimensionMismatch for a shape the constructor refuses."""
+        def build(d):
+            sizes = {k: d[k] for k in ("n", "s", "sector_bits", "original_len")}
+            if any(type(v) is not int for v in sizes.values()):
+                raise MalformedProof("manifest sizes must be integers")
+            return cls(file_id=bytes.fromhex(d["file_id"]), **sizes)
+        return decode_canonical(text, build, cls.to_json, "manifest")
 
 
 @dataclass

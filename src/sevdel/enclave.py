@@ -63,9 +63,14 @@ class Enclave:
             raise EnclaveDestroyed(f"enclave {self.enclave_id} is destroyed")
 
     def seal(self, key: bytes, secret: bytes) -> None:
+        """Seal secret under key; a secret already sealed there is
+        zeroized in place before the new one replaces it."""
         with self._lock:
             self._require_alive()
-            self._secrets[key] = bytearray(secret)
+            buf = bytearray(secret)
+            old = self._secrets.get(key, bytearray())
+            old[:] = bytes(len(old))
+            self._secrets[key] = buf
 
     def unseal(self, key: bytes, start: int = 0, stop: int | None = None) -> bytes:
         """The secret sealed under key, or only its bytes [start, stop)."""

@@ -1,13 +1,14 @@
 """Packed binary and canonical JSON encodings for protocol artifacts.
 
-Group elements travel in the fixed-width compressed form defined by the
-backend.  Every decoder re-validates the elements it returns (on-curve
-plus subgroup), so nothing deserialized can smuggle in a bad point.  The
-one exception is the revealed ciphertext rows of an audit response: they
-stay encodings, checked for length only, because the contract never uses
-them as points.  It hashes them, and a string that is not the canonical
-encoding of the registered ciphertext hashes to another exponent and
-fails the audit's pairing equation.
+Each artifact has one encoding: a decoder accepts only what its encoder
+writes back byte for byte.  Group elements travel in the fixed-width
+compressed form defined by the backend.  Every decoder re-validates the
+elements it returns (on-curve plus subgroup), so nothing deserialized can
+smuggle in a bad point.  The one exception is the revealed ciphertext
+rows of an audit response: they stay encodings, checked for length only,
+because the contract never uses them as points.  It hashes them, and a
+string that is not the canonical encoding of the registered ciphertext
+hashes to another exponent and fails the audit's pairing equation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import struct
 
 from .cloud import CiphertextMatrix, EncProof, EncTagSet
-from .codec import _SECTOR_FMT, BlockMatrix, FileManifest, pack_rows, rows_from_bytes
+from .codec import (_SECTOR_FMT, BlockMatrix, FileManifest, decode_canonical, pack_rows,
+                    rows_from_bytes)
 from .errors import DimensionMismatch, InvalidElement, MalformedProof
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
 from .owner import AuditResponse, Challenge, TagSet
@@ -146,44 +148,29 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
 
 
 # -- challenge / proof / audit response (canonical JSON) -----------------------------
+#
+# Each text decoder builds its object and hands it to codec.decode_canonical,
+# which compares the re-encoding with the text.  The checks left in the
+# builders are for values a round trip cannot see: wrong, yet re-encoding to
+# themselves.
 
 def encode_challenge(challenge: Challenge) -> str:
     return challenge.canonical_json()
 
 
-_CHALLENGE_KEYS = frozenset({"items", "nonce"})
-
-
 def decode_challenge(text: str) -> Challenge:
     """Decode a challenge, raising only MalformedProof: the text must be
-    exactly the canonical shape, items a list of [index, hex coefficient]
-    pairs with an integer index, every hex string as encode_challenge
-    writes it (lower case, no sign, prefix, space or leading zero)."""
-    try:
-        d = json.loads(text)
-        if not isinstance(d, dict) or d.keys() != _CHALLENGE_KEYS:
-            raise MalformedProof("challenge must hold exactly items and nonce")
-        if not isinstance(d["items"], list) or not isinstance(d["nonce"], str):
-            raise MalformedProof("challenge items must be a list and its nonce hex")
+    exactly what encode_challenge writes, with an integer index and a
+    non-negative coefficient in each item."""
+    def build(d):
         items = []
-        for item in d["items"]:
-            if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int
-                    and isinstance(item[1], str)):
+        for index, coefficient in d["items"]:
+            gamma = int(coefficient, 16)
+            if type(index) is not int or gamma < 0:
                 raise MalformedProof("challenge items must be [index, hex coefficient] pairs")
-            gamma = int(item[1], 16)
-            if gamma < 0 or format(gamma, "x") != item[1]:
-                raise MalformedProof(f"challenge coefficient {item[1]!r} is not canonical hex")
-            items.append((item[0], gamma))
-        nonce = bytes.fromhex(d["nonce"])
-        if nonce.hex() != d["nonce"]:
-            raise MalformedProof("challenge nonce is not canonical hex")
-        return Challenge(items=tuple(items), nonce=nonce)
-    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise MalformedProof(f"challenge does not decode: {exc}") from exc
-
-
-_PROOF_KEYS = frozenset({"p1_prime", "p1_dprime", "p2", "q", "challenge", "response"})
+            items.append((index, gamma))
+        return Challenge(items=tuple(items), nonce=bytes.fromhex(d["nonce"]))
+    return decode_canonical(text, build, encode_challenge, "challenge")
 
 
 def encode_proof(params: SystemParams, proof: EncProof) -> str:
@@ -203,39 +190,24 @@ def encode_proof(params: SystemParams, proof: EncProof) -> str:
 
 def decode_proof(params: SystemParams, text: str) -> EncProof:
     """Decode an encryption proof, raising only SevdelError: MalformedProof
-    for text that is not exactly the encoded shape, InvalidElement for a
+    for text other than what encode_proof writes, InvalidElement for a
     bad point or scalar."""
-    try:
-        d = json.loads(text)
-        if not isinstance(d, dict) or d.keys() != _PROOF_KEYS:
-            raise MalformedProof(
-                "proof must hold exactly p1_prime, p1_dprime, p2, q, challenge and response")
+    def elem(h):
+        return params.g1_from_bytes(bytes.fromhex(h))
 
-        def hex_list(value):
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise MalformedProof("proof arrays must be lists of hex strings")
-            return [bytes.fromhex(v) for v in value]
+    def scalar(h):
+        return scalar_from_bytes(params.group, bytes.fromhex(h))
 
-        def elems(value):
-            return tuple(params.g1_from_bytes(b) for b in hex_list(value))
-
-        def scalar(data):
-            return scalar_from_bytes(params.group, data)
-
+    def build(d):
         return EncProof(
-            p1_prime=elems(d["p1_prime"]),
-            p1_dprime=elems(d["p1_dprime"]),
-            p2=params.g1_from_bytes(bytes.fromhex(d["p2"])),
-            q=tuple(scalar(b) for b in hex_list(d["q"])),
-            challenge=scalar(bytes.fromhex(d["challenge"])),
-            response=scalar(bytes.fromhex(d["response"])),
+            p1_prime=tuple(map(elem, d["p1_prime"])),
+            p1_dprime=tuple(map(elem, d["p1_dprime"])),
+            p2=elem(d["p2"]),
+            q=tuple(map(scalar, d["q"])),
+            challenge=scalar(d["challenge"]),
+            response=scalar(d["response"]),
         )
-    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise MalformedProof(f"proof does not decode: {exc}") from exc
-
-
-_AUDIT_RESPONSE_KEYS = frozenset({"q2", "revealed_prime", "revealed_dprime"})
+    return decode_canonical(text, build, lambda proof: encode_proof(params, proof), "proof")
 
 
 def encode_audit_response(resp: AuditResponse) -> str:
@@ -253,36 +225,24 @@ def encode_audit_response(resp: AuditResponse) -> str:
 
 def decode_audit_response(params: SystemParams, text: str) -> AuditResponse:
     """Decode an audit response, raising only SevdelError: MalformedProof
-    for text that is not exactly the encoded shape (a response carrying
-    ciphertext aggregates, or a row component that is not one element
-    encoding long, included), InvalidElement for a bad Q2.  Row
-    components are not decoded; see the module docstring."""
+    for text other than what encode_audit_response writes or a row
+    component that is not one element encoding long, InvalidElement for
+    a bad Q2.  Row components are not decoded; see the module docstring."""
     width = params.group.g1_bytes
-    try:
-        d = json.loads(text)
-        if not isinstance(d, dict) or d.keys() != _AUDIT_RESPONSE_KEYS:
-            raise MalformedProof(
-                "audit response must hold exactly q2, revealed_prime and revealed_dprime")
 
-        def component(value):
-            data = bytes.fromhex(value)
-            if len(data) != width:
-                raise MalformedProof(f"revealed component must be {width} bytes")
-            return data
+    def component(h):
+        data = bytes.fromhex(h)
+        if len(data) != width:
+            raise MalformedProof(f"revealed component must be {width} bytes")
+        return data
 
-        def rows(mapping):
-            if not isinstance(mapping, dict) or not all(
-                    isinstance(row, list) for row in mapping.values()):
-                raise MalformedProof("revealed rows must map block indices to lists")
-            if not all(str(int(i)) == i for i in mapping):
-                raise MalformedProof("revealed row keys must be canonical decimal indices")
-            return {int(i): tuple(component(v) for v in row) for i, row in mapping.items()}
+    def rows(mapping):
+        return {int(i): tuple(map(component, row)) for i, row in mapping.items()}
 
+    def build(d):
         return AuditResponse(
             q2=params.g1_from_bytes(bytes.fromhex(d["q2"])),
             revealed_prime=rows(d["revealed_prime"]),
             revealed_dprime=rows(d["revealed_dprime"]),
         )
-    # JSONDecodeError is a ValueError; json raises RecursionError on deep nesting
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise MalformedProof(f"audit response does not decode: {exc}") from exc
+    return decode_canonical(text, build, encode_audit_response, "audit response")

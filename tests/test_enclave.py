@@ -107,6 +107,21 @@ def test_zeroization_assertion():
     assert enc.verify_zeroized()
 
 
+def test_sealing_over_a_secret_zeroizes_it():
+    # the replaced buffer once kept its bytes after destroy, while
+    # verify_zeroized, which sees only the retained buffers, said True
+    enc = EnclaveRegistry().create(FID_A)
+    enc.seal(b"k", b"secret-key")
+    first = enc._secrets[b"k"]
+    enc.seal(b"k", b"other")
+    assert first == bytes(len(b"secret-key"))
+    assert enc.unseal(b"k") == b"other"
+    enc.seal(b"k", enc._secrets[b"k"])    # resealing a buffer over itself keeps it
+    assert enc.unseal(b"k") == b"other"
+    enc.destroy()
+    assert enc.verify_zeroized()
+
+
 def test_receipts_and_clock():
     reg = EnclaveRegistry()
     r1 = reg.create(FID_A).destroy()

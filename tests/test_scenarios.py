@@ -11,6 +11,7 @@ from test_wire import _mutant
 
 from sevdel.cli import main
 from sevdel.errors import ScenarioError, SevdelError
+from sevdel.groups import setup
 from sevdel.scenario import BENCH_PHASES, Scenario, _Runner, bench, bench_csv, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -255,17 +256,35 @@ def _drop_key(name, key):
     return corrupt
 
 
-def _set_key(name, key, value):
+def _set_keys(name, **values):
     def corrupt(out):
         d = json.loads((out / name).read_text())
-        d[key] = value
-        (out / name).write_text(json.dumps(d))
+        (out / name).write_text(json.dumps({**d, **values}))
     return corrupt
 
 
+def _rewrite(name, edit):
+    def corrupt(out):
+        (out / name).write_bytes(edit((out / name).read_bytes()))
+    return corrupt
+
+
+def _upper_file_id(text):
+    d = json.loads(text)
+    return json.dumps({**d, "file_id": d["file_id"].upper()}, sort_keys=True).encode()
+
+
 BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
+    # params.json naming other params than the digest it carries
+    "encrypt-params-digest-stale": ("encrypt", _set_keys("params.json", sector_bits=8,
+                                                         params_digest="00")),
+    # consistent params.json, but the manifest was split into 16-bit sectors
+    "encrypt-manifest-sector-bits-disagree": ("encrypt", _set_keys(
+        "params.json", sector_bits=8, params_digest=setup("toy", 8).digest().hex())),
+    "encrypt-manifest-not-utf8": ("encrypt", _rewrite("manifest.json", lambda b: b"\xff" + b)),
+    "encrypt-manifest-file-id-upper-case": ("encrypt", _rewrite("manifest.json", _upper_file_id)),
     "encrypt-owner-without-u": ("encrypt", _drop_key("owner.json", "u")),
-    "encrypt-owner-u-not-hex": ("encrypt", _set_key("owner.json", "u", ["zz"])),
+    "encrypt-owner-u-not-hex": ("encrypt", _set_keys("owner.json", u=["zz"])),
     "encrypt-owner-missing": ("encrypt", lambda out: (out / "owner.json").unlink()),
     "encrypt-provider-not-json": ("encrypt", lambda out: (out / "provider.json").write_text("[")),
     "encrypt-blocks-truncated": ("encrypt", lambda out: (out / "blocks.bin").write_bytes(
@@ -273,8 +292,8 @@ BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
     "encrypt-manifest-missing": ("encrypt", lambda out: (out / "manifest.json").unlink()),
     "outsource-params-unparsable": ("outsource", lambda out: (out / "params.json").write_text("{")),
     "outsource-params-without-group": ("outsource", _drop_key("params.json", "group")),
-    "outsource-params-unknown-group": ("outsource", _set_key("params.json", "group", "p256")),
-    "outsource-params-bad-sector-bits": ("outsource", _set_key("params.json", "sector_bits", 7)),
+    "outsource-params-unknown-group": ("outsource", _set_keys("params.json", group="p256")),
+    "outsource-params-bad-sector-bits": ("outsource", _set_keys("params.json", sector_bits=7)),
 }
 
 

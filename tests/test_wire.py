@@ -14,12 +14,11 @@ from sevdel.groups import vgen_points
 from sevdel.rng import SeededRng
 
 
-@pytest.fixture(scope="module")
-def artifacts(request):
+def _artifacts(group, sector_bits, size):
     from sevdel.groups import setup
-    params = setup("toy", 16)
+    params = setup(group, sector_bits)
     rng = SeededRng(b"wire")
-    data = rng.child("f").read(100)
+    data = rng.child("f").read(size)
     manifest, blocks = codec.split(data, 2, params.sector_bits)
     okeys = owner.keygen(params, rng.child("k"))
     gens, tags = owner.outsource(params, okeys, manifest, blocks, rng.child("o"))
@@ -34,6 +33,17 @@ def artifacts(request):
                                    ch, rng.child("p"))
     resp = owner.audit_respond(params, manifest, cts, enc_tags, ch)
     return params, manifest, blocks, tags, enc_tags, cts, ch, proof, resp
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    return _artifacts("toy", 16, 100)
+
+
+@pytest.fixture(scope="module", params=["toy", "bn254"])
+def any_artifacts(request, artifacts):
+    # bn254: 24 bytes in 8-bit sectors, 6 blocks of 2
+    return artifacts if request.param == "toy" else _artifacts("bn254", 8, 24)
 
 
 def test_tagset_roundtrip(artifacts):
@@ -130,10 +140,11 @@ _JSON = _FLAT | st.lists(_FLAT, max_size=4) | st.dictionaries(st.text(max_size=4
 
 def _mutant(data, text):
     """Arbitrary input, the true encoding with one field replaced by
-    arbitrary JSON (text encodings only), or with one span replaced;
-    ``text`` may be a str or a bytes encoding."""
+    arbitrary JSON or laid out anew (text encodings only), with one span
+    replaced, or with one span upper-cased; ``text`` may be a str or a
+    bytes encoding."""
     chars = st.text if isinstance(text, str) else st.binary
-    kinds = ["text", "json", "splice"] if isinstance(text, str) else ["text", "splice"]
+    kinds = ["text", "splice", "upper"] + (["json", "layout"] if isinstance(text, str) else [])
     kind = data.draw(st.sampled_from(kinds))
     if kind == "text":
         return data.draw(chars())
@@ -141,9 +152,14 @@ def _mutant(data, text):
         fields = json.loads(text)
         fields[data.draw(st.sampled_from(sorted(fields)))] = data.draw(_JSON)
         return json.dumps(fields)
+    if kind == "layout":
+        return json.dumps(json.loads(text), sort_keys=data.draw(st.booleans()),
+                          indent=data.draw(st.none() | st.integers(0, 2)),
+                          separators=data.draw(st.sampled_from([None, (",", ":")])))
     start = data.draw(st.integers(0, len(text)))
     end = data.draw(st.integers(start, min(len(text), start + 12)))
-    return text[:start] + data.draw(chars(max_size=12)) + text[end:]
+    middle = text[start:end].upper() if kind == "upper" else data.draw(chars(max_size=12))
+    return text[:start] + middle + text[end:]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -279,21 +295,37 @@ def test_decoded_proof_still_verifies_on_bn254():
         params, manifest, gens.u, okeys.W, skeys.A, v_pub, wire_ch, wire_proof)
 
 
-# -- the other decoders: each mutant decodes or raises a SevdelError -------------
+# -- every decoder: each mutant decodes or raises a SevdelError ---------------------
+
+def _encode_blocks(blocks):
+    # the shape the header of a decoded matrix gave, whatever the manifest says
+    shape = codec.FileManifest(b"", blocks.n, blocks.s, blocks.rows[0].itemsize * 8, 1)
+    return wire.encode_blocks(shape, blocks)
+
 
 def _decoders(artifacts):
-    """(name, decode, true encoding) for every decoder without its own test above."""
-    params, manifest, blocks, tags, enc_tags, cts, ch, *_ = artifacts
+    """(name, decode, encode, true encoding) for every wire decoder."""
+    params, manifest, blocks, tags, enc_tags, cts, ch, proof, resp = artifacts
     return [
-        ("challenge", wire.decode_challenge, wire.encode_challenge(ch)),
-        ("manifest", codec.FileManifest.from_json, manifest.to_json()),
-        ("blocks", wire.decode_blocks, wire.encode_blocks(manifest, blocks)),
+        ("challenge", wire.decode_challenge, wire.encode_challenge, wire.encode_challenge(ch)),
+        ("manifest", codec.FileManifest.from_json, codec.FileManifest.to_json,
+         manifest.to_json()),
+        ("proof", lambda t: wire.decode_proof(params, t),
+         lambda p: wire.encode_proof(params, p), wire.encode_proof(params, proof)),
+        ("audit_response", lambda t: wire.decode_audit_response(params, t),
+         wire.encode_audit_response, wire.encode_audit_response(resp)),
+        ("blocks", wire.decode_blocks, _encode_blocks, wire.encode_blocks(manifest, blocks)),
         ("ciphertexts", lambda b: wire.decode_ciphertexts(params, b),
-         wire.encode_ciphertexts(params, cts)),
-        ("tagset", lambda b: wire.decode_tagset(params, b), wire.encode_tagset(tags)),
-        ("enc_tagset", lambda b: wire.decode_enc_tagset(params, b),
+         lambda c: wire.encode_ciphertexts(params, c), wire.encode_ciphertexts(params, cts)),
+        ("tagset", lambda b: wire.decode_tagset(params, b), wire.encode_tagset,
+         wire.encode_tagset(tags)),
+        ("enc_tagset", lambda b: wire.decode_enc_tagset(params, b), wire.encode_enc_tagset,
          wire.encode_enc_tagset(enc_tags)),
     ]
+
+
+_DECODER_NAMES = ["challenge", "manifest", "proof", "audit_response", "blocks",
+                  "ciphertexts", "tagset", "enc_tagset"]
 
 
 @pytest.mark.parametrize("name", ["challenge", "manifest", "blocks", "ciphertexts",
@@ -302,11 +334,122 @@ def _decoders(artifacts):
     HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_decoders_raise_only_sevdel_errors(artifacts, name, data):
-    _, decode, encoded = next(d for d in _decoders(artifacts) if d[0] == name)
+    _, decode, _, encoded = next(d for d in _decoders(artifacts) if d[0] == name)
     try:
         decode(_mutant(data, encoded))
     except SevdelError:
         pass
+
+
+@pytest.mark.parametrize("name", _DECODER_NAMES)
+@settings(max_examples=100, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_accepted_encodings_are_canonical(any_artifacts, name, data):
+    # whatever a decoder accepts, its encoder writes back byte for byte:
+    # one accepted artifact has one encoding
+    _, decode, encode, encoded = next(d for d in _decoders(any_artifacts) if d[0] == name)
+    mutant = _mutant(data, encoded)
+    try:
+        decoded = decode(mutant)
+    except SevdelError:
+        return
+    assert encode(decoded) == mutant
+
+
+def _spaced_upper(h):
+    return " ".join(h[k:k + 2] for k in range(0, len(h), 2)).upper()
+
+
+def test_text_decoders_refuse_other_spellings(any_artifacts):
+    # each text below once decoded to an object equal to the honest one
+    params, manifest, *_, proof, resp = any_artifacts
+
+    def read_proof(t):
+        return wire.decode_proof(params, t)
+
+    def read_response(t):
+        return wire.decode_audit_response(params, t)
+
+    proof_text = wire.encode_proof(params, proof)
+    resp_text = wire.encode_audit_response(resp)
+    assert read_proof(proof_text) == proof
+    assert codec.FileManifest.from_json(manifest.to_json()) == manifest
+    assert read_response(resp_text) == resp
+    p, m, r = json.loads(proof_text), json.loads(manifest.to_json()), json.loads(resp_text)
+    i = next(iter(r["revealed_prime"]))
+    row = r["revealed_prime"][i]
+    upper_row = {**r["revealed_prime"], i: [row[0].upper(), *row[1:]]}
+    cases = [
+        (read_proof, proof_text,
+         json.dumps({**p, "p2": _spaced_upper(p["p2"])}, sort_keys=True)),
+        (read_proof, proof_text, json.dumps(p, sort_keys=True, indent=1)),
+        (read_proof, proof_text, json.dumps(dict(reversed(p.items())))),
+        (codec.FileManifest.from_json, manifest.to_json(),
+         json.dumps({**m, "file_id": m["file_id"].upper()}, sort_keys=True)),
+        (read_response, resp_text, json.dumps({**r, "q2": r["q2"].upper()}, sort_keys=True)),
+        (read_response, resp_text,
+         json.dumps({**r, "revealed_prime": upper_row}, sort_keys=True)),
+    ]
+    for decode, honest, text in cases:
+        assert text != honest
+        with pytest.raises(MalformedProof):
+            decode(text)
+    # a text decoder takes the str its encoder writes, not its bytes
+    with pytest.raises(MalformedProof):
+        read_proof(proof_text.encode())
+    with pytest.raises(MalformedProof):
+        codec.FileManifest.from_json(manifest.to_json().encode())
+
+
+def _group_codecs(params):
+    """(name, decode, encode, true encoding, fields) for each element and
+    scalar decoder; a field (start, end, modulus) is a big-endian value
+    that the decoder must hold below its modulus."""
+    from sevdel.groups import scalar_from_bytes, scalar_to_bytes
+    group = params.group
+    if group.name == "toy":
+        g1_fields = g2_fields = [(1, 9, group.order)]
+    else:
+        from sevdel import bn254
+        g1_fields = [(1, 33, int(bn254.P))]
+        g2_fields = [(1, 33, int(bn254.P)), (33, 65, int(bn254.P))]
+    width = group.scalar_bytes
+    return [
+        ("g1", params.g1_from_bytes, lambda e: e.to_bytes(),
+         (params.g1 ** 0xC0FFEE).to_bytes(), g1_fields),
+        ("g2", params.g2_from_bytes, lambda e: e.to_bytes(),
+         (params.g2 ** 0xBEEF).to_bytes(), g2_fields),
+        ("scalar", lambda b: scalar_from_bytes(group, b), lambda v: scalar_to_bytes(group, v),
+         scalar_to_bytes(group, group.order - 0xC0FFEE), [(0, width, group.order)]),
+    ]
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "scalar"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_accepted_elements_and_scalars_are_canonical(any_params, name, data):
+    # pins the bn254 flag byte and x < p, and toy values below the order:
+    # a field plus its modulus, which a decoder reducing mod the modulus
+    # would read as the true value, must be refused
+    _, decode, encode, encoded, fields = next(
+        c for c in _group_codecs(any_params) if c[0] == name)
+    kind = data.draw(st.sampled_from(["random", "mutant", "plus-modulus"]))
+    if kind == "random":
+        mutant = data.draw(st.binary(min_size=len(encoded), max_size=len(encoded)))
+    elif kind == "mutant":
+        mutant = _mutant(data, encoded)
+    else:
+        start, end, modulus = data.draw(st.sampled_from(fields))
+        value = int.from_bytes(encoded[start:end], "big") + modulus
+        mutant = encoded[:start] + value.to_bytes(end - start, "big") + encoded[end:]
+    try:
+        decoded = decode(mutant)
+    except SevdelError:
+        return
+    assert kind != "plus-modulus"
+    assert encode(decoded) == mutant
 
 
 def test_decoders_refuse_known_escapes(artifacts):
