@@ -38,7 +38,8 @@ the generator use a fixed-base table, every other term runs in one
 interleaved width-w NAF (Straus) per row, where the GLV endomorphism
 phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
 than 128 bits.  g1_gen_add walks the generator table for many scalars in
-lockstep, with affine additions that share one inversion per table row.
+lockstep, one shared inversion per table row; g1_gen_multiples, the dlog's
+baby steps, is blocks of such walks, one inversion per block.
 The GLV, Frobenius and psi constants and the loop digits are checked at
 import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
 kept as the tests' references.
@@ -528,15 +529,6 @@ def _g1_mul_raw(pt, k):
 _ONE = mpz(1)
 
 
-def _to_affine(acc):
-    if acc is None:
-        return None
-    x, y, z = acc
-    zi = _fp_inv(z)
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 * zi % P)
-
-
 def _batch_affine(points):
     """Affine forms of finite Jacobian points with one shared inversion."""
     prefix = []
@@ -754,7 +746,7 @@ def _generator_rows():
                 jac.append(cur)
             row = _batch_affine(jac)
             rows.append(row)
-            bx, by = _to_affine(_jac_dbl(row[-1][0], row[-1][1], _ONE))
+            bx, by = g1_add(row[-1], row[-1])
         _gen_rows = rows
     return _gen_rows
 
@@ -916,20 +908,19 @@ def g1_msm_rows(shared, rows):
     return [None if acc is None else next(finite) for acc in accs]
 
 
+_MULTIPLES_BLOCK = 1024     # 16 * 64, a single base-64 digit
+
+
 def g1_gen_multiples(count):
-    """k * G_GEN for k in [0, count), affine, as a running Jacobian sum
-    normalised 1024 points at a time."""
-    if count > 0:
-        yield None
-    made, cur = 1, None
-    gx, gy = G1_GEN
-    while made < count:
-        jac = []
-        for _ in range(min(1024, count - made)):
-            cur = _add_affine(cur, gx, gy)
-            jac.append(cur)
-        made += len(jac)
-        yield from _batch_affine(jac)
+    """k * G_GEN for k in [0, count), affine, one block of 1024 at a time:
+    block 0 is one g1_gen_add from the identity, each later block the one
+    before plus 1024 * G_GEN, one addition per point and one inversion."""
+    block = None
+    for start in range(0, count, _MULTIPLES_BLOCK):
+        size = min(count - start, _MULTIPLES_BLOCK)
+        block = (g1_gen_add(block[:size], [_MULTIPLES_BLOCK] * size) if start
+                 else g1_gen_add([None] * size, range(size)))
+        yield from block
 
 
 def g1_to_bytes(pt):

@@ -73,26 +73,66 @@ def _write(out: Path, name: str, data) -> Path:
 
 def _load(out: Path, name: str, parse=None):
     """The artifact out/name: its bytes, or parse of its UTF-8 text.
-    Raises MalformedProof for a file that is missing, not UTF-8,
-    unparsable or incomplete."""
+    Raises MalformedProof for a file that is missing or not UTF-8; parse
+    raises only SevdelError."""
     try:
         data = (out / name).read_bytes()
-        return data if parse is None else parse(data.decode())
-    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
-        raise MalformedProof(f"{name} is missing, unparsable or incomplete: {exc}") from exc
+        if parse is None:
+            return data
+        text = data.decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedProof(f"{name} is missing or not UTF-8: {exc}") from exc
+    return parse(text)
+
+
+def _load_json(out: Path, name: str, build, encode):
+    """The JSON artifact out/name through codec.decode_canonical: build
+    of its parsed text, accepted only if encode writes that text back
+    byte for byte."""
+    return _load(out, name, lambda text: codec.decode_canonical(text, build, encode, name))
+
+
+# each JSON artifact has one encoder (*_text), which writes it and which
+# _load_json compares its reader's result (*_keys, group_setup) against
+
+def _params_text(params) -> str:
+    return json.dumps({"group": params.group.name, "sector_bits": params.sector_bits,
+                       "params_digest": params.digest().hex()}, indent=2, sort_keys=True)
+
+
+def _provider_text(params, skeys) -> str:
+    return json.dumps({"a": scalar_to_bytes(params.group, skeys.a).hex(),
+                       "A": skeys.A.hex()}, indent=2, sort_keys=True)
+
+
+def _provider_keys(params, d) -> cloud.ServerKeyPair:
+    return cloud.ServerKeyPair(a=scalar_from_bytes(params.group, bytes.fromhex(d["a"])),
+                               A=params.g2_from_bytes(bytes.fromhex(d["A"])))
+
+
+def _owner_text(params, keys) -> str:
+    okeys, gens = keys
+    return json.dumps(
+        {"w": scalar_to_bytes(params.group, okeys.w).hex(),
+         "W": okeys.W.hex(),
+         "x": [scalar_to_bytes(params.group, xj).hex() for xj in gens.x],
+         "u": [e.hex() for e in gens.u]}, indent=2, sort_keys=True)
+
+
+def _owner_keys(params, d) -> tuple[owner.OwnerKeyPair, owner.SectorGenerators]:
+    def scalar(h):
+        return scalar_from_bytes(params.group, bytes.fromhex(h))
+    return (owner.OwnerKeyPair(w=scalar(d["w"]), W=params.g2_from_bytes(bytes.fromhex(d["W"]))),
+            owner.SectorGenerators(x=tuple(map(scalar, d["x"])),
+                                   u=tuple(params.g1_from_bytes(bytes.fromhex(h))
+                                           for h in d["u"])))
 
 
 def _load_params(out: Path):
-    """The params that params.json names; MalformedProof unless they
-    rebuild to its params_digest."""
-    def parse(text):
-        d = json.loads(text)
-        params = group_setup(d["group"], d["sector_bits"])
-        if params.digest().hex() != d["params_digest"]:
-            raise MalformedProof("params.json: params_digest disagrees with its group "
-                                 "and sector_bits")
-        return params
-    return _load(out, "params.json", parse)
+    """The params that params.json names; MalformedProof unless the file
+    is exactly what setup writes for them, params_digest included."""
+    return _load_json(out, "params.json",
+                      lambda d: group_setup(d["group"], d["sector_bits"]), _params_text)
 
 
 @main.command()
@@ -104,12 +144,8 @@ def setup(group, sector_bits, seed, out):
     """Bootstrap system parameters and the provider key pair."""
     params = group_setup(group, int(sector_bits))
     skeys = cloud.server_keygen(params, SeededRng(seed).child("server-keys"))
-    _write(out, "params.json", json.dumps(
-        {"group": group, "sector_bits": int(sector_bits),
-         "params_digest": params.digest().hex()}, indent=2, sort_keys=True))
-    _write(out, "provider.json", json.dumps(
-        {"a": scalar_to_bytes(params.group, skeys.a).hex(),
-         "A": skeys.A.hex()}, indent=2, sort_keys=True))
+    _write(out, "params.json", _params_text(params))
+    _write(out, "provider.json", _provider_text(params, skeys))
     click.echo(f"wrote params.json and provider.json to {out}")
 
 
@@ -133,11 +169,7 @@ def outsource(file_path, sectors, seed, out, owner_id):
     _write(out, "manifest.json", manifest.to_json())
     _write(out, "blocks.bin", wire.encode_blocks(manifest, blocks))
     _write(out, "tags.bin", wire.encode_tagset(tags))
-    _write(out, "owner.json", json.dumps(
-        {"w": scalar_to_bytes(params.group, okeys.w).hex(),
-         "W": okeys.W.hex(),
-         "x": [scalar_to_bytes(params.group, xj).hex() for xj in gens.x],
-         "u": [e.hex() for e in gens.u]}, indent=2, sort_keys=True))
+    _write(out, "owner.json", _owner_text(params, (okeys, gens)))
     click.echo(f"outsourced {file_path} as {manifest.n}x{manifest.s} blocks "
                f"(file id {manifest.file_id.hex()[:16]}...)")
 
@@ -157,16 +189,15 @@ def encrypt(seed, out):
         raise MalformedProof(f"manifest.json: sector_bits {manifest.sector_bits} disagrees "
                              f"with params.json ({params.sector_bits})")
     blocks = wire.decode_blocks(_load(out, "blocks.bin"))
-    u_bytes = _load(out, "owner.json", lambda t: [bytes.fromhex(h) for h in json.loads(t)["u"]])
-    a, A = _load(out, "provider.json",
-                 lambda t: [bytes.fromhex(json.loads(t)[k]) for k in ("a", "A")])
-    u = tuple(map(params.g1_from_bytes, u_bytes))
-    skeys = cloud.ServerKeyPair(a=scalar_from_bytes(params.group, a), A=params.g2_from_bytes(A))
+    _, gens = _load_json(out, "owner.json", lambda d: _owner_keys(params, d),
+                         lambda keys: _owner_text(params, keys))
+    skeys = _load_json(out, "provider.json", lambda d: _provider_keys(params, d),
+                       lambda keys: _provider_text(params, keys))
     registry = EnclaveRegistry()
     enclave = registry.create(manifest.file_id)
     rng = SeededRng(seed)
     cts, v_pub = cloud.encrypt_file(params, enclave, manifest, blocks, rng.child("encrypt"))
-    enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, u,
+    enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
                                   vgen_points(params, manifest.file_id, manifest.s))
     _write(out, "ciphertext.bin", wire.encode_ciphertexts(params, cts))
     _write(out, "enc_tags.bin", wire.encode_enc_tagset(enc_tags))

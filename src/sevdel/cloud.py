@@ -193,17 +193,23 @@ def encrypt_file(
 _dlog_tables: dict = {}
 
 
+def _baby_steps(group, baby_bits: int) -> dict:
+    """{g1_key(g1^k): k} for k below 2^baby_bits, from the backend's
+    g1_gen_multiples: on bn254 blocks of 1024 lockstep generator walks,
+    one inversion per block."""
+    key = group.g1_key
+    return {key(pt): k for k, pt in enumerate(group.g1_gen_multiples(1 << baby_bits))}
+
+
 def _dlog_table(group, bits: int):
-    """Baby steps {g1_key(g1^k): k} for k below 2^min(bits, 16), the giant
-    stride g1^-(2^baby_bits), and baby_bits; built once per group."""
+    """Baby steps for k below 2^min(bits, 16), the giant stride
+    g1^-(2^baby_bits), and baby_bits; built once per group and width."""
     baby_bits = min(bits, _BSGS_BABY_MAX_BITS)
     cache_key = (group.name, baby_bits)
     table = _dlog_tables.get(cache_key)
     if table is None:
-        key = group.g1_key
-        baby = {key(pt): k for k, pt in enumerate(group.g1_gen_multiples(1 << baby_bits))}
         stride = group.g1_pow(group.g1_gen, -(1 << baby_bits))
-        table = (baby, stride, baby_bits)
+        table = (_baby_steps(group, baby_bits), stride, baby_bits)
         _dlog_tables[cache_key] = table
     return table
 
@@ -334,7 +340,7 @@ def prove_encryption(
     P1'_j = prod_i (E'_ij)^l_i, P1''_j = prod_i (E''_ij)^l_i,
     Q_j = sum_i l_i m_ij, P2 = prod_i phi_i^l_i, R_j = sum_i l_i r_ij;
     needs the enclave for the sealed r_ij, so it dies with the enclave.
-    Raises MalformedProof unless the challenge is well formed, by the same
+    Raises MalformedProof unless the challenge fits the file, by the same
     owner.check_challenge both verifiers apply.
     """
     _require_bound(enclave, manifest)

@@ -147,7 +147,7 @@ def verify_audit_response(
 ) -> bool:
     """Node-side audit check over owner-revealed ciphertext components.
 
-    Raises MalformedProof unless the challenge is well formed (see
+    Raises MalformedProof unless the challenge fits the record (see
     owner.check_challenge, with n = len(sigma)) and the response reveals
     both ciphertext rows, each of s element-encoding-long byte strings,
     for exactly the challenged indices.  Rejects unless (1) Q2 matches

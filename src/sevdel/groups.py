@@ -251,7 +251,7 @@ class SystemParams:
 
 def setup(group: str = "bn254", sector_bits: int = 32) -> SystemParams:
     """Bootstrap system parameters over the named curve family."""
-    if sector_bits not in (8, 16, 32):
+    if type(sector_bits) is not int or sector_bits not in (8, 16, 32):
         raise ValueError("sector_bits must be one of 8, 16, 32")
     backend = get_backend(group)
     return SystemParams(

@@ -53,10 +53,31 @@ class TagSet:
 
 @dataclass(frozen=True)
 class Challenge:
-    """Sampled block indices (1-based) with nonzero coefficients."""
+    """Sampled block indices (1-based) with nonzero coefficients.
+
+    Construction raises MalformedProof unless items is a non-empty tuple
+    of (index, coefficient) int pairs with distinct indices and every
+    coefficient in [1, 2^COEFF_BITS), and the nonce is bytes; the checks
+    that need the file's n and the group order are check_challenge's.
+    """
 
     items: tuple[tuple[int, int], ...]
     nonce: bytes
+
+    def __post_init__(self):
+        items = self.items
+        if not (isinstance(items, tuple) and isinstance(self.nonce, bytes)
+                and all(isinstance(item, tuple) and len(item) == 2
+                        and all(type(x) is int for x in item) for item in items)):
+            raise MalformedProof("challenge items must be (index, coefficient) int pairs")
+        if not items:
+            raise MalformedProof("empty challenge")
+        if len({i for i, _ in items}) != len(items):
+            raise MalformedProof("duplicate challenged index")
+        for i, gamma in items:
+            if not 1 <= gamma < 1 << COEFF_BITS:
+                raise MalformedProof(
+                    f"coefficient for challenged block {i} outside [1, 2^{COEFF_BITS})")
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -134,29 +155,15 @@ def gen_challenge(manifest: FileManifest, count: int, rng_seed) -> Challenge:
 
 
 def check_challenge(challenge: Challenge, n: int, order: int) -> None:
-    """Raise MalformedProof unless the challenge is a tuple of (index,
-    coefficient) int pairs with a bytes nonce, names at least one block,
-    its indices are distinct and in [1, n], and every coefficient lies in
-    [1, 2^COEFF_BITS) and is not 0 mod the group order; an empty or
-    all-zero challenge is met by identities."""
-    items = challenge.items
-    if not (isinstance(items, tuple) and isinstance(challenge.nonce, bytes)
-            and all(isinstance(item, tuple) and len(item) == 2
-                    and all(type(x) is int for x in item) for item in items)):
-        raise MalformedProof("challenge items must be (index, coefficient) int pairs")
-    if not items:
-        raise MalformedProof("empty challenge")
-    indices = challenge.indices
-    if len(set(indices)) != len(indices):
-        raise MalformedProof("duplicate challenged index")
+    """Raise MalformedProof unless every challenged index lies in [1, n]
+    and no coefficient is 0 mod the group order; the rest of the shape
+    Challenge checks when it is built.  An empty or all-zero challenge
+    would be met by identities."""
     for i, gamma in challenge.items:
         if not 1 <= i <= n:
             raise MalformedProof(f"challenged index {i} outside [1, {n}]")
         if gamma % order == 0:
             raise MalformedProof(f"zero coefficient for challenged block {i}")
-        if not 1 <= gamma < 1 << COEFF_BITS:
-            raise MalformedProof(
-                f"coefficient for challenged block {i} outside [1, 2^{COEFF_BITS})")
 
 
 def enc_proof_context(params: SystemParams, manifest: FileManifest, challenge: Challenge) -> bytes:

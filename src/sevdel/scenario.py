@@ -560,7 +560,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     g1_msm_rows over 16 shared hashed points and 32 rows of full-width
     scalars, the shape of ciphertext tagging at s = 8; and, per point, the
     median of 3 calls of g1_gen_add on 512 identity starts with full-width
-    scalars, the shape of an encryption or decryption chunk."""
+    scalars, the shape of an encryption or decryption chunk; and the
+    median of 3 uncached builds of the bounded dlog's 2^16-entry
+    baby-step dict, the bulk of a bn254 set-up."""
     calls = 15
     params = setup(group, 16)
     backend = params.group
@@ -592,6 +594,8 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
             median_ms(backend.g1_msm_rows, ((shared, rows) for rows in batches)) / 32, 6),
         "g1_gen_add_ms": round(
             median_ms(backend.g1_gen_add, ((identities, ks) for ks in walks)) / 512, 6),
+        "dlog_table_ms": median_ms(cloud._baby_steps,
+                                   [(backend, cloud._BSGS_BABY_MAX_BITS)] * 3),
     }
 
 

@@ -160,16 +160,10 @@ def encode_challenge(challenge: Challenge) -> str:
 
 def decode_challenge(text: str) -> Challenge:
     """Decode a challenge, raising only MalformedProof: the text must be
-    exactly what encode_challenge writes, with an integer index and a
-    non-negative coefficient in each item."""
+    exactly what encode_challenge writes, and Challenge checks its items."""
     def build(d):
-        items = []
-        for index, coefficient in d["items"]:
-            gamma = int(coefficient, 16)
-            if type(index) is not int or gamma < 0:
-                raise MalformedProof("challenge items must be [index, hex coefficient] pairs")
-            items.append((index, gamma))
-        return Challenge(items=tuple(items), nonce=bytes.fromhex(d["nonce"]))
+        items = tuple((index, int(coefficient, 16)) for index, coefficient in d["items"])
+        return Challenge(items=items, nonce=bytes.fromhex(d["nonce"]))
     return decode_canonical(text, build, encode_challenge, "challenge")
 
 

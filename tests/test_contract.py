@@ -319,11 +319,20 @@ BAD_CHALLENGES = {   # name: (items for n blocks and group order, expected reaso
     "duplicate": (lambda n, order: ((1, 5), (1, 7)), "duplicate"),
     "index-0": (lambda n, order: ((0, 5),), "outside"),
     "index-n+1": (lambda n, order: ((n + 1, 5),), "outside"),
-    "coefficient-0": (lambda n, order: ((1, 0),), "zero coefficient"),
+    "coefficient-0": (lambda n, order: ((1, 0),), "coefficient .* outside"),
     "coefficient-order": (lambda n, order: ((1, order),), "zero coefficient"),
     "coefficient-negative": (lambda n, order: ((1, -31),), "coefficient .* outside"),
     "coefficient-2^128": (lambda n, order: ((1, 1 << 128),), "coefficient .* outside"),
 }
+
+
+def _malformed_in_itself(case, params):
+    """Whether Challenge refuses the case where it is built: every case but
+    those malformed only against a file's n or the group's order.  On
+    bn254 the order is above 2^128, so (1, order) is one of them."""
+    if case == "coefficient-order":
+        return params.order >= 1 << owner.COEFF_BITS
+    return case not in ("index-0", "index-n+1")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CHALLENGES))
@@ -332,6 +341,11 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     make_items, reason = BAD_CHALLENGES[case]
     items = make_items(dep.manifest.n, params.order)
     s = dep.manifest.s
+    if _malformed_in_itself(case, params):
+        with pytest.raises(MalformedProof, match="coefficient .* outside"
+                           if case == "coefficient-order" else reason):
+            owner.Challenge(items=items, nonce=b"\x00" * 16)
+        return
     bad = owner.Challenge(items=items, nonce=b"\x00" * 16)
     indices = {i for i, _ in items}
     # what an owner without ciphertexts would send: identities throughout
@@ -439,6 +453,7 @@ ILL_TYPED_CALLS = {   # name: (stage, replaced arguments given the deployment)
     "claim-n-ref-list": ("claimable", lambda dep: {"n_ref": [N]}),
     "audit-challenge-none": ("claimed", lambda dep: {"challenge": None}),
     "audit-response-none": ("claimed", lambda dep: {"response": None}),
+    # the next three raise where the Challenge is built, before the call
     "audit-index-str": ("claimed", lambda dep: {
         "challenge": _retyped(dep, index=str(dep.audit_challenge().items[0][0]))}),
     "audit-coefficient-float": ("claimed", lambda dep: {
@@ -468,13 +483,20 @@ def test_ill_typed_contract_calls_raise_only_sevdel_errors(any_dep, case):
 
 def test_owner_without_ciphertexts_is_not_paid(any_dep):
     # identities answer an empty or all-zero challenge on both sides of the
-    # pairing equation; the contract must refuse them before paying
+    # pairing equation; neither may reach a payout.  Challenge refuses an
+    # empty one and a zero coefficient where they are built; a coefficient
+    # that is 0 only mod the order exists below 2^128 on toy alone, and
+    # the contract refuses that one before paying
     dep, params = any_dep, any_dep.params
     contract, ledger, clock = _deploy_to_claimed(params, dep)
     clock.advance_to(25)
-    empty = owner.Challenge(items=(), nonce=b"\x00" * 16)
-    zero = owner.Challenge(items=((1, 0), (2, params.order)), nonce=b"\x00" * 16)
-    for ch in (empty, zero):
+    for items in ((), ((1, 0), (2, params.order))):
+        with pytest.raises(MalformedProof):
+            owner.Challenge(items=items, nonce=b"\x00" * 16)
+    zero_mod_order = [owner.Challenge(items=((1, params.order), (2, 2 * params.order)),
+                                      nonce=b"\x00" * 16)] \
+        if 2 * params.order < 1 << owner.COEFF_BITS else []
+    for ch in zero_mod_order:
         forged = owner.AuditResponse(
             q2=params.g1_identity(),
             revealed_prime=_identity_rows(params, ch.indices, dep.manifest.s),

@@ -343,14 +343,27 @@ def test_roundtrip_across_a_batch_boundary(bn_params):
 
 
 def test_generator_multiples_are_a_running_sum(any_params):
+    # bn254 walks blocks of 1024 points: none, one point, one block short,
+    # one full block, one past it, and a short third block
     group = any_params.group
-    count = 2100                      # crosses a normalisation chunk boundary
-    got = list(group.g1_gen_multiples(count))
-    assert len(got) == count
-    acc = group.g1_identity()
-    for k in range(count):
-        assert got[k] == acc, k
-        acc = group.g1_op(acc, group.g1_gen)
+    running = [group.g1_identity()]
+    for _ in range(2 * 1024 + 2):
+        running.append(group.g1_op(running[-1], group.g1_gen))
+    for count in (0, 1, 1023, 1024, 1025, 2 * 1024 + 3):
+        assert list(group.g1_gen_multiples(count)) == running[:count], count
+
+
+def test_full_bn254_baby_step_table():
+    # the table decryption reads: 2^16 distinct keys, each naming its own
+    # multiple; k = 2048 is where the walk's one doubling lane lands
+    # (1024G + 1024G), k = 65535 is its last entry
+    walk = list(bn254.g1_gen_multiples(1 << 16))
+    for k in (2048, 65535):
+        assert walk[k] == bn254._g1_mul_raw(bn254.G1_GEN, k), k
+    baby, _, baby_bits = cloud._dlog_table(bn254, 16)
+    assert baby_bits == 16
+    assert len(baby) == 1 << 16
+    assert baby == {bn254.g1_key(pt): k for k, pt in enumerate(walk)}
 
 
 def test_dlog_keys_are_distinct_and_miss_the_identity(any_params):

@@ -1,5 +1,6 @@
 """Owner protocol: keys, tags, challenges, verification, audit responses."""
 
+import dataclasses
 import math
 
 import pytest
@@ -108,6 +109,30 @@ def test_challenge_seed_reproducible(toy_params):
     assert a == b
     assert a != c
     assert len(set(a.indices)) == 10
+
+
+ILL_TYPED_CHALLENGES = {   # name: (items, nonce)
+    "items-list": ([(1, 5)], b""),
+    "item-list": (([1, 5],), b""),
+    "item-triple": (((1, 5, 7),), b""),
+    "index-str": ((("1", 5),), b""),
+    "index-bool": (((True, 5),), b""),
+    "coefficient-float": (((1, 5.0),), b""),
+    "nonce-str": (((1, 5),), "00"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_TYPED_CHALLENGES))
+def test_challenge_refuses_to_be_built_ill_typed(case):
+    # never a Challenge, so no verifier sees one; dataclasses.replace goes
+    # through the same check.  The range cases are BAD_CHALLENGES in
+    # test_contract.py
+    items, nonce = ILL_TYPED_CHALLENGES[case]
+    with pytest.raises(MalformedProof, match="int pairs"):
+        owner.Challenge(items=items, nonce=nonce)
+    good = owner.Challenge(items=((1, 1), (2, (1 << 128) - 1)), nonce=b"")
+    with pytest.raises(MalformedProof, match="int pairs"):
+        dataclasses.replace(good, items=items, nonce=nonce)
 
 
 def test_challenge_single_corruption_detection_rate(toy_params):

@@ -248,19 +248,22 @@ def _artifacts(tmp_path, runner):
     return demo, out
 
 
-def _drop_key(name, key):
+# the JSON edits below keep the layout the CLI writes, so each broken
+# artifact fails the check its case names and not only the layout check
+
+def _edit_json(name, edit):
     def corrupt(out):
-        d = json.loads((out / name).read_text())
-        del d[key]
-        (out / name).write_text(json.dumps(d))
+        d = edit(json.loads((out / name).read_text()))
+        (out / name).write_text(json.dumps(d, indent=2, sort_keys=True))
     return corrupt
+
+
+def _drop_key(name, key):
+    return _edit_json(name, lambda d: {k: v for k, v in d.items() if k != key})
 
 
 def _set_keys(name, **values):
-    def corrupt(out):
-        d = json.loads((out / name).read_text())
-        (out / name).write_text(json.dumps({**d, **values}))
-    return corrupt
+    return _edit_json(name, lambda d: {**d, **values})
 
 
 def _rewrite(name, edit):
@@ -286,6 +289,22 @@ BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
     "encrypt-owner-without-u": ("encrypt", _drop_key("owner.json", "u")),
     "encrypt-owner-u-not-hex": ("encrypt", _set_keys("owner.json", u=["zz"])),
     "encrypt-owner-missing": ("encrypt", lambda out: (out / "owner.json").unlink()),
+    # owner.json, provider.json and params.json decode only in the exact
+    # text the CLI writes: hex case and spacing, extra keys, layout
+    "encrypt-owner-u-upper-case": ("encrypt", _edit_json(
+        "owner.json", lambda d: {**d, "u": [h.upper() for h in d["u"]]})),
+    "encrypt-owner-u-spaced": ("encrypt", _edit_json(
+        "owner.json", lambda d: {**d, "u": [h[:2] + " " + h[2:] for h in d["u"]]})),
+    "encrypt-owner-extra-key": ("encrypt", _set_keys("owner.json", note="")),
+    "encrypt-owner-compact": ("encrypt", _rewrite(
+        "owner.json", lambda b: json.dumps(json.loads(b), sort_keys=True).encode())),
+    "encrypt-provider-a-upper-case": ("encrypt", _edit_json(
+        "provider.json", lambda d: {**d, "a": d["a"].upper()})),
+    "encrypt-provider-extra-key": ("encrypt", _set_keys("provider.json", b="00")),
+    "encrypt-params-compact": ("encrypt", _rewrite(
+        "params.json", lambda b: json.dumps(json.loads(b), sort_keys=True).encode())),
+    "encrypt-params-extra-key": ("encrypt", _set_keys("params.json", note="")),
+    "encrypt-params-sector-bits-float": ("encrypt", _set_keys("params.json", sector_bits=16.0)),
     "encrypt-provider-not-json": ("encrypt", lambda out: (out / "provider.json").write_text("[")),
     "encrypt-blocks-truncated": ("encrypt", lambda out: (out / "blocks.bin").write_bytes(
         (out / "blocks.bin").read_bytes()[:5])),
@@ -304,7 +323,9 @@ def test_cli_artifact_commands_fail_cleanly(tmp_path, case):
     runner = CliRunner()
     demo, out = _artifacts(tmp_path, runner)
     command, corrupt = BROKEN_ARTIFACTS[case]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
     corrupt(out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} != before
     args = [command, "--out", str(out)] + (["--file", str(demo)] if command == "outsource" else [])
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -417,5 +438,5 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
                                                       "audit_response_size_bytes"]
     assert set(report["layers"]) == {"g1_mul_variable_base_ms", "g1_mul_generator_ms",
                                      "g1_from_bytes_ms", "g1_hash_ms", "pairing_ms",
-                                     "g1_msm_rows_ms", "g1_gen_add_ms"}
+                                     "g1_msm_rows_ms", "g1_gen_add_ms", "dlog_table_ms"}
     assert all(ms > 0 for ms in report["layers"].values())
