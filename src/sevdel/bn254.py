@@ -39,7 +39,8 @@ interleaved width-w NAF (Straus) per row, where the GLV endomorphism
 phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
 than 128 bits.  g1_gen_add walks the generator table for many scalars in
 lockstep, one shared inversion per table row; g1_gen_multiples, the dlog's
-baby steps, is blocks of such walks, one inversion per block.
+baby steps centred on the identity, is blocks of such walks over the
+positive half, one inversion per block, and y-negations for the other half.
 The GLV, Frobenius and psi constants and the loop digits are checked at
 import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
 kept as the tests' references.
@@ -912,15 +913,25 @@ _MULTIPLES_BLOCK = 1024     # 16 * 64, a single base-64 digit
 
 
 def g1_gen_multiples(count):
-    """k * G_GEN for k in [0, count), affine, one block of 1024 at a time:
-    block 0 is one g1_gen_add from the identity, each later block the one
-    before plus 1024 * G_GEN, one addition per point and one inversion."""
+    """(m, (m - half) * G_GEN) for m in [0, count), half = count // 2, in
+    no fixed order: the range centred on the identity, affine.
+
+    Only k * G_GEN for k in [0, half] is walked, one block of 1024 at a
+    time: block 0 is one g1_gen_add from the identity, each later block
+    the one before plus 1024 * G_GEN, one addition per point and one
+    inversion per block.  -k * G_GEN is its twin with y negated, free
+    (the negation map of Bernstein and Lange, INDOCRYPT 2012)."""
+    half = count // 2
     block = None
-    for start in range(0, count, _MULTIPLES_BLOCK):
-        size = min(count - start, _MULTIPLES_BLOCK)
+    for start in range(0, half + 1, _MULTIPLES_BLOCK):
+        size = min(half + 1 - start, _MULTIPLES_BLOCK)
         block = (g1_gen_add(block[:size], [_MULTIPLES_BLOCK] * size) if start
                  else g1_gen_add([None] * size, range(size)))
-        yield from block
+        for k, pt in enumerate(block, start):
+            if half + k < count:
+                yield half + k, pt
+            if k:
+                yield half - k, (pt[0], P - pt[1])
 
 
 def g1_to_bytes(pt):

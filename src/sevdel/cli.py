@@ -93,7 +93,9 @@ def _load_json(out: Path, name: str, build, encode):
 
 
 # each JSON artifact has one encoder (*_text), which writes it and which
-# _load_json compares its reader's result (*_keys, group_setup) against
+# _load_json compares its reader's result (*_keys, group_setup) against;
+# owner.json, which holds the owner's secrets w and x_j, has no reader:
+# the provider-side encrypt reads the public W and u from owner_public.json
 
 def _params_text(params) -> str:
     return json.dumps({"group": params.group.name, "sector_bits": params.sector_bits,
@@ -110,8 +112,7 @@ def _provider_keys(params, d) -> cloud.ServerKeyPair:
                                A=params.g2_from_bytes(bytes.fromhex(d["A"])))
 
 
-def _owner_text(params, keys) -> str:
-    okeys, gens = keys
+def _owner_text(params, okeys, gens) -> str:
     return json.dumps(
         {"w": scalar_to_bytes(params.group, okeys.w).hex(),
          "W": okeys.W.hex(),
@@ -119,13 +120,14 @@ def _owner_text(params, keys) -> str:
          "u": [e.hex() for e in gens.u]}, indent=2, sort_keys=True)
 
 
-def _owner_keys(params, d) -> tuple[owner.OwnerKeyPair, owner.SectorGenerators]:
-    def scalar(h):
-        return scalar_from_bytes(params.group, bytes.fromhex(h))
-    return (owner.OwnerKeyPair(w=scalar(d["w"]), W=params.g2_from_bytes(bytes.fromhex(d["W"]))),
-            owner.SectorGenerators(x=tuple(map(scalar, d["x"])),
-                                   u=tuple(params.g1_from_bytes(bytes.fromhex(h))
-                                           for h in d["u"])))
+def _owner_public_text(public) -> str:
+    W, u = public
+    return json.dumps({"W": W.hex(), "u": [e.hex() for e in u]}, indent=2, sort_keys=True)
+
+
+def _owner_public_keys(params, d) -> tuple:
+    return (params.g2_from_bytes(bytes.fromhex(d["W"])),
+            tuple(params.g1_from_bytes(bytes.fromhex(h)) for h in d["u"]))
 
 
 def _load_params(out: Path):
@@ -169,7 +171,8 @@ def outsource(file_path, sectors, seed, out, owner_id):
     _write(out, "manifest.json", manifest.to_json())
     _write(out, "blocks.bin", wire.encode_blocks(manifest, blocks))
     _write(out, "tags.bin", wire.encode_tagset(tags))
-    _write(out, "owner.json", _owner_text(params, (okeys, gens)))
+    _write(out, "owner.json", _owner_text(params, okeys, gens))
+    _write(out, "owner_public.json", _owner_public_text((okeys.W, gens.u)))
     click.echo(f"outsourced {file_path} as {manifest.n}x{manifest.s} blocks "
                f"(file id {manifest.file_id.hex()[:16]}...)")
 
@@ -189,15 +192,15 @@ def encrypt(seed, out):
         raise MalformedProof(f"manifest.json: sector_bits {manifest.sector_bits} disagrees "
                              f"with params.json ({params.sector_bits})")
     blocks = wire.decode_blocks(_load(out, "blocks.bin"))
-    _, gens = _load_json(out, "owner.json", lambda d: _owner_keys(params, d),
-                         lambda keys: _owner_text(params, keys))
+    _, u = _load_json(out, "owner_public.json", lambda d: _owner_public_keys(params, d),
+                      _owner_public_text)
     skeys = _load_json(out, "provider.json", lambda d: _provider_keys(params, d),
                        lambda keys: _provider_text(params, keys))
     registry = EnclaveRegistry()
     enclave = registry.create(manifest.file_id)
     rng = SeededRng(seed)
     cts, v_pub = cloud.encrypt_file(params, enclave, manifest, blocks, rng.child("encrypt"))
-    enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
+    enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, u,
                                   vgen_points(params, manifest.file_id, manifest.s))
     _write(out, "ciphertext.bin", wire.encode_ciphertexts(params, cts))
     _write(out, "enc_tags.bin", wire.encode_enc_tagset(enc_tags))

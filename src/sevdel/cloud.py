@@ -194,16 +194,20 @@ _dlog_tables: dict = {}
 
 
 def _baby_steps(group, baby_bits: int) -> dict:
-    """{g1_key(g1^k): k} for k below 2^baby_bits, from the backend's
-    g1_gen_multiples: on bn254 blocks of 1024 lockstep generator walks,
-    one inversion per block."""
+    """{g1_key(g1^(m - half)): m} for m below 2^baby_bits, half =
+    2^(baby_bits - 1): the table is centred on the identity, so a lookup
+    reads a point shifted by g1^-half.  From the backend's
+    g1_gen_multiples: on bn254 blocks of 1024 lockstep generator walks
+    over the 2^(baby_bits - 1) + 1 multiples k * g1 with k in [0, half],
+    one inversion per block, each -k * g1 a free y-negation of its twin."""
     key = group.g1_key
-    return {key(pt): k for k, pt in enumerate(group.g1_gen_multiples(1 << baby_bits))}
+    return {key(pt): m for m, pt in group.g1_gen_multiples(1 << baby_bits)}
 
 
 def _dlog_table(group, bits: int):
-    """Baby steps for k below 2^min(bits, 16), the giant stride
-    g1^-(2^baby_bits), and baby_bits; built once per group and width."""
+    """Baby steps for m below 2^min(bits, 16), centred as in _baby_steps,
+    the giant stride g1^-(2^baby_bits), and baby_bits; built once per group
+    and width.  _dlog of g1^(x - half) is x."""
     baby_bits = min(bits, _BSGS_BABY_MAX_BITS)
     cache_key = (group.name, baby_bits)
     table = _dlog_tables.get(cache_key)
@@ -215,7 +219,8 @@ def _dlog_table(group, bits: int):
 
 
 def _dlog(group, table, raw, bits: int) -> int:
-    """Baby-step/giant-step over [0, 2^bits); DlogOutOfRange on miss."""
+    """The x in [0, 2^bits) with raw = g1^(x - half), half as in
+    _baby_steps, by baby-step/giant-step; DlogOutOfRange on miss."""
     baby, stride, baby_bits = table
     giant_steps = 1 << max(bits - baby_bits, 0)
     cur = raw
@@ -256,21 +261,26 @@ def _sealed_rows(group, enclave: Enclave, s: int):
 
 
 def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, G1Elem]) -> int:
-    """Recover one sector value: the m with g1^m = E' / (E'')^v."""
+    """Recover one sector value: the m with g1^m = E' / (E'')^v, shifted
+    by g1^-half for the centred dlog table with one g1_gen_add."""
     v, meta = _unseal_key(params, enclave)
     sector_bits = int(meta["sector_bits"])
     e_prime, e_dprime = e_pair
     group = params.group
+    table = _dlog_table(group, sector_bits)
     lifted = group.g1_op(e_prime.raw, group.g1_pow(e_dprime.raw, -v))
-    return _dlog(group, _dlog_table(group, sector_bits), lifted, sector_bits)
+    lifted = group.g1_gen_add([lifted], [-(1 << (table[2] - 1))])[0]
+    return _dlog(group, table, lifted, sector_bits)
 
 
 def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) -> BlockMatrix:
     """Bulk decryption from the sealed randomness: E' = g1^(m + v*r), so
     g1^m = E' * g1^(-v*r).  Each chunk of about _BATCH_SECTORS sectors is
-    one g1_gen_add that starts each walk at E' and adds -v*r times g1,
-    giving g1^m affine for the dlog lookup.  E'' is not read; a wrong E'
-    still fails the bounded dlog or decrypts wrong."""
+    one g1_gen_add that starts each walk at E' and adds -v*r - half times
+    g1, giving g1^(m - half) affine for the lookup in the centred dlog
+    table (half as in _baby_steps): the shift rides on the scalar, at no
+    point operation.  E'' is not read; a wrong E' still fails the bounded
+    dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)
@@ -279,13 +289,14 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     table = _dlog_table(group, sector_bits)
     sealed_r = _sealed_rows(group, enclave, s)
     neg_v = order - v
+    half = 1 << (table[2] - 1)
     rows = []
     for lo, hi in _batches(n, s):
         starts = []
         exps = []
         for i in range(lo, hi):
             starts += cts.rows_prime[i]
-            exps += [neg_v * r for r in sealed_r(i)]
+            exps += [neg_v * r - half for r in sealed_r(i)]
         lifted = group.g1_gen_add(starts, exps)
         for off in range(0, len(lifted), s):
             rows.append(sector_row(sector_bits, [

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DimensionMismatch, InvalidElement, UnknownDomain
 
@@ -171,7 +172,11 @@ class ToyBackend:
         return a
 
     def g1_gen_multiples(self, count):
-        return range(count)
+        # (m, (m - half) * g1) for m in [0, count): the centred range, zipped
+        # at C level, since g1 = 1 makes each point its own exponent
+        half = count // 2
+        return zip(range(count), chain(range(self.order - half, self.order),
+                                       range(count - half)))
 
     def g1_hash(self, data):
         h = hashlib.sha256(b"sevdel/toy-h2c:" + data).digest()

@@ -562,7 +562,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     median of 3 calls of g1_gen_add on 512 identity starts with full-width
     scalars, the shape of an encryption or decryption chunk; and the
     median of 3 uncached builds of the bounded dlog's 2^16-entry
-    baby-step dict, the bulk of a bn254 set-up."""
+    baby-step dict, the bulk of a bn254 set-up; and the median of 512
+    16-bit dlog lookups, each of a point lifted as decryption lifts it,
+    with the table prebuilt."""
     calls = 15
     params = setup(group, 16)
     backend = params.group
@@ -573,6 +575,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     batches = [[((), rng.scalars(16, params.order)) for _ in range(32)] for _ in range(3)]
     walks = [rng.scalars(512, params.order) for _ in range(3)]
     identities = [backend.g1_identity()] * 512
+    table = cloud._dlog_table(backend, 16)
+    half = 1 << (table[2] - 1)
+    lifted = backend.g1_gen_add(identities, [m - half for m in rng.scalars(512, 1 << 16)])
     encodings = [backend.g1_to_bytes(pt) for pt in points]
     g1, g2 = params.g1.raw, params.g2.raw
 
@@ -596,6 +601,7 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
             median_ms(backend.g1_gen_add, ((identities, ks) for ks in walks)) / 512, 6),
         "dlog_table_ms": median_ms(cloud._baby_steps,
                                    [(backend, cloud._BSGS_BABY_MAX_BITS)] * 3),
+        "dlog_lookup_ms": median_ms(cloud._dlog, ((backend, table, pt, 16) for pt in lifted)),
     }
 
 

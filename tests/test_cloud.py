@@ -150,6 +150,35 @@ def test_decrypt_file_matches_decrypt_block_on_every_sector(any_params):
             assert back.rows[i][j] == _oracle(any_params, enclave, cts, i, j)
 
 
+@pytest.mark.parametrize("group, bits", [("toy", 8), ("toy", 16), ("toy", 32),
+                                         ("bn254", 8), ("bn254", 16)])
+def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
+    # the baby-step table holds (m - half) * g1 for m below 2^min(bits, 16):
+    # both ends of the range, both sides of its centre, and, at 32 bits,
+    # both sides of the giant stride decrypt; g1^(2^bits) lifted, just past
+    # the top entry, and g1^-1, just below the bottom one, are misses
+    params = setup(group, bits)
+    half = 1 << (bits - 1)
+    values = [0, 1, half - 1, half, half + 1, (1 << bits) - 1]
+    if bits == 32:
+        values += [(1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
+    data = b"".join(m.to_bytes(bits // 8, "little") for m in values)
+    manifest, blocks = codec.split(data, len(values), bits)
+    assert [list(row) for row in blocks.rows] == [values]
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"dlog-edges"))
+    assert [list(row) for row in cloud.decrypt_file(params, enclave, cts).rows] == [values]
+    assert [_oracle(params, enclave, cts, 0, j) for j in range(len(values))] == values
+    g1 = params.g1.raw
+    for m, shift in (((1 << bits) - 1, g1), (0, params.group.g1_pow(g1, -1))):
+        tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
+        j = values.index(m)
+        tampered.rows_prime[0][j] = params.group.g1_op(tampered.rows_prime[0][j], shift)
+        assert _oracle(params, enclave, tampered, 0, j) is DlogOutOfRange
+        with pytest.raises(DlogOutOfRange):
+            cloud.decrypt_file(params, enclave, tampered)
+
+
 def test_decrypt_file_refuses_another_files_matrix(toy_params):
     _, _, _, _, _, enclave, _, _ = _setup_file(toy_params, size=96, s=2)
     _, _, _, _, _, _, other, _ = _setup_file(toy_params, size=96, s=3, seed=b"other")

@@ -342,39 +342,73 @@ def test_roundtrip_across_a_batch_boundary(bn_params):
     assert cloud.decrypt_file(bn_params, enclave, cts).rows == blocks.rows
 
 
+def _centred_running_sum(group, count):
+    # (m - count // 2) * g1 for m in [0, count), one g1_op at a time
+    mul = _reference_mul(group)
+    acc = mul(group.g1_gen, -(count // 2))
+    running = []
+    for _ in range(count):
+        running.append(acc)
+        acc = group.g1_op(acc, group.g1_gen)
+    return running
+
+
 def test_generator_multiples_are_a_running_sum(any_params):
-    # bn254 walks blocks of 1024 points: none, one point, one block short,
-    # one full block, one past it, and a short third block
+    # every m in [0, count) comes exactly once, paired with (m - half) * g1;
+    # bn254 walks the half + 1 points k * g1, k in [0, half], in blocks of
+    # 1024: past the tiny counts, one block short (1023 points), one full
+    # block, one and two past it, and a short third block (2050 points);
+    # odd counts end on a positive point
     group = any_params.group
-    running = [group.g1_identity()]
-    for _ in range(2 * 1024 + 2):
-        running.append(group.g1_op(running[-1], group.g1_gen))
-    for count in (0, 1, 1023, 1024, 1025, 2 * 1024 + 3):
-        assert list(group.g1_gen_multiples(count)) == running[:count], count
+    running = _centred_running_sum(group, 4 * 1024 + 4)
+    for count in (0, 1, 2, 3, 2 * 1023 - 1, 2 * 1023, 2 * 1024, 2 * 1025, 4 * 1024 + 3):
+        pairs = list(group.g1_gen_multiples(count))
+        assert sorted(m for m, _ in pairs) == list(range(count)), count
+        shift = len(running) // 2 - count // 2
+        assert dict(pairs) == {m: running[shift + m] for m in range(count)}, count
 
 
-def test_full_bn254_baby_step_table():
+def test_full_bn254_baby_step_table(monkeypatch):
     # the table decryption reads: 2^16 distinct keys, each naming its own
-    # multiple; k = 2048 is where the walk's one doubling lane lands
-    # (1024G + 1024G), k = 65535 is its last entry
-    walk = list(bn254.g1_gen_multiples(1 << 16))
-    for k in (2048, 65535):
-        assert walk[k] == bn254._g1_mul_raw(bn254.G1_GEN, k), k
+    # centred multiple, from a walk of 2^15 + 1 points in 33 blocks
+    walked = []
+    gen_add = bn254.g1_gen_add
+
+    def counting(points, scalars):
+        walked.append(len(points))
+        return gen_add(points, scalars)
+
+    monkeypatch.setattr(bn254, "g1_gen_add", counting)
+    pairs = list(bn254.g1_gen_multiples(1 << 16))
+    monkeypatch.undo()
+    assert walked == [1024] * 32 + [1]
+    half = 1 << 15
+    points = dict(pairs)
+    assert sorted(points) == list(range(1 << 16))
+    # block edges on both sides of the centre; -half is the one lone
+    # negation, 2048 - half lands on the walk's one doubling lane
+    for k in (-half, -1025, -1024, -1023, -1, 0, 1, 1023, 1024, 1025, 2048, half - 1):
+        assert points[k + half] == _bn254_mul(bn254.G1_GEN, k), k
+    keys = [bn254.g1_key(pt) for _, pt in pairs]
+    assert len(set(keys)) == 1 << 16
     baby, _, baby_bits = cloud._dlog_table(bn254, 16)
     assert baby_bits == 16
-    assert len(baby) == 1 << 16
-    assert baby == {bn254.g1_key(pt): k for k, pt in enumerate(walk)}
+    running = _centred_running_sum(bn254, 1 << 16)
+    assert baby == {bn254.g1_key(pt): m for m, pt in enumerate(running)}
 
 
-def test_dlog_keys_are_distinct_and_miss_the_identity(any_params):
+def test_dlog_keys_are_distinct_with_the_identity_at_the_centre(any_params):
     group = any_params.group
-    keys = [group.g1_key(pt) for pt in group.g1_gen_multiples(4096)]
+    pairs = dict(group.g1_gen_multiples(4096))
+    keys = [group.g1_key(pairs[m]) for m in range(4096)]
     assert len(set(keys)) == len(keys)
+    # a point and its negation, which the table stores side by side, differ
     p = pool(any_params)[3]
     assert group.g1_key(p) != group.g1_key(_reference_mul(group)(p, -1))
+    assert pairs[2048] == group.g1_identity()
     if group.name == "bn254":
-        assert keys[0] == -1
-        assert all(k >= 0 for k in keys[1:])
+        assert keys[2048] == -1
+        assert all(k >= 0 for k in keys[:2048] + keys[2049:])
 
 
 # -- batched scalar draws ------------------------------------------------------

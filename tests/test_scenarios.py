@@ -1,6 +1,7 @@
 """Scenario engine, canonical regression scenarios, CLI, benchmarks."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -233,7 +234,7 @@ def test_cli_artifact_pipeline(tmp_path):
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
     for name in ("params.json", "provider.json", "manifest.json", "blocks.bin",
-                 "tags.bin", "owner.json", "ciphertext.bin", "enc_tags.bin",
+                 "tags.bin", "owner.json", "owner_public.json", "ciphertext.bin", "enc_tags.bin",
                  "encryption.json"):
         assert (out / name).exists(), name
 
@@ -286,18 +287,22 @@ BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
         "params.json", sector_bits=8, params_digest=setup("toy", 8).digest().hex())),
     "encrypt-manifest-not-utf8": ("encrypt", _rewrite("manifest.json", lambda b: b"\xff" + b)),
     "encrypt-manifest-file-id-upper-case": ("encrypt", _rewrite("manifest.json", _upper_file_id)),
-    "encrypt-owner-without-u": ("encrypt", _drop_key("owner.json", "u")),
-    "encrypt-owner-u-not-hex": ("encrypt", _set_keys("owner.json", u=["zz"])),
-    "encrypt-owner-missing": ("encrypt", lambda out: (out / "owner.json").unlink()),
-    # owner.json, provider.json and params.json decode only in the exact
-    # text the CLI writes: hex case and spacing, extra keys, layout
+    # the owner cases break owner_public.json, the only owner artifact
+    # encrypt reads
+    "encrypt-owner-without-u": ("encrypt", _drop_key("owner_public.json", "u")),
+    "encrypt-owner-u-not-hex": ("encrypt", _set_keys("owner_public.json", u=["zz"])),
+    "encrypt-owner-missing": ("encrypt", lambda out: (out / "owner_public.json").unlink()),
+    # owner_public.json, provider.json and params.json decode only in the
+    # exact text the CLI writes: hex case and spacing, extra keys, layout
     "encrypt-owner-u-upper-case": ("encrypt", _edit_json(
-        "owner.json", lambda d: {**d, "u": [h.upper() for h in d["u"]]})),
+        "owner_public.json", lambda d: {**d, "u": [h.upper() for h in d["u"]]})),
     "encrypt-owner-u-spaced": ("encrypt", _edit_json(
-        "owner.json", lambda d: {**d, "u": [h[:2] + " " + h[2:] for h in d["u"]]})),
-    "encrypt-owner-extra-key": ("encrypt", _set_keys("owner.json", note="")),
+        "owner_public.json", lambda d: {**d, "u": [h[:2] + " " + h[2:] for h in d["u"]]})),
+    "encrypt-owner-extra-key": ("encrypt", _set_keys("owner_public.json", note="")),
     "encrypt-owner-compact": ("encrypt", _rewrite(
-        "owner.json", lambda b: json.dumps(json.loads(b), sort_keys=True).encode())),
+        "owner_public.json", lambda b: json.dumps(json.loads(b), sort_keys=True).encode())),
+    "encrypt-owner-w-upper-case": ("encrypt", _edit_json(
+        "owner_public.json", lambda d: {**d, "W": d["W"].upper()})),
     "encrypt-provider-a-upper-case": ("encrypt", _edit_json(
         "provider.json", lambda d: {**d, "a": d["a"].upper()})),
     "encrypt-provider-extra-key": ("encrypt", _set_keys("provider.json", b="00")),
@@ -331,6 +336,24 @@ def test_cli_artifact_commands_fail_cleanly(tmp_path, case):
     assert res.exit_code == 2, res.output
     assert "error:" in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_cli_encrypt_reads_no_owner_secret(tmp_path):
+    # the provider-side encrypt reads only the owner's public W and u: with
+    # owner.json, which holds w and the x_j, deleted it writes the same files
+    runner = CliRunner()
+    _, out = _artifacts(tmp_path, runner)
+    owner_keys = json.loads((out / "owner.json").read_text())
+    public = json.loads((out / "owner_public.json").read_text())
+    assert public == {"W": owner_keys["W"], "u": owner_keys["u"]}
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    (copy / "owner.json").unlink()
+    for d in (out, copy):
+        res = runner.invoke(main, ["encrypt", "--out", str(d)])
+        assert res.exit_code == 0, res.output
+    for name in ("ciphertext.bin", "enc_tags.bin", "encryption.json"):
+        assert (copy / name).read_bytes() == (out / name).read_bytes(), name
 
 
 _TOY_BENCH = ["bench", "--group", "toy", "--sizes", "64", "--reps", "1"]
@@ -438,5 +461,6 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
                                                       "audit_response_size_bytes"]
     assert set(report["layers"]) == {"g1_mul_variable_base_ms", "g1_mul_generator_ms",
                                      "g1_from_bytes_ms", "g1_hash_ms", "pairing_ms",
-                                     "g1_msm_rows_ms", "g1_gen_add_ms", "dlog_table_ms"}
+                                     "g1_msm_rows_ms", "g1_gen_add_ms", "dlog_table_ms",
+                                     "dlog_lookup_ms"}
     assert all(ms > 0 for ms in report["layers"].values())
