@@ -55,6 +55,8 @@ class FileManifest:
     original_len: int
 
     def __post_init__(self):
+        if not (isinstance(self.file_id, bytes) and len(self.file_id) == 32):
+            raise MalformedProof("manifest file_id must be 32 bytes, as file_identity gives")
         if self.n < 1 or self.s < 1 or self.original_len < 1:
             raise DimensionMismatch("manifest requires n, s and original_len >= 1")
         if self.sector_bits not in _SECTOR_FMT:

@@ -150,19 +150,22 @@ def verify_audit_response(
     Raises MalformedProof unless the challenge fits the record (see
     owner.check_challenge, with n = len(sigma)) and the response reveals
     both ciphertext rows, each of s element-encoding-long byte strings,
-    for exactly the challenged indices.  Rejects unless (1) Q2 matches
-    the registered tags and (2) the pairing equation e(Q2, g2) =
-    e(prod_i base_i^g_i, A) holds for bases recomputed from the revealed
-    rows.  Only a holder of the true ciphertext blocks can satisfy (2),
-    because the registered tags bind the hash of each component's
-    canonical encoding; the components are hashed, never decoded, so any
-    other string, a non-canonical or off-curve one included, fails (2).
+    for exactly the challenged indices.  Accepts iff the pairing equation
+    e(Q2, g2) = e(prod_i base_i^g_i, A) holds, with Q2 = prod_i sigma_i^g_i
+    aggregated here from the registered tags and the bases recomputed from
+    the revealed rows.  Only a holder of the true ciphertext blocks can
+    satisfy it, because the registered tags bind the hash of each
+    component's canonical encoding; the components are hashed, never
+    decoded, so any other string, a non-canonical or off-curve one
+    included, fails.
 
-    The response carries no ciphertext aggregates Q1'_j = prod_i E'_ij^g_i
-    (nor Q1''_j): the rows enter (2) only through h(.), so they must be
+    The response carries no aggregates.  Q2 is a function of the
+    registered tags and the challenge, both fixed here, so a Q2 sent by
+    the owner could only be compared with this one and then replaced by
+    it.  Ciphertext aggregates Q1'_j = prod_i E'_ij^g_i (and Q1''_j) are
+    in no equation: the rows enter only through h(.), so they must be
     revealed anyway, and anyone who can produce the rows gets matching
-    aggregates for free.  Comparing aggregates against the rows they are
-    computed from would add no soundness.
+    aggregates for free.
     """
     s = len(u)
     check_challenge(challenge, len(sigma), params.order)
@@ -181,8 +184,7 @@ def verify_audit_response(
     v_gens = vgen_points(params, file_id, s)
     gammas = [gamma for _, gamma in challenge.items]
     msm = params.g1_msm
-    if msm([sigma[i - 1] for i in challenge.indices], gammas) != response.q2:
-        return False
+    q2 = msm([sigma[i - 1] for i in challenge.indices], gammas)
     # prod_i (H_i prod_j u_j^h(E'_ij) v_j^h(E''_ij))^gamma_i, with the
     # exponents of each generator summed over the challenged blocks
     e_u = [sum(g * encoding_to_scalar(group, row[j]) for g, row in zip(gammas, rows_p))
@@ -191,7 +193,7 @@ def verify_audit_response(
            for j in range(s)]
     blocks = [block_point(params, file_id, i) for i in challenge.indices]
     agg_base = msm([*blocks, *u, *v_gens], [*gammas, *e_u, *e_v])
-    return pairing_eq((response.q2, params.g2), (agg_base, A))
+    return pairing_eq((q2, params.g2), (agg_base, A))
 
 
 class Contract:

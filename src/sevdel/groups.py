@@ -123,12 +123,7 @@ class ToyBackend:
             raise InvalidElement("toy element out of range")
         return v
 
-    g2_pow = _pow
-
-    def g1_pow(self, a, k):
-        # g1 = 1, so g1^k is k mod order; a product by 1 would leave every
-        # stored component with a spare digit allocated (48 B, not 40 B)
-        return k % self.order if a == 1 else self._pow(a, k)
+    g1_pow = g2_pow = _pow
 
     def g1_identity(self):
         return 0

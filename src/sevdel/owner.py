@@ -100,16 +100,16 @@ class Challenge:
 class AuditResponse:
     """Owner's reply to an audit challenge over leaked ciphertexts.
 
-    Carries the tag aggregate Q2 = prod_i sigma_i^g_i plus the challenged
-    ciphertext rows themselves; the verifying node needs the rows to
-    recompute the tag bases, since it holds only the registered tags.
-    Each row component is the canonical encoding of E'_ij or E''_ij: the
-    verifier only hashes it, so it is never decoded.  There are no
-    ciphertext aggregates: no verifier equation uses them, and anyone
-    holding the rows could compute them.
+    Carries only the challenged ciphertext rows; the verifying node needs
+    them to recompute the tag bases, since it holds only the registered
+    tags.  Each row component is the canonical encoding of E'_ij or
+    E''_ij: the verifier only hashes it, so it is never decoded.  There
+    are no aggregates: the tag aggregate Q2 = prod_i sigma_i^g_i is a
+    function of the registered tags and the challenge, which the verifier
+    holds, and no verifier equation uses ciphertext aggregates, which
+    anyone holding the rows could compute.
     """
 
-    q2: G1Elem
     revealed_prime: dict[int, tuple[bytes, ...]]
     revealed_dprime: dict[int, tuple[bytes, ...]]
 
@@ -218,31 +218,28 @@ def audit_respond(
     audit_challenge: Challenge,
 ) -> AuditResponse:
     """Answer an audit challenge with the leaked ciphertext rows it names,
-    as canonical encodings, and the tag aggregate Q2 = prod_i sigma_i^g_i.
+    as canonical encodings.
 
-    Raises MalformedProof for a challenge that check_challenge refuses, and
-    missing-block if the owner does not hold a challenged block, which is
-    exactly the position of an owner who never saw the ciphertext.
+    sigma (the registered ciphertext tags) is unused: the verifier
+    aggregates the tags it holds itself.  It stays in the signature for
+    positional callers.  Raises MalformedProof for a challenge that
+    check_challenge refuses, and missing-block if the owner does not hold
+    a challenged block, which is exactly the position of an owner who
+    never saw the ciphertext.
     """
     check_challenge(audit_challenge, manifest.n, params.order)
     if leaked is None:
         raise MissingBlock("owner holds no leaked ciphertexts")
     to_bytes = params.group.g1_to_bytes
-    rows_p, rows_pp = [], []
-    for i, _ in audit_challenge.items:
+    revealed_prime, revealed_dprime = {}, {}
+    for i in audit_challenge.indices:
         row_p = leaked.rows_prime[i - 1]
         row_pp = leaked.rows_dprime[i - 1]
         if row_p is None or row_pp is None:
             raise MissingBlock(f"challenged ciphertext block {i} not held")
-        rows_p.append(row_p)
-        rows_pp.append(row_pp)
-    gammas = [gamma for _, gamma in audit_challenge.items]
-    indices = audit_challenge.indices
-    return AuditResponse(
-        q2=params.g1_msm([sigma.sigma[i - 1] for i in indices], gammas),
-        revealed_prime={i: tuple(map(to_bytes, row)) for i, row in zip(indices, rows_p)},
-        revealed_dprime={i: tuple(map(to_bytes, row)) for i, row in zip(indices, rows_pp)},
-    )
+        revealed_prime[i] = tuple(map(to_bytes, row_p))
+        revealed_dprime[i] = tuple(map(to_bytes, row_pp))
+    return AuditResponse(revealed_prime=revealed_prime, revealed_dprime=revealed_dprime)
 
 
 # -- owner-authenticated deletion requests -----------------------------------

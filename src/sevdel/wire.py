@@ -5,10 +5,11 @@ writes back byte for byte.  Group elements travel in the fixed-width
 compressed form defined by the backend.  Every decoder re-validates the
 elements it returns (on-curve plus subgroup), so nothing deserialized can
 smuggle in a bad point.  The one exception is the revealed ciphertext
-rows of an audit response: they stay encodings, checked for length only,
-because the contract never uses them as points.  It hashes them, and a
-string that is not the canonical encoding of the registered ciphertext
-hashes to another exponent and fails the audit's pairing equation.
+rows of an audit response, which are all such a response carries: they
+stay encodings, checked for length only, because the contract never uses
+them as points.  It hashes them, and a string that is not the canonical
+encoding of the registered ciphertext hashes to another exponent and
+fails the audit's pairing equation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
 from .owner import AuditResponse, Challenge, TagSet
 
 CIPHERTEXT_MAGIC = b"SEVDELCTXMATRIX\x00"   # 16 bytes
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 def _pack_elems(elems) -> bytes:
@@ -207,7 +208,6 @@ def decode_proof(params: SystemParams, text: str) -> EncProof:
 def encode_audit_response(resp: AuditResponse) -> str:
     return json.dumps(
         {
-            "q2": resp.q2.hex(),
             "revealed_prime": {str(i): [e.hex() for e in row]
                                for i, row in sorted(resp.revealed_prime.items())},
             "revealed_dprime": {str(i): [e.hex() for e in row]
@@ -218,10 +218,11 @@ def encode_audit_response(resp: AuditResponse) -> str:
 
 
 def decode_audit_response(params: SystemParams, text: str) -> AuditResponse:
-    """Decode an audit response, raising only SevdelError: MalformedProof
-    for text other than what encode_audit_response writes or a row
-    component that is not one element encoding long, InvalidElement for
-    a bad Q2.  Row components are not decoded; see the module docstring."""
+    """Decode an audit response, raising only MalformedProof: for text
+    other than what encode_audit_response writes, any key besides the two
+    row maps included, or for a row component that is not one element
+    encoding long.  Nothing is decoded as a point; see the module
+    docstring."""
     width = params.group.g1_bytes
 
     def component(h):
@@ -235,7 +236,6 @@ def decode_audit_response(params: SystemParams, text: str) -> AuditResponse:
 
     def build(d):
         return AuditResponse(
-            q2=params.g1_from_bytes(bytes.fromhex(d["q2"])),
             revealed_prime=rows(d["revealed_prime"]),
             revealed_dprime=rows(d["revealed_dprime"]),
         )

@@ -123,6 +123,14 @@ def test_criterion_2_detection_rate_matches_hypergeometric():
             f"rate {rate:.4f} vs {expected:.4f}, verdict/hit agreement on 20 runs")
 
 
+def _forged_row(resp, i):
+    """resp with the first two revealed components of row i swapped."""
+    row = resp.revealed_prime[i]
+    assert row[0] != row[1]
+    resp.revealed_prime[i] = (row[1], row[0], *row[2:])
+    return resp
+
+
 def test_criterion_3_completeness_and_soundness_probes():
     """Honest proofs accepted 100/100; each tamper probe rejected 100/100."""
     params = setup("toy", sector_bits=16)
@@ -166,11 +174,10 @@ def test_criterion_3_completeness_and_soundness_probes():
         rejected += not owner.verify_encryption_proof(
             params, manifest, gens.u, okeys.W, skeys.A, v_pub, ch, p)
 
-        # probe 4: forged sigma in the audit response
+        # probe 4: forged row in the audit response
         enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
                                       vgen_points(params, manifest.file_id, manifest.s))
-        resp = owner.audit_respond(params, manifest, cts, enc_tags, ch)
-        resp.q2 = resp.q2 * params.g1
+        resp = _forged_row(owner.audit_respond(params, manifest, cts, enc_tags, ch), hit)
         rejected += not verify_audit_response(
             params, manifest.file_id, gens.u, skeys.A, enc_tags.sigma, ch, resp)
 
@@ -209,8 +216,7 @@ def test_criterion_3_companion_real_curve():
         params, manifest, gens.u, okeys.W, skeys.A, v_pub, ch, p3)
     enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
                                   vgen_points(params, manifest.file_id, manifest.s))
-    resp = owner.audit_respond(params, manifest, cts, enc_tags, ch)
-    resp.q2 = resp.q2 * params.g1
+    resp = _forged_row(owner.audit_respond(params, manifest, cts, enc_tags, ch), hit)
     r4 = not verify_audit_response(
         params, manifest.file_id, gens.u, skeys.A, enc_tags.sigma, ch, resp)
     _report(3, "real-curve companion: honest accept, four probes reject",

@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from sevdel import bn254, cloud, codec, nizk, owner, wire
+from sevdel import bn254, cloud, codec, groups, nizk, owner, wire
 from sevdel.cloud import _SEAL_KEY
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import (
@@ -468,8 +468,11 @@ def _check_special_soundness(params):
     rng, v_pub, context, proof, r_agg, _ = _proved(params, b"ss", 2)
     order, g1 = params.order, params.g1
     p1, q = list(zip(proof.p1_prime, proof.p1_dprime)), list(proof.q)
-    rho = nizk._weights(order, nizk._statement(context, v_pub, p1, proof.p2, q), len(q))
-    x, y = nizk._fold(params, p1, q, rho)
+    rho = nizk._weights(order, nizk._seed(context, v_pub, p1, proof.p2, q), len(q))
+    # the folded pair the statement fixes: X = prod P1''^rho, Y = prod P1'^rho g1^-sum rho Q
+    x = params.g1_msm([b for _, b in p1], rho)
+    y = params.g1_msm([*(a for a, _ in p1), g1],
+                      [*rho, -sum(r * qj for r, qj in zip(rho, q)) % order])
     witness = sum(r * rj for r, rj in zip(rho, r_agg)) % order
     k = rng.child("k").scalar(order)
     t1, t2 = g1 ** k, v_pub ** k
@@ -481,6 +484,42 @@ def _check_special_soundness(params):
     extracted = (z1 - z2) * pow(c1 - c2, -1, order) % order
     assert extracted == witness
     assert g1 ** extracted == x and v_pub ** extracted == y
+
+
+def test_dleq_seed_covers_the_whole_statement(toy_params):
+    # the weights and the challenge come from one digest of the statement,
+    # so changing any part of it must change the digest
+    params = toy_params
+    _, v_pub, context, proof, _, _ = _proved(params, b"seed", 2)
+    g1 = params.g1
+    p1, q = list(zip(proof.p1_prime, proof.p1_dprime)), list(proof.q)
+    base = nizk._seed(context, v_pub, p1, proof.p2, q)
+    variants = [
+        (context + b"x", v_pub, p1, proof.p2, q),
+        (context, v_pub * g1, p1, proof.p2, q),
+        (context, v_pub, p1, proof.p2 * g1, q),
+        (context, v_pub, [(p1[0][0] * g1, p1[0][1]), *p1[1:]], proof.p2, q),
+        (context, v_pub, [*p1[:-1], (p1[-1][0], p1[-1][1] * g1)], proof.p2, q),
+        (context, v_pub, p1, proof.p2, [(q[0] + 1) % params.order, *q[1:]]),
+    ]
+    seeds = {nizk._seed(*v) for v in variants}
+    assert base not in seeds and len(seeds) == len(variants)
+
+
+def test_prove_opening_runs_no_multi_exponentiation(any_params, monkeypatch):
+    # the prover's work is g1^k, V^k and one scalar: the folded pair is
+    # fixed by the statement, so it is neither computed nor hashed
+    params = any_params
+    rng, v_pub, context, proof, r_agg, verify = _proved(params, b"no-msm", 4)
+    calls = []
+    msm = groups.SystemParams.g1_msm
+    monkeypatch.setattr(groups.SystemParams, "g1_msm",
+                        lambda self, *a: calls.append(a) or msm(self, *a))
+    p1 = list(zip(proof.p1_prime, proof.p1_dprime))
+    c, z = nizk.prove_opening(params, v_pub, p1, proof.p2, list(proof.q), r_agg,
+                              context, rng.child("again"))
+    assert calls == []
+    assert verify(dataclasses.replace(proof, challenge=c, response=z))
 
 
 def test_dleq_rejects_shifted_and_swapped_sectors(any_params):

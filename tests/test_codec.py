@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sevdel.codec import BlockMatrix, FileManifest, file_identity, join, split
-from sevdel.errors import DimensionMismatch, EmptyFile
+from sevdel.errors import DimensionMismatch, EmptyFile, MalformedProof
 from sevdel.rng import SeededRng
 
 
@@ -94,6 +94,20 @@ def test_manifest_refuses_original_len_below_one():
     for bad in (-3, 0):
         with pytest.raises(DimensionMismatch):
             FileManifest.from_json(json.dumps({**good, "original_len": bad}))
+
+
+def test_manifest_refuses_a_file_id_that_is_not_a_digest():
+    # file_identity always yields 32 bytes; anything else, a short hex
+    # string from JSON included, is refused before encryption can use it
+    good = json.loads(split(b"hello world", s=2, sector_bits=16)[0].to_json())
+    for bad in ("ab", "", "00" * 31, "00" * 33):
+        with pytest.raises(MalformedProof):
+            FileManifest.from_json(json.dumps({**good, "file_id": bad}, sort_keys=True))
+    sizes = dict(n=1, s=1, sector_bits=8, original_len=1)
+    for bad in (b"", b"\x00" * 31, b"\x00" * 33, "00" * 32, bytearray(32), None):
+        with pytest.raises(MalformedProof):
+            FileManifest(file_id=bad, **sizes)
+    assert FileManifest(file_id=bytes(32), **sizes).file_id == bytes(32)
 
 
 def test_file_identity_binds_owner_and_name():

@@ -247,13 +247,19 @@ def test_audit_accepts_genuine_leak_and_returns_stake(toy_params):
 
 
 def test_audit_rejects_forged_sigma(toy_params):
+    # the contract aggregates Q2 from the registered tags, so one forged
+    # tag among the challenged ones fails the audit even for the true rows
     dep = _Deployment(toy_params)
-    contract, _, clock = _deploy_to_claimed(toy_params, dep)
-    clock.advance_to(25)
     ch = dep.audit_challenge()
+    sigma = list(dep.enc_tags.sigma)
+    sigma[ch.indices[0] - 1] = sigma[ch.indices[0] - 1] * toy_params.g1
+    dep.enc_tags = cloud.EncTagSet(sigma=tuple(sigma))
+    contract, ledger, clock = _deploy_to_claimed(toy_params, dep)
+    clock.advance_to(25)
     resp = owner.audit_respond(toy_params, dep.manifest, dep.cts, dep.enc_tags, ch)
-    resp.q2 = resp.q2 * toy_params.g1
     assert not contract.audit_verify(N, "own", ch, resp)
+    assert contract.records[N].audited == []
+    assert ledger.balance("own") == 450
 
 
 def test_audit_rejects_wrong_window_and_unknown_owner(toy_params):
@@ -292,11 +298,7 @@ def test_audit_random_forgery_never_passes(toy_params):
                 group.g1_to_bytes(group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
             fake_rows_pp[i] = tuple(
                 group.g1_to_bytes(group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
-        q2 = toy_params.g1_identity()
-        for i, gamma in ch.items:
-            q2 = q2 * (dep.enc_tags.sigma[i - 1] ** gamma)  # sigma is public
-        resp = owner.AuditResponse(
-            q2=q2, revealed_prime=fake_rows_p, revealed_dprime=fake_rows_pp)
+        resp = owner.AuditResponse(revealed_prime=fake_rows_p, revealed_dprime=fake_rows_pp)
         if verify_audit_response(toy_params, dep.manifest.file_id, dep.gens.u,
                                  dep.skeys.A, dep.enc_tags.sigma, ch, resp):
             accepted += 1
@@ -349,8 +351,7 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     bad = owner.Challenge(items=items, nonce=b"\x00" * 16)
     indices = {i for i, _ in items}
     # what an owner without ciphertexts would send: identities throughout
-    forged = owner.AuditResponse(q2=params.g1_identity(),
-                                 revealed_prime=_identity_rows(params, indices, s),
+    forged = owner.AuditResponse(revealed_prime=_identity_rows(params, indices, s),
                                  revealed_dprime=_identity_rows(params, indices, s))
     with pytest.raises(MalformedProof, match=reason):
         verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
@@ -498,7 +499,6 @@ def test_owner_without_ciphertexts_is_not_paid(any_dep):
         if 2 * params.order < 1 << owner.COEFF_BITS else []
     for ch in zero_mod_order:
         forged = owner.AuditResponse(
-            q2=params.g1_identity(),
             revealed_prime=_identity_rows(params, ch.indices, dep.manifest.s),
             revealed_dprime=_identity_rows(params, ch.indices, dep.manifest.s))
         with pytest.raises(MalformedProof):
@@ -553,17 +553,9 @@ def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
             prime[i], dprime[i] = rows_of(k)
         return dataclasses.replace(resp, revealed_prime=prime, revealed_dprime=dprime)
 
-    reweighted = owner.Challenge(items=tuple((i, g + 1) for i, g in ch.items), nonce=ch.nonce)
-    other = dep.audit_challenge(seed=78)
     forgeries = {
         "two challenged rows swapped": with_rows({a: b, b: a}),
         "a true row under the wrong index": with_rows({a: outside}),
-        "q2 of the same blocks, other coefficients": dataclasses.replace(
-            resp, q2=owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags,
-                                         reweighted).q2),
-        "q2 of another challenge": dataclasses.replace(
-            resp, q2=owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags,
-                                         other).q2),
     }
     for what, forged in forgeries.items():
         assert not contract.audit_verify(N, "own", ch, forged), what
@@ -799,8 +791,10 @@ def test_settlement_log_pinned(toy_params):
     for acct, seed in (("own", 91), ("own3", 93), ("own2", 92)):
         ch = dep.audit_challenge(seed=seed)
         resp = owner.audit_respond(toy_params, dep.manifest, dep.cts, dep.enc_tags, ch)
-        if acct == "own3":
-            resp.q2 = resp.q2 * toy_params.g1
+        if acct == "own3":   # one revealed component swapped with its neighbour
+            i = ch.indices[0]
+            row = resp.revealed_prime[i]
+            resp.revealed_prime[i] = (row[1], row[0], *row[2:])
         assert contract.audit_verify(N, acct, ch, resp) == (acct != "own3")
     clock.advance_to(T3)
     assert contract.penalty(N) == {"own": 66, "own2": 933}

@@ -463,13 +463,16 @@ def test_scalars_matches_single_draws_on_rejection():
 # -- protocol output is byte-identical to the per-term implementation ---------
 # Digests were computed with the per-term g1_mul/g1_add implementation that
 # g1_msm replaced; they pin ciphertexts, tags, proofs and audit responses.
-# They were re-pinned twice: when the audit response lost its ciphertext
-# aggregates, and when the proof of opening became one batched DLEQ.  Each
-# time every other part hashed the same before and after the change.
+# They were re-pinned three times: when the audit response lost its
+# ciphertext aggregates, when the proof of opening became one batched DLEQ,
+# and at wire version 2, when the audit response lost Q2 and the DLEQ
+# stopped hashing its folded pair (the ciphertext header's version byte and
+# the proof's challenge and response changed).  Each time every other part
+# hashed the same before and after the change.
 
 WIRE_DIGESTS = {
-    ("toy", 4096, 8, 16): "c64051858a4d9e405a31310950f92e2b166b7b2b66b02fae8957837dbbdceabc",
-    ("bn254", 64, 4, 8): "0d15111bd5c7bd713debd552c9151c30914e25864ede36b9b346d98525fbc866",
+    ("toy", 4096, 8, 16): "482e28d5d8d818fe38bdfcad867d7136da1663bed36f0e9fc3ca3a3a09577119",
+    ("bn254", 64, 4, 8): "7265448fb1ebbf2bd94dc9397587ecd965d88d7c72f54823bad63bf2e4e7bd2c",
 }
 
 

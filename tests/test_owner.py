@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sevdel import cloud, codec, owner
+from sevdel import cloud, codec, contract, owner
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import CountOutOfRange, MalformedProof, MissingBlock
 from sevdel.groups import block_point, pairing_eq, vgen_points
@@ -283,7 +283,15 @@ def test_audit_singleton_aggregation(any_params):
         2: tuple(cts.prime_elem(1, j).to_bytes() for j in range(manifest.s))}
     assert resp.revealed_dprime == {
         2: tuple(cts.dprime_elem(1, j).to_bytes() for j in range(manifest.s))}
-    assert resp.q2 == enc_tags.sigma[1]
+    # no aggregate travels: the verifier raises the one registered tag
+    # sigma_2 to the coefficient 1 itself, and no other tag in its place
+    assert [f.name for f in dataclasses.fields(resp)] == ["revealed_prime", "revealed_dprime"]
+    sigma = enc_tags.sigma
+    assert contract.verify_audit_response(any_params, manifest.file_id, gens.u, skeys.A,
+                                          sigma, ch, resp)
+    swapped = (sigma[1], sigma[0], *sigma[2:])
+    assert not contract.verify_audit_response(any_params, manifest.file_id, gens.u, skeys.A,
+                                              swapped, ch, resp)
 
 
 def test_audit_missing_ciphertexts(any_params):

@@ -1,5 +1,6 @@
 """Scenario engine, canonical regression scenarios, CLI, benchmarks."""
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -36,6 +37,22 @@ def test_transcripts_deterministic(path):
     a = run_scenario(Scenario.from_json(path.read_text())).to_text()
     b = run_scenario(Scenario.from_json(path.read_text())).to_text()
     assert a == b
+
+
+def test_toy_transcripts_match_the_pinned_digests():
+    # scenarios/transcripts.sha256 is in sha256sum format, one line per
+    # transcript of each group; a change to any transcript byte, a wire
+    # version bump included, must re-record it
+    pinned = {}
+    for line in (SCENARIO_DIR / "transcripts.sha256").read_text().splitlines():
+        digest, name = line.split("  ")
+        pinned[name] = digest
+    names = [f"transcript-{Scenario.from_json(p.read_text()).name}.jsonl" for p in CANONICAL]
+    assert sorted(pinned) == sorted(f"{group}/{name}" for group in ("bn254", "toy")
+                                    for name in names)
+    for path, name in zip(CANONICAL, names):
+        text = run_scenario(Scenario.from_json(path.read_text())).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned["toy/" + name], name
 
 
 def test_transcript_lines_are_json_with_monotone_seq():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sevdel import cloud, codec, owner, wire
+from sevdel import cloud, codec, groups, owner, wire
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import DimensionMismatch, InvalidElement, MalformedProof, SevdelError
 from sevdel.groups import vgen_points
@@ -94,10 +94,18 @@ def test_proof_roundtrip(artifacts):
     assert again == proof
 
 
-def test_audit_response_roundtrip(artifacts):
+def test_audit_response_roundtrip(artifacts, monkeypatch):
     params, *_, ch, _, resp = artifacts
-    again = wire.decode_audit_response(params, wire.encode_audit_response(resp))
-    assert again.q2 == resp.q2
+    text = wire.encode_audit_response(resp)
+
+    def no_decode(*args):
+        raise AssertionError("audit response decoder decoded a group element")
+
+    # the response carries the rows only, and they stay encodings
+    monkeypatch.setattr(groups.SystemParams, "g1_from_bytes", no_decode)
+    monkeypatch.setattr(type(params.group), "g1_from_bytes", no_decode)
+    again = wire.decode_audit_response(params, text)
+    assert again == resp
     assert again.revealed_prime == resp.revealed_prime
     assert again.revealed_dprime == resp.revealed_dprime
     assert set(again.revealed_prime) == set(ch.indices)
@@ -106,20 +114,24 @@ def test_audit_response_roundtrip(artifacts):
 def test_audit_response_decoder_refuses_other_shapes(artifacts):
     params, *_, resp = artifacts
     good = json.loads(wire.encode_audit_response(resp))
-    q2 = good["q2"]
     first = next(iter(good["revealed_prime"]))
     row = good["revealed_prime"][first]
+    elem = row[0]
     bad_texts = [
-        json.dumps({**good, "q1_prime": [q2], "q1_dprime": [q2]}),   # the old shape
-        json.dumps({k: v for k, v in good.items() if k != "q2"}),
+        # the old shapes: ciphertext aggregates, and the tag aggregate Q2
+        json.dumps({**good, "q1_prime": [elem], "q1_dprime": [elem]}),
+        json.dumps({**good, "q2": elem}, sort_keys=True),
+        json.dumps({k: v for k, v in good.items() if k != "revealed_dprime"}),
         json.dumps({**good, "revealed_prime": {"one": row}}),          # non-int row key
         # a second spelling of one index, which int() would fold into the first
         *(json.dumps({**good, "revealed_prime": {**good["revealed_prime"], alias: row}})
           for alias in ("0" + first, " " + first, "+" + first)),
-        json.dumps({**good, "q2": "zz"}),                               # bad hex
-        json.dumps({**good, "q2": 7}),
+        json.dumps({**good, "revealed_prime": {**good["revealed_prime"],
+                                               first: ["zz", *row[1:]]}}, sort_keys=True),
+        json.dumps({**good, "revealed_prime": {**good["revealed_prime"],
+                                               first: [7, *row[1:]]}}, sort_keys=True),
         json.dumps({**good, "revealed_dprime": [row]}),
-        json.dumps({**good, "revealed_dprime": {"1": q2}}),
+        json.dumps({**good, "revealed_dprime": {"1": elem}}),
         json.dumps({**good, "revealed_dprime": {"1": {v: 0 for v in row}}}),  # row not a list
         json.dumps([good]),
         "{" + json.dumps(good),
@@ -128,8 +140,12 @@ def test_audit_response_decoder_refuses_other_shapes(artifacts):
     for text in bad_texts:
         with pytest.raises(MalformedProof):
             wire.decode_audit_response(params, text)
-    with pytest.raises(InvalidElement):
-        wire.decode_audit_response(params, json.dumps({**good, "q2": "ff" * 9}))
+    # a component of the right length that encodes no element is not
+    # decoded here; it hashes to a wrong exponent at the contract
+    junk = {**good["revealed_prime"], first: ["ff" * params.group.g1_bytes, *row[1:]]}
+    decoded = wire.decode_audit_response(
+        params, json.dumps({**good, "revealed_prime": junk}, sort_keys=True))
+    assert decoded.revealed_prime[int(first)][0] == b"\xff" * params.group.g1_bytes
 
 
 _SCALAR = st.none() | st.booleans() | st.integers() | st.text(max_size=20)
@@ -261,14 +277,15 @@ def test_proof_size_is_independent_of_file_size(bandwidth_files):
 
 
 def test_audit_response_size_is_independent_of_file_size(bandwidth_files):
-    # the contract checks a leak from 2cs + 1 group elements whatever the
-    # file size: Q2 and the c challenged rows of s components, twice; only
-    # the decimal block indices that key the rows grow, with log n
+    # the contract checks a leak from 2cs group elements whatever the file
+    # size: the c challenged rows of s components, twice; only the decimal
+    # block indices that key the rows grow, with log n
     for params, _, text in bandwidth_files:
         d = json.loads(text)
-        elems = [d["q2"]] + [e for key in ("revealed_prime", "revealed_dprime")
-                             for row in d[key].values() for e in row]
-        assert len(elems) == 2 * _BANDWIDTH_C * _BANDWIDTH_S + 1
+        assert sorted(d) == ["revealed_dprime", "revealed_prime"]
+        elems = [e for key in ("revealed_prime", "revealed_dprime")
+                 for row in d[key].values() for e in row]
+        assert len(elems) == 2 * _BANDWIDTH_C * _BANDWIDTH_S
         assert len(d["revealed_prime"]) == len(d["revealed_dprime"]) == _BANDWIDTH_C
         assert all(len(bytes.fromhex(e)) == params.group.g1_bytes for e in elems)
 
@@ -299,7 +316,7 @@ def test_decoded_proof_still_verifies_on_bn254():
 
 def _encode_blocks(blocks):
     # the shape the header of a decoded matrix gave, whatever the manifest says
-    shape = codec.FileManifest(b"", blocks.n, blocks.s, blocks.rows[0].itemsize * 8, 1)
+    shape = codec.FileManifest(bytes(32), blocks.n, blocks.s, blocks.rows[0].itemsize * 8, 1)
     return wire.encode_blocks(shape, blocks)
 
 
@@ -380,6 +397,8 @@ def test_text_decoders_refuse_other_spellings(any_artifacts):
     i = next(iter(r["revealed_prime"]))
     row = r["revealed_prime"][i]
     upper_row = {**r["revealed_prime"], i: [row[0].upper(), *row[1:]]}
+    drow = r["revealed_dprime"][i]
+    spaced_row = {**r["revealed_dprime"], i: [*drow[:-1], _spaced_upper(drow[-1])]}
     cases = [
         (read_proof, proof_text,
          json.dumps({**p, "p2": _spaced_upper(p["p2"])}, sort_keys=True)),
@@ -387,7 +406,8 @@ def test_text_decoders_refuse_other_spellings(any_artifacts):
         (read_proof, proof_text, json.dumps(dict(reversed(p.items())))),
         (codec.FileManifest.from_json, manifest.to_json(),
          json.dumps({**m, "file_id": m["file_id"].upper()}, sort_keys=True)),
-        (read_response, resp_text, json.dumps({**r, "q2": r["q2"].upper()}, sort_keys=True)),
+        (read_response, resp_text,
+         json.dumps({**r, "revealed_dprime": spaced_row}, sort_keys=True)),
         (read_response, resp_text,
          json.dumps({**r, "revealed_prime": upper_row}, sort_keys=True)),
     ]
