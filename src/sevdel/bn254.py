@@ -29,7 +29,9 @@ as (x, y) tuples with None for the identity; scalar multiplication works
 internally in Jacobian coordinates (g2_mul by NAF double-and-add).
 
 Hash-to-G1 rejects a candidate x on the Jacobi symbol of x^3 + 3 before it
-takes a square root.
+takes a square root.  The same symbol alone validates each E'' component
+of a ciphertext read back (g1_check_bytes), whose row keeps the encodings
+(EncodedRow) and takes a square root only for a component a proof reads.
 
 Every G1 scalar multiplication goes through g1_msm_rows, a batch of
 multi-exponentiations over shared points whose tables are built once per
@@ -942,27 +944,44 @@ def g1_to_bytes(pt):
     return bytes([flag]) + int(x).to_bytes(FP_BYTES, "big")
 
 
-def g1_from_bytes(data):
+def _g1_x(data):
+    """The x of a compressed G1 encoding, or None for the identity, after
+    every check that needs no field arithmetic: length, flag, x < P."""
     if len(data) != G1_BYTES:
         raise InvalidElement(f"G1 encoding must be {G1_BYTES} bytes")
     flag = data[0]
-    body = data[1:]
     if flag == 0x00:
-        if any(body):
+        if any(data[1:]):
             raise InvalidElement("nonzero payload on G1 identity encoding")
         return None
     if flag not in (0x02, 0x03):
         raise InvalidElement(f"bad G1 flag byte {flag:#x}")
-    x = mpz(int.from_bytes(body, "big"))
+    x = mpz(int.from_bytes(data[1:], "big"))
     if x >= P:
         raise InvalidElement("G1 x-coordinate out of field range")
+    return x
+
+
+def g1_from_bytes(data):
+    x = _g1_x(data)
+    if x is None:
+        return None
     y = _fp_sqrt((x * x * x + B) % P)
     if y is None:
         raise InvalidElement("G1 x-coordinate not on curve")
-    if (y & 1) != (flag & 1):
+    if (y & 1) != (data[0] & 1):
         y = -y % P
     # cofactor of G1 is 1, so on-curve already implies prime-order subgroup
     return (x, y)
+
+
+def g1_check_bytes(data):
+    """Raise InvalidElement unless g1_from_bytes accepts data, without its
+    square root: x^3 + 3 has a root iff its Jacobi symbol is 1, since it
+    is never 0 (a point (x, 0) would have order 2, and G1 has odd order)."""
+    x = _g1_x(data)
+    if x is not None and _jacobi(x * x * x + B, P) != 1:
+        raise InvalidElement("G1 x-coordinate not on curve")
 
 
 def _jacobi(a, n):
@@ -983,6 +1002,33 @@ def _jacobi(a, n):
             t = -t
         a, n = n % a, a
     return t if n == 1 else 0
+
+
+class EncodedRow:
+    """A decoded row of G1 components kept as their checked encodings.
+
+    It reads like a list of points: len, row[j] and iteration; row[j]
+    decodes component j the first time it is read, and only then.
+    """
+
+    __slots__ = ("encodings", "_points")
+
+    def __init__(self, encodings):
+        self.encodings = encodings
+        self._points = {}
+
+    def __len__(self):
+        return len(self.encodings)
+
+    def __getitem__(self, j):
+        j = range(len(self.encodings))[j]
+        points = self._points
+        if j not in points:
+            points[j] = g1_from_bytes(self.encodings[j])
+        return points[j]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.encodings)))
 
 
 def g1_hash(data: bytes):
@@ -1397,8 +1443,24 @@ def g1_double_exp(a, x, b, y):
 
 
 def g1_row(raws):
-    # decoded points: validated once on decode, used by proofs as they are
+    # a list of points, as encryption and the E' decoder make them
     return list(raws)
+
+
+def g1_row_from_bytes(data):
+    # an E'' row as read back: each encoding checked on its Jacobi symbol
+    # and kept, decoded only where a proof reads it
+    encodings = tuple(data[k:k + G1_BYTES] for k in range(0, len(data), G1_BYTES))
+    for e in encodings:
+        g1_check_bytes(e)
+    return EncodedRow(encodings)
+
+
+def g1_row_encodings(row):
+    # a decoded row's stored encodings, or those of a row of points
+    if type(row) is EncodedRow:
+        return row.encodings
+    return [g1_to_bytes(pt) for pt in row]
 
 
 def g1_key(a):

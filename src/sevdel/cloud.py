@@ -59,11 +59,15 @@ class ServerKeyPair:
 class CiphertextMatrix:
     """n x s lifted-ElGamal pairs plus the public key they were made under.
 
-    Component rows hold raw backend values, each row the container the
-    backend's ``g1_row`` builds: one array('Q') per row on toy (8 B per
-    component), a list of decoded points on bn254.  ``prime_elem`` and
-    ``dprime_elem`` wrap single entries on demand.  A row of None models
-    a block the holder does not possess.
+    Component rows hold raw backend values.  On toy each row is one
+    array('Q') (8 B per component).  On bn254 a row is a list of points,
+    except an E'' row read back by wire.decode_ciphertexts: that is a
+    bn254.EncodedRow, whose components were checked on decode and stay
+    encodings until one is read, when it is decoded once.  Both read like
+    lists: len, row[j] and iteration; the backend's g1_row_encodings turns
+    any row into its encodings.  ``prime_elem`` and ``dprime_elem`` wrap
+    single entries on demand.  A row of None models a block the holder
+    does not possess.
     """
 
     rows_prime: list
@@ -279,8 +283,9 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     one g1_gen_add that starts each walk at E' and adds -v*r - half times
     g1, giving g1^(m - half) affine for the lookup in the centred dlog
     table (half as in _baby_steps): the shift rides on the scalar, at no
-    point operation.  E'' is not read; a wrong E' still fails the bounded
-    dlog or decrypts wrong."""
+    point operation.  E'' is not read, so no E'' component of a decoded
+    matrix is decoded here; a wrong E' still fails the bounded dlog or
+    decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)
@@ -323,14 +328,15 @@ def gen_enc_tags(
     if len(u) != manifest.s or len(v_gens) != manifest.s:
         raise DimensionMismatch("sector generator count disagrees with manifest")
     group = params.group
-    to_bytes = group.g1_to_bytes
+    encodings = group.g1_row_encodings
     a = server_keys.a
     gens = [e.raw for e in u] + [e.raw for e in v_gens]
 
     def rows():
         # H(I_M||i) is each row's own base; rows are made as they are consumed
         for i, (row_p, row_pp) in enumerate(zip(cts.rows_prime, cts.rows_dprime), start=1):
-            exps = [a * encoding_to_scalar(group, to_bytes(c)) for c in (*row_p, *row_pp)]
+            exps = [a * encoding_to_scalar(group, c)
+                    for c in (*encodings(row_p), *encodings(row_pp))]
             yield (block_point(params, manifest.file_id, i).raw,), [*exps, a]
 
     return EncTagSet(sigma=tuple(G1Elem(group, raw) for raw in group.g1_msm_rows(gens, rows())))

@@ -163,6 +163,13 @@ class ToyBackend:
         # 40 B for an int in a list
         return array("Q", raws)
 
+    def g1_row_from_bytes(self, data):
+        w = self.g1_bytes
+        return array("Q", [self.g1_from_bytes(data[k:k + w]) for k in range(0, len(data), w)])
+
+    def g1_row_encodings(self, row):
+        return [self.g1_to_bytes(a) for a in row]
+
     def g1_key(self, a):
         return a
 

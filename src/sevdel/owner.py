@@ -184,7 +184,9 @@ def verify_encryption_proof(
     links the aggregated ciphertexts to the same aggregates under V.
 
     A (the provider's public key) is part of the published verification
-    context but does not enter either equation.
+    context but does not enter either equation.  Raises MalformedProof
+    for a V that is the identity: E' = g1^m V^r would be the plaintext in
+    the clear, and the proof would hold with every R_j = 0.
     """
     s = manifest.s
     if len(u) != s:
@@ -195,6 +197,8 @@ def verify_encryption_proof(
     if not all(0 <= qj < order for qj in proof.q):
         raise MalformedProof("aggregate out of scalar range")
     check_challenge(challenge, manifest.n, order)
+    if V == params.g1_identity():
+        raise MalformedProof("public key V is the identity")
 
     # (a) aggregated tag equation:
     #     e(P2, g2) == e(prod_i H(I_M||i)^l_i * prod_j u_j^Q_j, W)
@@ -230,15 +234,15 @@ def audit_respond(
     check_challenge(audit_challenge, manifest.n, params.order)
     if leaked is None:
         raise MissingBlock("owner holds no leaked ciphertexts")
-    to_bytes = params.group.g1_to_bytes
+    encodings = params.group.g1_row_encodings
     revealed_prime, revealed_dprime = {}, {}
     for i in audit_challenge.indices:
         row_p = leaked.rows_prime[i - 1]
         row_pp = leaked.rows_dprime[i - 1]
         if row_p is None or row_pp is None:
             raise MissingBlock(f"challenged ciphertext block {i} not held")
-        revealed_prime[i] = tuple(map(to_bytes, row_p))
-        revealed_dprime[i] = tuple(map(to_bytes, row_pp))
+        revealed_prime[i] = tuple(encodings(row_p))
+        revealed_dprime[i] = tuple(encodings(row_pp))
     return AuditResponse(revealed_prime=revealed_prime, revealed_dprime=revealed_dprime)
 
 

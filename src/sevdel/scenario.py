@@ -440,8 +440,8 @@ def run_scenario(scenario: Scenario) -> Transcript:
 
 # -- benchmarking -------------------------------------------------------------
 
-BENCH_PHASES = ("tagging", "encryption", "ciphertext_tagging", "decryption", "proof_gen",
-                "proof_verify", "audit_respond", "audit_verify")
+BENCH_PHASES = ("tagging", "encryption", "ciphertext_tagging", "ciphertext_decode",
+                "decryption", "proof_gen", "proof_verify", "audit_respond", "audit_verify")
 
 
 def _quantile(values: list[float], q: float) -> float:
@@ -463,9 +463,11 @@ def bench(
 
     Returns rows {size_bytes, phase, median_s, p95_s}; two extra rows per
     size report the serialized proof and audit response sizes in bytes.
-    Raises InvariantViolation when a decryption, proof or audit it times
-    comes out wrong, so no rejecting or broken path is ever reported as a
-    time.  Raises ScenarioError for reps < 1, which would time nothing.
+    ciphertext_decode is wire.decode_ciphertexts of the encoded matrix.
+    Raises InvariantViolation when a decode, decryption, proof or audit it
+    times comes out wrong (a decoded matrix must re-encode to its bytes),
+    so no rejecting or broken path is ever reported as a time.  Raises
+    ScenarioError for reps < 1, which would time nothing.
     """
     if reps < 1:
         raise ScenarioError(f"reps must be >= 1, got {reps}")
@@ -499,6 +501,13 @@ def bench(
             enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts,
                                           gens.u, v_gens)
             times["ciphertext_tagging"].append(_time.perf_counter() - t0)
+
+            blob = wire.encode_ciphertexts(params, cts)
+            t0 = _time.perf_counter()
+            decoded = wire.decode_ciphertexts(params, blob)
+            times["ciphertext_decode"].append(_time.perf_counter() - t0)
+            if wire.encode_ciphertexts(params, decoded) != blob:
+                raise InvariantViolation("bench run decoded a ciphertext matrix wrongly")
 
             t0 = _time.perf_counter()
             back = codec.join(manifest, cloud.decrypt_file(params, enclave, cts))
@@ -554,9 +563,11 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     """Median ms over 15 calls of the primitives under the phases, each
     through the backend: a full-width g1_mul of a hashed point (variable
     base), one of the generator (fixed-base table), g1_from_bytes,
-    g1_hash of a fresh message, and a pairing of a hashed point with g2
-    (whose Miller lines are cached after the first call, as for every
-    pairing in the protocol); and, per row, the median of 3 calls of
+    g1_row_from_bytes of a one-component row (on bn254 the Jacobi check
+    that a decoded E'' component pays instead), g1_hash of a fresh
+    message, and a pairing of a hashed point with g2 (whose Miller lines
+    are cached after the first call, as for every pairing in the
+    protocol); and, per row, the median of 3 calls of
     g1_msm_rows over 16 shared hashed points and 32 rows of full-width
     scalars, the shape of ciphertext tagging at s = 8; and, per point, the
     median of 3 calls of g1_gen_add on 512 identity starts with full-width
@@ -593,6 +604,7 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
         "g1_mul_variable_base_ms": median_ms(backend.g1_pow, zip(points, scalars)),
         "g1_mul_generator_ms": median_ms(backend.g1_pow, ((g1, k) for k in scalars)),
         "g1_from_bytes_ms": median_ms(backend.g1_from_bytes, ((e,) for e in encodings)),
+        "g1_row_from_bytes_ms": median_ms(backend.g1_row_from_bytes, ((e,) for e in encodings)),
         "g1_hash_ms": median_ms(backend.g1_hash, ((b"bench-hash-%d" % k,) for k in range(calls))),
         "pairing_ms": median_ms(backend.pair, ((pt, g2) for pt in points)),
         "g1_msm_rows_ms": round(

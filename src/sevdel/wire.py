@@ -4,12 +4,15 @@ Each artifact has one encoding: a decoder accepts only what its encoder
 writes back byte for byte.  Group elements travel in the fixed-width
 compressed form defined by the backend.  Every decoder re-validates the
 elements it returns (on-curve plus subgroup), so nothing deserialized can
-smuggle in a bad point.  The one exception is the revealed ciphertext
-rows of an audit response, which are all such a response carries: they
-stay encodings, checked for length only, because the contract never uses
-them as points.  It hashes them, and a string that is not the canonical
-encoding of the registered ciphertext hashes to another exponent and
-fails the audit's pairing equation.
+smuggle in a bad point.  On bn254 the E'' rows of a ciphertext matrix are
+validated without being decoded (a Jacobi symbol instead of a square
+root) and keep their encodings until a proof reads a component.  The one
+exception is the revealed ciphertext rows of an audit response, which are
+all such a response carries: they stay encodings, checked for length
+only, because the contract never uses them as points.  It hashes them,
+and a string that is not the canonical encoding of the registered
+ciphertext hashes to another exponent and fails the audit's pairing
+equation.
 """
 
 from __future__ import annotations
@@ -104,16 +107,24 @@ def encode_ciphertexts(params: SystemParams, cts: CiphertextMatrix) -> bytes:
     out += name
     out += struct.pack(">II", cts.n, cts.s)
     out += cts.v_pub.to_bytes()
-    to_bytes = group.g1_to_bytes
+    encodings = group.g1_row_encodings
     for rows in (cts.rows_prime, cts.rows_dprime):
         for row in rows:
-            for raw in row:
-                out += to_bytes(raw)
+            for e in encodings(row):
+                out += e
     return bytes(out)
 
 
 def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
-    """Decode and validate every component; raises only InvalidElement."""
+    """Decode the matrix, raising only InvalidElement: for a bad header,
+    a V that is the identity (E' would then carry g1^m in the clear) and
+    any component that is not a valid element encoding.
+
+    V and every E' are decoded, since decryption reads E' as points.  The
+    E'' rows are the backend's g1_row_from_bytes: on bn254 each component
+    is checked without a square root and kept as its encoding, decoded
+    only where a proof reads it; on toy the row is decoded.
+    """
     if len(data) < 18 or data[:16] != CIPHERTEXT_MAGIC:
         raise InvalidElement("bad ciphertext file magic")
     version = data[16]
@@ -134,16 +145,17 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
     if len(data) != off + (1 + 2 * n * s) * width:
         raise InvalidElement("ciphertext length disagrees with its header")
     v_pub = params.g1_from_bytes(data[off:off + width])
+    if v_pub == params.g1_identity():
+        raise InvalidElement("ciphertext public key V is the identity")
     off += width
-    from_bytes, g1_row = params.group.g1_from_bytes, params.group.g1_row
+    group = params.group
+    from_bytes, g1_row, row_from_bytes = group.g1_from_bytes, group.g1_row, group.g1_row_from_bytes
     row_bytes = s * width
-
-    def read_matrix(start):
-        return [g1_row([from_bytes(data[k:k + width]) for k in range(r, r + row_bytes, width)])
-                for r in range(start, start + n * row_bytes, row_bytes)]
-
-    rows_prime = read_matrix(off)
-    rows_dprime = read_matrix(off + n * row_bytes)
+    dprime_at = off + n * row_bytes
+    rows_prime = [g1_row([from_bytes(data[k:k + width]) for k in range(r, r + row_bytes, width)])
+                  for r in range(off, dprime_at, row_bytes)]
+    rows_dprime = [row_from_bytes(data[r:r + row_bytes])
+                   for r in range(dprime_at, len(data), row_bytes)]
     return CiphertextMatrix(rows_prime=rows_prime, rows_dprime=rows_dprime,
                             v_pub=v_pub, n=n, s=s)
 

@@ -9,6 +9,7 @@ from sevdel import cloud, codec, contract, owner
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import CountOutOfRange, MalformedProof, MissingBlock
 from sevdel.groups import block_point, pairing_eq, vgen_points
+from sevdel.nizk import prove_opening
 from sevdel.rng import SeededRng
 
 
@@ -194,6 +195,29 @@ def test_verify_rejects_skipped_ciphertext(any_params):
                                    ch, rng.child("p"))
     assert not owner.verify_encryption_proof(
         any_params, manifest, gens.u, okeys.W, skeys.A, v_pub, ch, proof)
+
+
+def test_verify_refuses_identity_public_key(any_params):
+    # no encryption at all: V, and so every E'', is the identity, E' = g1^m
+    # and the proof holds with witnesses R_j = 0
+    params = any_params
+    rng, _, manifest, blocks, okeys, gens, tags = _outsourced(params)
+    skeys = cloud.server_keygen(params, rng.child("srv"))
+    ch = owner.gen_challenge(manifest, min(4, manifest.n), rng_seed=9)
+    rows = [i - 1 for i in ch.indices]
+    ls = [l for _, l in ch.items]
+    q = [sum(l * blocks.rows[i][j] for i, l in zip(rows, ls)) % params.order
+         for j in range(manifest.s)]
+    ident = params.g1_identity()
+    p1 = [(params.g1 ** qj, ident) for qj in q]
+    p2 = params.g1_msm([tags.phi[i] for i in rows], ls)
+    context = owner.enc_proof_context(params, manifest, ch)
+    c, z = prove_opening(params, ident, p1, p2, q, [0] * manifest.s, context, rng.child("p"))
+    proof = cloud.EncProof(p1_prime=tuple(a for a, _ in p1), p1_dprime=tuple(b for _, b in p1),
+                           p2=p2, q=tuple(q), challenge=c, response=z)
+    with pytest.raises(MalformedProof, match="identity"):
+        owner.verify_encryption_proof(
+            params, manifest, gens.u, okeys.W, skeys.A, ident, ch, proof)
 
 
 def test_verify_malformed_proof_rejected(any_params):

@@ -452,7 +452,7 @@ def test_bench_reports_decryption(group):
     rows = bench([512], reps=1, group=group, s=8, sector_bits=16)
     phases = [r["phase"] for r in rows]
     assert phases == [*BENCH_PHASES, "proof_size_bytes", "audit_response_size_bytes"]
-    for phase in ("decryption", "ciphertext_tagging", "audit_respond"):
+    for phase in ("ciphertext_decode", "decryption", "ciphertext_tagging", "audit_respond"):
         assert rows[phases.index(phase)]["median_s"] > 0
     assert rows[phases.index("audit_response_size_bytes")]["median_s"] > 0
 
@@ -474,10 +474,12 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
     assert set(report) == {"env", "config", "phases", "layers"}
     assert set(report["env"]) == {"python", "gmpy2", "cpu_count"}
     assert report["config"]["sizes"] == [512]
-    assert [r["phase"] for r in report["phases"]] == [*BENCH_PHASES, "proof_size_bytes",
-                                                      "audit_response_size_bytes"]
+    assert [r["phase"] for r in report["phases"]] == [
+        "tagging", "encryption", "ciphertext_tagging", "ciphertext_decode", "decryption",
+        "proof_gen", "proof_verify", "audit_respond", "audit_verify", "proof_size_bytes",
+        "audit_response_size_bytes"]
     assert set(report["layers"]) == {"g1_mul_variable_base_ms", "g1_mul_generator_ms",
-                                     "g1_from_bytes_ms", "g1_hash_ms", "pairing_ms",
-                                     "g1_msm_rows_ms", "g1_gen_add_ms", "dlog_table_ms",
-                                     "dlog_lookup_ms"}
+                                     "g1_from_bytes_ms", "g1_row_from_bytes_ms", "g1_hash_ms",
+                                     "pairing_ms", "g1_msm_rows_ms", "g1_gen_add_ms",
+                                     "dlog_table_ms", "dlog_lookup_ms"}
     assert all(ms > 0 for ms in report["layers"].values())

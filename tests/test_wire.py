@@ -517,3 +517,136 @@ def test_decoders_refuse_known_escapes(artifacts):
         with pytest.raises(error):
             call()
     assert codec.FileManifest.from_json(manifest.to_json()) == manifest
+
+
+# -- bn254 E'' rows: checked on a Jacobi symbol, decoded only where read --------------
+
+def _check_agrees_with_decode(data):
+    """g1_check_bytes refuses exactly what g1_from_bytes refuses."""
+    from sevdel import bn254
+    try:
+        bn254.g1_from_bytes(data)
+    except InvalidElement:
+        with pytest.raises(InvalidElement):
+            bn254.g1_check_bytes(data)
+        return False
+    bn254.g1_check_bytes(data)
+    return True
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_jacobi_check_accepts_exactly_what_decodes(data):
+    from sevdel import bn254
+    valid = bn254.g1_to_bytes(bn254.g1_hash(data.draw(st.binary(max_size=8))))
+    kind = data.draw(st.sampled_from(["random", "flag-and-x", "byte", "bit"]))
+    if kind == "random":
+        encoding = data.draw(st.binary(min_size=33, max_size=33))
+    elif kind == "flag-and-x":
+        # x below p + 2^8 and every flag: about half the x < p are on the curve
+        x = data.draw(st.integers(0, int(bn254.P) + 255))
+        encoding = bytes([data.draw(st.integers(0, 4))]) + x.to_bytes(32, "big")
+    else:
+        k = data.draw(st.integers(0, 32))
+        flip = (1 << data.draw(st.integers(0, 7)) if kind == "bit"
+                else data.draw(st.integers(1, 255)))
+        encoding = valid[:k] + bytes([valid[k] ^ flip]) + valid[k + 1:]
+    _check_agrees_with_decode(encoding)
+
+
+def test_jacobi_check_explicit_cases():
+    from sevdel import bn254
+    p = int(bn254.P)
+    valid = bn254.g1_to_bytes(bn254.g1_hash(b"explicit"))
+    identity = bn254.g1_to_bytes(None)
+    cases = [bytes([flag]) + x.to_bytes(32, "big")
+             for x in (p - 1, p, p + 1, 2 ** 256 - 1) for flag in (2, 3)]
+    cases += [bytes([flag]) + valid[1:] for flag in range(5)]
+    cases += [bytes([flag]) + identity[1:] for flag in range(5)]
+    cases += [identity[:k] + b"\x01" + identity[k + 1:] for k in (1, 16, 32)]
+    cases += [valid[:32], valid + b"\x00", identity[:32], b""]
+    verdicts = [_check_agrees_with_decode(c) for c in cases]
+    # x >= p, flags 0, 1 and 4 on a nonzero x, a nonzero identity body and
+    # every wrong length are refused; the flips of valid and the identity pass
+    assert verdicts[2:8] == [False] * 6
+    assert verdicts[8:13] == [False, False, True, True, False]
+    assert verdicts[13:18] == [True, False, False, False, False]
+    assert verdicts[18:] == [False] * 7
+
+
+@pytest.fixture(scope="module")
+def bn_artifacts():
+    return _artifacts("bn254", 8, 24)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Every encoding bn254.g1_from_bytes is called on, in order."""
+    from sevdel import bn254
+    calls = []
+    real = bn254.g1_from_bytes
+
+    def counting(data):
+        calls.append(bytes(data))
+        return real(data)
+
+    monkeypatch.setattr(bn254, "g1_from_bytes", counting)
+    return calls
+
+
+def test_decoded_dprime_rows_decode_only_what_is_read(bn_artifacts, decodes):
+    params, manifest, blocks, tags, enc_tags, cts, ch, proof, resp = bn_artifacts
+    n, s = manifest.n, manifest.s
+    blob = wire.encode_ciphertexts(params, cts)
+    decoded = wire.decode_ciphertexts(params, blob)
+    assert len(decodes) == n * s + 1                     # V and every E', no E''
+    assert wire.encode_ciphertexts(params, decoded) == blob
+    assert owner.audit_respond(params, manifest, decoded, enc_tags, ch) == resp
+    assert len(decodes) == n * s + 1                     # both emit the stored bytes
+    del decodes[:]
+    registry = EnclaveRegistry()
+    enclave = registry.create(manifest.file_id)
+    fresh, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"count-enc"))
+    decoded = wire.decode_ciphertexts(params, wire.encode_ciphertexts(params, fresh))
+    del decodes[:]
+    from_points = cloud.prove_encryption(params, enclave, manifest, blocks, fresh, tags, ch,
+                                         SeededRng(b"count-proof"))
+    assert decodes == []
+    from_decoded = cloud.prove_encryption(params, enclave, manifest, blocks, decoded, tags,
+                                          ch, SeededRng(b"count-proof"))
+    assert from_decoded == from_points
+    challenged = [i - 1 for i in ch.indices]
+    assert sorted(decodes) == sorted(decoded.rows_dprime[i].encodings[j]
+                                     for i in challenged for j in range(s))
+    del decodes[:]
+    row = decoded.rows_dprime[challenged[0]]                 # already read: no decode
+    assert [row[j] for j in range(s)] + list(row) == [*fresh.rows_dprime[challenged[0]]] * 2
+    unread = next(i for i in range(n) if i not in challenged)
+    row = decoded.rows_dprime[unread]
+    assert (row[0], row[-s], row[0]) == (fresh.rows_dprime[unread][0],) * 3
+    assert len(row) == s and len(decodes) == 1
+
+
+def test_decoded_dprime_row_refuses_a_bad_component(bn_artifacts):
+    # the header and E' decode, then the one off-curve E'' is refused
+    from sevdel import bn254
+    params, manifest, _, _, _, cts, *_ = bn_artifacts
+    blob = wire.encode_ciphertexts(params, cts)
+    x = next(x for x in range(1, 100) if bn254._jacobi(x ** 3 + 3, bn254.P) == -1)
+    bad = b"\x03" + x.to_bytes(32, "big")
+    last = len(blob) - 33
+    with pytest.raises(InvalidElement, match="not on curve"):
+        wire.decode_ciphertexts(params, blob[:last] + bad)
+    with pytest.raises(IndexError):
+        wire.decode_ciphertexts(params, blob).rows_dprime[0][manifest.s]
+
+
+def test_identity_public_key_is_refused_on_decode(any_artifacts):
+    params, _, _, _, _, cts, *_ = any_artifacts
+    blob = wire.encode_ciphertexts(params, cts)
+    v_at = 18 + len(params.group.name) + 8
+    width = params.group.g1_bytes
+    identity = params.g1_identity().to_bytes()
+    assert blob[v_at:v_at + width] == cts.v_pub.to_bytes()
+    with pytest.raises(InvalidElement, match="identity"):
+        wire.decode_ciphertexts(params, blob[:v_at] + identity + blob[v_at + width:])
