@@ -71,17 +71,17 @@ def _write(out: Path, name: str, data) -> Path:
     return path
 
 
-def _load(out: Path, name: str, parse=None):
-    """The artifact out/name: its bytes, or parse of its UTF-8 text.
-    Raises MalformedProof for a file that is missing or not UTF-8; parse
-    raises only SevdelError."""
+def _load(path: Path, parse=None):
+    """The bytes of the file at path, or parse of its UTF-8 text.  Raises
+    MalformedProof for a path that cannot be read (missing, a directory)
+    or a text that is not UTF-8; parse raises only SevdelError."""
     try:
-        data = (out / name).read_bytes()
+        data = path.read_bytes()
         if parse is None:
             return data
         text = data.decode()
     except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedProof(f"{name} is missing or not UTF-8: {exc}") from exc
+        raise MalformedProof(f"cannot read {path}: {exc}") from exc
     return parse(text)
 
 
@@ -89,7 +89,7 @@ def _load_json(out: Path, name: str, build, encode):
     """The JSON artifact out/name through codec.decode_canonical: build
     of its parsed text, accepted only if encode writes that text back
     byte for byte."""
-    return _load(out, name, lambda text: codec.decode_canonical(text, build, encode, name))
+    return _load(out / name, lambda text: codec.decode_canonical(text, build, encode, name))
 
 
 # each JSON artifact has one encoder (*_text), which writes it and which
@@ -161,7 +161,7 @@ def setup(group, sector_bits, seed, out):
 def outsource(file_path, sectors, seed, out, owner_id):
     """Split the file, generate owner keys and per-block tags."""
     params = _load_params(out)
-    data = file_path.read_bytes()
+    data = _load(file_path)
     manifest, blocks = codec.split(data, sectors, params.sector_bits,
                                    owner_id=owner_id.encode(),
                                    file_name=file_path.name.encode())
@@ -187,11 +187,11 @@ def encrypt(seed, out):
     duration of this invocation; that is the deletion guarantee at work.
     """
     params = _load_params(out)
-    manifest = _load(out, "manifest.json", codec.FileManifest.from_json)
+    manifest = _load(out / "manifest.json", codec.FileManifest.from_json)
     if manifest.sector_bits != params.sector_bits:
         raise MalformedProof(f"manifest.json: sector_bits {manifest.sector_bits} disagrees "
                              f"with params.json ({params.sector_bits})")
-    blocks = wire.decode_blocks(_load(out, "blocks.bin"))
+    blocks = wire.decode_blocks(_load(out / "blocks.bin"))
     _, u = _load_json(out, "owner_public.json", lambda d: _owner_public_keys(params, d),
                       _owner_public_text)
     skeys = _load_json(out, "provider.json", lambda d: _provider_keys(params, d),
@@ -294,7 +294,7 @@ main.command(name="audit", help="Leakage audit against the contract; executes th
 @_out_opt
 def run_scenario_cmd(scenario_file, out):
     """Execute a declarative scenario file; exit 0 iff expectations hold."""
-    _run_and_report(Scenario.from_json(scenario_file.read_text()), out)
+    _run_and_report(_load(scenario_file, Scenario.from_json), out)
 
 
 def _parse_sizes(ctx, param, value):

@@ -80,9 +80,6 @@ class CiphertextMatrix:
     def group(self):
         return self.v_pub.group
 
-    def check_shape(self, manifest: FileManifest) -> None:
-        self.check_dims(manifest.n, manifest.s)
-
     def check_dims(self, n: int, s: int, only=None) -> None:
         """MissingBlock for a row of None, DimensionMismatch unless both
         components hold n rows of s entries; with only, a collection of
@@ -324,7 +321,7 @@ def gen_enc_tags(
     exponents, so each tag is one row of a batched multi-exponentiation
     over the 2s sector generators every row shares.
     """
-    cts.check_shape(manifest)
+    cts.check_dims(manifest.n, manifest.s)
     if len(u) != manifest.s or len(v_gens) != manifest.s:
         raise DimensionMismatch("sector generator count disagrees with manifest")
     group = params.group

@@ -30,6 +30,7 @@ from .errors import (
     DuplicateOwner,
     DuplicateTags,
     InsufficientBalance,
+    InvalidElement,
     InvariantViolation,
     MalformedProof,
     UnknownOwner,
@@ -71,12 +72,6 @@ class LogicalClock:
 
     @property
     def now(self) -> int:
-        return self._now
-
-    def advance(self, dt: int = 1) -> int:
-        if dt < 0:
-            raise ValueError("clock cannot run backwards")
-        self._now += dt
         return self._now
 
     def advance_to(self, t: int) -> int:
@@ -212,9 +207,6 @@ class Contract:
 
     # -- helpers ---------------------------------------------------------
 
-    def _now(self) -> int:
-        return self.clock.now
-
     def _record(self, n_ref: str) -> ContractRecord:
         _require(isinstance(n_ref, str), "n_ref must be a str")
         rec = self.records.get(n_ref)
@@ -229,7 +221,7 @@ class Contract:
         rec = self._record(n_ref)
         if rec.state != state:
             raise WrongState(f"{op} in state {rec.state}")
-        if window and not getattr(rec, window[0]) <= self._now() <= getattr(rec, window[1]):
+        if window and not getattr(rec, window[0]) <= self.clock.now <= getattr(rec, window[1]):
             raise WrongWindow(f"{op} outside [{window[0].upper()}, {window[1].upper()}]")
         return rec
 
@@ -261,36 +253,20 @@ class Contract:
     def total_funds(self) -> int:
         return self.ledger.total() + sum(r.escrow for r in self.records.values())
 
-    @staticmethod
-    def _digest_args(args: dict) -> str:
-        def enc(v):
-            if isinstance(v, bytes):
-                return v.hex()
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            return v
-        blob = json.dumps(enc(args), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     def _log(self, op: str, args: dict, before: str, after: str, delta: dict[str, int]):
         self._seq += 1
         self.log.append({
             "seq": self._seq,
-            "time": self._now(),
+            "time": self.clock.now,
             "op": op,
-            "args_digest": self._digest_args(args),
+            "args_digest": hashlib.sha256(json.dumps(
+                args, sort_keys=True, default=bytes.hex).encode()).hexdigest(),
             "state_before": before,
             "state_after": after,
             "ledger_delta": {k: v for k, v in sorted(delta.items()) if v},
         })
         if self.total_funds() != self._total0:
             raise InvariantViolation("currency conservation violated")
-
-    def dump_log(self, fp) -> None:
-        for entry in self.log:
-            fp.write(json.dumps(entry, sort_keys=True) + "\n")
 
     # -- transitions -------------------------------------------------------
 
@@ -310,11 +286,13 @@ class Contract:
                 raise WrongState(f"record {n_ref} already created")
             if not t1 < t2 < t3 < t4:
                 raise WrongWindow("deadlines must satisfy T1 < T2 < T3 < T4")
-            if self._now() > t1:
+            if self.clock.now > t1:
                 raise DeadlinePassed(f"service after T1={t1}")
             if deposit <= 0:
                 raise InsufficientBalance("deposit must be positive")
-            self.params.g2_from_bytes(provider_pub)  # validate the key now
+            # e(., A) = 1 for an identity A: identity tags would pass any audit
+            if self.params.g2_from_bytes(provider_pub) == self.params.g2 ** 0:
+                raise InvalidElement("provider key A is the identity")
             rec = ContractRecord(
                 n_ref=n_ref, provider=provider, provider_pub=provider_pub,
                 deposit=deposit, t1=t1, t2=t2, t3=t3, t4=t4,
@@ -444,7 +422,7 @@ class Contract:
         the provider takes the residual, abandoned stakes included."""
         with self._lock:
             rec = self._record(n_ref)
-            if self._now() <= rec.t4:
+            if self.clock.now <= rec.t4:
                 raise WrongWindow("timer only after T4")
             if rec.state in (STATE_FINISHED, STATE_ABORTED):
                 raise WrongState(f"record {n_ref} already settled")

@@ -115,8 +115,8 @@ class EnclaveRegistry:
     def __init__(self, clock=None):
         self._clock = clock
         self._tick = 0
-        self._enclaves: dict[str, Enclave] = {}
-        self._by_file: dict[bytes, list[str]] = {}
+        self._count = 0
+        self._by_file: dict[bytes, list[Enclave]] = {}
         self.receipts: list[DeletionReceipt] = []
         self._lock = threading.Lock()
 
@@ -128,29 +128,18 @@ class EnclaveRegistry:
 
     def create(self, file_id: bytes) -> Enclave:
         with self._lock:
-            for eid in self._by_file.get(file_id, ()):
-                if self._enclaves[eid].state == STATE_ALIVE:
-                    raise DuplicateEnclave(f"alive enclave already bound to {file_id.hex()[:16]}")
-            seq = len(self._enclaves)
-            enclave_id = f"enc-{file_id.hex()[:16]}-{seq}"
-            enc = Enclave(self, enclave_id, file_id)
-            self._enclaves[enclave_id] = enc
-            self._by_file.setdefault(file_id, []).append(enclave_id)
+            if self.alive_for(file_id) is not None:
+                raise DuplicateEnclave(f"alive enclave already bound to {file_id.hex()[:16]}")
+            enc = Enclave(self, f"enc-{file_id.hex()[:16]}-{self._count}", file_id)
+            self._count += 1
+            self._by_file.setdefault(file_id, []).append(enc)
             return enc
 
     def alive_for(self, file_id: bytes) -> Enclave | None:
-        for eid in self._by_file.get(file_id, ()):
-            enc = self._enclaves[eid]
+        for enc in self._by_file.get(file_id, ()):
             if enc.state == STATE_ALIVE:
                 return enc
         return None
-
-    def states_for(self, file_id: bytes) -> list[tuple[str, str]]:
-        """(enclave_id, state) history, tombstones included."""
-        return [
-            (eid, self._enclaves[eid].state)
-            for eid in self._by_file.get(file_id, ())
-        ]
 
     def destroy_for(self, file_id: bytes) -> DeletionReceipt:
         enc = self.alive_for(file_id)

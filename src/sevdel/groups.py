@@ -215,10 +215,6 @@ class SystemParams:
         return self.g1.group
 
     @property
-    def group_id(self) -> str:
-        return self.group.name
-
-    @property
     def order(self) -> int:
         return self.group.order
 
@@ -247,7 +243,7 @@ class SystemParams:
     def digest(self) -> bytes:
         h = hashlib.sha256()
         h.update(b"sevdel/params:")
-        h.update(self.group_id.encode())
+        h.update(self.group.name.encode())
         h.update(self.g1.to_bytes())
         h.update(self.g2.to_bytes())
         h.update(self.sector_bits.to_bytes(2, "big"))

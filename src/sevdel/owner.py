@@ -92,9 +92,6 @@ class Challenge:
             sort_keys=True,
         )
 
-    def canonical_bytes(self) -> bytes:
-        return self.canonical_json().encode()
-
 
 @dataclass
 class AuditResponse:
@@ -167,7 +164,8 @@ def check_challenge(challenge: Challenge, n: int, order: int) -> None:
 
 
 def enc_proof_context(params: SystemParams, manifest: FileManifest, challenge: Challenge) -> bytes:
-    return b"sevdel/enc-proof:" + params.digest() + manifest.file_id + challenge.canonical_bytes()
+    return (b"sevdel/enc-proof:" + params.digest() + manifest.file_id
+            + challenge.canonical_json().encode())
 
 
 def verify_encryption_proof(

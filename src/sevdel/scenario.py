@@ -186,7 +186,6 @@ class _Runner:
         self.tags = None
         self.enclave = None
         self.cts = None
-        self.v_pub = None
         self.enc_tags = None
         self.leaked = None
         self.done: set[str] = set()     # actions that have run
@@ -261,7 +260,7 @@ class _Runner:
 
     def _do_encrypt(self, step):
         self.enclave = self.registry.create(self.manifest.file_id)
-        self.cts, self.v_pub = cloud.encrypt_file(
+        self.cts, _ = cloud.encrypt_file(
             self.params, self.enclave, self.manifest, self.blocks,
             self.rng.child("encrypt"))
         self._apply_ciphertext_faults()
@@ -272,7 +271,7 @@ class _Runner:
             self.leaked = self.cts
         self.transcript.emit(self.clock.now, "encrypt",
                              enclave=self.enclave.enclave_id,
-                             v_pub=self.v_pub.hex(),
+                             v_pub=self.cts.v_pub.hex(),
                              ciphertext_digest=_digest(
                                  wire.encode_ciphertexts(self.params, self.cts)),
                              enc_tags_digest=_digest(
@@ -327,7 +326,7 @@ class _Runner:
             return
         ok = owner.verify_encryption_proof(
             self.params, self.manifest, self.gens.u, self.okeys.W,
-            self.skeys.A, self.v_pub, ch, proof)
+            self.skeys.A, self.cts.v_pub, ch, proof)
         verdict = "accept" if ok else "reject"
         self.transcript.verdicts["verify"] = verdict
         self.transcript.emit(self.clock.now, "verify_encryption",

@@ -253,7 +253,7 @@ def test_criterion_4_deletion_irrecoverable_fuzz():
             except UnknownFile:
                 pass
         ok &= enclave.verify_zeroized()
-        ok &= registry.states_for(manifest.file_id)[0][1] == "DESTROYED"
+        ok &= enclave.state == "DESTROYED" and registry.alive_for(manifest.file_id) is None
     _report(4, "deleted files stay unrecoverable under 1000 op-sequence fuzz runs", ok)
 
 

@@ -79,7 +79,7 @@ def test_hundred_encryptions_distinct_randomness(toy_params):
 
 def test_roundtrip_random_files(any_params):
     rng = SeededRng(b"roundtrip")
-    sizes = (1, 17, 333, 4096) if any_params.group_id == "toy" else (1, 40)
+    sizes = (1, 17, 333, 4096) if any_params.group.name == "toy" else (1, 40)
     for size in sizes:
         data = rng.child(str(size)).read(size)
         manifest, blocks = codec.split(data, 4, any_params.sector_bits)
@@ -223,7 +223,7 @@ def test_off_curve_dprime_is_refused_on_decode(any_params):
     blob = wire.encode_ciphertexts(params, cts)
     width = params.group.g1_bytes
     start = len(blob) - manifest.n * manifest.s * width   # first E''
-    if params.group_id == "toy":
+    if params.group.name == "toy":
         bad = b"\x11" + b"\xff" * 8                         # beyond the group order
     else:
         x = next(x for x in range(1, 100) if pow(x ** 3 + 3, (bn254.P - 1) // 2, bn254.P) != 1)

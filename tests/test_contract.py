@@ -121,6 +121,17 @@ def test_service_duplicate_record(toy_params):
         contract.service("prov", N, _provider_pub(toy_params), 100, T1, T2, T3, T4)
 
 
+def test_service_refuses_an_identity_provider_key(any_params):
+    # e(., A) = 1 for an identity A, so identity tags registered under it
+    # would let an audit response of junk rows claim the stake
+    contract, ledger, _ = _contract(any_params)
+    balances = ledger.snapshot()
+    with pytest.raises(InvalidElement):
+        contract.service("prov", N, (any_params.g2 ** 0).to_bytes(), 100, T1, T2, T3, T4)
+    assert contract.records == {} and contract.log == []
+    assert ledger.snapshot() == balances
+
+
 def test_conservation_across_ops(toy_params):
     contract, ledger, clock = _contract(toy_params)
     total0 = contract.total_funds()
@@ -216,16 +227,14 @@ def test_two_inits_independent(toy_params):
     assert ledger_b.balance("prov") == 5000
 
 
-def test_dump_log_writes_jsonl(toy_params, tmp_path):
-    import json
+def test_log_records_each_op_and_its_ledger_delta(toy_params):
     contract, _, clock = _contract(toy_params)
     contract.service("prov", N, _provider_pub(toy_params), 100, T1, T2, T3, T4)
     clock.advance_to(T1)
     contract.agree("own", N, 50)
-    path = tmp_path / "log.jsonl"
-    with open(path, "w") as fp:
-        contract.dump_log(fp)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    # each entry is plain JSON, as the transcript writes it
+    lines = [json.loads(json.dumps(entry, sort_keys=True)) for entry in contract.log]
+    assert lines == contract.log
     assert [l["op"] for l in lines] == ["service", "agree"]
     assert lines[0]["ledger_delta"] == {"escrow:file-1": 100, "prov": -100}
 
@@ -569,7 +578,7 @@ def _non_canonical(params, data):
     """Strings in place of the canonical encoding data of a point E: none is
     the encoding the ciphertext tags were made over."""
     group = params.group
-    if params.group_id == "bn254":
+    if params.group.name == "bn254":
         P = int(bn254.P)
         x = int.from_bytes(data[1:], "big")
         off = next(t for t in range(x + 1, x + 1000)
@@ -603,7 +612,7 @@ def test_audit_rejects_non_canonical_row_components(any_dep):
     for column in ("revealed_prime", "revealed_dprime"):
         rows = getattr(resp, column)
         bad = _non_canonical(params, rows[i][0])
-        if params.group_id == "bn254":
+        if params.group.name == "bn254":
             # the bad strings are what they claim to be
             with pytest.raises(InvalidElement):
                 params.g1_from_bytes(bad["off-curve x"])
@@ -830,7 +839,7 @@ def test_transition_log_schema_and_fuzz_legality(toy_params):
             lambda: contract.timer(N),
         ]
         for _ in range(12):
-            clock.advance(rng.randrange(7))
+            clock.advance_to(clock.now + rng.randrange(7))
             before = {n: (r.state, r.escrow, dict(r.owners))
                       for n, r in contract.records.items()}
             balances_before = ledger.snapshot()

@@ -75,10 +75,10 @@ def test_double_destroy():
 def test_registry_reports_tombstone_not_absence():
     reg = EnclaveRegistry()
     enc = reg.create(FID_A)
-    enc.destroy()
-    states = reg.states_for(FID_A)
-    assert states == [(enc.enclave_id, STATE_DESTROYED)]
+    receipt = enc.destroy()
+    assert enc.state == STATE_DESTROYED
     assert reg.alive_for(FID_A) is None
+    assert reg.receipts == [receipt] and receipt.enclave_id == enc.enclave_id
 
 
 def test_destroy_for_unknown_file():

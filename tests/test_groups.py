@@ -39,7 +39,7 @@ def test_scalar_field_laws_match_bigint_oracle(any_params):
     p = any_params.order
     g = any_params.g1
     rng = SeededRng(b"field-laws")
-    triples = 1000 if any_params.group_id == "toy" else 30
+    triples = 1000 if any_params.group.name == "toy" else 30
     for _ in range(triples):
         a, b, c = (rng.scalar(p) for _ in range(3))
         assert (g ** a) * (g ** b) == g ** ((a + b) % p)
@@ -90,7 +90,7 @@ def test_pairing_group_mismatch():
 # -- element semantics -----------------------------------------------------------
 
 def _other_backend(params):
-    return setup("bn254" if params.group_id == "toy" else "toy")
+    return setup("bn254" if params.group.name == "toy" else "toy")
 
 
 def test_elements_with_equal_raw_values_are_equal_with_equal_hashes(any_params):
@@ -249,12 +249,12 @@ def test_jacobi_on_small_odd_moduli_is_the_product_of_legendre_symbols():
 # -- elem_to_scalar -----------------------------------------------------------
 
 def test_elem_to_scalar_identity_pinned(any_params):
-    assert elem_to_scalar(any_params.g1_identity()) == IDENTITY_SCALAR[any_params.group_id]
+    assert elem_to_scalar(any_params.g1_identity()) == IDENTITY_SCALAR[any_params.group.name]
 
 
 def test_elem_to_scalar_distinct(any_params):
     rng = SeededRng(b"elem-scalar")
-    count = 10_000 if any_params.group_id == "toy" else 2000
+    count = 10_000 if any_params.group.name == "toy" else 2000
     group = any_params.group
     from sevdel.groups import G1Elem
     seen = set()
@@ -323,7 +323,7 @@ def test_scalar_encoding_roundtrip(any_params):
 
 
 def test_params_digest_stable(any_params):
-    again = setup(any_params.group_id, any_params.sector_bits)
+    again = setup(any_params.group.name, any_params.sector_bits)
     assert again.digest() == any_params.digest()
     assert isinstance(any_params, SystemParams)
 

@@ -52,9 +52,9 @@ _POOLS = {}
 
 
 def pool(params):
-    if params.group_id not in _POOLS:
-        _POOLS[params.group_id] = _pool(params)
-    return _POOLS[params.group_id]
+    if params.group.name not in _POOLS:
+        _POOLS[params.group.name] = _pool(params)
+    return _POOLS[params.group.name]
 
 
 _terms = st.lists(

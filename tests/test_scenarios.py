@@ -238,6 +238,27 @@ def test_cli_run_scenario_exit_codes(tmp_path):
     assert res.exit_code == 2
 
 
+UNREADABLE_INPUTS = {   # name: (command line up to the input's path, what to put there)
+    "run-scenario-not-utf8": (["run-scenario"], lambda p: p.write_bytes(b'{"name": "\xff"}')),
+    "run-scenario-directory": (["run-scenario"], Path.mkdir),
+    "outsource-file-directory": (["outsource", "--file"], Path.mkdir),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_cli_unreadable_input_fails_cleanly(tmp_path, case):
+    # an input file that cannot be read is one error line and exit code 2,
+    # not a traceback with exit code 1, the code of a failed expectation
+    runner = CliRunner()
+    _, out = _artifacts(tmp_path, runner)
+    command, make = UNREADABLE_INPUTS[case]
+    make(tmp_path / "input")
+    res = runner.invoke(main, command + [str(tmp_path / "input"), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+
+
 def test_cli_artifact_pipeline(tmp_path):
     runner = CliRunner()
     demo = tmp_path / "demo.bin"
