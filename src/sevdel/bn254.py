@@ -725,38 +725,68 @@ def _straus(terms):
     return acc
 
 
-# Fixed-base table for G1_GEN: row i holds j * 2^(6i) * G for j = 1..32, so
-# a scalar in signed base-64 digits [-31, 32] costs one addition per digit
-# and no doubling.  43 rows cover 254-bit scalars plus the top carry.  Two
-# walkers read it through the digits of _gen_digits: _add_gen_multiple, one
-# scalar in Jacobian mixed additions, and g1_gen_add, many scalars in
-# lockstep with affine additions that share one inversion per row.
-_GEN_WINDOW = 6
+# Fixed-base table for G1_GEN: row i holds j * 2^(8i) * G for j = 1..128, so
+# a scalar in signed base-256 digits [-127, 128] costs one addition per digit
+# and no doubling.  32 rows cover 254-bit scalars plus the top carry, about
+# 0.72 MiB; base 512 would take about 1.3 MiB.  The rows are built in
+# lockstep: one doubling chain gives every row's 1 and 2 times its base,
+# then each step adds every row's base to that row's last entry, all of a
+# step's additions in one _add_affine_batch.  Two walkers read the table
+# through the digits of _gen_digits: _add_gen_multiple, one scalar in
+# Jacobian mixed additions, and g1_gen_add, many scalars in lockstep with
+# one _add_affine_batch per row.
+_GEN_WINDOW = 8
 _gen_rows = None
+
+
+def _add_affine_batch(starts, adds):
+    """[A_t + T_t], affine, for affine points with A_t.x != T_t.x.
+
+    Every addition's slope shares one inversion (Montgomery's
+    simultaneous-inversion trick): about 6 multiplications per addition
+    against 11 for a mixed Jacobian one, and no inversion per result.
+    """
+    dens = [tx - ax for (ax, _), (tx, _) in zip(starts, adds)]
+    prefix = []
+    prod = _ONE
+    for dx in dens:
+        prefix.append(prod)
+        prod = prod * dx % P
+    inv = _fp_inv(prod)                         # 1 / (product of every dx)
+    out = [None] * len(dens)
+    for t in range(len(dens) - 1, -1, -1):
+        (ax, ay), (tx, ty) = starts[t], adds[t]
+        m = (ty - ay) * (inv * prefix[t] % P) % P
+        inv = inv * dens[t] % P
+        x3 = (m * m - ax - tx) % P
+        out[t] = (x3, (m * (ax - x3) - ay) % P)
+    return out
 
 
 def _generator_rows():
     global _gen_rows
     if _gen_rows is None:
-        half = 1 << (_GEN_WINDOW - 1)
-        rows = []
-        bx, by = G1_GEN
+        chain = []                              # 2^(8i) * G and its double, per row
+        x, y, z = G1_GEN[0], G1_GEN[1], _ONE
         for _ in range(-(-int(R).bit_length() // _GEN_WINDOW)):
-            cur = (bx, by, _ONE)
-            jac = [cur]
-            for _ in range(half - 1):
-                cur = _jac_add_affine(cur[0], cur[1], cur[2], bx, by)
-                jac.append(cur)
-            row = _batch_affine(jac)
-            rows.append(row)
-            bx, by = g1_add(row[-1], row[-1])
+            double = _jac_dbl(x, y, z)
+            chain += [(x, y, z), double]
+            x, y, z = double
+            for _ in range(_GEN_WINDOW - 1):
+                x, y, z = _jac_dbl(x, y, z)
+        affine = _batch_affine(chain)
+        bases = affine[0::2]
+        rows = [affine[k:k + 2] for k in range(0, len(affine), 2)]
+        for _ in range((1 << (_GEN_WINDOW - 1)) - 2):
+            for row, pt in zip(rows, _add_affine_batch([row[-1] for row in rows], bases)):
+                row.append(pt)
         _gen_rows = rows
     return _gen_rows
 
 
 def _gen_digits(k):
-    """Signed base-64 digits in [-31, 32] of 0 <= k < R, least significant
-    first: digit i selects an entry of generator-table row i."""
+    """Signed base-256 digits in [-127, 128] of 0 <= k < R, least
+    significant first: digit i selects an entry of generator-table row i."""
     mask, half = (1 << _GEN_WINDOW) - 1, 1 << (_GEN_WINDOW - 1)
     out = []
     while k:
@@ -786,54 +816,41 @@ def g1_gen_add(points, scalars):
 
     Every walk over the generator table runs in lockstep, one table row at
     a time: each walk with a nonzero digit in that row does one affine
-    addition, and all of the row's additions share one inversion
-    (Montgomery's simultaneous-inversion trick), about 6 multiplications
-    per addition against 11 for a mixed Jacobian one and no inversion per
-    result.  A walk that starts at or meets the identity, or the table
-    entry it adds, or its negative, is handled exactly.  Scalars are
-    reduced mod R; DimensionMismatch if the counts differ.
+    addition, and all of the row's additions are one _add_affine_batch.
+    A walk that starts at or meets the identity, or the table entry it
+    adds, or its negative, is handled exactly.  Scalars are reduced mod R
+    and each distinct one is recoded once; DimensionMismatch if the counts
+    differ.
     """
     if len(points) != len(scalars):
         raise DimensionMismatch(f"{len(scalars)} scalars for {len(points)} points")
-    xs = [None if pt is None else pt[0] for pt in points]
-    ys = [None if pt is None else pt[1] for pt in points]
-    digits = [_gen_digits(k % R) for k in scalars]
+    accs = list(points)
+    reduced = [k % R for k in scalars]
+    recoded = {k: _gen_digits(k) for k in set(reduced)}
+    digits = [recoded[k] for k in reduced]
     for row, col in zip(_generator_rows(), zip_longest(*digits, fillvalue=0)):
-        walks, txs, tys, dens = [], [], [], []      # the row's affine additions
+        walks, starts, adds = [], [], []            # the row's affine additions
         for j, d in enumerate(col):
             if d > 0:
-                tx, ty = row[d - 1]
+                entry = row[d - 1]
             elif d < 0:
                 tx, ty = row[-d - 1]
-                ty = P - ty
+                entry = (tx, P - ty)
             else:
                 continue
-            ax = xs[j]
-            if ax is None:
-                xs[j], ys[j] = tx, ty
-            elif ax == tx:                          # a doubling, or the identity
-                xs[j], ys[j] = g1_add((ax, ys[j]), (tx, ty)) or (None, None)
+            acc = accs[j]
+            if acc is None:
+                accs[j] = entry
+            elif acc[0] == entry[0]:                # a doubling, or the identity
+                accs[j] = g1_add(acc, entry)
             else:
                 walks.append(j)
-                txs.append(tx)
-                tys.append(ty)
-                dens.append(tx - ax)
-        if not walks:
-            continue
-        prefix = []
-        prod = _ONE
-        for dx in dens:
-            prefix.append(prod)
-            prod = prod * dx % P
-        inv = _fp_inv(prod)                         # 1 / (product of every dx)
-        for t in range(len(walks) - 1, -1, -1):
-            j = walks[t]
-            ax, ay, tx = xs[j], ys[j], txs[t]
-            m = (tys[t] - ay) * (inv * prefix[t] % P) % P
-            inv = inv * dens[t] % P
-            x3 = (m * m - ax - tx) % P
-            xs[j], ys[j] = x3, (m * (ax - x3) - ay) % P
-    return [None if x is None else (x, y) for x, y in zip(xs, ys)]
+                starts.append(acc)
+                adds.append(entry)
+        if walks:
+            for j, pt in zip(walks, _add_affine_batch(starts, adds)):
+                accs[j] = pt
+    return accs
 
 
 def g1_msm(points, scalars):
@@ -911,7 +928,7 @@ def g1_msm_rows(shared, rows):
     return [None if acc is None else next(finite) for acc in accs]
 
 
-_MULTIPLES_BLOCK = 1024     # 16 * 64, a single base-64 digit
+_MULTIPLES_BLOCK = 1024     # 4 * 256, a single base-256 digit
 
 
 def g1_gen_multiples(count):

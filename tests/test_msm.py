@@ -237,10 +237,14 @@ def _check_generator_power(params, k):
     assert (params.g1 ** k).raw == expect
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33, 64, 2**128 + 3, -1])
+@pytest.mark.parametrize("k", [0, 1, 2, 31, 32, 33, 64, 127, 128, 129, 255, 256, 257,
+                               2**128 + 3, 2**248 - 1, 2**248 + 1, bn254.R - 1, -1])
 def test_generator_power_matches_g1_mul(any_params, k):
     # each k also checks order-1-k, order-k and k+order: 0, 1 and order-1
-    # are among them, as are the signed-digit carries at 32/33 and 64
+    # are among them, as are the signed base-256 digit carries at
+    # 127/128/129 and 255/256/257, the carry through every row of
+    # 2^248 - 1, the first and the last row alone in 2^248 + 1, and the
+    # signed base-64 carries at 32/33 and 64
     r = any_params.order
     for scalar in (k, r - 1 - k, r - k, k + r):
         _check_generator_power(any_params, scalar)
@@ -262,14 +266,14 @@ def test_generator_table_under_one_mib(bn_params):
     assert all(bn254.g1_is_on_curve(pt) for row in rows for pt in row)
 
 
-@pytest.mark.parametrize("row", [0, 21, 42])
+@pytest.mark.parametrize("row", [0, 15, 31])
 def test_generator_table_entries(row):
-    # entry j of row i is (j + 1) * 2^(6i) * G, for the first, a middle and
+    # entry j of row i is (j + 1) * 2^(8i) * G, for the first, a middle and
     # the last row; both generator walkers read this table
     rows = bn254._generator_rows()
-    assert len(rows) == 43 and all(len(r) == 32 for r in rows)
+    assert len(rows) == 32 and all(len(r) == 128 for r in rows)
     for j, pt in enumerate(rows[row]):
-        assert pt == bn254._g1_mul_raw(bn254.G1_GEN, (j + 1) << (6 * row)), j
+        assert pt == bn254._g1_mul_raw(bn254.G1_GEN, (j + 1) << (8 * row)), j
 
 
 # -- batched generator walks: P_i + k_i * g1 -----------------------------------
@@ -282,10 +286,13 @@ def _check_gen_add(params, starts, scalars):
 
 
 def test_gen_add_pinned_scalars_from_every_start(any_params):
-    # digit carries at 31/32/33, the order and past it, a negative scalar,
-    # and a full-width one, each from the identity, g1, 1/g1 and others
+    # digit carries at 127/128/129, 255/256/257 and 31/32/33, the carry
+    # through every row (2^248 - 1), the first and the last row alone
+    # (2^248 + 1), the order and past it, a negative scalar, and a
+    # full-width one, each from the identity, g1, 1/g1 and others
     r = any_params.order
-    ks = [0, 1, 31, 32, 33, r - 1, r, r + 5, -7, 2**253]
+    ks = [0, 1, 31, 32, 33, 127, 128, 129, 255, 256, 257, 2**248 - 1, 2**248 + 1,
+          r - 1, r, r + 5, -7, 2**253]
     for start in pool(any_params):
         _check_gen_add(any_params, [start] * len(ks), ks)
 
@@ -299,10 +306,14 @@ def test_gen_add_cancellation_and_doubling(any_params):
     assert group.g1_gen_add([mul(gen, -k) for k in ks], ks) == [ident] * len(ks)
     cases = [
         (mul(gen, 5), 5),               # the start is row 0's entry: a doubling
-        (mul(gen, 64), 64),             # the start is row 1's entry, row 0 adds nothing
-        (mul(gen, 62), 2 + 64),         # the walk reaches 64*G, then adds row 1's 64*G
-        (mul(gen, -64), 64 + 4096),     # cancels at row 1, then starts again at row 2
+        (mul(gen, 64), 64),             # the same at a row-0 digit of 64
+        (mul(gen, 62), 2 + 64),         # one plain addition of 66*G
+        (mul(gen, -64), 64 + 4096),     # cancels at row 0, then starts again at row 1
         (mul(gen, -31), -31),           # a negative digit met by its own entry
+        (mul(gen, 256), 256),           # the start is row 1's entry, row 0 adds nothing
+        (mul(gen, 254), 2 + 256),       # the walk reaches 256*G, then adds row 1's 256*G
+        (mul(gen, -256), 256 + 65536),  # cancels at row 1, then starts again at row 2
+        (mul(gen, -127), -127),         # the lowest digit met by its own entry
     ]
     _check_gen_add(any_params, [p for p, _ in cases], [k for _, k in cases])
 
@@ -313,6 +324,30 @@ def test_gen_add_cancellation_and_doubling(any_params):
 def test_gen_add_matches_reference(walks, group):
     params = setup(group, 8)
     _check_gen_add(params, [pool(params)[i] for i, _ in walks], [k for _, k in walks])
+
+
+def test_gen_add_repeated_scalars(any_params, monkeypatch):
+    # walks that share a scalar share its digits: the dlog table's block
+    # shape [1024] * k from distinct starts, among them the doubling lane
+    # 1024*G and the cancelling -1024*G; repeats mixed with distinct
+    # scalars, r + 7 and -7 among them, equal to 7 and r - 7 only mod r;
+    # and repeats of 300 = 44 + 256 whose walks double at row 0, cancel
+    # there or cancel at the end
+    group = any_params.group
+    mul = _reference_mul(group)
+    gen, r = group.g1_gen, any_params.order
+    block = [mul(gen, k) for k in (0, 1, 1023, 1024, -1024, 2**200)] + pool(any_params)
+    mixed = [7, 1024, 7, 2**253, 1024, r - 1, r + 7, -7, r - 7, 7]
+    lanes = [mul(gen, k) for k in (44, -44, -300, 300, 44, -300)]
+    digits = bn254._gen_digits
+    recoded = []
+    monkeypatch.setattr(bn254, "_gen_digits", lambda k: recoded.append(k) or digits(k))
+    _check_gen_add(any_params, block, [1024] * len(block))
+    _check_gen_add(any_params, pool(any_params) + block[:2], mixed)
+    _check_gen_add(any_params, lanes, [300] * len(lanes))
+    if group.name == "bn254":
+        # once per distinct scalar mod r in each call
+        assert sorted(recoded) == sorted([1024, 7, 1024, 2**253, r - 1, r - 7, 300])
 
 
 def test_gen_add_rejects_mismatched_lengths(any_params):
