@@ -1473,6 +1473,12 @@ def g1_row_from_bytes(data):
     return EncodedRow(encodings)
 
 
+def g1_row_decode(data):
+    # an E' row as read back: each component decoded now, square root and
+    # all, since decryption reads every one as a point
+    return [g1_from_bytes(data[k:k + G1_BYTES]) for k in range(0, len(data), G1_BYTES)]
+
+
 def g1_row_encodings(row):
     # a decoded row's stored encodings, or those of a row of points
     if type(row) is EncodedRow:

@@ -60,14 +60,15 @@ class CiphertextMatrix:
     """n x s lifted-ElGamal pairs plus the public key they were made under.
 
     Component rows hold raw backend values.  On toy each row is one
-    array('Q') (8 B per component).  On bn254 a row is a list of points,
-    except an E'' row read back by wire.decode_ciphertexts: that is a
-    bn254.EncodedRow, whose components were checked on decode and stay
-    encodings until one is read, when it is decoded once.  Both read like
-    lists: len, row[j] and iteration; the backend's g1_row_encodings turns
-    any row into its encodings.  ``prime_elem`` and ``dprime_elem`` wrap
-    single entries on demand.  A row of None models a block the holder
-    does not possess.
+    array('Q') (8 B per component), which wire.decode_ciphertexts reads
+    and the backend's g1_row_encodings writes a whole row at a time.  On
+    bn254 a row is a list of points, except an E'' row read back by
+    wire.decode_ciphertexts: that is a bn254.EncodedRow, whose components
+    were checked on decode and stay encodings until one is read, when it
+    is decoded once.  Both read like lists: len, row[j] and iteration;
+    the backend's g1_row_encodings turns any row into its encodings.
+    ``prime_elem`` and ``dprime_elem`` wrap single entries on demand.  A
+    row of None models a block the holder does not possess.
     """
 
     rows_prime: list
@@ -280,9 +281,11 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     one g1_gen_add that starts each walk at E' and adds -v*r - half times
     g1, giving g1^(m - half) affine for the lookup in the centred dlog
     table (half as in _baby_steps): the shift rides on the scalar, at no
-    point operation.  E'' is not read, so no E'' component of a decoded
-    matrix is decoded here; a wrong E' still fails the bounded dlog or
-    decrypts wrong."""
+    point operation.  Each chunk's lifted points are looked up in the
+    baby-step table in one pass; only a miss goes to _dlog, for its giant
+    steps (sectors wider than the table) or its DlogOutOfRange.  E'' is
+    not read, so no E'' component of a decoded matrix is decoded here; a
+    wrong E' still fails the bounded dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)
@@ -292,6 +295,9 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     sealed_r = _sealed_rows(group, enclave, s)
     neg_v = order - v
     half = 1 << (table[2] - 1)
+    # a hit at the first giant step is the answer: table values lie below
+    # 2^min(sector_bits, 16), so below 2^sector_bits
+    baby_get, key = table[0].get, group.g1_key
     rows = []
     for lo, hi in _batches(n, s):
         starts = []
@@ -300,9 +306,12 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
             starts += cts.rows_prime[i]
             exps += [neg_v * r - half for r in sealed_r(i)]
         lifted = group.g1_gen_add(starts, exps)
-        for off in range(0, len(lifted), s):
-            rows.append(sector_row(sector_bits, [
-                _dlog(group, table, pt, sector_bits) for pt in lifted[off:off + s]]))
+        values = list(map(baby_get, map(key, lifted)))
+        if None in values:
+            values = [_dlog(group, table, pt, sector_bits) if m is None else m
+                      for pt, m in zip(lifted, values)]
+        for off in range(0, len(values), s):
+            rows.append(sector_row(sector_bits, values[off:off + s]))
     return BlockMatrix(rows)
 
 

@@ -17,8 +17,11 @@ the scheme's equations: ``(h * u**m) ** w``.
 from __future__ import annotations
 
 import hashlib
+import struct
+import sys
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from .errors import DimensionMismatch, InvalidElement, UnknownDomain
@@ -31,6 +34,8 @@ DOMAIN_DELETE = b"sevdel/delete"    # owner-signed deletion requests
 HASH_DOMAINS = (DOMAIN_BLOCK, DOMAIN_VGEN, DOMAIN_DELETE)
 
 _ELEM_SCALAR_TAG = b"sevdel/elem-scalar:"
+
+_LITTLE_ENDIAN = sys.byteorder == "little"   # arrays hold native order; encodings are big-endian
 
 
 class _Elem:
@@ -164,14 +169,42 @@ class ToyBackend:
         return array("Q", raws)
 
     def g1_row_from_bytes(self, data):
-        w = self.g1_bytes
-        return array("Q", [self.g1_from_bytes(data[k:k + w]) for k in range(0, len(data), w)])
+        # the whole row at once: every tag byte in one slice, the tags cut
+        # out with one extended-slice delete, the values read as one array
+        count, rest = divmod(len(data), 9)
+        if rest:
+            raise InvalidElement("toy element encoding must be 9 bytes")
+        if data[0::9].count(0x11) != count:
+            raise InvalidElement("wrong toy group tag byte")
+        values = bytearray(data)
+        del values[0::9]
+        # array('Q', bytes) over-allocates; its copy is right-sized
+        row = array("Q", values)[:]
+        if _LITTLE_ENDIAN:
+            row.byteswap()
+        if max(row, default=0) >= self.order:
+            raise InvalidElement("toy element out of range")
+        return row
+
+    # both rows of a toy ciphertext are decoded whole
+    g1_row_decode = g1_row_from_bytes
 
     def g1_row_encodings(self, row):
-        return [self.g1_to_bytes(a) for a in row]
+        # one big-endian blob for the row, the tag bytes interleaved by
+        # slice assignment, cut into 9-byte encodings by a cached Struct
+        values = array("Q", row)
+        if _LITTLE_ENDIAN:
+            values.byteswap()
+        blob = values.tobytes()
+        count = len(values)
+        out = bytearray(9 * count)
+        out[0::9] = b"\x11" * count
+        for k in range(8):
+            out[k + 1::9] = blob[k::8]
+        return list(_cut_encodings(count)(out))
 
-    def g1_key(self, a):
-        return a
+    # an element is its own key; int keeps the dlog lookup at C level
+    g1_key = int
 
     def g1_gen_multiples(self, count):
         # (m, (m - half) * g1) for m in [0, count): the centred range, zipped
@@ -186,6 +219,12 @@ class ToyBackend:
 
     def pair(self, a, b):
         return a * b % self.order
+
+
+@lru_cache(maxsize=16)
+def _cut_encodings(count):
+    """unpack of count 9-byte strings, for toy rows of count components."""
+    return struct.Struct("9s" * count).unpack
 
 
 _TOY = ToyBackend()

@@ -566,8 +566,10 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     that a decoded E'' component pays instead), g1_hash of a fresh
     message, and a pairing of a hashed point with g2 (whose Miller lines
     are cached after the first call, as for every pairing in the
-    protocol); and, per row, the median of 3 calls of
-    g1_msm_rows over 16 shared hashed points and 32 rows of full-width
+    protocol); and, per component, the median of 15 calls of
+    g1_row_decode of a 64-component row (the E' row decoder) and of
+    g1_row_encodings of the row it decodes; and, per row, the median of 3
+    calls of g1_msm_rows over 16 shared hashed points and 32 rows of full-width
     scalars, the shape of ciphertext tagging at s = 8; and, per point, the
     median of 3 calls of g1_gen_add on 512 identity starts with full-width
     scalars, the shape of an encryption or decryption chunk; and the
@@ -589,6 +591,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     half = 1 << (table[2] - 1)
     lifted = backend.g1_gen_add(identities, [m - half for m in rng.scalars(512, 1 << 16)])
     encodings = [backend.g1_to_bytes(pt) for pt in points]
+    row_blob = b"".join(params.hash_to_g1(DOMAIN_VGEN, b"bench-row-%d" % k).to_bytes()
+                        for k in range(64))
+    row = backend.g1_row_decode(row_blob)
     g1, g2 = params.g1.raw, params.g2.raw
 
     def median_ms(fn, args):
@@ -604,6 +609,10 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
         "g1_mul_generator_ms": median_ms(backend.g1_pow, ((g1, k) for k in scalars)),
         "g1_from_bytes_ms": median_ms(backend.g1_from_bytes, ((e,) for e in encodings)),
         "g1_row_from_bytes_ms": median_ms(backend.g1_row_from_bytes, ((e,) for e in encodings)),
+        "g1_row_decode_ms": round(
+            median_ms(backend.g1_row_decode, [(row_blob,)] * calls) / 64, 6),
+        "g1_row_encodings_ms": round(
+            median_ms(backend.g1_row_encodings, [(row,)] * calls) / 64, 6),
         "g1_hash_ms": median_ms(backend.g1_hash, ((b"bench-hash-%d" % k,) for k in range(calls))),
         "pairing_ms": median_ms(backend.pair, ((pt, g2) for pt in points)),
         "g1_msm_rows_ms": round(

@@ -6,7 +6,8 @@ compressed form defined by the backend.  Every decoder re-validates the
 elements it returns (on-curve plus subgroup), so nothing deserialized can
 smuggle in a bad point.  On bn254 the E'' rows of a ciphertext matrix are
 validated without being decoded (a Jacobi symbol instead of a square
-root) and keep their encodings until a proof reads a component.  The one
+root) and keep their encodings until a proof reads a component; on toy
+each ciphertext row is decoded, and encoded, whole.  The one
 exception is the revealed ciphertext rows of an audit response, which are
 all such a response carries: they stay encodings, checked for length
 only, because the contract never uses them as points.  It hashes them,
@@ -110,8 +111,7 @@ def encode_ciphertexts(params: SystemParams, cts: CiphertextMatrix) -> bytes:
     encodings = group.g1_row_encodings
     for rows in (cts.rows_prime, cts.rows_dprime):
         for row in rows:
-            for e in encodings(row):
-                out += e
+            out += b"".join(encodings(row))
     return bytes(out)
 
 
@@ -120,10 +120,13 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
     a V that is the identity (E' would then carry g1^m in the clear) and
     any component that is not a valid element encoding.
 
-    V and every E' are decoded, since decryption reads E' as points.  The
-    E'' rows are the backend's g1_row_from_bytes: on bn254 each component
-    is checked without a square root and kept as its encoding, decoded
-    only where a proof reads it; on toy the row is decoded.
+    V and every E' are decoded, since decryption reads E' as points: each
+    E' row is one call of the backend's g1_row_decode, which on bn254
+    decodes component by component (a square root each, no Jacobi check
+    on top) and on toy decodes the whole row at once.  The E'' rows are
+    the backend's g1_row_from_bytes: on bn254 each component is checked
+    without a square root and kept as its encoding, decoded only where a
+    proof reads it; on toy it is the same whole-row decoder as for E'.
     """
     if len(data) < 18 or data[:16] != CIPHERTEXT_MAGIC:
         raise InvalidElement("bad ciphertext file magic")
@@ -149,11 +152,10 @@ def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:
         raise InvalidElement("ciphertext public key V is the identity")
     off += width
     group = params.group
-    from_bytes, g1_row, row_from_bytes = group.g1_from_bytes, group.g1_row, group.g1_row_from_bytes
+    row_decode, row_from_bytes = group.g1_row_decode, group.g1_row_from_bytes
     row_bytes = s * width
     dprime_at = off + n * row_bytes
-    rows_prime = [g1_row([from_bytes(data[k:k + width]) for k in range(r, r + row_bytes, width)])
-                  for r in range(off, dprime_at, row_bytes)]
+    rows_prime = [row_decode(data[r:r + row_bytes]) for r in range(off, dprime_at, row_bytes)]
     rows_dprime = [row_from_bytes(data[r:r + row_bytes])
                    for r in range(dprime_at, len(data), row_bytes)]
     return CiphertextMatrix(rows_prime=rows_prime, rows_dprime=rows_dprime,

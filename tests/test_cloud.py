@@ -179,6 +179,40 @@ def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
             cloud.decrypt_file(params, enclave, tampered)
 
 
+def test_decrypt_file_calls_dlog_only_on_a_table_miss(monkeypatch):
+    # each chunk is looked up in the baby-step table in one pass: a 16-bit
+    # file never reaches _dlog, a 32-bit one reaches it for each sector at
+    # or above 2^16 (its giant steps), and one corrupted E' in the second of
+    # a 16-bit file's three chunks reaches it for that sector alone
+    misses = []
+    real = cloud._dlog
+
+    def counting(group, table, raw, bits):
+        misses.append(raw)
+        return real(group, table, raw, bits)
+
+    monkeypatch.setattr(cloud, "_dlog", counting)
+    params16 = setup("toy", 16)
+    _, data, manifest, _, _, enclave, cts, _ = _setup_file(params16, size=3000, s=8)
+    assert codec.join(manifest, cloud.decrypt_file(params16, enclave, cts)) == data
+    assert misses == []
+    values = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 0xDEADBEEF, 7, (1 << 16) + 1]
+    data32 = b"".join(m.to_bytes(4, "little") for m in values)
+    params32 = setup("toy", 32)
+    manifest, blocks = codec.split(data32, 4, 32)
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    cts, _ = cloud.encrypt_file(params32, enclave, manifest, blocks, SeededRng(b"miss-32"))
+    assert codec.join(manifest, cloud.decrypt_file(params32, enclave, cts)) == data32
+    assert len(misses) == sum(m >= 1 << 16 for m in values) == 4
+    del misses[:]
+    _, _, _, _, _, enclave, cts, _ = _setup_file(params16, size=3000, s=8)
+    tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
+    tampered.rows_prime[100][7] = params16.group.g1_op(tampered.rows_prime[100][7], 1 << 40)
+    with pytest.raises(DlogOutOfRange):
+        cloud.decrypt_file(params16, enclave, tampered)
+    assert len(misses) == 1
+
+
 def test_decrypt_file_refuses_another_files_matrix(toy_params):
     _, _, _, _, _, enclave, _, _ = _setup_file(toy_params, size=96, s=2)
     _, _, _, _, _, _, other, _ = _setup_file(toy_params, size=96, s=3, seed=b"other")

@@ -500,7 +500,8 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
         "proof_gen", "proof_verify", "audit_respond", "audit_verify", "proof_size_bytes",
         "audit_response_size_bytes"]
     assert set(report["layers"]) == {"g1_mul_variable_base_ms", "g1_mul_generator_ms",
-                                     "g1_from_bytes_ms", "g1_row_from_bytes_ms", "g1_hash_ms",
+                                     "g1_from_bytes_ms", "g1_row_from_bytes_ms",
+                                     "g1_row_decode_ms", "g1_row_encodings_ms", "g1_hash_ms",
                                      "pairing_ms", "g1_msm_rows_ms", "g1_gen_add_ms",
                                      "dlog_table_ms", "dlog_lookup_ms"}
     assert all(ms > 0 for ms in report["layers"].values())

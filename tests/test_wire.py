@@ -650,3 +650,52 @@ def test_identity_public_key_is_refused_on_decode(any_artifacts):
     assert blob[v_at:v_at + width] == cts.v_pub.to_bytes()
     with pytest.raises(InvalidElement, match="identity"):
         wire.decode_ciphertexts(params, blob[:v_at] + identity + blob[v_at + width:])
+
+
+# -- toy rows: decoded and encoded whole, as the per-component codec would ----------
+
+_TOY_EDGES = [0, 1, groups.ToyBackend.order - 1, groups.ToyBackend.order, 2 ** 64 - 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_toy_row_codec_agrees_with_the_component_codec(data):
+    import sys
+    from array import array
+    toy = groups.get_backend("toy")
+    values = data.draw(st.lists(st.one_of(st.sampled_from(_TOY_EDGES),
+                                          st.integers(0, 2 ** 64 - 1)), max_size=12))
+    encodings = toy.g1_row_encodings(values)
+    assert encodings == [toy.g1_to_bytes(a) for a in values]
+    assert all(type(e) is bytes for e in encodings)
+    blob = bytearray(b"".join(encodings))
+    kind = data.draw(st.sampled_from(["none", "tag", "value", "byte", "length"]))
+    if kind == "tag" and values:
+        k = data.draw(st.integers(0, len(values) - 1))      # the last tag included
+        blob[9 * k] = data.draw(st.integers(0, 255).filter(lambda b: b != 0x11))
+    elif kind == "value" and values:
+        k = data.draw(st.integers(0, len(values) - 1))
+        blob[9 * k + 1:9 * k + 9] = data.draw(st.sampled_from(_TOY_EDGES)).to_bytes(8, "big")
+    elif kind == "byte" and values:
+        k = data.draw(st.integers(0, len(blob) - 1))
+        blob[k] ^= data.draw(st.integers(1, 255))
+    elif kind == "length":
+        # 9k + 1 or 9k - 1 bytes: a byte added or cut, anywhere
+        k = data.draw(st.integers(0, len(blob)))
+        if data.draw(st.booleans()) or not blob:
+            blob[k:k] = bytes([data.draw(st.integers(0, 255))])
+        else:
+            del blob[min(k, len(blob) - 1)]
+    blob = bytes(blob)
+    try:
+        expected = [toy.g1_from_bytes(blob[k:k + 9]) for k in range(0, len(blob), 9)]
+    except InvalidElement:
+        with pytest.raises(InvalidElement):
+            toy.g1_row_from_bytes(blob)
+        return
+    row = toy.g1_row_from_bytes(blob)
+    assert type(row) is array and row.typecode == "Q" and list(row) == expected
+    assert sys.getsizeof(row) == sys.getsizeof(array("Q", expected))    # right-sized
+    assert toy.g1_row_decode == toy.g1_row_from_bytes       # E' and E'' rows alike
+    assert toy.g1_row_encodings(row) == [toy.g1_to_bytes(a) for a in row]
+    assert b"".join(toy.g1_row_encodings(row)) == blob
