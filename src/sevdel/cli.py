@@ -1,12 +1,13 @@
 """Command-line harness.
 
-``run-scenario`` executes a declarative scenario file and writes its
-JSONL transcript; ``verify``, ``delete`` and ``audit`` are preset
-scenarios over a supplied or seeded file.  ``setup``/``outsource``/
-``encrypt`` materialize protocol artifacts on disk.  Note that an
-encryption key lives only inside its in-process enclave -- by design it
-does not survive the invocation, so decryption and proving happen inside
-composite runs, never across separate processes.
+``setup``/``outsource``/``encrypt`` materialize protocol artifacts on
+disk.  ``run-scenario`` is the one command that runs a flow --
+encryption verification, deletion, a leak audit -- from a declarative
+scenario file over seeded bytes or a file it names, and writes its
+JSONL transcript; ``bench`` measures the phases.  An encryption key
+lives only inside its in-process enclave -- by design it does not
+survive the invocation, so decryption and proving happen inside one
+scenario run, never across separate processes.
 """
 
 from __future__ import annotations
@@ -62,12 +63,18 @@ def main():
 
 
 def _write(out: Path, name: str, data) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
+    """Write data (bytes or text) to out/name, making out if need be.
+    Raises MalformedProof for a path that cannot be written (out names a
+    file, a NUL in the path, no permission)."""
     path = out / name
-    if isinstance(data, bytes):
-        path.write_bytes(data)
-    else:
-        path.write_text(data)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+    except (OSError, ValueError) as exc:
+        raise MalformedProof(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -212,50 +219,12 @@ def encrypt(seed, out):
                f"{enclave.enclave_id}")
 
 
-def _preset(name: str, seed: int, group: str, sectors: int, sector_bits: str,
-            challenge_count: int, file_path: Path | None, file_size: int = 4096) -> Scenario:
-    base = {
-        "seed": seed,
-        "group": group,
-        "sectors_per_block": sectors,
-        "sector_bits": int(sector_bits),
-        "challenge_count": challenge_count,
-        "file_size": file_size,
-        "file_path": str(file_path) if file_path else None,
-    }
-    common = [
-        {"time": 0, "action": "setup"},
-        {"time": 1, "action": "service"},
-        {"time": 2, "action": "outsource"},
-        {"time": 3, "action": "encrypt"},
-        {"time": 4, "action": "register_tags"},
-        {"time": 12, "action": "agree"},
-        {"time": 20, "action": "claim"},
-    ]
-    if name == "verify":
-        return Scenario(name="cli-verify", timeline=common + [
-            {"time": 21, "action": "verify_encryption"},
-            {"time": 22, "action": "decrypt_roundtrip"},
-            {"time": 30, "action": "refund"},
-        ], expect={"verify": "accept", "roundtrip": "match"}, **base)
-    if name == "delete":
-        return Scenario(name="cli-delete", timeline=common + [
-            {"time": 21, "action": "verify_encryption"},
-            {"time": 25, "action": "delete"},
-            {"time": 26, "action": "decrypt_roundtrip"},
-            {"time": 30, "action": "refund"},
-        ], expect={"verify": "accept", "delete": "ok",
-                   "roundtrip": "enclave-destroyed"}, **base)
-    if name == "audit":
-        return Scenario(name="cli-audit", timeline=common + [
-            {"time": 25, "action": "audit"},
-            {"time": 30, "action": "penalty"},
-        ], faults=[{"type": "leak-ciphertexts"}],
-            expect={"audit": "accept", "final_state": "ABORTED"}, **base)
-    raise ValueError(name)
-
-
-def _run_and_report(sc: Scenario, out: Path) -> None:
+@main.command(name="run-scenario")
+@click.argument("scenario_file", type=click.Path(exists=True, path_type=Path))
+@_out_opt
+def run_scenario_cmd(scenario_file, out):
+    """Execute a declarative scenario file; exit 0 iff expectations hold."""
+    sc = _load(scenario_file, Scenario.from_json)
     transcript = run_scenario(sc)
     path = _write(out, f"transcript-{sc.name}.jsonl", transcript.to_text())
     for key, value in sorted(transcript.verdicts.items()):
@@ -266,35 +235,6 @@ def _run_and_report(sc: Scenario, out: Path) -> None:
             click.echo(f"FAILED: {failure}", err=True)
         sys.exit(1)
     click.echo("ok")
-
-
-def _composite(name):
-    @click.option("--file", "file_path", type=click.Path(exists=True, path_type=Path),
-                  default=None, help="Use this file instead of seeded bytes.")
-    @_group_opt
-    @_sectors_opt
-    @_bits_opt
-    @_count_opt
-    @_seed_opt
-    @_out_opt
-    def cmd(file_path, group, sectors, sector_bits, challenge_count, seed, out):
-        sc = _preset(name, seed, group, sectors, sector_bits, challenge_count, file_path)
-        _run_and_report(sc, out)
-    cmd.__name__ = name
-    return cmd
-
-
-main.command(name="verify", help="End-to-end encryption verification over one file.")(_composite("verify"))
-main.command(name="delete", help="Owner-signed deletion with post-delete failure demo.")(_composite("delete"))
-main.command(name="audit", help="Leakage audit against the contract; executes the penalty.")(_composite("audit"))
-
-
-@main.command(name="run-scenario")
-@click.argument("scenario_file", type=click.Path(exists=True, path_type=Path))
-@_out_opt
-def run_scenario_cmd(scenario_file, out):
-    """Execute a declarative scenario file; exit 0 iff expectations hold."""
-    _run_and_report(_load(scenario_file, Scenario.from_json), out)
 
 
 def _parse_sizes(ctx, param, value):

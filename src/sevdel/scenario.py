@@ -106,7 +106,9 @@ class Scenario:
     def validate(self) -> None:
         """Raise ScenarioError unless every field has its type and range,
         so that a scenario which validates can be set up and run."""
-        _require(_is_text(self.name), "name must be a string")
+        # the name becomes part of the transcript's file name
+        _require(_is_text(self.name) and not any(c in self.name for c in "/\\\0"),
+                 "name must be a string without '/', '\\' or NUL")
         for name, least in _INTS.items():
             _require(_is_int(getattr(self, name), least), f"{name} must be an integer >= {least}")
         _require(self.seed >> 128 == 0, "seed must be below 2^128")

@@ -92,6 +92,10 @@ def test_scenario_validation_errors():
             "name": "x", "seed": 1,
             "timeline": [{"time": 5, "action": "setup"},
                          {"time": 1, "action": "service"}]}))
+    # the name is part of the transcript's file name
+    for name in ("a/b", "./", "a\\b", "x\u0000y"):
+        with pytest.raises(ScenarioError, match="name"):
+            Scenario.from_json(_with(name=name))
 
 
 HONEST = (SCENARIO_DIR / "honest.json").read_text()
@@ -236,6 +240,37 @@ def test_cli_run_scenario_exit_codes(tmp_path):
     invalid.write_text("{}")
     res = runner.invoke(main, ["run-scenario", str(invalid), "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+    # a name with a path separator is refused before the first step, even
+    # where the directory it points into exists
+    out = tmp_path / "named"
+    (out / "a").mkdir(parents=True)
+    slashed = tmp_path / "slashed.json"
+    slashed.write_text(_with(name="a/b"))
+    res = runner.invoke(main, ["run-scenario", str(slashed), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert [p.name for p in out.rglob("*")] == ["a"]
+
+
+_WRITE_COMMANDS = {   # name: command line, before --out
+    "setup": ["setup", "--group", "toy"],
+    "run-scenario": ["run-scenario", str(SCENARIO_DIR / "honest.json")],
+    "bench": ["bench", "--group", "toy", "--sizes", "64", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITE_COMMANDS))
+def test_cli_unwritable_out_fails_cleanly(tmp_path, command):
+    # an --out that names an existing file is one error line and exit
+    # code 2, not a traceback with exit code 1, the code of a failed expectation
+    out = tmp_path / "file"
+    out.write_bytes(b"")
+    res = CliRunner().invoke(main, _WRITE_COMMANDS[command] + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert out.read_bytes() == b""
 
 
 UNREADABLE_INPUTS = {   # name: (command line up to the input's path, what to put there)
@@ -405,9 +440,6 @@ BAD_OPTIONS = {   # name: command line, before --out
     "outsource-sectors-0": ["outsource", "--sectors", "0"],
     "setup-seed-negative": ["setup", "--group", "toy", "--seed", "-1"],
     "setup-seed-2^128": ["setup", "--group", "toy", "--seed", str(2 ** 128)],
-    "verify-sectors-0": ["verify", "--group", "toy", "--sectors", "0"],
-    "delete-challenge-count-0": ["delete", "--group", "toy", "--challenge-count", "0"],
-    "audit-seed-negative": ["audit", "--group", "toy", "--seed", "-1"],
 }
 
 
@@ -425,21 +457,26 @@ def test_cli_bad_options_fail_cleanly(tmp_path, case):
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
 
 
-def test_cli_composite_verbs(tmp_path):
-    runner = CliRunner()
-    for verb in ("verify", "delete", "audit"):
-        res = runner.invoke(main, [verb, "--group", "toy", "--out", str(tmp_path)])
-        assert res.exit_code == 0, (verb, res.output)
-
-
 def test_cli_verify_real_file(tmp_path):
-    runner = CliRunner()
+    # encryption verification and a decryption round-trip over bytes read
+    # from disk: the honest run with file_path naming the file
     target = tmp_path / "target.bin"
     target.write_bytes(b"the bytes that must survive" * 10)
-    res = runner.invoke(main, ["verify", "--group", "toy", "--file", str(target),
-                               "--out", str(tmp_path)])
+    scenario = tmp_path / "real-file.json"
+    scenario.write_text(_with(file_path=str(target)))
+    res = CliRunner().invoke(main, ["run-scenario", str(scenario), "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
+    assert "verify: accept" in res.output
     assert "roundtrip: match" in res.output
+    transcript = (tmp_path / "transcript-honest.jsonl").read_text()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() in transcript
+
+
+def test_readme_cli_block_names_registered_commands():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    commands = [line.split()[1] for line in block.splitlines() if line.startswith("sevdel ")]
+    assert commands and set(commands) <= set(main.commands), commands
 
 
 # -- bench -------------------------------------------------------------------------
