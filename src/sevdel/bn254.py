@@ -40,9 +40,11 @@ the generator use a fixed-base table, every other term runs in one
 interleaved width-w NAF (Straus) per row, where the GLV endomorphism
 phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
 than 128 bits.  g1_gen_add walks the generator table for many scalars in
-lockstep, one shared inversion per table row; g1_gen_multiples, the dlog's
+lockstep, one shared inversion per table row; g1_dlog_table, the dlog's
 baby steps centred on the identity, is blocks of such walks over the
-positive half, one inversion per block, and y-negations for the other half.
+positive half, one inversion per block, keyed on x alone: one entry per
++- pair, 2^15 for a 16-bit table, signed by the parity of y.
+g1_dlog_lookup reads a point's x and flips that sign by its own y-parity.
 The GLV, Frobenius and psi constants and the loop digits are checked at
 import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
 kept as the tests' references.
@@ -931,26 +933,47 @@ def g1_msm_rows(shared, rows):
 _MULTIPLES_BLOCK = 1024     # 4 * 256, a single base-256 digit
 
 
-def g1_gen_multiples(count):
-    """(m, (m - half) * G_GEN) for m in [0, count), half = count // 2, in
-    no fixed order: the range centred on the identity, affine.
+def g1_dlog_table(bits):
+    """The baby steps of a bounded dlog over m in [0, 2^bits), centred on
+    the identity (m - half) * G_GEN, half = 2^(bits - 1): {x: s}, one
+    entry per +- pair, for k in [1, half], where s = +k when y(k * G_GEN)
+    is even and -k when it is odd, so s * G_GEN is the twin with even y
+    (the negation map of Bernstein and Lange, INDOCRYPT 2012).
 
     Only k * G_GEN for k in [0, half] is walked, one block of 1024 at a
     time: block 0 is one g1_gen_add from the identity, each later block
     the one before plus 1024 * G_GEN, one addition per point and one
-    inversion per block.  -k * G_GEN is its twin with y negated, free
-    (the negation map of Bernstein and Lange, INDOCRYPT 2012)."""
-    half = count // 2
+    inversion per block; the identity, k = 0, gets no entry."""
+    half = 1 << (bits - 1)
+    table = {}
     block = None
     for start in range(0, half + 1, _MULTIPLES_BLOCK):
         size = min(half + 1 - start, _MULTIPLES_BLOCK)
         block = (g1_gen_add(block[:size], [_MULTIPLES_BLOCK] * size) if start
                  else g1_gen_add([None] * size, range(size)))
         for k, pt in enumerate(block, start):
-            if half + k < count:
-                yield half + k, pt
             if k:
-                yield half - k, (pt[0], P - pt[1])
+                table[pt[0]] = -k if pt[1] & 1 else k
+    return table
+
+
+def g1_dlog_lookup(table, points):
+    """[m or None] for affine-or-None points (m - half) * G_GEN, against a
+    g1_dlog_table, which holds half entries: x(L) gives +-k, the sign
+    flipped when y(L) is odd.  The identity is half; +half * G_GEN, which
+    would be m = 2^bits, is a miss, as is every point off the table."""
+    half = len(table)
+    get = table.get
+    out = []
+    for pt in points:
+        if pt is None:
+            out.append(half)
+            continue
+        d = get(pt[0])
+        if d is not None and pt[1] & 1:
+            d = -d
+        out.append(None if d is None or d == half else half + d)
+    return out
 
 
 def g1_to_bytes(pt):
@@ -1484,11 +1507,6 @@ def g1_row_encodings(row):
     if type(row) is EncodedRow:
         return row.encodings
     return [g1_to_bytes(pt) for pt in row]
-
-
-def g1_key(a):
-    # 2x plus the parity of y names a point; no point maps to -1
-    return -1 if a is None else 2 * a[0] + (a[1] & 1)
 
 
 def g2_pow(a, k):

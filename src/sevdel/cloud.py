@@ -195,40 +195,35 @@ def encrypt_file(
 _dlog_tables: dict = {}
 
 
-def _baby_steps(group, baby_bits: int) -> dict:
-    """{g1_key(g1^(m - half)): m} for m below 2^baby_bits, half =
-    2^(baby_bits - 1): the table is centred on the identity, so a lookup
-    reads a point shifted by g1^-half.  From the backend's
-    g1_gen_multiples: on bn254 blocks of 1024 lockstep generator walks
-    over the 2^(baby_bits - 1) + 1 multiples k * g1 with k in [0, half],
-    one inversion per block, each -k * g1 a free y-negation of its twin."""
-    key = group.g1_key
-    return {key(pt): m for m, pt in group.g1_gen_multiples(1 << baby_bits)}
-
-
 def _dlog_table(group, bits: int):
-    """Baby steps for m below 2^min(bits, 16), centred as in _baby_steps,
-    the giant stride g1^-(2^baby_bits), and baby_bits; built once per group
-    and width.  _dlog of g1^(x - half) is x."""
+    """Baby steps for m below 2^baby_bits, baby_bits = min(bits, 16), the
+    giant stride g1^-(2^baby_bits), and baby_bits; built once per group
+    and width.  The baby steps are the backend's g1_dlog_table, centred on
+    the identity: its g1_dlog_lookup of g1^(m - half), half =
+    2^(baby_bits - 1), is m, so a lookup reads a point shifted by
+    g1^-half.  On toy it is a dict of all 2^baby_bits points; on bn254 it
+    holds one entry per +- pair, keyed on x, 2^15 entries (about 4 MiB)
+    for the 16-bit table that decryption keeps resident.  _dlog of
+    g1^(x - half) is x."""
     baby_bits = min(bits, _BSGS_BABY_MAX_BITS)
     cache_key = (group.name, baby_bits)
     table = _dlog_tables.get(cache_key)
     if table is None:
         stride = group.g1_pow(group.g1_gen, -(1 << baby_bits))
-        table = (_baby_steps(group, baby_bits), stride, baby_bits)
+        table = (group.g1_dlog_table(baby_bits), stride, baby_bits)
         _dlog_tables[cache_key] = table
     return table
 
 
 def _dlog(group, table, raw, bits: int) -> int:
     """The x in [0, 2^bits) with raw = g1^(x - half), half as in
-    _baby_steps, by baby-step/giant-step; DlogOutOfRange on miss."""
+    _dlog_table, by baby-step/giant-step; DlogOutOfRange on miss."""
     baby, stride, baby_bits = table
     giant_steps = 1 << max(bits - baby_bits, 0)
     cur = raw
-    key, op = group.g1_key, group.g1_op
+    lookup, op = group.g1_dlog_lookup, group.g1_op
     for t in range(giant_steps):
-        k = baby.get(key(cur))
+        k = lookup(baby, (cur,))[0]
         if k is not None:
             val = (t << baby_bits) + k
             if val < (1 << bits):
@@ -280,12 +275,14 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     g1^m = E' * g1^(-v*r).  Each chunk of about _BATCH_SECTORS sectors is
     one g1_gen_add that starts each walk at E' and adds -v*r - half times
     g1, giving g1^(m - half) affine for the lookup in the centred dlog
-    table (half as in _baby_steps): the shift rides on the scalar, at no
+    table (half as in _dlog_table): the shift rides on the scalar, at no
     point operation.  Each chunk's lifted points are looked up in the
-    baby-step table in one pass; only a miss goes to _dlog, for its giant
-    steps (sectors wider than the table) or its DlogOutOfRange.  E'' is
-    not read, so no E'' component of a decoded matrix is decoded here; a
-    wrong E' still fails the bounded dlog or decrypts wrong."""
+    baby-step table in one g1_dlog_lookup (on toy one C-level map over a
+    dict, on bn254 a read of each point's x and y-parity); only a miss
+    goes to _dlog, for its giant steps (sectors wider than the table) or
+    its DlogOutOfRange.  E'' is not read, so no E'' component of a
+    decoded matrix is decoded here; a wrong E' still fails the bounded
+    dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)
@@ -297,7 +294,7 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     half = 1 << (table[2] - 1)
     # a hit at the first giant step is the answer: table values lie below
     # 2^min(sector_bits, 16), so below 2^sector_bits
-    baby_get, key = table[0].get, group.g1_key
+    baby, lookup = table[0], group.g1_dlog_lookup
     rows = []
     for lo, hi in _batches(n, s):
         starts = []
@@ -306,7 +303,7 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
             starts += cts.rows_prime[i]
             exps += [neg_v * r - half for r in sealed_r(i)]
         lifted = group.g1_gen_add(starts, exps)
-        values = list(map(baby_get, map(key, lifted)))
+        values = lookup(baby, lifted)
         if None in values:
             values = [_dlog(group, table, pt, sector_bits) if m is None else m
                       for pt, m in zip(lifted, values)]

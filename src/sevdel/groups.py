@@ -203,15 +203,18 @@ class ToyBackend:
             out[k + 1::9] = blob[k::8]
         return list(_cut_encodings(count)(out))
 
-    # an element is its own key; int keeps the dlog lookup at C level
-    g1_key = int
-
-    def g1_gen_multiples(self, count):
-        # (m, (m - half) * g1) for m in [0, count): the centred range, zipped
-        # at C level, since g1 = 1 makes each point its own exponent
+    def g1_dlog_table(self, bits):
+        # {(m - half) * g1: m} for m in [0, 2^bits), half = 2^(bits - 1):
+        # the centred range, zipped at C level, since g1 = 1 makes each
+        # point its own exponent and its own key
+        count = 1 << bits
         half = count // 2
-        return zip(range(count), chain(range(self.order - half, self.order),
-                                       range(count - half)))
+        return dict(zip(chain(range(self.order - half, self.order), range(half)),
+                        range(count)))
+
+    def g1_dlog_lookup(self, table, points):
+        # one C-level pass: a point is its own key
+        return list(map(table.get, points))
 
     def g1_hash(self, data):
         h = hashlib.sha256(b"sevdel/toy-h2c:" + data).digest()

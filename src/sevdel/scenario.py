@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import platform
+import sys
 import time as _time
 from dataclasses import dataclass, field
 
@@ -560,6 +561,12 @@ def bench_csv(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _deep_size(table: dict) -> int:
+    """sys.getsizeof of a dict plus that of each of its keys and values."""
+    return (sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+            + sum(map(sys.getsizeof, table.values())))
+
+
 def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     """Median ms over 15 calls of the primitives under the phases, each
     through the backend: a full-width g1_mul of a hashed point (variable
@@ -575,10 +582,11 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     scalars, the shape of ciphertext tagging at s = 8; and, per point, the
     median of 3 calls of g1_gen_add on 512 identity starts with full-width
     scalars, the shape of an encryption or decryption chunk; and the
-    median of 3 uncached builds of the bounded dlog's 2^16-entry
-    baby-step dict, the bulk of a bn254 set-up; and the median of 512
-    16-bit dlog lookups, each of a point lifted as decryption lifts it,
-    with the table prebuilt."""
+    median of 3 uncached builds of the bounded dlog's 16-bit baby-step
+    table, the bulk of a bn254 set-up, and in MiB the deep size of one
+    more: the table's own size plus that of its keys and values; and the
+    median of 512 16-bit dlog lookups, each of a point lifted as
+    decryption lifts it, with the table prebuilt."""
     calls = 15
     params = setup(group, 16)
     backend = params.group
@@ -621,8 +629,10 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
             median_ms(backend.g1_msm_rows, ((shared, rows) for rows in batches)) / 32, 6),
         "g1_gen_add_ms": round(
             median_ms(backend.g1_gen_add, ((identities, ks) for ks in walks)) / 512, 6),
-        "dlog_table_ms": median_ms(cloud._baby_steps,
-                                   [(backend, cloud._BSGS_BABY_MAX_BITS)] * 3),
+        "dlog_table_ms": median_ms(backend.g1_dlog_table,
+                                   [(cloud._BSGS_BABY_MAX_BITS,)] * 3),
+        "dlog_table_mib": round(_deep_size(
+            backend.g1_dlog_table(cloud._BSGS_BABY_MAX_BITS)) / 2**20, 6),
         "dlog_lookup_ms": median_ms(cloud._dlog, ((backend, table, pt, 16) for pt in lifted)),
     }
 

@@ -18,6 +18,7 @@ equation.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 
@@ -98,21 +99,25 @@ def decode_blocks(data: bytes) -> BlockMatrix:
 
 def encode_ciphertexts(params: SystemParams, cts: CiphertextMatrix) -> bytes:
     """The header's n x s and every row of both components; MissingBlock
-    or DimensionMismatch for a matrix whose rows disagree with it."""
+    or DimensionMismatch for a matrix whose rows disagree with it.
+
+    The rows go into a BytesIO, whose getvalue() hands over its own buffer
+    when nothing else holds it, so the encoded matrix is held once and
+    not copied at the end."""
     cts.check_dims(cts.n, cts.s)
     group = params.group
     name = group.name.encode()
-    out = bytearray()
-    out += CIPHERTEXT_MAGIC
-    out += bytes([WIRE_VERSION, len(name)])
-    out += name
-    out += struct.pack(">II", cts.n, cts.s)
-    out += cts.v_pub.to_bytes()
+    out = io.BytesIO()
+    out.write(CIPHERTEXT_MAGIC)
+    out.write(bytes([WIRE_VERSION, len(name)]))
+    out.write(name)
+    out.write(struct.pack(">II", cts.n, cts.s))
+    out.write(cts.v_pub.to_bytes())
     encodings = group.g1_row_encodings
     for rows in (cts.rows_prime, cts.rows_dprime):
         for row in rows:
-            out += b"".join(encodings(row))
-    return bytes(out)
+            out.write(b"".join(encodings(row)))
+    return out.getvalue()
 
 
 def decode_ciphertexts(params: SystemParams, data: bytes) -> CiphertextMatrix:

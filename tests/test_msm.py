@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sevdel import bn254, cloud, codec, owner, wire
 from sevdel.enclave import EnclaveRegistry
 from sevdel.errors import DimensionMismatch, InvalidElement
-from sevdel.groups import setup, vgen_points
+from sevdel.groups import DOMAIN_BLOCK, setup, vgen_points
 from sevdel.rng import Rng, SeededRng
 
 
@@ -388,24 +388,37 @@ def _centred_running_sum(group, count):
     return running
 
 
-def test_generator_multiples_are_a_running_sum(any_params):
-    # every m in [0, count) comes exactly once, paired with (m - half) * g1;
-    # bn254 walks the half + 1 points k * g1, k in [0, half], in blocks of
-    # 1024: past the tiny counts, one block short (1023 points), one full
-    # block, one and two past it, and a short third block (2050 points);
-    # odd counts end on a positive point
-    group = any_params.group
-    running = _centred_running_sum(group, 4 * 1024 + 4)
-    for count in (0, 1, 2, 3, 2 * 1023 - 1, 2 * 1023, 2 * 1024, 2 * 1025, 4 * 1024 + 3):
-        pairs = list(group.g1_gen_multiples(count))
-        assert sorted(m for m, _ in pairs) == list(range(count)), count
-        shift = len(running) // 2 - count // 2
-        assert dict(pairs) == {m: running[shift + m] for m in range(count)}, count
+def _lookup_window(params, bits, running):
+    # lookups of (m - half) * g1 for m in [-1, 2^bits], taken from running,
+    # a centred running sum wider than the window, and of a hashed point
+    group = params.group
+    half = 1 << (bits - 1)
+    centre = len(running) // 2
+    points = running[centre - half - 1:centre + half + 1]
+    points.append(params.hash_to_g1(DOMAIN_BLOCK, b"dlog-miss").raw)
+    return group.g1_dlog_lookup(group.g1_dlog_table(bits), points)
+
+
+def test_generator_multiples_are_a_running_sum(any_params, monkeypatch):
+    # every m in [0, 2^bits) comes back from a lookup of (m - half) * g1,
+    # and -(half + 1) * g1, +half * g1 and a hashed point miss; bn254 walks
+    # the half + 1 points k * g1, k in [0, half], in blocks, shrunk here so
+    # the walk ends on a short block (blocks of 3: 5 = 3 + 2 points), a full
+    # one (blocks of 3: 9 = 3 * 3) and a lone point (blocks of 4: 9 = 4 + 4 + 1)
+    running = _centred_running_sum(any_params.group, 2 * 64 + 2)
+    for block in (3, 4, 1024):
+        monkeypatch.setattr(bn254, "_MULTIPLES_BLOCK", block)
+        for bits in range(1, 8):
+            assert _lookup_window(any_params, bits, running) == [
+                None, *range(1 << bits), None, None], (block, bits)
 
 
 def test_full_bn254_baby_step_table(monkeypatch):
-    # the table decryption reads: 2^16 distinct keys, each naming its own
-    # centred multiple, from a walk of 2^15 + 1 points in 33 blocks
+    # the table decryption reads: 2^15 entries, one per +- pair, from a
+    # walk of 2^15 + 1 points in 33 blocks, and every m below 2^16 comes
+    # back from a lookup of its own centred multiple; the identity at the
+    # centre is half, and -(half + 1) * g1, +half * g1 and a hashed point,
+    # just past either end and off the range, miss
     walked = []
     gen_add = bn254.g1_gen_add
 
@@ -414,36 +427,66 @@ def test_full_bn254_baby_step_table(monkeypatch):
         return gen_add(points, scalars)
 
     monkeypatch.setattr(bn254, "g1_gen_add", counting)
-    pairs = list(bn254.g1_gen_multiples(1 << 16))
+    table = bn254.g1_dlog_table(16)
     monkeypatch.undo()
     assert walked == [1024] * 32 + [1]
     half = 1 << 15
-    points = dict(pairs)
-    assert sorted(points) == list(range(1 << 16))
-    # block edges on both sides of the centre; -half is the one lone
-    # negation, 2048 - half lands on the walk's one doubling lane
-    for k in (-half, -1025, -1024, -1023, -1, 0, 1, 1023, 1024, 1025, 2048, half - 1):
-        assert points[k + half] == _bn254_mul(bn254.G1_GEN, k), k
-    keys = [bn254.g1_key(pt) for _, pt in pairs]
-    assert len(set(keys)) == 1 << 16
+    assert len(table) == half
     baby, _, baby_bits = cloud._dlog_table(bn254, 16)
     assert baby_bits == 16
-    running = _centred_running_sum(bn254, 1 << 16)
-    assert baby == {bn254.g1_key(pt): m for m, pt in enumerate(running)}
+    assert baby == table
+    params = setup("bn254", 16)
+    running = _centred_running_sum(bn254, (1 << 16) + 2)
+    assert running[half + 1] is None
+    assert _lookup_window(params, 16, running) == [None, *range(1 << 16), None, None]
 
 
 def test_dlog_keys_are_distinct_with_the_identity_at_the_centre(any_params):
+    # the identity is the centre, half; a multiple d * g1 and its negation,
+    # which on bn254 share one entry, come back as half + d and half - d;
+    # on bn254 each of the half entries is a +- pair keyed on x, its value
+    # the signed k whose multiple has even y
     group = any_params.group
-    pairs = dict(group.g1_gen_multiples(4096))
-    keys = [group.g1_key(pairs[m]) for m in range(4096)]
-    assert len(set(keys)) == len(keys)
-    # a point and its negation, which the table stores side by side, differ
+    mul = _reference_mul(group)
+    gen = group.g1_gen
+    half = 1 << 11
+    table = group.g1_dlog_table(12)
+
+    def lookup(*points):
+        return group.g1_dlog_lookup(table, points)
+
+    assert lookup(group.g1_identity()) == [half]
+    for d in (1, 2, 1023, 1024, 1025, half - 1):
+        assert lookup(mul(gen, d), mul(gen, -d)) == [half + d, half - d], d
+    assert lookup(mul(gen, half), mul(gen, -half)) == [None, 0]
     p = pool(any_params)[3]
-    assert group.g1_key(p) != group.g1_key(_reference_mul(group)(p, -1))
-    assert pairs[2048] == group.g1_identity()
+    assert lookup(p, mul(p, -1)) == [None, None]
     if group.name == "bn254":
-        assert keys[2048] == -1
-        assert all(k >= 0 for k in keys[:2048] + keys[2049:])
+        assert sorted(abs(k) for k in table.values()) == list(range(1, half + 1))
+        for x, k in table.items():
+            px, py = mul(gen, abs(k))
+            assert px == x and (py if k > 0 else bn254.P - py) % 2 == 0, k
+    else:
+        assert len(table) == 2 * half
+
+
+_ms = st.one_of(st.integers(0, (1 << 16) - 1), st.integers(-(1 << 17), 1 << 17),
+                st.integers(-2**300, 2**300), st.sampled_from([-1, 0, 1 << 15, 1 << 16]))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ms=st.lists(_ms, max_size=8), group=st.sampled_from(["toy", "bn254"]))
+def test_dlog_lookup_is_m_inside_the_range_and_a_miss_outside(ms, group):
+    # one batched lookup of (m - half) * g1 against the cached 16-bit table:
+    # m reduced mod the order if that lands in [0, 2^16), else a miss
+    params = setup(group, 16)
+    backend = params.group
+    mul = _reference_mul(backend)
+    baby = cloud._dlog_table(backend, 16)[0]
+    points = [mul(backend.g1_gen, m - (1 << 15)) for m in ms]
+    order = params.order
+    assert backend.g1_dlog_lookup(baby, points) == [
+        m % order if m % order < 1 << 16 else None for m in ms]
 
 
 # -- batched scalar draws ------------------------------------------------------

@@ -540,5 +540,5 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
                                      "g1_from_bytes_ms", "g1_row_from_bytes_ms",
                                      "g1_row_decode_ms", "g1_row_encodings_ms", "g1_hash_ms",
                                      "pairing_ms", "g1_msm_rows_ms", "g1_gen_add_ms",
-                                     "dlog_table_ms", "dlog_lookup_ms"}
+                                     "dlog_table_ms", "dlog_table_mib", "dlog_lookup_ms"}
     assert all(ms > 0 for ms in report["layers"].values())

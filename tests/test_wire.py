@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,6 +71,25 @@ def test_ciphertext_roundtrip(artifacts):
         for j in range(cts.s):
             assert again.rows_prime[i][j] == cts.rows_prime[i][j]
             assert again.rows_dprime[i][j] == cts.rows_dprime[i][j]
+
+
+def test_ciphertext_encoding_is_held_once():
+    # a 256 KiB toy file, 2 x 131 072 components of 9 B: encoding its matrix
+    # peaks at the output plus the growth slack of one buffer, not at a
+    # second full copy of it
+    from sevdel.groups import setup
+    params = setup("toy", 16)
+    manifest, blocks = codec.split(SeededRng(b"wire-peak").read(256 * 1024), 64, 16)
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"e"))
+    tracemalloc.start()
+    try:
+        blob = wire.encode_ciphertexts(params, cts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blob) > 2 * 9 * 131072
+    assert peak < 1.25 * len(blob), (peak, len(blob))
 
 
 def test_ciphertext_header_validation(artifacts):
