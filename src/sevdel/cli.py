@@ -39,7 +39,8 @@ _out_opt = click.option("--out", type=click.Path(path_type=Path), default=Path("
 _sectors_opt = click.option("--sectors", default=8, show_default=True,
                             type=click.IntRange(min=1), help="Sectors per block (s).")
 _bits_opt = click.option("--sector-bits", default=16, show_default=True,
-                         type=click.Choice(["8", "16", "32"]), help="Sector width in bits.")
+                         type=click.Choice([str(b) for b in codec.SECTOR_WIDTHS]),
+                         help="Sector width in bits.")
 _count_opt = click.option("--challenge-count", default=8, show_default=True,
                           type=click.IntRange(min=1), help="Blocks sampled per challenge.")
 _group_opt = click.option("--group", default="bn254", show_default=True,

@@ -196,39 +196,48 @@ _dlog_tables: dict = {}
 
 
 def _dlog_table(group, bits: int):
-    """Baby steps for m below 2^baby_bits, baby_bits = min(bits, 16), the
-    giant stride g1^-(2^baby_bits), and baby_bits; built once per group
-    and width.  The baby steps are the backend's g1_dlog_table, centred on
-    the identity: its g1_dlog_lookup of g1^(m - half), half =
-    2^(baby_bits - 1), is m, so a lookup reads a point shifted by
-    g1^-half.  On toy it is a dict of all 2^baby_bits points; on bn254 it
-    holds one entry per +- pair, keyed on x, 2^15 entries (about 4 MiB)
-    for the 16-bit table that decryption keeps resident.  _dlog of
-    g1^(x - half) is x."""
+    """(baby steps, baby_bits) for m below 2^baby_bits, baby_bits =
+    min(bits, 16), built once per group and width: the backend's
+    g1_dlog_table, whose g1_dlog_lookup of g1^(m - half), half =
+    2^(baby_bits - 1), is m.  On toy a dict of all 2^baby_bits points; on
+    bn254 one entry per +- pair, keyed on x, 2^15 entries (about 4 MiB)
+    for the 16-bit table that decryption keeps resident."""
     baby_bits = min(bits, _BSGS_BABY_MAX_BITS)
     cache_key = (group.name, baby_bits)
     table = _dlog_tables.get(cache_key)
     if table is None:
-        stride = group.g1_pow(group.g1_gen, -(1 << baby_bits))
-        table = (group.g1_dlog_table(baby_bits), stride, baby_bits)
+        table = (group.g1_dlog_table(baby_bits), baby_bits)
         _dlog_tables[cache_key] = table
     return table
 
 
-def _dlog(group, table, raw, bits: int) -> int:
-    """The x in [0, 2^bits) with raw = g1^(x - half), half as in
-    _dlog_table, by baby-step/giant-step; DlogOutOfRange on miss."""
-    baby, stride, baby_bits = table
-    giant_steps = 1 << max(bits - baby_bits, 0)
-    cur = raw
-    lookup, op = group.g1_dlog_lookup, group.g1_op
-    for t in range(giant_steps):
-        k = lookup(baby, (cur,))[0]
-        if k is not None:
-            val = (t << baby_bits) + k
-            if val < (1 << bits):
-                return val
-        cur = op(cur, stride)
+def _dlog(group, table, points, bits: int) -> list:
+    """[x] in [0, 2^bits) with points[i] = g1^(x - half), half as in
+    _dlog_table; DlogOutOfRange if any point misses.  All points are
+    looked up once; the misses then take their giant steps together, top
+    window first: one g1_gen_add by -(2^bits - 2^baby_bits), then per step
+    one by +2^baby_bits (one bn254 generator-table entry) and one lookup."""
+    baby, baby_bits = table
+    lookup = group.g1_dlog_lookup
+    values = lookup(baby, points)
+    if None not in values:
+        return values
+    window = 1 << baby_bits
+    misses = [k for k, m in enumerate(values) if m is None]
+    pending = [points[k] for k in misses]
+    step = window - (1 << bits)
+    for base in range((1 << bits) - window, 0, -window):
+        pending = group.g1_gen_add(pending, [step] * len(pending))
+        step = window
+        found = lookup(baby, pending)
+        if found.count(None) < len(found):
+            for k, m in zip(misses, found):
+                if m is not None:
+                    values[k] = base + m
+            misses = [k for k, m in zip(misses, found) if m is None]
+            if not misses:
+                return values
+            pending = [pt for pt, m in zip(pending, found) if m is None]
     raise DlogOutOfRange(f"no exponent below 2^{bits} matches; ciphertext corrupt?")
 
 
@@ -259,15 +268,13 @@ def _sealed_rows(group, enclave: Enclave, s: int):
 
 def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, G1Elem]) -> int:
     """Recover one sector value: the m with g1^m = E' / (E'')^v, shifted
-    by g1^-half for the centred dlog table with one g1_gen_add."""
+    by g1^-half for the centred dlog table, as one multi-exponentiation."""
     v, meta = _unseal_key(params, enclave)
     sector_bits = int(meta["sector_bits"])
-    e_prime, e_dprime = e_pair
-    group = params.group
-    table = _dlog_table(group, sector_bits)
-    lifted = group.g1_op(e_prime.raw, group.g1_pow(e_dprime.raw, -v))
-    lifted = group.g1_gen_add([lifted], [-(1 << (table[2] - 1))])[0]
-    return _dlog(group, table, lifted, sector_bits)
+    table = _dlog_table(params.group, sector_bits)
+    half = 1 << (table[1] - 1)
+    lifted = params.g1_msm((*e_pair, params.g1), (1, -v, -half))
+    return _dlog(params.group, table, [lifted.raw], sector_bits)[0]
 
 
 def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) -> BlockMatrix:
@@ -276,25 +283,18 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     one g1_gen_add that starts each walk at E' and adds -v*r - half times
     g1, giving g1^(m - half) affine for the lookup in the centred dlog
     table (half as in _dlog_table): the shift rides on the scalar, at no
-    point operation.  Each chunk's lifted points are looked up in the
-    baby-step table in one g1_dlog_lookup (on toy one C-level map over a
-    dict, on bn254 a read of each point's x and y-parity); only a miss
-    goes to _dlog, for its giant steps (sectors wider than the table) or
-    its DlogOutOfRange.  E'' is not read, so no E'' component of a
-    decoded matrix is decoded here; a wrong E' still fails the bounded
-    dlog or decrypts wrong."""
+    point operation.  Each chunk's lifted points go to _dlog as one list,
+    looked up together and walked only where they miss.  E'' is not read,
+    so no E'' component of a decoded matrix is decoded here; a wrong E'
+    still fails the bounded dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)
     group = params.group
-    order = params.order
     table = _dlog_table(group, sector_bits)
     sealed_r = _sealed_rows(group, enclave, s)
-    neg_v = order - v
-    half = 1 << (table[2] - 1)
-    # a hit at the first giant step is the answer: table values lie below
-    # 2^min(sector_bits, 16), so below 2^sector_bits
-    baby, lookup = table[0], group.g1_dlog_lookup
+    neg_v = params.order - v
+    half = 1 << (table[1] - 1)
     rows = []
     for lo, hi in _batches(n, s):
         starts = []
@@ -302,11 +302,7 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
         for i in range(lo, hi):
             starts += cts.rows_prime[i]
             exps += [neg_v * r - half for r in sealed_r(i)]
-        lifted = group.g1_gen_add(starts, exps)
-        values = lookup(baby, lifted)
-        if None in values:
-            values = [_dlog(group, table, pt, sector_bits) if m is None else m
-                      for pt, m in zip(lifted, values)]
+        values = _dlog(group, table, group.g1_gen_add(starts, exps), sector_bits)
         for off in range(0, len(values), s):
             rows.append(sector_row(sector_bits, values[off:off + s]))
     return BlockMatrix(rows)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, EmptyFile, InvariantViolation, MalformedProof, MissingBlock
 
 _SECTOR_FMT = {8: "B", 16: "H", 32: "I"}     # array typecode per sector width
+SECTOR_WIDTHS = tuple(_SECTOR_FMT)           # the allowed sector widths, in bits
 if array("I").itemsize != 4:
     raise InvariantViolation("32-bit sectors need a 4-byte array('I')")
 _BIG_ENDIAN = sys.byteorder == "big"      # arrays hold native order; sectors are little-endian
@@ -59,8 +60,8 @@ class FileManifest:
             raise MalformedProof("manifest file_id must be 32 bytes, as file_identity gives")
         if self.n < 1 or self.s < 1 or self.original_len < 1:
             raise DimensionMismatch("manifest requires n, s and original_len >= 1")
-        if self.sector_bits not in _SECTOR_FMT:
-            raise DimensionMismatch("sector_bits must be one of 8, 16, 32")
+        if self.sector_bits not in SECTOR_WIDTHS:
+            raise DimensionMismatch(f"sector_bits must be one of {SECTOR_WIDTHS}")
         if self.n * self.s * (self.sector_bits // 8) < self.original_len:
             raise DimensionMismatch("matrix capacity below original length")
 
@@ -147,8 +148,8 @@ def split(
 
     n = ceil(len / (s * sector_bits/8)); the final block is zero-padded.
     """
-    if sector_bits not in _SECTOR_FMT:
-        raise ValueError("sector_bits must be one of 8, 16, 32")
+    if sector_bits not in SECTOR_WIDTHS:
+        raise ValueError(f"sector_bits must be one of {SECTOR_WIDTHS}")
     if s < 1:
         raise ValueError("s must be >= 1")
     if len(data) == 0:

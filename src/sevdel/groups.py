@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
+from .codec import SECTOR_WIDTHS
 from .errors import DimensionMismatch, InvalidElement, UnknownDomain
 
 # Domain-separation tags for every hash-to-G1 use in the protocol.
@@ -294,15 +295,14 @@ class SystemParams:
         return h.digest()
 
 
-def setup(group: str = "bn254", sector_bits: int = 32) -> SystemParams:
+def setup(group: str = "bn254", sector_bits: int = 16) -> SystemParams:
     """Bootstrap system parameters over the named curve family.
 
-    Decryption recovers each sector by a bounded discrete log whose
-    giant steps each cost one affine G1 addition: at 32 bits a sector
-    can need up to 2^16 of them, 0.8 to 1 s per sector on plain-int
-    bn254 (2-vCPU host).  An 8- or 16-bit sector is one table lookup."""
-    if type(sector_bits) is not int or sector_bits not in (8, 16, 32):
-        raise ValueError("sector_bits must be one of 8, 16, 32")
+    Decryption recovers each sector by a bounded discrete log: on
+    plain-int bn254 (2-vCPU host) a 16-bit sector is one table lookup,
+    0.16 to 0.22 ms; a 32-bit one up to 2^16 giant steps, 0.18 to 0.22 s."""
+    if type(sector_bits) is not int or sector_bits not in SECTOR_WIDTHS:
+        raise ValueError(f"sector_bits must be one of {SECTOR_WIDTHS}")
     backend = get_backend(group)
     return SystemParams(
         g1=G1Elem(backend, backend.g1_gen),

@@ -23,7 +23,7 @@ import json
 import struct
 
 from .cloud import CiphertextMatrix, EncProof, EncTagSet
-from .codec import (_SECTOR_FMT, BlockMatrix, FileManifest, decode_canonical, pack_rows,
+from .codec import (SECTOR_WIDTHS, BlockMatrix, FileManifest, decode_canonical, pack_rows,
                     rows_from_bytes)
 from .errors import DimensionMismatch, InvalidElement, MalformedProof
 from .groups import G1Elem, SystemParams, scalar_from_bytes, scalar_to_bytes
@@ -88,8 +88,8 @@ def decode_blocks(data: bytes) -> BlockMatrix:
     n, s, sector_bits = struct.unpack_from(">IIB", data)
     if n < 1 or s < 1:
         raise DimensionMismatch(f"block matrix dimensions {n}x{s} must be at least 1x1")
-    if sector_bits not in _SECTOR_FMT:
-        raise DimensionMismatch(f"sector_bits {sector_bits} is not one of 8, 16, 32")
+    if sector_bits not in SECTOR_WIDTHS:
+        raise DimensionMismatch(f"sector_bits {sector_bits} is not one of {SECTOR_WIDTHS}")
     if len(data) != 9 + n * s * (sector_bits // 8):
         raise MalformedProof("block matrix length disagrees with its header")
     return BlockMatrix(rows_from_bytes(sector_bits, data, 9, n, s))

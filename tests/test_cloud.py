@@ -151,12 +151,16 @@ def test_decrypt_file_matches_decrypt_block_on_every_sector(any_params):
 
 
 @pytest.mark.parametrize("group, bits", [("toy", 8), ("toy", 16), ("toy", 32),
-                                         ("bn254", 8), ("bn254", 16)])
+                                         ("bn254", 8), ("bn254", 16), ("bn254", 32)])
 def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
     # the baby-step table holds (m - half) * g1 for m below 2^min(bits, 16):
     # both ends of the range, both sides of its centre, and, at 32 bits,
-    # both sides of the giant stride decrypt; g1^(2^bits) lifted, just past
-    # the top entry, and g1^-1, just below the bottom one, are misses
+    # both sides of the table's centre and of its top, 2^16, decrypt;
+    # g1^(2^bits) lifted, just past the top entry, and g1^-1, just below
+    # the bottom one, are misses.  A lone 32-bit point below the top window
+    # walks up to 2^16 giant steps, 2 to 3 s on bn254, so there the
+    # oracle reads only the bottom and top windows and each refusal is
+    # checked through decrypt_file alone
     params = setup(group, bits)
     half = 1 << (bits - 1)
     values = [0, 1, half - 1, half, half + 1, (1 << bits) - 1]
@@ -168,49 +172,101 @@ def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
     enclave = EnclaveRegistry().create(manifest.file_id)
     cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"dlog-edges"))
     assert [list(row) for row in cloud.decrypt_file(params, enclave, cts).rows] == [values]
-    assert [_oracle(params, enclave, cts, 0, j) for j in range(len(values))] == values
+    quick = group == "toy" or bits < 32
+    cheap = [j for j, m in enumerate(values)
+             if quick or m < 1 << 16 or m >= (1 << 32) - (1 << 16)]
+    assert [_oracle(params, enclave, cts, 0, j) for j in cheap] == [values[j] for j in cheap]
     g1 = params.g1.raw
     for m, shift in (((1 << bits) - 1, g1), (0, params.group.g1_pow(g1, -1))):
         tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
         j = values.index(m)
         tampered.rows_prime[0][j] = params.group.g1_op(tampered.rows_prime[0][j], shift)
-        assert _oracle(params, enclave, tampered, 0, j) is DlogOutOfRange
+        if quick:
+            assert _oracle(params, enclave, tampered, 0, j) is DlogOutOfRange
         with pytest.raises(DlogOutOfRange):
             cloud.decrypt_file(params, enclave, tampered)
 
 
-def test_decrypt_file_calls_dlog_only_on_a_table_miss(monkeypatch):
-    # each chunk is looked up in the baby-step table in one pass: a 16-bit
-    # file never reaches _dlog, a 32-bit one reaches it for each sector at
-    # or above 2^16 (its giant steps), and one corrupted E' in the second of
-    # a 16-bit file's three chunks reaches it for that sector alone
-    misses = []
-    real = cloud._dlog
+def _encrypt_32(params, values, s, seed):
+    # a 32-bit file holding exactly values, s sectors a block, and its enclave
+    data = b"".join(m.to_bytes(4, "little") for m in values)
+    manifest, blocks = codec.split(data, s, 32)
+    assert [m for row in blocks.rows for m in row] == values
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(seed))
+    return manifest, data, enclave, cts
 
-    def counting(group, table, raw, bits):
-        misses.append(raw)
-        return real(group, table, raw, bits)
 
-    monkeypatch.setattr(cloud, "_dlog", counting)
+def test_decrypt_window_edges_of_the_lockstep_walk(toy_params32):
+    # one 32-bit chunk of hits and misses: both ends of [0, 2^32), both
+    # sides of k * 2^16 for k = 1, 2 and 2^16 - 1, the last being the top
+    # window's floor 2^32 - 2^16, and values inside the bottom window
+    top = 1 << 32
+    values = [0, 1, 7, (1 << 15) + 3, top - 1, top - 2]
+    for k in (1, 2, (1 << 16) - 1):
+        values += [(k << 16) - 1, k << 16, (k << 16) + 1]
+    values += [top - (1 << 16) - 1, top - (1 << 16)]
+    manifest, data, enclave, cts = _encrypt_32(toy_params32, values, len(values), b"windows")
+    back = cloud.decrypt_file(toy_params32, enclave, cts)
+    assert [list(row) for row in back.rows] == [values]
+    assert codec.join(manifest, back) == data
+    assert [_oracle(toy_params32, enclave, cts, 0, j) for j in range(len(values))] == values
+
+
+def test_one_corrupt_sector_among_32_bit_misses_is_refused(toy_params32):
+    # the misses walk in lockstep; the one corrupt E' among them, still
+    # missing after the last window, makes the chunk DlogOutOfRange
+    values = [(k * 0x9E3779B9) % (1 << 32) | (1 << 16) for k in range(1, 33)]
+    _, _, enclave, cts = _encrypt_32(toy_params32, values, 8, b"corrupt-32")
+    assert [m for row in cloud.decrypt_file(toy_params32, enclave, cts).rows
+            for m in row] == values
+    tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
+    tampered.rows_prime[2][5] = toy_params32.group.g1_op(tampered.rows_prime[2][5], 1 << 40)
+    with pytest.raises(DlogOutOfRange):
+        cloud.decrypt_file(toy_params32, enclave, tampered)
+
+
+def test_decrypt_file_walks_only_its_table_misses(monkeypatch):
+    # each chunk is looked up in the baby-step table in one pass, and a
+    # giant step looks up only the points still missing: a 16-bit file of
+    # three chunks takes no giant step, nor does a corrupted E' in its
+    # second chunk, a 32-bit file's first giant step holds exactly its
+    # sectors at or above 2^16, and one corrupted E' in the second of three
+    # chunks of small 32-bit values walks alone
+    toy = setup("toy", 16).group
+    sizes = []
+    real = toy.g1_dlog_lookup
+
+    def counting(table, points):
+        sizes.append(len(points))
+        return real(table, points)
+
+    monkeypatch.setattr(toy, "g1_dlog_lookup", counting)
     params16 = setup("toy", 16)
     _, data, manifest, _, _, enclave, cts, _ = _setup_file(params16, size=3000, s=8)
     assert codec.join(manifest, cloud.decrypt_file(params16, enclave, cts)) == data
-    assert misses == []
-    values = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 0xDEADBEEF, 7, (1 << 16) + 1]
-    data32 = b"".join(m.to_bytes(4, "little") for m in values)
-    params32 = setup("toy", 32)
-    manifest, blocks = codec.split(data32, 4, 32)
-    enclave = EnclaveRegistry().create(manifest.file_id)
-    cts, _ = cloud.encrypt_file(params32, enclave, manifest, blocks, SeededRng(b"miss-32"))
-    assert codec.join(manifest, cloud.decrypt_file(params32, enclave, cts)) == data32
-    assert len(misses) == sum(m >= 1 << 16 for m in values) == 4
-    del misses[:]
-    _, _, _, _, _, enclave, cts, _ = _setup_file(params16, size=3000, s=8)
+    assert sizes == [512, 512, 480]
+    del sizes[:]
     tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
     tampered.rows_prime[100][7] = params16.group.g1_op(tampered.rows_prime[100][7], 1 << 40)
     with pytest.raises(DlogOutOfRange):
         cloud.decrypt_file(params16, enclave, tampered)
-    assert len(misses) == 1
+    assert sizes == [512, 512]
+    del sizes[:]
+    params32 = setup("toy", 32)
+    values = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 0xDEADBEEF, 7, (1 << 16) + 1]
+    manifest, data32, enclave, cts = _encrypt_32(params32, values, 4, b"miss-32")
+    assert codec.join(manifest, cloud.decrypt_file(params32, enclave, cts)) == data32
+    assert sizes[:2] == [8, sum(m >= 1 << 16 for m in values)] == [8, 4]
+    assert sorted(sizes[1:], reverse=True) == sizes[1:] and len(sizes) <= 1 << 16
+    del sizes[:]
+    small = [(k * 40503) % (1 << 16) for k in range(1536)]
+    _, _, enclave, cts = _encrypt_32(params32, small, 8, b"miss-32-small")
+    tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
+    tampered.rows_prime[100][7] = params32.group.g1_op(tampered.rows_prime[100][7], 1 << 40)
+    with pytest.raises(DlogOutOfRange):
+        cloud.decrypt_file(params32, enclave, tampered)
+    assert sizes == [512, 512] + [1] * ((1 << 16) - 1)
 
 
 def test_decrypt_file_refuses_another_files_matrix(toy_params):

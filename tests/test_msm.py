@@ -432,7 +432,7 @@ def test_full_bn254_baby_step_table(monkeypatch):
     assert walked == [1024] * 32 + [1]
     half = 1 << 15
     assert len(table) == half
-    baby, _, baby_bits = cloud._dlog_table(bn254, 16)
+    baby, baby_bits = cloud._dlog_table(bn254, 16)
     assert baby_bits == 16
     assert baby == table
     params = setup("bn254", 16)
