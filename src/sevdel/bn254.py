@@ -728,7 +728,7 @@ def _straus(terms):
 
 
 # Fixed-base table for G1_GEN: row i holds j * 2^(8i) * G for j = 1..128, so
-# a scalar in signed base-256 digits [-127, 128] costs one addition per digit
+# a scalar in signed base-256 digits [-128, 128] costs one addition per digit
 # and no doubling.  32 rows cover 254-bit scalars plus the top carry, about
 # 0.72 MiB; base 512 would take about 1.3 MiB.  The rows are built in
 # lockstep: one doubling chain gives every row's 1 and 2 times its base,
@@ -787,8 +787,10 @@ def _generator_rows():
 
 
 def _gen_digits(k):
-    """Signed base-256 digits in [-127, 128] of 0 <= k < R, least
-    significant first: digit i selects an entry of generator-table row i."""
+    """Signed base-256 digits in [-128, 128] of 0 <= k < R, least
+    significant first: digit i selects an entry of generator-table row i.
+    Past R/2 they are those of R - k negated: -2^16 is one digit."""
+    k, sign = (R - k, -1) if k > R >> 1 else (k, 1)
     mask, half = (1 << _GEN_WINDOW) - 1, 1 << (_GEN_WINDOW - 1)
     out = []
     while k:
@@ -797,7 +799,7 @@ def _gen_digits(k):
         if d > half:
             d -= 1 << _GEN_WINDOW
             k += 1
-        out.append(d)
+        out.append(sign * d)
     return out
 
 

@@ -199,9 +199,8 @@ def _dlog_table(group, bits: int):
     """(baby steps, baby_bits) for m below 2^baby_bits, baby_bits =
     min(bits, 16), built once per group and width: the backend's
     g1_dlog_table, whose g1_dlog_lookup of g1^(m - half), half =
-    2^(baby_bits - 1), is m.  On toy a dict of all 2^baby_bits points; on
-    bn254 one entry per +- pair, keyed on x, 2^15 entries (about 4 MiB)
-    for the 16-bit table that decryption keeps resident."""
+    2^(baby_bits - 1), is m: on toy all 2^baby_bits points, on bn254 one
+    entry per +- pair keyed on x, 2^15 entries (about 4 MiB) at 16 bits."""
     baby_bits = min(bits, _BSGS_BABY_MAX_BITS)
     cache_key = (group.name, baby_bits)
     table = _dlog_tables.get(cache_key)
@@ -213,10 +212,9 @@ def _dlog_table(group, bits: int):
 
 def _dlog(group, table, points, bits: int) -> list:
     """[x] in [0, 2^bits) with points[i] = g1^(x - half), half as in
-    _dlog_table; DlogOutOfRange if any point misses.  All points are
-    looked up once; the misses then take their giant steps together, top
-    window first: one g1_gen_add by -(2^bits - 2^baby_bits), then per step
-    one by +2^baby_bits (one bn254 generator-table entry) and one lookup."""
+    _dlog_table; DlogOutOfRange if any point misses.  One lookup of every
+    point, then the misses step down together, x // 2^baby_bits giant
+    steps each, one g1_gen_add by -2^baby_bits and one lookup a step."""
     baby, baby_bits = table
     lookup = group.g1_dlog_lookup
     values = lookup(baby, points)
@@ -225,19 +223,18 @@ def _dlog(group, table, points, bits: int) -> list:
     window = 1 << baby_bits
     misses = [k for k, m in enumerate(values) if m is None]
     pending = [points[k] for k in misses]
-    step = window - (1 << bits)
-    for base in range((1 << bits) - window, 0, -window):
-        pending = group.g1_gen_add(pending, [step] * len(pending))
-        step = window
+    for base in range(window, 1 << bits, window):
+        pending = group.g1_gen_add(pending, [-window] * len(pending))
         found = lookup(baby, pending)
-        if found.count(None) < len(found):
-            for k, m in zip(misses, found):
-                if m is not None:
-                    values[k] = base + m
-            misses = [k for k, m in zip(misses, found) if m is None]
-            if not misses:
-                return values
-            pending = [pt for pt, m in zip(pending, found) if m is None]
+        if found.count(None) == len(found):
+            continue                # most steps find nothing: no bookkeeping
+        for k, m in zip(misses, found):
+            if m is not None:
+                values[k] = base + m
+        misses = [k for k, m in zip(misses, found) if m is None]
+        if not misses:
+            return values
+        pending = [pt for pt, m in zip(pending, found) if m is None]
     raise DlogOutOfRange(f"no exponent below 2^{bits} matches; ciphertext corrupt?")
 
 
@@ -283,10 +280,9 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     one g1_gen_add that starts each walk at E' and adds -v*r - half times
     g1, giving g1^(m - half) affine for the lookup in the centred dlog
     table (half as in _dlog_table): the shift rides on the scalar, at no
-    point operation.  Each chunk's lifted points go to _dlog as one list,
-    looked up together and walked only where they miss.  E'' is not read,
-    so no E'' component of a decoded matrix is decoded here; a wrong E'
-    still fails the bounded dlog or decrypts wrong."""
+    point operation.  Each chunk's lifted points go to _dlog as one list.
+    E'' is not read, so no E'' component of a decoded matrix is decoded
+    here; a wrong E' still fails the bounded dlog or decrypts wrong."""
     v, meta = _unseal_key(params, enclave)
     n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
     cts.check_dims(n, s)

@@ -298,9 +298,11 @@ class SystemParams:
 def setup(group: str = "bn254", sector_bits: int = 16) -> SystemParams:
     """Bootstrap system parameters over the named curve family.
 
-    Decryption recovers each sector by a bounded discrete log: on
-    plain-int bn254 (2-vCPU host) a 16-bit sector is one table lookup,
-    0.16 to 0.22 ms; a 32-bit one up to 2^16 giant steps, 0.18 to 0.22 s."""
+    Decryption recovers each sector by a bounded discrete log.  On
+    plain-int bn254 (2-vCPU host) a 16-bit sector is one lookup, 0.16 to
+    0.22 ms; a 32-bit sector x takes x // 2^16 giant steps shared by its
+    chunk's misses: 0.18 to 0.22 s a sector over 128 random ones, about
+    2.2 s for a lone one near 2^32."""
     if type(sector_bits) is not int or sector_bits not in SECTOR_WIDTHS:
         raise ValueError(f"sector_bits must be one of {SECTOR_WIDTHS}")
     backend = get_backend(group)

@@ -157,10 +157,10 @@ def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
     # both ends of the range, both sides of its centre, and, at 32 bits,
     # both sides of the table's centre and of its top, 2^16, decrypt;
     # g1^(2^bits) lifted, just past the top entry, and g1^-1, just below
-    # the bottom one, are misses.  A lone 32-bit point below the top window
-    # walks up to 2^16 giant steps, 2 to 3 s on bn254, so there the
-    # oracle reads only the bottom and top windows and each refusal is
-    # checked through decrypt_file alone
+    # the bottom one, are misses.  A lone 32-bit point in window w walks w
+    # giant steps, up to 2 to 3 s on bn254, so there the oracle reads
+    # only the two bottom windows and each refusal is checked through
+    # decrypt_file alone
     params = setup(group, bits)
     half = 1 << (bits - 1)
     values = [0, 1, half - 1, half, half + 1, (1 << bits) - 1]
@@ -173,8 +173,7 @@ def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
     cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"dlog-edges"))
     assert [list(row) for row in cloud.decrypt_file(params, enclave, cts).rows] == [values]
     quick = group == "toy" or bits < 32
-    cheap = [j for j, m in enumerate(values)
-             if quick or m < 1 << 16 or m >= (1 << 32) - (1 << 16)]
+    cheap = [j for j, m in enumerate(values) if quick or m < 1 << 17]
     assert [_oracle(params, enclave, cts, 0, j) for j in cheap] == [values[j] for j in cheap]
     g1 = params.g1.raw
     for m, shift in (((1 << bits) - 1, g1), (0, params.group.g1_pow(g1, -1))):
@@ -231,8 +230,11 @@ def test_decrypt_file_walks_only_its_table_misses(monkeypatch):
     # giant step looks up only the points still missing: a 16-bit file of
     # three chunks takes no giant step, nor does a corrupted E' in its
     # second chunk, a 32-bit file's first giant step holds exactly its
-    # sectors at or above 2^16, and one corrupted E' in the second of three
-    # chunks of small 32-bit values walks alone
+    # sectors at or above 2^16 and its walk ends at the window of its
+    # largest, UTF-16 ASCII text walks to the window of its largest second
+    # character, 125 giant steps for "}", and one
+    # corrupted E' in the second of three chunks of small 32-bit values
+    # walks alone
     toy = setup("toy", 16).group
     sizes = []
     real = toy.g1_dlog_lookup
@@ -257,8 +259,14 @@ def test_decrypt_file_walks_only_its_table_misses(monkeypatch):
     values = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 0xDEADBEEF, 7, (1 << 16) + 1]
     manifest, data32, enclave, cts = _encrypt_32(params32, values, 4, b"miss-32")
     assert codec.join(manifest, cloud.decrypt_file(params32, enclave, cts)) == data32
-    assert sizes[:2] == [8, sum(m >= 1 << 16 for m in values)] == [8, 4]
-    assert sorted(sizes[1:], reverse=True) == sizes[1:] and len(sizes) <= 1 << 16
+    assert sizes[:3] == [8, sum(m >= 1 << 16 for m in values), 2] == [8, 4, 2]
+    assert sorted(sizes[1:], reverse=True) == sizes[1:] and len(sizes) == 1 << 16
+    del sizes[:]
+    text = bytes(range(32, 126)).decode().encode("utf-16-le")
+    pairs = [int.from_bytes(text[k:k + 4], "little") for k in range(0, len(text), 4)]
+    manifest, _, enclave, cts = _encrypt_32(params32, pairs, 1, b"miss-32-text")
+    assert codec.join(manifest, cloud.decrypt_file(params32, enclave, cts)) == text
+    assert len(sizes) == 1 + 125
     del sizes[:]
     small = [(k * 40503) % (1 << 16) for k in range(1536)]
     _, _, enclave, cts = _encrypt_32(params32, small, 8, b"miss-32-small")

@@ -350,6 +350,20 @@ def test_gen_add_repeated_scalars(any_params, monkeypatch):
         assert sorted(recoded) == sorted([1024, 7, 1024, 2**253, r - 1, r - 7, 300])
 
 
+def test_gen_digits_past_half_the_order_are_negated():
+    # digits of k in [0, R) sum to k mod R, each selects a table entry
+    # (|d| <= 128), and a scalar past R/2 is recoded from R - k: the
+    # dlog's giant step -2^16 is one digit, as +2^16 is
+    R = bn254.R
+    for k in (0, 1, 127, 128, 129, 255, 1 << 16, R >> 1, (R >> 1) + 1,
+              R - (1 << 16), R - 129, R - 128, R - 1, 0xDEADBEEF << 200):
+        digits = bn254._gen_digits(k)
+        assert sum(d << (8 * i) for i, d in enumerate(digits)) % R == k
+        assert all(-128 <= d <= 128 for d in digits) and len(digits) <= 32
+    assert bn254._gen_digits(1 << 16) == [0, 0, 1]
+    assert bn254._gen_digits(R - (1 << 16)) == [0, 0, -1]
+
+
 def test_gen_add_rejects_mismatched_lengths(any_params):
     group = any_params.group
     for points, scalars in (([group.g1_gen, group.g1_gen], [1]), ([], [3])):
