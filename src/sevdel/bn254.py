@@ -19,9 +19,21 @@ with the doubling and addition steps in homogeneous projective coordinates
 on ints (Costello, Lange and Naehrig, PKC 2010), whose lines depend on the
 G2 argument alone and are cached for the last few G2 points, then the final
 exponentiation, whose hard part raises to u three times with Granger-Scott
-cyclotomic squarings (PKC 2010) over the NAF of u.  G2 decoding checks
-subgroup membership with the psi test of El Housni, Guillevic and Piellard
-(eprint 2022/348): [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q).
+cyclotomic squarings (PKC 2010) over a width-4 NAF of u: a table of f, f^3,
+f^5, f^7 and their conjugates, 16 multiplications in place of the plain
+NAF's 23 (Scott et al., Pairing 2009).  G2 decoding checks subgroup
+membership with the psi test of El Housni, Guillevic and Piellard (eprint
+2022/348): [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q).
+
+Two bounded LRU caches keep work an audit round would redo, keyed on the
+exact bytes they were given (any other argument type runs uncached):
+g2_from_bytes keeps the last 8 decoded G2 points, as _g2_lines keeps the
+last 8 points' Miller lines (the protocol's G2 points are a few long-lived
+keys), and g1_hash the last 256 hashed points, about 0.1 MiB (a record's
+block points and sector generators recur in each of its rounds).  A hit is
+safe: both are pure functions of public bytes, a hit returns the value the
+first call computed, and an exception is never cached, so an encoding
+refused once is checked, and refused, again on every call.
 
 Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
@@ -116,12 +128,17 @@ def _fp_sqrt(a):
 _INV2 = (P + 1) // 2
 
 
-def _naf(k):
-    """Non-adjacent form of k > 0, least significant digit first."""
+def _naf(k, w=2):
+    """Width-w non-adjacent form of k > 0, least significant digit first:
+    odd digits below 2^(w-1) in absolute value, each followed by at least
+    w - 1 zeros.  w = 2 is the plain NAF."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
     while k > 0:
         if k & 1:
-            d = 2 - (k & 3)
+            d = k & mask
+            if d >= half:
+                d -= 1 << w
             out.append(d)
             k -= d
         else:
@@ -1073,11 +1090,40 @@ class EncodedRow:
         return map(self.__getitem__, range(len(self.encodings)))
 
 
+def _bytes_cache(maxsize):
+    """functools.lru_cache for a function of one bytes argument, keyed on
+    those bytes; any other argument type is passed to the function
+    uncached, so what it accepts or refuses is unchanged.  An exception
+    is never cached, and the wrapper keeps lru_cache's __wrapped__,
+    cache_info, cache_clear and cache_parameters."""
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+
+        @functools.wraps(fn)
+        def wrapper(data):
+            return cached(data) if type(data) is bytes else fn(data)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        wrapper.cache_parameters = cached.cache_parameters
+        return wrapper
+    return decorate
+
+
+# A record's block points and sector generators are hashed again in each
+# of its verification and audit rounds; 256 points take about 0.1 MiB.
+_G1_HASH_CACHE = 256
+
+
+@_bytes_cache(_G1_HASH_CACHE)
 def g1_hash(data: bytes):
     """Deterministic try-and-increment map onto the curve.
 
     A candidate x whose x^3 + 3 is not a square is thrown away on its
     Jacobi symbol, so only the accepted candidate pays the square root.
+    The point is a pure function of public bytes, so the last
+    _G1_HASH_CACHE distinct inputs are kept and a repeated one is not
+    hashed again.
     """
     for ctr in range(65536):
         h = hashlib.sha256(b"sevdel/bn254-h2c:" + data + ctr.to_bytes(2, "big")).digest()
@@ -1231,7 +1277,19 @@ def g2_to_bytes(pt):
     return bytes([flag]) + int(x.c0).to_bytes(FP_BYTES, "big") + int(x.c1).to_bytes(FP_BYTES, "big")
 
 
+# The protocol's G2 points are a few long-lived keys (g2, W, A): both G2
+# caches, decoded points and Miller lines, keep the last 8 of them.
+_G2_CACHE = 8
+
+
+@_bytes_cache(_G2_CACHE)
 def g2_from_bytes(data):
+    """The G2 point of a compressed encoding, or InvalidElement: length,
+    flag, x < P, on the twist and in the subgroup are each checked.
+
+    Keys are decoded again in every audit round, so the last _G2_CACHE
+    distinct encodings are kept; a refused one is checked again each time.
+    """
     if len(data) != G2_BYTES:
         raise InvalidElement(f"G2 encoding must be {G2_BYTES} bytes")
     flag = data[0]
@@ -1263,19 +1321,27 @@ def g2_from_bytes(data):
 # Optimal ate pairing
 # ---------------------------------------------------------------------------
 
-def _is_naf_tail(digits, k):
-    """Whether 1 followed by digits (most significant first) is a NAF of k."""
-    value = 1
-    for d in digits:
+def _is_wnaf(digits, k, w):
+    """Whether digits, most significant first, are a width-w NAF of k:
+    every nonzero digit odd and below 2^(w-1) in absolute value, and at
+    least w - 1 zeros between two of them."""
+    value = 0
+    last = -w                                        # index of the last nonzero digit
+    for i, d in enumerate(digits):
         value = 2 * value + d
-    return value == k and not any(a and b for a, b in zip([1] + digits, digits))
+        if d:
+            if d % 2 == 0 or abs(d) >= 1 << (w - 1) or i - last < w:
+                return False
+            last = i
+    return value == k
 
 
-# loop digits, most significant first, without the leading 1
+# Miller loop digits, most significant first, without the leading 1
 _ATE_NAF = list(reversed(_naf(6 * U + 2)))[1:]
-_U_NAF = list(reversed(_naf(U)))[1:]
-_check(_is_naf_tail(_ATE_NAF, 6 * U + 2) and _is_naf_tail(_U_NAF, U),
-       "loop digits are not the NAFs of 6u+2 and u")
+_check(_is_wnaf([1] + _ATE_NAF, 6 * U + 2, 2), "loop digits are not the NAF of 6u+2")
+# the digits _pow_u reads, most significant first: 63 digits, 14 nonzero
+_U_WNAF = list(reversed(_naf(U, 4)))
+_check(_is_wnaf(_U_WNAF, U, 4), "exponent digits are not a width-4 NAF of u")
 
 # 3b' for the doubling step, b' = 3/xi the twist's constant
 _B3 = (TWIST_B.c0 * 3 % P, TWIST_B.c1 * 3 % P)
@@ -1353,7 +1419,7 @@ def _g2_ints(pt):
     return (x.c0, x.c1, y.c0, y.c1)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=_G2_CACHE)
 def _g2_lines(qx0, qx1, qy0, qy1):
     """The Miller lines of Q = (qx0 + qx1 i, qy0 + qy1 i), px and py
     factored out, in the order the loop multiplies them in: per digit of
@@ -1407,12 +1473,21 @@ def miller_loop(p1, p2):
 
 def _pow_u(f):
     """f^u for f in the cyclotomic subgroup: cyclotomic squarings over the
-    NAF of u, with conj as the inverse."""
-    out, f_inv = f, f.conj()
-    for d in _U_NAF:
+    width-4 NAF of u (Scott et al., Pairing 2009), whose digits read f,
+    f^3, f^5, f^7 and their conjugates, the inverses there.  Three
+    multiplications build the table and 13 consume the digits, against 23
+    over the plain NAF; the table adds one squaring to the digits' 62."""
+    f2 = f.cyclotomic_sqr()
+    table = {1: f}
+    for d in (3, 5, 7):
+        table[d] = table[d - 2].mul(f2)
+    for d in (1, 3, 5, 7):
+        table[-d] = table[d].conj()
+    out = table[_U_WNAF[0]]
+    for d in _U_WNAF[1:]:
         out = out.cyclotomic_sqr()
         if d:
-            out = out.mul(f if d == 1 else f_inv)
+            out = out.mul(table[d])
     return out
 
 

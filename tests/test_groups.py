@@ -205,6 +205,33 @@ def test_g1_hash_points_unchanged_by_the_jacobi_rejection():
     assert h.hexdigest() == G1_HASH_DIGEST
 
 
+@settings(max_examples=40, deadline=None)
+@given(msg=st.binary(max_size=48))
+@example(msg=b"")
+def test_g1_hash_cache_returns_the_uncached_point(msg):
+    first = bn254.g1_hash(msg)
+    hits = bn254.g1_hash.cache_info().hits
+    assert bn254.g1_hash(msg) == first == bn254.g1_hash.__wrapped__(msg)
+    assert bn254.g1_hash.cache_info().hits == hits + 1
+    # other bytes-like inputs hash to the same point, uncached
+    assert bn254.g1_hash(bytearray(msg)) == bn254.g1_hash(memoryview(msg)) == first
+    assert bn254.g1_hash.cache_info().hits == hits + 1
+
+
+def test_g1_hash_cache_is_bounded():
+    # a fixed bound: the cache holds at most 256 points, however many or
+    # however large the files whose block points are hashed
+    cache = bn254.g1_hash
+    assert cache.cache_parameters()["maxsize"] == 256
+    cache.cache_clear()
+    points = [cache(b"bound-%d" % k) for k in range(300)]
+    assert cache.cache_info().currsize == 256
+    assert cache.cache_info().misses == 300
+    # the oldest inputs were evicted and hash again to the same points
+    assert cache(b"bound-0") == points[0]
+    assert cache.cache_info().misses == 301
+
+
 _P = int(bn254.P)
 
 

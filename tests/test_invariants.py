@@ -117,7 +117,11 @@ CONSTANT_MUTATIONS = [
      f"mpz({P_INT - GAMMA[0]}),\n             mpz({P_INT - GAMMA[1]})"),
     ("psi", "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3]",
      "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3].neg()"),
-    ("u_naf", "_U_NAF = list(reversed(_naf(U)))[1:]", "_U_NAF = list(reversed(_naf(U + 2)))[1:]"),
+    ("ate_naf", "_ATE_NAF = list(reversed(_naf(6 * U + 2)))[1:]",
+     "_ATE_NAF = list(reversed(_naf(6 * U + 4)))[1:]"),
+    ("u_naf", "_U_WNAF = list(reversed(_naf(U, 4)))", "_U_WNAF = list(reversed(_naf(U + 2, 4)))"),
+    # a width-5 NAF of u is u, but reads f^9 and beyond, which _pow_u has not built
+    ("u_naf_width", "_U_WNAF = list(reversed(_naf(U, 4)))", "_U_WNAF = list(reversed(_naf(U, 5)))"),
 ]
 CONSTANT_SCRIPT = textwrap.dedent("""
     import sys, types
@@ -158,5 +162,7 @@ def test_bn254_constant_checks_refuse_a_corrupted_constant(flags):
         "gamma InvariantViolation gamma^6 is not xi^(p-1)",
         "gamma_sign InvariantViolation G2 membership identity fails on G2_GEN",
         "psi InvariantViolation G2 membership identity fails on G2_GEN",
-        "u_naf InvariantViolation loop digits are not the NAFs of 6u+2 and u",
+        "ate_naf InvariantViolation loop digits are not the NAF of 6u+2",
+        "u_naf InvariantViolation exponent digits are not a width-4 NAF of u",
+        "u_naf_width InvariantViolation exponent digits are not a width-4 NAF of u",
     ]
