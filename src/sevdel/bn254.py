@@ -28,12 +28,15 @@ membership with the psi test of El Housni, Guillevic and Piellard (eprint
 Two bounded LRU caches keep work an audit round would redo, keyed on the
 exact bytes they were given (any other argument type runs uncached):
 g2_from_bytes keeps the last 8 decoded G2 points, as _g2_lines keeps the
-last 8 points' Miller lines (the protocol's G2 points are a few long-lived
-keys), and g1_hash the last 256 hashed points, about 0.1 MiB (a record's
-block points and sector generators recur in each of its rounds).  A hit is
-safe: both are pure functions of public bytes, a hit returns the value the
-first call computed, and an exception is never cached, so an encoding
-refused once is checked, and refused, again on every call.
+last 8 points' Miller lines, which hits while a process uses at most 8 G2
+keys in rotation (g2, W and the provider keys A); g1_hash keeps the last
+256 sector generators v_j, about 0.1 MiB, which every round of a record
+hashes again whatever its size, so 32 records at s = 8 stay cached.  Block
+points H(I_M || i) are not cached: on a record of n blocks a challenged
+one recurs only when n is small.  A hit is safe: both are pure functions
+of public bytes, a hit returns the value the first call computed, and an
+exception is never cached, so an encoding refused once is checked, and
+refused, again on every call.
 
 Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
@@ -74,6 +77,7 @@ from itertools import zip_longest
 from math import isqrt
 
 from .errors import DimensionMismatch, InvalidElement, InvariantViolation
+from .groups import DOMAIN_VGEN
 
 try:
     from gmpy2 import mpz, invert as _invert
@@ -128,17 +132,12 @@ def _fp_sqrt(a):
 _INV2 = (P + 1) // 2
 
 
-def _naf(k, w=2):
-    """Width-w non-adjacent form of k > 0, least significant digit first:
-    odd digits below 2^(w-1) in absolute value, each followed by at least
-    w - 1 zeros.  w = 2 is the plain NAF."""
-    mask, half = (1 << w) - 1, 1 << (w - 1)
+def _naf(k):
+    """Non-adjacent form of k > 0, least significant digit first."""
     out = []
     while k > 0:
         if k & 1:
-            d = k & mask
-            if d >= half:
-                d -= 1 << w
+            d = 2 - (k & 3)
             out.append(d)
             k -= d
         else:
@@ -1090,18 +1089,21 @@ class EncodedRow:
         return map(self.__getitem__, range(len(self.encodings)))
 
 
-def _bytes_cache(maxsize):
+def _bytes_cache(maxsize, prefix=b""):
     """functools.lru_cache for a function of one bytes argument, keyed on
-    those bytes; any other argument type is passed to the function
-    uncached, so what it accepts or refuses is unchanged.  An exception
-    is never cached, and the wrapper keeps lru_cache's __wrapped__,
-    cache_info, cache_clear and cache_parameters."""
+    those bytes, for the arguments that start with prefix; any other
+    argument, of another type too, is passed to the function uncached, so
+    what it accepts or refuses is unchanged.  An exception is never
+    cached, and the wrapper keeps lru_cache's __wrapped__, cache_info,
+    cache_clear and cache_parameters."""
     def decorate(fn):
         cached = functools.lru_cache(maxsize=maxsize)(fn)
 
         @functools.wraps(fn)
         def wrapper(data):
-            return cached(data) if type(data) is bytes else fn(data)
+            if type(data) is bytes and data.startswith(prefix):
+                return cached(data)
+            return fn(data)
 
         wrapper.cache_info = cached.cache_info
         wrapper.cache_clear = cached.cache_clear
@@ -1110,20 +1112,24 @@ def _bytes_cache(maxsize):
     return decorate
 
 
-# A record's block points and sector generators are hashed again in each
-# of its verification and audit rounds; 256 points take about 0.1 MiB.
+# A record's s sector generators v_j are hashed again in each of its
+# verification and audit rounds: 256 of them, 32 records at s = 8, take
+# about 0.1 MiB.  Only inputs framed as groups.hash_to_g1 frames
+# DOMAIN_VGEN are kept; a challenged block point recurs only on small
+# records, and caching it would let one large ingest evict every v_j.
 _G1_HASH_CACHE = 256
+_G1_HASH_CACHED = len(DOMAIN_VGEN).to_bytes(2, "big") + DOMAIN_VGEN
 
 
-@_bytes_cache(_G1_HASH_CACHE)
+@_bytes_cache(_G1_HASH_CACHE, _G1_HASH_CACHED)
 def g1_hash(data: bytes):
     """Deterministic try-and-increment map onto the curve.
 
     A candidate x whose x^3 + 3 is not a square is thrown away on its
     Jacobi symbol, so only the accepted candidate pays the square root.
     The point is a pure function of public bytes, so the last
-    _G1_HASH_CACHE distinct inputs are kept and a repeated one is not
-    hashed again.
+    _G1_HASH_CACHE distinct sector-generator inputs are kept and a
+    repeated one is not hashed again; other inputs are always hashed.
     """
     for ctr in range(65536):
         h = hashlib.sha256(b"sevdel/bn254-h2c:" + data + ctr.to_bytes(2, "big")).digest()
@@ -1278,7 +1284,11 @@ def g2_to_bytes(pt):
 
 
 # The protocol's G2 points are a few long-lived keys (g2, W, A): both G2
-# caches, decoded points and Miller lines, keep the last 8 of them.
+# caches, decoded points and Miller lines, keep the last 8 of them.  That
+# hits while a process uses at most 8 keys in rotation; a contract that
+# audits the records of more providers in turn misses on every decode and
+# pays the LRU's bookkeeping on top.  Decoding A once onto the contract's
+# record would make this cache unneeded.
 _G2_CACHE = 8
 
 
@@ -1288,7 +1298,8 @@ def g2_from_bytes(data):
     flag, x < P, on the twist and in the subgroup are each checked.
 
     Keys are decoded again in every audit round, so the last _G2_CACHE
-    distinct encodings are kept; a refused one is checked again each time.
+    distinct encodings are kept, which hits while at most _G2_CACHE keys
+    are in use; a refused one is checked again each time.
     """
     if len(data) != G2_BYTES:
         raise InvalidElement(f"G2 encoding must be {G2_BYTES} bytes")
@@ -1339,8 +1350,18 @@ def _is_wnaf(digits, k, w):
 # Miller loop digits, most significant first, without the leading 1
 _ATE_NAF = list(reversed(_naf(6 * U + 2)))[1:]
 _check(_is_wnaf([1] + _ATE_NAF, 6 * U + 2, 2), "loop digits are not the NAF of 6u+2")
+
+
+def _digits(pairs):
+    """Digits, most significant first, of (bit position, digit) pairs."""
+    out = [0] * (pairs[-1][0] + 1)
+    for pos, d in pairs:
+        out[pos] = d
+    return out[::-1]
+
+
 # the digits _pow_u reads, most significant first: 63 digits, 14 nonzero
-_U_WNAF = list(reversed(_naf(U, 4)))
+_U_WNAF = _digits(_wnaf(U, 4))
 _check(_is_wnaf(_U_WNAF, U, 4), "exponent digits are not a width-4 NAF of u")
 
 # 3b' for the doubling step, b' = 3/xi the twist's constant

@@ -588,9 +588,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
     median of 512 16-bit bounded dlogs, each _dlog of a one-point list
     lifted as decryption lifts it, with the table prebuilt.
 
-    bn254 keeps its last hashed points, so g1_hash is timed through the
-    uncached kernel, g1_hash.__wrapped__: a second call in one process
-    times hashing, not cache hits."""
+    bn254 keeps the sector generators it hashed last, so g1_hash is timed
+    through the uncached kernel, g1_hash.__wrapped__: whatever the input's
+    framing, a second call in one process times hashing, not cache hits."""
     calls = 15
     params = setup(group, 16)
     backend = params.group

@@ -119,9 +119,9 @@ CONSTANT_MUTATIONS = [
      "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3].neg()"),
     ("ate_naf", "_ATE_NAF = list(reversed(_naf(6 * U + 2)))[1:]",
      "_ATE_NAF = list(reversed(_naf(6 * U + 4)))[1:]"),
-    ("u_naf", "_U_WNAF = list(reversed(_naf(U, 4)))", "_U_WNAF = list(reversed(_naf(U + 2, 4)))"),
+    ("u_naf", "_U_WNAF = _digits(_wnaf(U, 4))", "_U_WNAF = _digits(_wnaf(U + 2, 4))"),
     # a width-5 NAF of u is u, but reads f^9 and beyond, which _pow_u has not built
-    ("u_naf_width", "_U_WNAF = list(reversed(_naf(U, 4)))", "_U_WNAF = list(reversed(_naf(U, 5)))"),
+    ("u_naf_width", "_U_WNAF = _digits(_wnaf(U, 4))", "_U_WNAF = _digits(_wnaf(U, 5))"),
 ]
 CONSTANT_SCRIPT = textwrap.dedent("""
     import sys, types
