@@ -25,18 +25,15 @@ NAF's 23 (Scott et al., Pairing 2009).  G2 decoding checks subgroup
 membership with the psi test of El Housni, Guillevic and Piellard (eprint
 2022/348): [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q).
 
-Two bounded LRU caches keep work an audit round would redo, keyed on the
-exact bytes they were given (any other argument type runs uncached):
-g2_from_bytes keeps the last 8 decoded G2 points, as _g2_lines keeps the
-last 8 points' Miller lines, which hits while a process uses at most 8 G2
-keys in rotation (g2, W and the provider keys A); g1_hash keeps the last
-256 sector generators v_j, about 0.1 MiB, which every round of a record
-hashes again whatever its size, so 32 records at s = 8 stay cached.  Block
-points H(I_M || i) are not cached: on a record of n blocks a challenged
-one recurs only when n is small.  A hit is safe: both are pure functions
-of public bytes, a hit returns the value the first call computed, and an
-exception is never cached, so an encoding refused once is checked, and
-refused, again on every call.
+g2_from_bytes keeps the last 8 decoded G2 points in a bounded LRU cache
+keyed on the exact bytes given (any other argument type runs uncached),
+as _g2_lines keeps the last 8 points' Miller lines; it hits while a
+process uses at most 8 G2 keys in rotation (g2, W and the provider keys
+A).  A hit is safe: decoding is a pure function of public bytes, a hit
+returns the value the first call computed, and an exception is never
+cached, so an encoding refused once is checked, and refused, again on
+every call.  g1_hash keeps nothing: a record's sector generators are
+hashed once, by the contract that registers it.
 
 Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
@@ -77,7 +74,6 @@ from itertools import zip_longest
 from math import isqrt
 
 from .errors import DimensionMismatch, InvalidElement, InvariantViolation
-from .groups import DOMAIN_VGEN
 
 try:
     from gmpy2 import mpz, invert as _invert
@@ -456,13 +452,6 @@ FP12_ONE = Fp12((mpz(1),) + (mpz(0),) * 11)
 # G1: short Weierstrass y^2 = x^3 + 3 over Fp, affine (x, y) or None
 # ---------------------------------------------------------------------------
 
-def g1_is_on_curve(pt):
-    if pt is None:
-        return True
-    x, y = pt
-    return (y * y - (x * x * x + B)) % P == 0
-
-
 def g1_add(a, b):
     if a is None:
         return b
@@ -552,16 +541,16 @@ _ONE = mpz(1)
 
 def _batch_affine(points):
     """Affine forms of finite Jacobian points with one shared inversion."""
-    prefix = []
+    partial = []
     acc = _ONE
     for _, _, z in points:
-        prefix.append(acc)
+        partial.append(acc)
         acc = acc * z % P
     inv = _fp_inv(acc)
     out = [None] * len(points)
     for k in range(len(points) - 1, -1, -1):
         x, y, z = points[k]
-        zi = inv * prefix[k] % P
+        zi = inv * partial[k] % P
         inv = inv * z % P
         zi2 = zi * zi % P
         out[k] = (x * zi2 % P, y * zi2 * zi % P)
@@ -765,16 +754,16 @@ def _add_affine_batch(starts, adds):
     against 11 for a mixed Jacobian one, and no inversion per result.
     """
     dens = [tx - ax for (ax, _), (tx, _) in zip(starts, adds)]
-    prefix = []
+    partial = []
     prod = _ONE
     for dx in dens:
-        prefix.append(prod)
+        partial.append(prod)
         prod = prod * dx % P
     inv = _fp_inv(prod)                         # 1 / (product of every dx)
     out = [None] * len(dens)
     for t in range(len(dens) - 1, -1, -1):
         (ax, ay), (tx, ty) = starts[t], adds[t]
-        m = (ty - ay) * (inv * prefix[t] % P) % P
+        m = (ty - ay) * (inv * partial[t] % P) % P
         inv = inv * dens[t] % P
         x3 = (m * m - ax - tx) % P
         out[t] = (x3, (m * (ax - x3) - ay) % P)
@@ -1089,19 +1078,18 @@ class EncodedRow:
         return map(self.__getitem__, range(len(self.encodings)))
 
 
-def _bytes_cache(maxsize, prefix=b""):
+def _bytes_cache(maxsize):
     """functools.lru_cache for a function of one bytes argument, keyed on
-    those bytes, for the arguments that start with prefix; any other
-    argument, of another type too, is passed to the function uncached, so
-    what it accepts or refuses is unchanged.  An exception is never
-    cached, and the wrapper keeps lru_cache's __wrapped__, cache_info,
-    cache_clear and cache_parameters."""
+    those bytes; any other argument, of another type too, is passed to the
+    function uncached, so what it accepts or refuses is unchanged.  An
+    exception is never cached, and the wrapper keeps lru_cache's
+    __wrapped__, cache_info, cache_clear and cache_parameters."""
     def decorate(fn):
         cached = functools.lru_cache(maxsize=maxsize)(fn)
 
         @functools.wraps(fn)
         def wrapper(data):
-            if type(data) is bytes and data.startswith(prefix):
+            if type(data) is bytes:
                 return cached(data)
             return fn(data)
 
@@ -1112,24 +1100,11 @@ def _bytes_cache(maxsize, prefix=b""):
     return decorate
 
 
-# A record's s sector generators v_j are hashed again in each of its
-# verification and audit rounds: 256 of them, 32 records at s = 8, take
-# about 0.1 MiB.  Only inputs framed as groups.hash_to_g1 frames
-# DOMAIN_VGEN are kept; a challenged block point recurs only on small
-# records, and caching it would let one large ingest evict every v_j.
-_G1_HASH_CACHE = 256
-_G1_HASH_CACHED = len(DOMAIN_VGEN).to_bytes(2, "big") + DOMAIN_VGEN
-
-
-@_bytes_cache(_G1_HASH_CACHE, _G1_HASH_CACHED)
 def g1_hash(data: bytes):
     """Deterministic try-and-increment map onto the curve.
 
     A candidate x whose x^3 + 3 is not a square is thrown away on its
     Jacobi symbol, so only the accepted candidate pays the square root.
-    The point is a pure function of public bytes, so the last
-    _G1_HASH_CACHE distinct sector-generator inputs are kept and a
-    repeated one is not hashed again; other inputs are always hashed.
     """
     for ctr in range(65536):
         h = hashlib.sha256(b"sevdel/bn254-h2c:" + data + ctr.to_bytes(2, "big")).digest()

@@ -128,6 +128,7 @@ class ContractRecord:
     file_id: bytes | None = None
     sigma_bytes: tuple[bytes, ...] | None = None
     u_bytes: tuple[bytes, ...] | None = None
+    v_gens: tuple | None = None       # vgen_points(file_id, len(u_bytes)), hashed once
     escrow: int = 0
 
 
@@ -135,6 +136,7 @@ def verify_audit_response(
     params: SystemParams,
     file_id: bytes,
     u: tuple,
+    v_gens: tuple,
     A: G2Elem,
     sigma: tuple,
     challenge: Challenge,
@@ -148,11 +150,12 @@ def verify_audit_response(
     for exactly the challenged indices.  Accepts iff the pairing equation
     e(Q2, g2) = e(prod_i base_i^g_i, A) holds, with Q2 = prod_i sigma_i^g_i
     aggregated here from the registered tags and the bases recomputed from
-    the revealed rows.  Only a holder of the true ciphertext blocks can
-    satisfy it, because the registered tags bind the hash of each
-    component's canonical encoding; the components are hashed, never
-    decoded, so any other string, a non-canonical or off-curve one
-    included, fails.
+    the revealed rows and the sector generators v_gens, which the caller
+    holds as vgen_points(params, file_id, s).  Only a holder of the true
+    ciphertext blocks can satisfy it, because the registered tags bind the
+    hash of each component's canonical encoding; the components are
+    hashed, never decoded, so any other string, a non-canonical or
+    off-curve one included, fails.
 
     The response carries no aggregates.  Q2 is a function of the
     registered tags and the challenge, both fixed here, so a Q2 sent by
@@ -176,7 +179,6 @@ def verify_audit_response(
            or not all(isinstance(c, bytes) and len(c) == width for c in row)
            for row in (*rows_p, *rows_pp)):
         raise MalformedProof(f"revealed row is not {s} components of {width} bytes")
-    v_gens = vgen_points(params, file_id, s)
     gammas = [gamma for _, gamma in challenge.items]
     msm = params.g1_msm
     q2 = msm([sigma[i - 1] for i in challenge.indices], gammas)
@@ -325,7 +327,8 @@ class Contract:
         sigma_bytes: list[bytes],
         u_bytes: list[bytes],
     ) -> None:
-        """Record (I_M, Sigma) plus the owner's sector generators on-chain."""
+        """Record (I_M, Sigma) plus the owner's generators u on-chain, and the
+        sector generators v_j that I_M and s fix, hashed once for every audit."""
         _require(isinstance(file_id, bytes) and all(
             isinstance(blobs, (list, tuple)) and all(isinstance(b, bytes) for b in blobs)
             for blobs in (sigma_bytes, u_bytes)), "register_tags takes bytes and lists of bytes")
@@ -340,6 +343,7 @@ class Contract:
             rec.file_id = file_id
             rec.sigma_bytes = tuple(sigma_bytes)
             rec.u_bytes = tuple(u_bytes)
+            rec.v_gens = vgen_points(self.params, file_id, len(u_bytes))
             self._log("register_tags",
                       {"n": n_ref, "file_id": file_id, "sigma": sigma_bytes, "u": u_bytes},
                       rec.state, rec.state, {})
@@ -380,7 +384,7 @@ class Contract:
             sigma = tuple(self.params.g1_from_bytes(b) for b in rec.sigma_bytes)
             u = tuple(self.params.g1_from_bytes(b) for b in rec.u_bytes)
             ok = verify_audit_response(
-                self.params, rec.file_id, u, A, sigma, challenge, response)
+                self.params, rec.file_id, u, rec.v_gens, A, sigma, challenge, response)
             delta: dict[str, int] = {}
             if ok:
                 self._pay(rec, owner_acct, rec.owners[owner_acct], delta)

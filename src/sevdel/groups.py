@@ -61,6 +61,10 @@ class _Elem:
     def __hash__(self):
         return hash((self.kind, self.group.name, self.to_bytes()))
 
+    def __deepcopy__(self, memo):
+        # an immutable value bound to its backend, which is never copied
+        return self
+
     def hex(self) -> str:
         return self.to_bytes().hex()
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sevdel import bn254
 from sevdel.groups import setup
 
 
@@ -21,3 +22,15 @@ def bn_params():
 @pytest.fixture(scope="session", params=["toy", "bn254"])
 def any_params(request, toy_params, bn_params):
     return toy_params if request.param == "toy" else bn_params
+
+
+@pytest.fixture(scope="session")
+def g1_on_curve():
+    """Whether an affine bn254 G1 point, or None for the identity, lies on
+    y^2 = x^3 + 3."""
+    def on_curve(pt):
+        if pt is None:
+            return True
+        x, y = pt
+        return (y * y - (x * x * x + bn254.B)) % bn254.P == 0
+    return on_curve

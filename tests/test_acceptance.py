@@ -175,11 +175,11 @@ def test_criterion_3_completeness_and_soundness_probes():
             params, manifest, gens.u, okeys.W, skeys.A, v_pub, ch, p)
 
         # probe 4: forged row in the audit response
-        enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
-                                      vgen_points(params, manifest.file_id, manifest.s))
+        v_gens = vgen_points(params, manifest.file_id, manifest.s)
+        enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u, v_gens)
         resp = _forged_row(owner.audit_respond(params, manifest, cts, enc_tags, ch), hit)
         rejected += not verify_audit_response(
-            params, manifest.file_id, gens.u, skeys.A, enc_tags.sigma, ch, resp)
+            params, manifest.file_id, gens.u, v_gens, skeys.A, enc_tags.sigma, ch, resp)
 
         probe_fail += rejected == 4
     _report(3, "completeness 100/100 and all four probes rejected 100/100",
@@ -214,11 +214,11 @@ def test_criterion_3_companion_real_curve():
                                 ch, rng.child("f3"))
     r3 = not owner.verify_encryption_proof(
         params, manifest, gens.u, okeys.W, skeys.A, v_pub, ch, p3)
-    enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
-                                  vgen_points(params, manifest.file_id, manifest.s))
+    v_gens = vgen_points(params, manifest.file_id, manifest.s)
+    enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u, v_gens)
     resp = _forged_row(owner.audit_respond(params, manifest, cts, enc_tags, ch), hit)
     r4 = not verify_audit_response(
-        params, manifest.file_id, gens.u, skeys.A, enc_tags.sigma, ch, resp)
+        params, manifest.file_id, gens.u, v_gens, skeys.A, enc_tags.sigma, ch, resp)
     _report(3, "real-curve companion: honest accept, four probes reject",
             r1 and r2 and r3 and r4)
 

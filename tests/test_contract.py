@@ -25,7 +25,7 @@ from sevdel.errors import (
     WrongState,
     WrongWindow,
 )
-from sevdel.groups import vgen_points
+from sevdel.groups import DOMAIN_BLOCK, SystemParams, vgen_points
 from sevdel.rng import SeededRng
 
 T1, T2, T3, T4 = 10, 20, 30, 40
@@ -58,9 +58,9 @@ class _Deployment:
         self.enclave = registry.create(self.manifest.file_id)
         self.cts, self.v_pub = cloud.encrypt_file(
             params, self.enclave, self.manifest, self.blocks, rng.child("enc"))
+        self.v_gens = vgen_points(params, self.manifest.file_id, self.manifest.s)
         self.enc_tags = cloud.gen_enc_tags(
-            params, self.skeys, self.manifest, self.cts, self.gens.u,
-            vgen_points(params, self.manifest.file_id, self.manifest.s))
+            params, self.skeys, self.manifest, self.cts, self.gens.u, self.v_gens)
 
     def register(self, contract):
         contract.register_tags(
@@ -209,8 +209,43 @@ def test_registered_tags_roundtrip_bit_exact(toy_params):
     assert file_id == dep.manifest.file_id
     assert list(sigma_bytes) == [e.to_bytes() for e in dep.enc_tags.sigma]
     assert list(u_bytes) == [e.to_bytes() for e in dep.gens.u]
+    # the sector generators, hashed once at registration for every audit
+    assert contract.records[N].v_gens == vgen_points(toy_params, file_id, dep.manifest.s)
     with pytest.raises(DuplicateTags):
         dep.register(contract)
+
+
+def _hashed_domains(monkeypatch):
+    """The domain of every SystemParams.hash_to_g1 call from here on."""
+    domains = []
+    hash_to_g1 = SystemParams.hash_to_g1
+
+    def counted(self, domain, msg):
+        domains.append(domain)
+        return hash_to_g1(self, domain, msg)
+
+    monkeypatch.setattr(SystemParams, "hash_to_g1", counted)
+    return domains
+
+
+@pytest.mark.parametrize("column", ["sigma", "u"])
+def test_refused_tags_leave_the_record_without_tags_or_generators(any_dep, monkeypatch,
+                                                                   column):
+    # the sector generators are hashed only once sigma and u have decoded
+    dep, params = any_dep, any_dep.params
+    contract, _, _ = _contract(params)
+    contract.service("prov", N, dep.skeys.A.to_bytes(), 100, T1, T2, T3, T4)
+    blobs = {"sigma": [e.to_bytes() for e in dep.enc_tags.sigma],
+             "u": [e.to_bytes() for e in dep.gens.u]}
+    blobs[column][-1] = blobs[column][-1][:-1]
+    domains = _hashed_domains(monkeypatch)
+    with pytest.raises(InvalidElement):
+        contract.register_tags(N, dep.manifest.file_id, blobs["sigma"], blobs["u"])
+    assert domains == []
+    rec = contract.records[N]
+    assert (rec.file_id, rec.sigma_bytes, rec.u_bytes, rec.v_gens) == (None,) * 4
+    with pytest.raises(WrongState):
+        contract.registered_tags(N)
 
 
 def test_params_digest_recorded(toy_params):
@@ -253,6 +288,19 @@ def test_audit_accepts_genuine_leak_and_returns_stake(toy_params):
     # a second audit by the same owner is refused, not double-paid
     with pytest.raises(WrongState):
         contract.audit_verify(N, "own", ch, resp)
+
+
+def test_an_audit_hashes_only_its_challenged_block_points(any_dep, monkeypatch):
+    # the record holds its sector generators: one audit hashes the c
+    # challenged block points H(I_M || i) and no v_j
+    dep, params = any_dep, any_dep.params
+    contract, _, clock = _deploy_to_claimed(params, dep)
+    clock.advance_to(25)
+    ch = dep.audit_challenge()
+    resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
+    domains = _hashed_domains(monkeypatch)
+    assert contract.audit_verify(N, "own", ch, resp)
+    assert domains == [DOMAIN_BLOCK] * len(ch.indices)
 
 
 def test_audit_rejects_forged_sigma(toy_params):
@@ -309,7 +357,7 @@ def test_audit_random_forgery_never_passes(toy_params):
                 group.g1_to_bytes(group.g1_hash(rng.read(8))) for _ in range(dep.manifest.s))
         resp = owner.AuditResponse(revealed_prime=fake_rows_p, revealed_dprime=fake_rows_pp)
         if verify_audit_response(toy_params, dep.manifest.file_id, dep.gens.u,
-                                 dep.skeys.A, dep.enc_tags.sigma, ch, resp):
+                                 dep.v_gens, dep.skeys.A, dep.enc_tags.sigma, ch, resp):
             accepted += 1
     assert accepted == 0
 
@@ -363,8 +411,8 @@ def test_verifiers_refuse_malformed_challenges(any_dep, case):
     forged = owner.AuditResponse(revealed_prime=_identity_rows(params, indices, s),
                                  revealed_dprime=_identity_rows(params, indices, s))
     with pytest.raises(MalformedProof, match=reason):
-        verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
-                              dep.enc_tags.sigma, bad, forged)
+        verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.v_gens,
+                              dep.skeys.A, dep.enc_tags.sigma, bad, forged)
     with pytest.raises(MalformedProof, match=reason):
         cloud.prove_encryption(params, dep.enclave, dep.manifest, dep.blocks, dep.cts,
                                dep.tags, bad, SeededRng(b"adv-proof"))
@@ -535,8 +583,8 @@ def test_audit_refuses_rows_not_matching_the_challenge(any_dep):
         dataclasses.replace(resp, revealed_prime=short),
     ):
         with pytest.raises(MalformedProof):
-            verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
-                                  dep.enc_tags.sigma, ch, forged)
+            verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.v_gens,
+                                  dep.skeys.A, dep.enc_tags.sigma, ch, forged)
 
 
 def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
@@ -646,14 +694,14 @@ def test_audit_refuses_row_components_of_the_wrong_length_or_type(any_dep):
             with pytest.raises(MalformedProof):
                 wire.decode_audit_response(params, wire.encode_audit_response(forged))
             with pytest.raises(MalformedProof):
-                verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
-                                      dep.enc_tags.sigma, ch, forged)
+                verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.v_gens,
+                                      dep.skeys.A, dep.enc_tags.sigma, ch, forged)
         # a decoded point where an encoding belongs is refused, not hashed
         point = params.g1_from_bytes(good)
         forged = dataclasses.replace(resp, **{column: {**rows, i: (point, *rows[i][1:])}})
         with pytest.raises(MalformedProof):
-            verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.skeys.A,
-                                  dep.enc_tags.sigma, ch, forged)
+            verify_audit_response(params, dep.manifest.file_id, dep.gens.u, dep.v_gens,
+                                  dep.skeys.A, dep.enc_tags.sigma, ch, forged)
 
 
 # -- refund / penalty / timer -------------------------------------------------------

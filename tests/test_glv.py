@@ -35,8 +35,8 @@ def test_lambda_is_a_primitive_cube_root_of_unity_mod_r():
 
 
 @pytest.mark.parametrize("pt", [bn254.G1_GEN, *POINTS[:3]])
-def test_phi_is_multiplication_by_lambda(pt):
-    assert bn254.g1_is_on_curve(_phi(pt))
+def test_phi_is_multiplication_by_lambda(pt, g1_on_curve):
+    assert g1_on_curve(_phi(pt))
     assert _phi(pt) == bn254._g1_mul_raw(pt, LAM)
 
 

@@ -14,18 +14,15 @@ from sevdel import bn254
 from sevdel.errors import InvalidElement, UnknownDomain
 from sevdel.groups import (
     DOMAIN_BLOCK,
-    DOMAIN_DELETE,
     DOMAIN_VGEN,
     G1Elem,
     G2Elem,
     SystemParams,
-    block_point,
     elem_to_scalar,
     pairing_eq,
     scalar_from_bytes,
     scalar_to_bytes,
     setup,
-    vgen_points,
 )
 from sevdel.rng import SeededRng
 
@@ -190,9 +187,9 @@ def test_hash_unknown_domain_rejected(any_params):
         any_params.hash_to_g1(b"sevdel/never-registered", b"msg")
 
 
-def test_hash_output_in_subgroup():
+def test_hash_output_in_subgroup(g1_on_curve):
     pt = bn254.g1_hash(b"subgroup check")
-    assert bn254.g1_is_on_curve(pt)
+    assert g1_on_curve(pt)
     assert bn254._g1_mul_raw(pt, int(bn254.R)) is None
 
 
@@ -208,64 +205,13 @@ def test_g1_hash_points_unchanged_by_the_jacobi_rejection():
     assert h.hexdigest() == G1_HASH_DIGEST
 
 
-def _framed(domain, msg):
-    # the bytes SystemParams.hash_to_g1 hands the backend
-    return len(domain).to_bytes(2, "big") + domain + msg
-
-
 @settings(max_examples=40, deadline=None)
-@given(msg=st.binary(max_size=48))
-@example(msg=b"")
-def test_g1_hash_cache_returns_the_uncached_point(msg):
-    data = _framed(DOMAIN_VGEN, msg)
-    first = bn254.g1_hash(data)
-    hits = bn254.g1_hash.cache_info().hits
-    assert bn254.g1_hash(data) == first == bn254.g1_hash.__wrapped__(data)
-    assert bn254.g1_hash.cache_info().hits == hits + 1
-    # other bytes-like inputs hash to the same point, uncached
-    assert bn254.g1_hash(bytearray(data)) == bn254.g1_hash(memoryview(data)) == first
-    assert bn254.g1_hash.cache_info().hits == hits + 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(msg=st.binary(max_size=48))
-def test_g1_hash_keeps_no_block_point_or_deletion_hash(msg):
-    # only sector generators recur whatever a record's size: other inputs
-    # are hashed on every call and never enter the cache
-    cache = bn254.g1_hash
-    for domain in (DOMAIN_BLOCK, DOMAIN_DELETE):
-        data = _framed(domain, msg)
-        before = cache.cache_info()
-        assert cache(data) == cache(data) == cache.__wrapped__(data)
-        assert cache.cache_info() == before
-
-
-def test_a_records_sector_generators_are_hashed_once(bn_params):
-    # the cached framing is the one hash_to_g1 gives DOMAIN_VGEN: a second
-    # vgen_points of a record hits s times, its block points never
-    cache = bn254.g1_hash
-    file_id = b"cache-record-id!"
-    first = vgen_points(bn_params, file_id, 8)
-    hits = cache.cache_info().hits
-    assert vgen_points(bn_params, file_id, 8) == first
-    assert cache.cache_info().hits == hits + 8
-    before = cache.cache_info()
-    assert block_point(bn_params, file_id, 1) == block_point(bn_params, file_id, 1)
-    assert cache.cache_info() == before
-
-
-def test_g1_hash_cache_is_bounded():
-    # a fixed bound: the cache holds at most 256 sector generators, however
-    # many or however large the files stored
-    cache = bn254.g1_hash
-    assert cache.cache_parameters()["maxsize"] == 256
-    cache.cache_clear()
-    points = [cache(_framed(DOMAIN_VGEN, b"bound-%d" % k)) for k in range(300)]
-    assert cache.cache_info().currsize == 256
-    assert cache.cache_info().misses == 300
-    # the oldest inputs were evicted and hash again to the same points
-    assert cache(_framed(DOMAIN_VGEN, b"bound-0")) == points[0]
-    assert cache.cache_info().misses == 301
+@given(data=st.binary(max_size=48))
+@example(data=b"")
+def test_g1_hash_of_bytes_like_inputs(data):
+    # bytearray and memoryview inputs hash to the same point as bytes
+    point = bn254.g1_hash(data)
+    assert bn254.g1_hash(bytearray(data)) == bn254.g1_hash(memoryview(data)) == point
 
 
 _P = int(bn254.P)

@@ -255,7 +255,7 @@ def test_generator_power_random_scalars(any_params):
         _check_generator_power(any_params, k)
 
 
-def test_generator_table_under_one_mib(bn_params):
+def test_generator_table_under_one_mib(bn_params, g1_on_curve):
     bn254.g1_msm([bn254.G1_GEN], [1])   # builds the table
     rows = bn254._gen_rows
     size = sys.getsizeof(rows) + sum(
@@ -263,7 +263,7 @@ def test_generator_table_under_one_mib(bn_params):
                                  for pt in row)
         for row in rows)
     assert size <= 1 << 20
-    assert all(bn254.g1_is_on_curve(pt) for row in rows for pt in row)
+    assert all(g1_on_curve(pt) for row in rows for pt in row)
 
 
 @pytest.mark.parametrize("row", [0, 15, 31])

@@ -298,8 +298,8 @@ def test_audit_singleton_aggregation(any_params):
     rng, _, manifest, blocks, okeys, gens, tags = _outsourced(any_params)
     skeys = cloud.server_keygen(any_params, rng.child("srv"))
     _, enclave, cts, _ = _encrypted(any_params, rng, manifest, blocks)
-    enc_tags = cloud.gen_enc_tags(any_params, skeys, manifest, cts, gens.u,
-                                  vgen_points(any_params, manifest.file_id, manifest.s))
+    v_gens = vgen_points(any_params, manifest.file_id, manifest.s)
+    enc_tags = cloud.gen_enc_tags(any_params, skeys, manifest, cts, gens.u, v_gens)
     ch = owner.Challenge(items=((2, 1),), nonce=b"\x00" * 16)
     resp = owner.audit_respond(any_params, manifest, cts, enc_tags, ch)
     # rows travel as the canonical encodings of the held components
@@ -311,11 +311,11 @@ def test_audit_singleton_aggregation(any_params):
     # sigma_2 to the coefficient 1 itself, and no other tag in its place
     assert [f.name for f in dataclasses.fields(resp)] == ["revealed_prime", "revealed_dprime"]
     sigma = enc_tags.sigma
-    assert contract.verify_audit_response(any_params, manifest.file_id, gens.u, skeys.A,
-                                          sigma, ch, resp)
+    assert contract.verify_audit_response(any_params, manifest.file_id, gens.u, v_gens,
+                                          skeys.A, sigma, ch, resp)
     swapped = (sigma[1], sigma[0], *sigma[2:])
-    assert not contract.verify_audit_response(any_params, manifest.file_id, gens.u, skeys.A,
-                                              swapped, ch, resp)
+    assert not contract.verify_audit_response(any_params, manifest.file_id, gens.u, v_gens,
+                                              skeys.A, swapped, ch, resp)
 
 
 def test_audit_missing_ciphertexts(any_params):

@@ -277,10 +277,10 @@ def bandwidth_files():
         skeys = cloud.server_keygen(params, rng.child("s"))
         assert owner.verify_encryption_proof(params, manifest, gens.u, okeys.W, skeys.A,
                                              v_pub, ch, proof)
-        enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u,
-                                      vgen_points(params, manifest.file_id, s))
+        v_gens = vgen_points(params, manifest.file_id, s)
+        enc_tags = cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u, v_gens)
         resp = owner.audit_respond(params, manifest, cts, enc_tags, ch)
-        assert verify_audit_response(params, manifest.file_id, gens.u, skeys.A,
+        assert verify_audit_response(params, manifest.file_id, gens.u, v_gens, skeys.A,
                                      enc_tags.sigma, ch, resp)
         out.append((params, wire.encode_proof(params, proof), wire.encode_audit_response(resp)))
     return out
