@@ -25,15 +25,16 @@ NAF's 23 (Scott et al., Pairing 2009).  G2 decoding checks subgroup
 membership with the psi test of El Housni, Guillevic and Piellard (eprint
 2022/348): [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q).
 
-g2_from_bytes keeps the last 8 decoded G2 points in a bounded LRU cache
-keyed on the exact bytes given (any other argument type runs uncached),
-as _g2_lines keeps the last 8 points' Miller lines; it hits while a
-process uses at most 8 G2 keys in rotation (g2, W and the provider keys
-A).  A hit is safe: decoding is a pure function of public bytes, a hit
-returns the value the first call computed, and an exception is never
-cached, so an encoding refused once is checked, and refused, again on
-every call.  g1_hash keeps nothing: a record's sector generators are
-hashed once, by the contract that registers it.
+g2_from_bytes keeps the last 8 decoded G2 points: its decoder _g2_decode
+is a functools.lru_cache, called on the exact bytes given (any other
+argument type runs uncached, through __wrapped__), as _g2_lines keeps the
+last 8 points' Miller lines.  It hits while a process uses at most 8 G2
+keys in rotation (g2, W and the provider keys A).  A hit is safe:
+decoding is a pure function of public bytes, a hit returns the value the
+first call computed, and an exception is never cached, so an encoding
+refused once is checked, and refused, again on every call.  g1_hash
+keeps nothing: a record's sector generators are hashed once, by the
+contract that registers it.
 
 Base-field arithmetic runs on gmpy2 integers when available; everything
 degrades to plain ints otherwise.  Points are handed around in affine form
@@ -62,8 +63,9 @@ import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
 kept as the tests' references.
 
 The module is the backend: groups.setup("bn254") binds the module itself
-to elements and params; its last section holds the names only the group
-layer uses.
+to elements and params, whose products, G2 powers and pairings call
+g1_add, g2_mul and pair by name; its last section holds the names only the
+group layer uses.
 """
 
 from __future__ import annotations
@@ -126,20 +128,6 @@ def _fp_sqrt(a):
 
 
 _INV2 = (P + 1) // 2
-
-
-def _naf(k):
-    """Non-adjacent form of k > 0, least significant digit first."""
-    out = []
-    while k > 0:
-        if k & 1:
-            d = 2 - (k & 3)
-            out.append(d)
-            k -= d
-        else:
-            out.append(0)
-        k >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +569,14 @@ def _wnaf(k, w):
         k = (k - d) >> w   # the next w - 1 digits are zero
         pos += w
     return out
+
+
+def _digits(pairs):
+    """Digits, most significant first, of (bit position, digit) pairs."""
+    out = [0] * (pairs[-1][0] + 1)
+    for pos, d in pairs:
+        out[pos] = d
+    return out[::-1]
 
 
 def _odd_multiple_tables(points, size):
@@ -1078,28 +1074,6 @@ class EncodedRow:
         return map(self.__getitem__, range(len(self.encodings)))
 
 
-def _bytes_cache(maxsize):
-    """functools.lru_cache for a function of one bytes argument, keyed on
-    those bytes; any other argument, of another type too, is passed to the
-    function uncached, so what it accepts or refuses is unchanged.  An
-    exception is never cached, and the wrapper keeps lru_cache's
-    __wrapped__, cache_info, cache_clear and cache_parameters."""
-    def decorate(fn):
-        cached = functools.lru_cache(maxsize=maxsize)(fn)
-
-        @functools.wraps(fn)
-        def wrapper(data):
-            if type(data) is bytes:
-                return cached(data)
-            return fn(data)
-
-        wrapper.cache_info = cached.cache_info
-        wrapper.cache_clear = cached.cache_clear
-        wrapper.cache_parameters = cached.cache_parameters
-        return wrapper
-    return decorate
-
-
 def g1_hash(data: bytes):
     """Deterministic try-and-increment map onto the curve.
 
@@ -1201,7 +1175,7 @@ def _g2_jac_mul(pt, k):
     qx, qy = pt
     nqy = qy.neg()
     acc = None
-    for d in reversed(_naf(k)):
+    for d in _digits(_wnaf(k, 2)):
         if acc is not None:
             acc = _g2_jac_dbl(*acc)
         if d:
@@ -1267,15 +1241,22 @@ def g2_to_bytes(pt):
 _G2_CACHE = 8
 
 
-@_bytes_cache(_G2_CACHE)
 def g2_from_bytes(data):
     """The G2 point of a compressed encoding, or InvalidElement: length,
     flag, x < P, on the twist and in the subgroup are each checked.
 
-    Keys are decoded again in every audit round, so the last _G2_CACHE
-    distinct encodings are kept, which hits while at most _G2_CACHE keys
-    are in use; a refused one is checked again each time.
+    Keys are decoded again in every audit round, so _g2_decode keeps the
+    last _G2_CACHE distinct bytes encodings, which hits while at most
+    _G2_CACHE keys are in use; any other argument type runs uncached, and
+    a refused encoding is checked again each time.
     """
+    if type(data) is bytes:
+        return _g2_decode(data)
+    return _g2_decode.__wrapped__(data)
+
+
+@functools.lru_cache(maxsize=_G2_CACHE)
+def _g2_decode(data):
     if len(data) != G2_BYTES:
         raise InvalidElement(f"G2 encoding must be {G2_BYTES} bytes")
     flag = data[0]
@@ -1323,17 +1304,8 @@ def _is_wnaf(digits, k, w):
 
 
 # Miller loop digits, most significant first, without the leading 1
-_ATE_NAF = list(reversed(_naf(6 * U + 2)))[1:]
+_ATE_NAF = _digits(_wnaf(6 * U + 2, 2))[1:]
 _check(_is_wnaf([1] + _ATE_NAF, 6 * U + 2, 2), "loop digits are not the NAF of 6u+2")
-
-
-def _digits(pairs):
-    """Digits, most significant first, of (bit position, digit) pairs."""
-    out = [0] * (pairs[-1][0] + 1)
-    for pos, d in pairs:
-        out[pos] = d
-    return out[::-1]
-
 
 # the digits _pow_u reads, most significant first: 63 digits, 14 nonzero
 _U_WNAF = _digits(_wnaf(U, 4))
@@ -1517,17 +1489,18 @@ def final_exponentiation(f):
     return t0.cyclotomic_sqr().mul(t1)
 
 
-def pairing(p1, p2):
-    """e(p1, p2) for p1 in G1 and p2 in G2; identity inputs map to 1."""
-    if p1 is None or p2 is None:
+def pair(a, b):
+    """e(a, b) for a in G1 and b in G2; identity inputs map to 1."""
+    if a is None or b is None:
         return FP12_ONE
-    return final_exponentiation(miller_loop(p1, p2))
+    return final_exponentiation(miller_loop(a, b))
 
 
 # ---------------------------------------------------------------------------
 # The module as group backend: groups.setup("bn254") binds it to elements and
-# params.  g1_pow, g1_op, g2_pow and pair look their kernel up as a module
-# global on every call, so a wrapper put on the kernel sees every call.
+# params, which call the kernels g1_add, g2_mul and pair by name.  g1_pow and
+# g1_double_exp look their kernel up as a module global on every call, so a
+# wrapper put on the kernel sees every call.
 # ---------------------------------------------------------------------------
 
 name = "bn254"
@@ -1541,10 +1514,6 @@ g2_gen = G2_GEN
 
 def g1_identity():
     return None
-
-
-def g1_op(a, b):
-    return g1_add(a, b)
 
 
 def g1_pow(a, k):
@@ -1580,11 +1549,3 @@ def g1_row_encodings(row):
     if type(row) is EncodedRow:
         return row.encodings
     return [g1_to_bytes(pt) for pt in row]
-
-
-def g2_pow(a, k):
-    return g2_mul(a, k)
-
-
-def pair(a, b):
-    return pairing(a, b)

@@ -241,7 +241,7 @@ def run_scenario_cmd(scenario_file, out):
 def _parse_sizes(ctx, param, value):
     try:
         sizes = [int(v) for v in value.split(",") if v]
-        if all(size >= 1 for size in sizes):
+        if sizes and all(size >= 1 for size in sizes):
             return sizes
     except ValueError:
         pass

@@ -10,8 +10,9 @@ Every protocol module works against this layer.  Two backends exist:
   It satisfies exactly the same algebraic laws, which is what makes it a
   useful brute-force oracle; it offers no security whatsoever.
 
-Element wrappers use multiplicative notation, so protocol code reads like
-the scheme's equations: ``(h * u**m) ** w``.
+Element wrappers use multiplicative notation for a single power, such as
+``params.g2 ** w``; every product of powers in the protocol is one
+multi-exponentiation, ``SystemParams.g1_msm``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class G1Elem(_Elem):
     def __mul__(self, other):
         if type(other) is not G1Elem or other.group is not self.group:
             raise InvalidElement("group mismatch in element product")
-        return G1Elem(self.group, self.group.g1_op(self.raw, other.raw))
+        return G1Elem(self.group, self.group.g1_add(self.raw, other.raw))
 
     def __pow__(self, k: int):
         return G1Elem(self.group, self.group.g1_pow(self.raw, k))
@@ -91,7 +92,7 @@ class G2Elem(_Elem):
     kind = "g2"
 
     def __pow__(self, k: int):
-        return G2Elem(self.group, self.group.g2_pow(self.raw, k))
+        return G2Elem(self.group, self.group.g2_mul(self.raw, k))
 
     def to_bytes(self) -> bytes:
         return self.group.g2_to_bytes(self.raw)
@@ -114,7 +115,7 @@ class ToyBackend:
     g1_bytes = g2_bytes = 9
     g1_gen = g2_gen = 1
 
-    def g1_op(self, a, b):
+    def g1_add(self, a, b):
         return (a + b) % self.order
 
     def _pow(self, a, k):
@@ -133,7 +134,7 @@ class ToyBackend:
             raise InvalidElement("toy element out of range")
         return v
 
-    g1_pow = g2_pow = _pow
+    g1_pow = g2_mul = _pow
 
     def g1_identity(self):
         return 0

@@ -297,7 +297,7 @@ class _Runner:
             self.transcript.emit(self.clock.now, "fault", type="skip-encryption", block=i)
         for i in tampered:
             self.cts.rows_prime[i - 1] = g1_row([
-                group.g1_op(raw, g1) for raw in self.cts.rows_prime[i - 1]])
+                group.g1_add(raw, g1) for raw in self.cts.rows_prime[i - 1]])
             self.transcript.emit(self.clock.now, "fault", type="tamper-block", block=i)
 
     def _do_register_tags(self, step):
@@ -469,10 +469,13 @@ def bench(
     Raises InvariantViolation when a decode, decryption, proof or audit it
     times comes out wrong (a decoded matrix must re-encode to its bytes),
     so no rejecting or broken path is ever reported as a time.  Raises
-    ScenarioError for reps < 1, which would time nothing.
+    ScenarioError for reps < 1 or no sizes, either of which would time
+    nothing.
     """
     if reps < 1:
         raise ScenarioError(f"reps must be >= 1, got {reps}")
+    if not sizes:
+        raise ScenarioError("sizes must name at least one file size")
     rows: list[dict] = []
     for size in sizes:
         params = setup(group, sector_bits)

@@ -109,7 +109,7 @@ def test_criterion_2_detection_rate_matches_hypergeometric():
     group = params.group
     bad_block = 7
     cts.rows_prime[bad_block - 1] = [
-        group.g1_op(raw, params.g1.raw) for raw in cts.rows_prime[bad_block - 1]]
+        group.g1_add(raw, params.g1.raw) for raw in cts.rows_prime[bad_block - 1]]
     agree = True
     for t in range(20):
         ch = owner.gen_challenge(small_manifest, 4, rng_seed=(b"link", t))

@@ -179,7 +179,7 @@ def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
     for m, shift in (((1 << bits) - 1, g1), (0, params.group.g1_pow(g1, -1))):
         tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
         j = values.index(m)
-        tampered.rows_prime[0][j] = params.group.g1_op(tampered.rows_prime[0][j], shift)
+        tampered.rows_prime[0][j] = params.group.g1_add(tampered.rows_prime[0][j], shift)
         if quick:
             assert _oracle(params, enclave, tampered, 0, j) is DlogOutOfRange
         with pytest.raises(DlogOutOfRange):
@@ -220,7 +220,7 @@ def test_one_corrupt_sector_among_32_bit_misses_is_refused(toy_params32):
     assert [m for row in cloud.decrypt_file(toy_params32, enclave, cts).rows
             for m in row] == values
     tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
-    tampered.rows_prime[2][5] = toy_params32.group.g1_op(tampered.rows_prime[2][5], 1 << 40)
+    tampered.rows_prime[2][5] = toy_params32.group.g1_add(tampered.rows_prime[2][5], 1 << 40)
     with pytest.raises(DlogOutOfRange):
         cloud.decrypt_file(toy_params32, enclave, tampered)
 
@@ -250,7 +250,7 @@ def test_decrypt_file_walks_only_its_table_misses(monkeypatch):
     assert sizes == [512, 512, 480]
     del sizes[:]
     tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
-    tampered.rows_prime[100][7] = params16.group.g1_op(tampered.rows_prime[100][7], 1 << 40)
+    tampered.rows_prime[100][7] = params16.group.g1_add(tampered.rows_prime[100][7], 1 << 40)
     with pytest.raises(DlogOutOfRange):
         cloud.decrypt_file(params16, enclave, tampered)
     assert sizes == [512, 512]
@@ -271,7 +271,7 @@ def test_decrypt_file_walks_only_its_table_misses(monkeypatch):
     small = [(k * 40503) % (1 << 16) for k in range(1536)]
     _, _, enclave, cts = _encrypt_32(params32, small, 8, b"miss-32-small")
     tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
-    tampered.rows_prime[100][7] = params32.group.g1_op(tampered.rows_prime[100][7], 1 << 40)
+    tampered.rows_prime[100][7] = params32.group.g1_add(tampered.rows_prime[100][7], 1 << 40)
     with pytest.raises(DlogOutOfRange):
         cloud.decrypt_file(params32, enclave, tampered)
     assert sizes == [512, 512] + [1] * ((1 << 16) - 1)
@@ -295,7 +295,7 @@ def test_decrypt_file_tampered_prime_fails_as_the_oracle(any_params):
               params.hash_to_g1(b"sevdel/block", b"tamper").raw]
     for shift in shifts:
         tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
-        tampered.rows_prime[1][0] = group.g1_op(tampered.rows_prime[1][0], shift)
+        tampered.rows_prime[1][0] = group.g1_add(tampered.rows_prime[1][0], shift)
         expected = _oracle(params, enclave, tampered, 1, 0)
         if expected is DlogOutOfRange:
             with pytest.raises(DlogOutOfRange):
@@ -388,7 +388,7 @@ def test_enc_tag_pairing_oracle_and_tamper(any_params):
 
     # tampering a component after tagging breaks the equation
     group = any_params.group
-    cts.rows_prime[0][0] = group.g1_op(cts.rows_prime[0][0], any_params.g1.raw)
+    cts.rows_prime[0][0] = group.g1_add(cts.rows_prime[0][0], any_params.g1.raw)
     assert not pairing_eq((tags.sigma[0], any_params.g2), (base_for(1), skeys.A))
 
 

@@ -136,51 +136,51 @@ def test_refused_encodings_stay_refused_with_a_key_cached():
         b"\x02" + int(off.c0).to_bytes(32, "big") + int(off.c1).to_bytes(32, "big"),
         bn254.g2_to_bytes(bn254.g2_add(key, _point_of_order(SMALL_ORDERS[0], rng))),
     ]
-    decode = bn254.g2_from_bytes
-    decode.cache_clear()
+    decode, cache = bn254.g2_from_bytes, bn254._g2_decode
+    cache.cache_clear()
     assert decode(valid) == key
     for data in refused:
         for _ in range(2):
             with pytest.raises(InvalidElement):
                 decode(data)
-    assert decode.cache_info().currsize == 1
+    assert cache.cache_info().currsize == 1
     assert decode(valid) == key
 
 
 def test_a_cached_key_equals_its_uncached_decode():
     data = bn254.g2_to_bytes(bn254.g2_mul(bn254.G2_GEN, 0xCAC4E))
-    decode = bn254.g2_from_bytes
+    decode, cache = bn254.g2_from_bytes, bn254._g2_decode
     first = decode(data)
-    hits = decode.cache_info().hits
-    assert decode(data) == first == decode.__wrapped__(data)
-    assert decode.cache_info().hits == hits + 1
+    hits = cache.cache_info().hits
+    assert decode(data) == first == cache.__wrapped__(data)
+    assert cache.cache_info().hits == hits + 1
 
 
 def test_cached_keys_beyond_the_cache_size():
     # more distinct keys than the cache holds: a hit gives the point of a
     # miss, and an evicted key is decoded again to the same point
-    decode = bn254.g2_from_bytes
-    size = decode.cache_parameters()["maxsize"]
+    decode, cache = bn254.g2_from_bytes, bn254._g2_decode
+    size = cache.cache_parameters()["maxsize"]
     assert size == bn254._g2_lines.cache_parameters()["maxsize"] == 8
     points = [bn254.g2_mul(bn254.G2_GEN, k) for k in range(2, size + 5)]
     encodings = [bn254.g2_to_bytes(q) for q in points]
-    decode.cache_clear()
+    cache.cache_clear()
     assert [decode(e) for e in encodings] == points
-    assert decode.cache_info().misses == len(points)
-    assert decode.cache_info().currsize == size
-    hits = decode.cache_info().hits
+    assert cache.cache_info().misses == len(points)
+    assert cache.cache_info().currsize == size
+    hits = cache.cache_info().hits
     for q, e in zip(points[-size:], encodings[-size:]):
         assert decode(e) == q
-    assert decode.cache_info().hits == hits + size
+    assert cache.cache_info().hits == hits + size
     assert decode(encodings[0]) == points[0]
-    assert decode.cache_info().misses == len(points) + 1
+    assert cache.cache_info().misses == len(points) + 1
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
 def test_bytes_like_encodings_decode_as_before(kind):
     data = bn254.g2_to_bytes(bn254.g2_mul(bn254.G2_GEN, 0xB17E5))
     decode = bn254.g2_from_bytes
-    assert decode(kind(data)) == decode.__wrapped__(data)
+    assert decode(kind(data)) == bn254._g2_decode.__wrapped__(data)
     for bad in (data[:-1], data + b"\x00", b"\x04" + data[1:]):
         with pytest.raises(InvalidElement):
             decode(kind(bad))

@@ -4,7 +4,7 @@ byte-identical protocol output.
 
 ``g1_msm``, ``g1_msm_rows``, ``g1_gen_add`` and the generator table are
 checked against per-term double-and-add (``bn254._g1_mul_raw``) and
-``g1_add`` on bn254, and against ``g1_pow``/``g1_op`` on toy.
+``g1_add`` on bn254, and against ``g1_pow``/``g1_add`` on toy.
 """
 
 import hashlib
@@ -33,7 +33,7 @@ def per_term(group, bases, scalars):
     mul = _reference_mul(group)
     acc = group.g1_identity()
     for b, k in zip(bases, scalars):
-        acc = group.g1_op(acc, mul(b, k))
+        acc = group.g1_add(acc, mul(b, k))
     return acc
 
 
@@ -281,7 +281,7 @@ def test_generator_table_entries(row):
 def _check_gen_add(params, starts, scalars):
     group = params.group
     mul = _reference_mul(group)
-    expect = [group.g1_op(p, mul(group.g1_gen, k)) for p, k in zip(starts, scalars)]
+    expect = [group.g1_add(p, mul(group.g1_gen, k)) for p, k in zip(starts, scalars)]
     assert group.g1_gen_add(starts, scalars) == expect
 
 
@@ -350,6 +350,14 @@ def test_gen_add_repeated_scalars(any_params, monkeypatch):
         assert sorted(recoded) == sorted([1024, 7, 1024, 2**253, r - 1, r - 7, 300])
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 2**256 - 1), w=st.integers(2, 8))
+def test_wnaf_is_a_width_w_naf(k, w):
+    # the recoder of every Straus multi-exponentiation, of G2 scalar
+    # multiplication and of the Miller loop's 6u+2; at w = 2 the NAF is unique
+    assert bn254._is_wnaf(bn254._digits(bn254._wnaf(k, w)), k, w)
+
+
 def test_gen_digits_past_half_the_order_are_negated():
     # digits of k in [0, R) sum to k mod R, each selects a table entry
     # (|d| <= 128), and a scalar past R/2 is recoded from R - k: the
@@ -392,13 +400,13 @@ def test_roundtrip_across_a_batch_boundary(bn_params):
 
 
 def _centred_running_sum(group, count):
-    # (m - count // 2) * g1 for m in [0, count), one g1_op at a time
+    # (m - count // 2) * g1 for m in [0, count), one g1_add at a time
     mul = _reference_mul(group)
     acc = mul(group.g1_gen, -(count // 2))
     running = []
     for _ in range(count):
         running.append(acc)
-        acc = group.g1_op(acc, group.g1_gen)
+        acc = group.g1_add(acc, group.g1_gen)
     return running
 
 

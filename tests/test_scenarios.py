@@ -434,6 +434,7 @@ BAD_OPTIONS = {   # name: command line, before --out
     "bench-reps-0": _TOY_BENCH + ["--reps", "0"],
     "bench-sizes-0": _TOY_BENCH + ["--sizes", "0"],
     "bench-sizes-abc": _TOY_BENCH + ["--sizes", "abc"],
+    "bench-sizes-empty": _TOY_BENCH + ["--sizes", ","],
     "bench-challenge-count-0": _TOY_BENCH + ["--challenge-count", "0"],
     "bench-sectors-0": _TOY_BENCH + ["--sectors", "0"],
     "bench-seed-negative": _TOY_BENCH + ["--seed", "-1"],
@@ -482,7 +483,9 @@ def test_readme_cli_block_names_registered_commands():
 # -- bench -------------------------------------------------------------------------
 
 def test_bench_empty_sizes():
-    assert bench([]) == []
+    # no size would leave the report without a phase
+    with pytest.raises(ScenarioError, match="sizes"):
+        bench([])
 
 
 def test_bench_refuses_zero_reps():
