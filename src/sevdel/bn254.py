@@ -1507,7 +1507,6 @@ name = "bn254"
 order = int(R)
 scalar_bytes = 32
 g1_bytes = G1_BYTES
-g2_bytes = G2_BYTES
 g1_gen = G1_GEN
 g2_gen = G2_GEN
 

@@ -66,8 +66,7 @@ class CiphertextMatrix:
     wire.decode_ciphertexts: that is a bn254.EncodedRow, whose components
     were checked on decode and stay encodings until one is read, when it
     is decoded once.  Both read like lists: len, row[j] and iteration;
-    the backend's g1_row_encodings turns any row into its encodings.
-    ``prime_elem`` and ``dprime_elem`` wrap single entries on demand.  A
+    the backend's g1_row_encodings turns any row into its encodings.  A
     row of None models a block the holder does not possess.
     """
 
@@ -77,10 +76,6 @@ class CiphertextMatrix:
     n: int
     s: int
 
-    @property
-    def group(self):
-        return self.v_pub.group
-
     def check_dims(self, n: int, s: int, only=None) -> None:
         """MissingBlock for a row of None, DimensionMismatch unless both
         components hold n rows of s entries; with only, a collection of
@@ -89,12 +84,6 @@ class CiphertextMatrix:
             raise DimensionMismatch(f"ciphertext matrix is {self.n}x{self.s}, expected {n}x{s}")
         check_rows(self.rows_prime, n, s, "ciphertext E' rows", only)
         check_rows(self.rows_dprime, n, s, "ciphertext E'' rows", only)
-
-    def prime_elem(self, row: int, col: int) -> G1Elem:
-        return G1Elem(self.group, self.rows_prime[row][col])
-
-    def dprime_elem(self, row: int, col: int) -> G1Elem:
-        return G1Elem(self.group, self.rows_dprime[row][col])
 
 
 @dataclass(frozen=True)

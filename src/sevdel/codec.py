@@ -100,14 +100,6 @@ class BlockMatrix:
 
     rows: list
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def s(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     def check_shape(self, manifest: FileManifest) -> None:
         check_rows(self.rows, manifest.n, manifest.s, "block rows")
 

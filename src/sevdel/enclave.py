@@ -1,10 +1,11 @@
 """Software enclave lifecycle: create, seal secrets, destroy irreversibly.
 
 The simulator enforces the API contract -- no secret leaves a destroyed
-enclave, and destruction zeroizes every backing buffer before the handle
-turns into a tombstone.  It cannot defend against a host that reaches
-around the API; that boundary mirrors the hardware trust assumption the
-protocol makes about a rational provider.
+enclave, and destruction zeroizes every backing buffer before the enclave
+leaves its registry, after which only a caller's handle holds it.  It
+cannot defend against a host that reaches around the API; that boundary
+mirrors the hardware trust assumption the protocol makes about a
+rational provider.
 """
 
 from __future__ import annotations
@@ -90,13 +91,12 @@ class Enclave:
             self._state = STATE_DESTROYED
             if not self.verify_zeroized():
                 raise InvariantViolation("zeroization failed")
-            receipt = DeletionReceipt(
+            self._registry._release(self)
+            return DeletionReceipt(
                 file_id=self.file_id,
                 enclave_id=self.enclave_id,
                 destroyed_at=self._registry.now(),
             )
-            self._registry.receipts.append(receipt)
-            return receipt
 
     def verify_zeroized(self) -> bool:
         """Post-destroy self-check: every retained buffer is all zeros."""
@@ -106,7 +106,8 @@ class Enclave:
 
 
 class EnclaveRegistry:
-    """Tracks live enclaves and tombstones; issues deletion receipts.
+    """Maps each file id to its one live enclave; a destroyed enclave
+    leaves the map, so the registry holds no key material of a deleted file.
 
     ``clock`` supplies logical timestamps; by default an internal counter
     advances one tick per destruction so receipts stay deterministic.
@@ -116,8 +117,7 @@ class EnclaveRegistry:
         self._clock = clock
         self._tick = 0
         self._count = 0
-        self._by_file: dict[bytes, list[Enclave]] = {}
-        self.receipts: list[DeletionReceipt] = []
+        self._alive: dict[bytes, Enclave] = {}
         self._lock = threading.Lock()
 
     def now(self) -> int:
@@ -128,21 +128,23 @@ class EnclaveRegistry:
 
     def create(self, file_id: bytes) -> Enclave:
         with self._lock:
-            if self.alive_for(file_id) is not None:
+            if file_id in self._alive:
                 raise DuplicateEnclave(f"alive enclave already bound to {file_id.hex()[:16]}")
             enc = Enclave(self, f"enc-{file_id.hex()[:16]}-{self._count}", file_id)
             self._count += 1
-            self._by_file.setdefault(file_id, []).append(enc)
+            self._alive[file_id] = enc
             return enc
 
+    def _release(self, enc: Enclave) -> None:
+        # called by Enclave.destroy, under the enclave's lock, once its buffers are zeroed
+        with self._lock:
+            del self._alive[enc.file_id]
+
     def alive_for(self, file_id: bytes) -> Enclave | None:
-        for enc in self._by_file.get(file_id, ()):
-            if enc.state == STATE_ALIVE:
-                return enc
-        return None
+        return self._alive.get(file_id)
 
     def destroy_for(self, file_id: bytes) -> DeletionReceipt:
-        enc = self.alive_for(file_id)
+        enc = self._alive.get(file_id)
         if enc is None:
             raise UnknownFile(f"no alive enclave bound to {file_id.hex()[:16]}")
         return enc.destroy()

@@ -112,7 +112,7 @@ class ToyBackend:
     # bound so out-of-range corruptions cannot wrap back into range
     order = 281474976710677
     scalar_bytes = 8
-    g1_bytes = g2_bytes = 9
+    g1_bytes = 9
     g1_gen = g2_gen = 1
 
     def g1_add(self, a, b):

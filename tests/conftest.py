@@ -1,7 +1,7 @@
 import pytest
 
 from sevdel import bn254
-from sevdel.groups import setup
+from sevdel.groups import G1Elem, setup
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,13 @@ def g1_on_curve():
         x, y = pt
         return (y * y - (x * x * x + bn254.B)) % bn254.P == 0
     return on_curve
+
+
+@pytest.fixture(scope="session")
+def ct_pair():
+    """Entry (i, j), 0-based, of a CiphertextMatrix as its G1 elements
+    (E'_ij, E''_ij)."""
+    def pair(cts, i, j):
+        group = cts.v_pub.group
+        return G1Elem(group, cts.rows_prime[i][j]), G1Elem(group, cts.rows_dprime[i][j])
+    return pair

@@ -223,7 +223,7 @@ def test_criterion_3_companion_real_curve():
             r1 and r2 and r3 and r4)
 
 
-def test_criterion_4_deletion_irrecoverable_fuzz():
+def test_criterion_4_deletion_irrecoverable_fuzz(ct_pair):
     """After deletion, every decrypt/prove in 1000 random op sequences
     fails with enclave-destroyed; enclave zeroization self-check holds."""
     params = setup("toy", sector_bits=16)
@@ -238,8 +238,7 @@ def test_criterion_4_deletion_irrecoverable_fuzz():
             op = rng.randrange(3)
             try:
                 if op == 0:
-                    cloud.decrypt_block(params, enclave,
-                                        (cts.prime_elem(0, 0), cts.dprime_elem(0, 0)))
+                    cloud.decrypt_block(params, enclave, ct_pair(cts, 0, 0))
                     ok = False
                 elif op == 1:
                     cloud.prove_encryption(params, enclave, manifest, blocks,

@@ -32,7 +32,7 @@ def _setup_file(params, size=96, s=2, seed=b"cloud-fixt"):
     return rng, data, manifest, blocks, registry, enclave, cts, v_pub
 
 
-def test_zero_plaintext_structure(any_params):
+def test_zero_plaintext_structure(any_params, ct_pair):
     # for m = 0 the first component is exactly (E'')^v
     data = b"\x00" * 8
     manifest, blocks = codec.split(data, 2, any_params.sector_bits)
@@ -44,7 +44,8 @@ def test_zero_plaintext_structure(any_params):
     assert any_params.g1 ** v == v_pub
     for i in range(manifest.n):
         for j in range(manifest.s):
-            assert cts.prime_elem(i, j) == cts.dprime_elem(i, j) ** v
+            e_prime, e_dprime = ct_pair(cts, i, j)
+            assert e_prime == e_dprime ** v
 
 
 def test_probabilistic_encryption(any_params):
@@ -91,14 +92,12 @@ def test_roundtrip_random_files(any_params):
         assert codec.join(manifest, back) == data
 
 
-def test_decrypt_block_matches_sector(any_params):
+def test_decrypt_block_matches_sector(any_params, ct_pair):
     _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(any_params)
-    assert cloud.decrypt_block(
-        any_params, enclave, (cts.prime_elem(0, 1), cts.dprime_elem(0, 1))
-    ) == blocks.rows[0][1]
+    assert cloud.decrypt_block(any_params, enclave, ct_pair(cts, 0, 1)) == blocks.rows[0][1]
 
 
-def test_decrypt_boundary_32bit(toy_params32):
+def test_decrypt_boundary_32bit(toy_params32, ct_pair):
     # largest representable sector survives the giant-step walk
     top = (1 << 32) - 1
     data = top.to_bytes(4, "little")
@@ -108,11 +107,10 @@ def test_decrypt_boundary_32bit(toy_params32):
     enclave = registry.create(manifest.file_id)
     cts, _ = cloud.encrypt_file(toy_params32, enclave, manifest, blocks,
                                 SeededRng(b"boundary"))
-    assert cloud.decrypt_block(
-        toy_params32, enclave, (cts.prime_elem(0, 0), cts.dprime_elem(0, 0))) == top
+    assert cloud.decrypt_block(toy_params32, enclave, ct_pair(cts, 0, 0)) == top
 
 
-def test_decrypt_boundary_bn254(bn_params):
+def test_decrypt_boundary_bn254(bn_params, ct_pair):
     top = (1 << bn_params.sector_bits) - 1
     data = bytes([top])
     manifest, blocks = codec.split(data, 1, bn_params.sector_bits)
@@ -120,39 +118,39 @@ def test_decrypt_boundary_bn254(bn_params):
     enclave = registry.create(manifest.file_id)
     cts, _ = cloud.encrypt_file(bn_params, enclave, manifest, blocks,
                                 SeededRng(b"bnb"))
-    assert cloud.decrypt_block(
-        bn_params, enclave, (cts.prime_elem(0, 0), cts.dprime_elem(0, 0))) == top
+    assert cloud.decrypt_block(bn_params, enclave, ct_pair(cts, 0, 0)) == top
 
 
-def test_corrupted_ciphertext_dlog_out_of_range(toy_params32):
+def test_corrupted_ciphertext_dlog_out_of_range(toy_params32, ct_pair):
     _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(toy_params32, size=8, s=1)
-    bumped = cts.prime_elem(0, 0) * (toy_params32.g1 ** (1 << 40))
+    e_prime, e_dprime = ct_pair(cts, 0, 0)
+    bumped = e_prime * (toy_params32.g1 ** (1 << 40))
     with pytest.raises(DlogOutOfRange):
-        cloud.decrypt_block(toy_params32, enclave, (bumped, cts.dprime_elem(0, 0)))
+        cloud.decrypt_block(toy_params32, enclave, (bumped, e_dprime))
 
 
 # -- decryption from the sealed randomness -----------------------------------
 
-def _oracle(params, enclave, cts, i, j):
+def _oracle(params, enclave, e_pair):
     """decrypt_block, which still computes E' / (E'')^v, or the error it raises."""
     try:
-        return cloud.decrypt_block(params, enclave, (cts.prime_elem(i, j), cts.dprime_elem(i, j)))
+        return cloud.decrypt_block(params, enclave, e_pair)
     except DlogOutOfRange:
         return DlogOutOfRange
 
 
-def test_decrypt_file_matches_decrypt_block_on_every_sector(any_params):
+def test_decrypt_file_matches_decrypt_block_on_every_sector(any_params, ct_pair):
     _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(any_params, size=40, s=3)
     back = cloud.decrypt_file(any_params, enclave, cts)
     assert back.rows == blocks.rows
     for i in range(manifest.n):
         for j in range(manifest.s):
-            assert back.rows[i][j] == _oracle(any_params, enclave, cts, i, j)
+            assert back.rows[i][j] == _oracle(any_params, enclave, ct_pair(cts, i, j))
 
 
 @pytest.mark.parametrize("group, bits", [("toy", 8), ("toy", 16), ("toy", 32),
                                          ("bn254", 8), ("bn254", 16), ("bn254", 32)])
-def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
+def test_decrypt_edges_of_the_centred_dlog_table(group, bits, ct_pair):
     # the baby-step table holds (m - half) * g1 for m below 2^min(bits, 16):
     # both ends of the range, both sides of its centre, and, at 32 bits,
     # both sides of the table's centre and of its top, 2^16, decrypt;
@@ -174,14 +172,14 @@ def test_decrypt_edges_of_the_centred_dlog_table(group, bits):
     assert [list(row) for row in cloud.decrypt_file(params, enclave, cts).rows] == [values]
     quick = group == "toy" or bits < 32
     cheap = [j for j, m in enumerate(values) if quick or m < 1 << 17]
-    assert [_oracle(params, enclave, cts, 0, j) for j in cheap] == [values[j] for j in cheap]
+    assert [_oracle(params, enclave, ct_pair(cts, 0, j)) for j in cheap] == [values[j] for j in cheap]
     g1 = params.g1.raw
     for m, shift in (((1 << bits) - 1, g1), (0, params.group.g1_pow(g1, -1))):
         tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
         j = values.index(m)
         tampered.rows_prime[0][j] = params.group.g1_add(tampered.rows_prime[0][j], shift)
         if quick:
-            assert _oracle(params, enclave, tampered, 0, j) is DlogOutOfRange
+            assert _oracle(params, enclave, ct_pair(tampered, 0, j)) is DlogOutOfRange
         with pytest.raises(DlogOutOfRange):
             cloud.decrypt_file(params, enclave, tampered)
 
@@ -196,7 +194,7 @@ def _encrypt_32(params, values, s, seed):
     return manifest, data, enclave, cts
 
 
-def test_decrypt_window_edges_of_the_lockstep_walk(toy_params32):
+def test_decrypt_window_edges_of_the_lockstep_walk(toy_params32, ct_pair):
     # one 32-bit chunk of hits and misses: both ends of [0, 2^32), both
     # sides of k * 2^16 for k = 1, 2 and 2^16 - 1, the last being the top
     # window's floor 2^32 - 2^16, and values inside the bottom window
@@ -209,7 +207,7 @@ def test_decrypt_window_edges_of_the_lockstep_walk(toy_params32):
     back = cloud.decrypt_file(toy_params32, enclave, cts)
     assert [list(row) for row in back.rows] == [values]
     assert codec.join(manifest, back) == data
-    assert [_oracle(toy_params32, enclave, cts, 0, j) for j in range(len(values))] == values
+    assert [_oracle(toy_params32, enclave, ct_pair(cts, 0, j)) for j in range(len(values))] == values
 
 
 def test_one_corrupt_sector_among_32_bit_misses_is_refused(toy_params32):
@@ -286,7 +284,7 @@ def test_decrypt_file_refuses_another_files_matrix(toy_params):
             cloud.decrypt_file(toy_params, enclave, cts)
 
 
-def test_decrypt_file_tampered_prime_fails_as_the_oracle(any_params):
+def test_decrypt_file_tampered_prime_fails_as_the_oracle(any_params, ct_pair):
     # a wrong E' comes out as the oracle's wrong sector or as DlogOutOfRange
     params = any_params
     _, _, manifest, blocks, _, enclave, cts, _ = _setup_file(params, size=12, s=2)
@@ -296,7 +294,7 @@ def test_decrypt_file_tampered_prime_fails_as_the_oracle(any_params):
     for shift in shifts:
         tampered = dataclasses.replace(cts, rows_prime=[row[:] for row in cts.rows_prime])
         tampered.rows_prime[1][0] = group.g1_add(tampered.rows_prime[1][0], shift)
-        expected = _oracle(params, enclave, tampered, 1, 0)
+        expected = _oracle(params, enclave, ct_pair(tampered, 1, 0))
         if expected is DlogOutOfRange:
             with pytest.raises(DlogOutOfRange):
                 cloud.decrypt_file(params, enclave, tampered)
@@ -349,7 +347,7 @@ def test_encrypt_shape_mismatch(any_params):
 
 # -- ciphertext tags -----------------------------------------------------------
 
-def test_enc_tag_single_recomputed(any_params):
+def test_enc_tag_single_recomputed(any_params, ct_pair):
     manifest, blocks = codec.split(b"\x2a", 1, any_params.sector_bits)
     rng = SeededRng(b"etag")
     registry = EnclaveRegistry()
@@ -361,13 +359,14 @@ def test_enc_tag_single_recomputed(any_params):
     v_gens = vgen_points(any_params, manifest.file_id, 1)
     tags = cloud.gen_enc_tags(any_params, skeys, manifest, cts, gens.u, v_gens)
     from sevdel.groups import block_point
+    e_prime, e_dprime = ct_pair(cts, 0, 0)
     base = (block_point(any_params, manifest.file_id, 1)
-            * gens.u[0] ** elem_to_scalar(cts.prime_elem(0, 0))
-            * v_gens[0] ** elem_to_scalar(cts.dprime_elem(0, 0)))
+            * gens.u[0] ** elem_to_scalar(e_prime)
+            * v_gens[0] ** elem_to_scalar(e_dprime))
     assert tags.sigma[0] == base ** skeys.a
 
 
-def test_enc_tag_pairing_oracle_and_tamper(any_params):
+def test_enc_tag_pairing_oracle_and_tamper(any_params, ct_pair):
     rng, _, manifest, blocks, _, enclave, cts, _ = _setup_file(any_params)
     okeys = owner.keygen(any_params, rng.child("ok"))
     gens, _ = owner.outsource(any_params, okeys, manifest, blocks, rng.child("o"))
@@ -379,8 +378,9 @@ def test_enc_tag_pairing_oracle_and_tamper(any_params):
     def base_for(i):
         base = block_point(any_params, manifest.file_id, i)
         for j in range(manifest.s):
-            base = base * gens.u[j] ** elem_to_scalar(cts.prime_elem(i - 1, j))
-            base = base * v_gens[j] ** elem_to_scalar(cts.dprime_elem(i - 1, j))
+            e_prime, e_dprime = ct_pair(cts, i - 1, j)
+            base = base * gens.u[j] ** elem_to_scalar(e_prime)
+            base = base * v_gens[j] ** elem_to_scalar(e_dprime)
         return base
 
     for i in range(1, manifest.n + 1):
@@ -454,7 +454,7 @@ def test_malformed_block_rows_raise_sevdel_errors(any_params):
 
 # -- proving -------------------------------------------------------------------
 
-def test_prove_singleton_challenge(any_params):
+def test_prove_singleton_challenge(any_params, ct_pair):
     rng, _, manifest, blocks, _, enclave, cts, v_pub = _setup_file(any_params)
     okeys = owner.keygen(any_params, rng.child("ok"))
     gens, tags = owner.outsource(any_params, okeys, manifest, blocks, rng.child("o"))
@@ -462,8 +462,7 @@ def test_prove_singleton_challenge(any_params):
     proof = cloud.prove_encryption(any_params, enclave, manifest, blocks, cts, tags,
                                    ch, rng.child("p"))
     for j in range(manifest.s):
-        assert proof.p1_prime[j] == cts.prime_elem(0, j)
-        assert proof.p1_dprime[j] == cts.dprime_elem(0, j)
+        assert (proof.p1_prime[j], proof.p1_dprime[j]) == ct_pair(cts, 0, j)
         assert proof.q[j] == blocks.rows[0][j]
     assert proof.p2 == tags.phi[0]
     skeys = cloud.server_keygen(any_params, rng.child("sk"))
@@ -650,7 +649,7 @@ def test_dleq_rejects_shifted_and_swapped_sectors(any_params):
 
 # -- deletion ---------------------------------------------------------------------
 
-def test_delete_lifecycle(any_params):
+def test_delete_lifecycle(any_params, ct_pair):
     rng, _, manifest, blocks, registry, enclave, cts, _ = _setup_file(any_params)
     _, tags = owner.outsource(any_params, owner.keygen(any_params, rng.child("k")),
                               manifest, blocks, rng.child("o"))
@@ -660,8 +659,7 @@ def test_delete_lifecycle(any_params):
     with pytest.raises(EnclaveDestroyed):
         cloud.decrypt_file(any_params, enclave, cts)
     with pytest.raises(EnclaveDestroyed):
-        cloud.decrypt_block(any_params, enclave,
-                            (cts.prime_elem(0, 0), cts.dprime_elem(0, 0)))
+        cloud.decrypt_block(any_params, enclave, ct_pair(cts, 0, 0))
     with pytest.raises(EnclaveDestroyed):
         cloud.prove_encryption(any_params, enclave, manifest, blocks, cts, tags, ch)
     with pytest.raises(UnknownFile):

@@ -134,7 +134,7 @@ def test_bad_split_args():
 
 def test_block_matrix_shape_helpers():
     manifest, blocks = split(bytes(40), s=5, sector_bits=16)
-    assert (blocks.n, blocks.s) == (manifest.n, manifest.s)
+    assert (len(blocks.rows), len(blocks.rows[0])) == (manifest.n, manifest.s)
     blocks.check_shape(manifest)
     with pytest.raises(DimensionMismatch):
         BlockMatrix(blocks.rows + [blocks.rows[0]]).check_shape(manifest)

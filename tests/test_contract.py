@@ -568,12 +568,12 @@ def test_owner_without_ciphertexts_is_not_paid(any_dep):
         contract.penalty(N)
 
 
-def test_audit_refuses_rows_not_matching_the_challenge(any_dep):
+def test_audit_refuses_rows_not_matching_the_challenge(any_dep, ct_pair):
     dep, params = any_dep, any_dep.params
     ch = dep.audit_challenge()
     resp = owner.audit_respond(params, dep.manifest, dep.cts, dep.enc_tags, ch)
     extra = next(i for i in range(1, dep.manifest.n + 1) if i not in ch.indices)
-    row = tuple(dep.cts.prime_elem(extra - 1, j).to_bytes() for j in range(dep.manifest.s))
+    row = tuple(ct_pair(dep.cts, extra - 1, j)[0].to_bytes() for j in range(dep.manifest.s))
     first = ch.indices[0]
     dropped = {i: r for i, r in resp.revealed_dprime.items() if i != first}
     short = {**resp.revealed_prime, first: resp.revealed_prime[first][:-1]}
@@ -587,7 +587,7 @@ def test_audit_refuses_rows_not_matching_the_challenge(any_dep):
                                   dep.skeys.A, dep.enc_tags.sigma, ch, forged)
 
 
-def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
+def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep, ct_pair):
     # every component is a genuine leaked ciphertext, yet none of these
     # answers the challenge; the honest answer is accepted afterwards
     dep, params = any_dep, any_dep.params
@@ -600,9 +600,8 @@ def test_audit_rejects_true_rows_misplaced_or_misaggregated(any_dep):
     outside = next(i for i in range(1, dep.manifest.n + 1) if i not in ch.indices)
 
     def rows_of(k):
-        s = dep.manifest.s
-        return (tuple(dep.cts.prime_elem(k - 1, j).to_bytes() for j in range(s)),
-                tuple(dep.cts.dprime_elem(k - 1, j).to_bytes() for j in range(s)))
+        pairs = [ct_pair(dep.cts, k - 1, j) for j in range(dep.manifest.s)]
+        return tuple(p.to_bytes() for p, _ in pairs), tuple(d.to_bytes() for _, d in pairs)
 
     def with_rows(placed):
         prime, dprime = dict(resp.revealed_prime), dict(resp.revealed_dprime)

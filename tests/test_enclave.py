@@ -1,5 +1,8 @@
 """Enclave lifecycle: sealing, isolation, irreversible destruction."""
 
+import gc
+import weakref
+
 import pytest
 
 from sevdel.enclave import STATE_ALIVE, STATE_DESTROYED, EnclaveRegistry
@@ -78,7 +81,7 @@ def test_registry_reports_tombstone_not_absence():
     receipt = enc.destroy()
     assert enc.state == STATE_DESTROYED
     assert reg.alive_for(FID_A) is None
-    assert reg.receipts == [receipt] and receipt.enclave_id == enc.enclave_id
+    assert receipt.enclave_id == enc.enclave_id
 
 
 def test_destroy_for_unknown_file():
@@ -97,6 +100,46 @@ def test_recreate_after_destroy_allowed():
     second = reg.create(FID_A)
     assert second.enclave_id != first.enclave_id
     assert reg.alive_for(FID_A) is second
+
+
+# the two ways an enclave dies: through its registry, or through its handle
+DESTROY = {"destroy_for": lambda reg, enc: reg.destroy_for(enc.file_id),
+           "destroy": lambda reg, enc: enc.destroy()}
+
+
+@pytest.mark.parametrize("how", sorted(DESTROY))
+def test_registry_keeps_no_destroyed_enclave(how):
+    # the registry drops a destroyed enclave, so once the caller lets go
+    # of its handle nothing holds the zeroized buffers any longer
+    reg = EnclaveRegistry()
+    enc = reg.create(FID_A)
+    enc.seal(b"k", b"\x42" * 64)
+    DESTROY[how](reg, enc)
+    assert enc.verify_zeroized() and reg.alive_for(FID_A) is None
+    ref = weakref.ref(enc)
+    del enc
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("how", sorted(DESTROY))
+def test_recreate_after_either_destroy_path(how):
+    # the file's new enclave takes the place of the destroyed one, which
+    # the registry does not keep beside it
+    reg = EnclaveRegistry()
+    first = reg.create(FID_A)
+    first_id, ref = first.enclave_id, weakref.ref(first)
+    DESTROY[how](reg, first)
+    del first
+    second = reg.create(FID_A)
+    gc.collect()
+    assert ref() is None
+    assert second.state == STATE_ALIVE and second.enclave_id != first_id
+    assert reg.alive_for(FID_A) is second
+    with pytest.raises(DuplicateEnclave):
+        reg.create(FID_A)
+    assert reg.destroy_for(FID_A).enclave_id == second.enclave_id
+    assert reg.alive_for(FID_A) is None
 
 
 def test_zeroization_assertion():
@@ -126,7 +169,6 @@ def test_receipts_and_clock():
     reg = EnclaveRegistry()
     r1 = reg.create(FID_A).destroy()
     r2 = reg.create(FID_B).destroy()
-    assert reg.receipts == [r1, r2]
     assert r1.destroyed_at < r2.destroyed_at
     parsed = r1.to_json()
     assert FID_A.hex() in parsed

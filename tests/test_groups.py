@@ -297,7 +297,7 @@ def test_g2_serialization_roundtrip(any_params):
 
 def test_garbage_bytes_rejected(any_params):
     width_g1 = any_params.group.g1_bytes
-    width_g2 = any_params.group.g2_bytes
+    width_g2 = len(any_params.g2.to_bytes())
     for data in (b"\xff" * width_g1, b"\x02" + b"\xff" * (width_g1 - 1), b"", b"\x00"):
         with pytest.raises(InvalidElement):
             any_params.g1_from_bytes(data)

@@ -294,7 +294,7 @@ def test_proof_transcript_reveals_no_sector_value(toy_params):
 
 # -- audit responses ---------------------------------------------------------------
 
-def test_audit_singleton_aggregation(any_params):
+def test_audit_singleton_aggregation(any_params, ct_pair):
     rng, _, manifest, blocks, okeys, gens, tags = _outsourced(any_params)
     skeys = cloud.server_keygen(any_params, rng.child("srv"))
     _, enclave, cts, _ = _encrypted(any_params, rng, manifest, blocks)
@@ -303,10 +303,9 @@ def test_audit_singleton_aggregation(any_params):
     ch = owner.Challenge(items=((2, 1),), nonce=b"\x00" * 16)
     resp = owner.audit_respond(any_params, manifest, cts, enc_tags, ch)
     # rows travel as the canonical encodings of the held components
-    assert resp.revealed_prime == {
-        2: tuple(cts.prime_elem(1, j).to_bytes() for j in range(manifest.s))}
-    assert resp.revealed_dprime == {
-        2: tuple(cts.dprime_elem(1, j).to_bytes() for j in range(manifest.s))}
+    pairs = [ct_pair(cts, 1, j) for j in range(manifest.s)]
+    assert resp.revealed_prime == {2: tuple(p.to_bytes() for p, _ in pairs)}
+    assert resp.revealed_dprime == {2: tuple(d.to_bytes() for _, d in pairs)}
     # no aggregate travels: the verifier raises the one registered tag
     # sigma_2 to the coefficient 1 itself, and no other tag in its place
     assert [f.name for f in dataclasses.fields(resp)] == ["revealed_prime", "revealed_dprime"]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,13 @@ def _upper_file_id(text):
     return json.dumps({**d, "file_id": d["file_id"].upper()}, sort_keys=True).encode()
 
 
+def _widen_blocks(data):
+    # blocks.bin's n x s as 32-bit sectors near 2^31, values that the
+    # 16-bit bound of params.json and manifest.json can never decrypt
+    n, s, _ = struct.unpack_from(">IIB", data)
+    return struct.pack(">IIB", n, s, 32) + struct.pack(f"<{n * s}I", *range(2 ** 31, 2 ** 31 + n * s))
+
+
 BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
     # params.json naming other params than the digest it carries
     "encrypt-params-digest-stale": ("encrypt", _set_keys("params.json", sector_bits=8,
@@ -358,6 +366,8 @@ BROKEN_ARTIFACTS = {   # name: (command, corruption of the artifact directory)
     # consistent params.json, but the manifest was split into 16-bit sectors
     "encrypt-manifest-sector-bits-disagree": ("encrypt", _set_keys(
         "params.json", sector_bits=8, params_digest=setup("toy", 8).digest().hex())),
+    # blocks.bin whose header sector width disagrees with both
+    "encrypt-blocks-sector-bits-disagree": ("encrypt", _rewrite("blocks.bin", _widen_blocks)),
     "encrypt-manifest-not-utf8": ("encrypt", _rewrite("manifest.json", lambda b: b"\xff" + b)),
     "encrypt-manifest-file-id-upper-case": ("encrypt", _rewrite("manifest.json", _upper_file_id)),
     # the owner cases break owner_public.json, the only owner artifact

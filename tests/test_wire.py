@@ -336,7 +336,8 @@ def test_decoded_proof_still_verifies_on_bn254():
 
 def _encode_blocks(blocks):
     # the shape the header of a decoded matrix gave, whatever the manifest says
-    shape = codec.FileManifest(bytes(32), blocks.n, blocks.s, blocks.rows[0].itemsize * 8, 1)
+    shape = codec.FileManifest(bytes(32), len(blocks.rows), len(blocks.rows[0]),
+                               blocks.rows[0].itemsize * 8, 1)
     return wire.encode_blocks(shape, blocks)
 
 
