@@ -197,12 +197,9 @@ def encrypt(seed, out):
     params = _load_params(out)
     manifest = _load(out / "manifest.json", codec.FileManifest.from_json)
     blocks = wire.decode_blocks(_load(out / "blocks.bin"))
-    # decode_blocks gives each row as an array of blocks.bin's sector width
-    for name, bits in (("manifest.json", manifest.sector_bits),
-                       ("blocks.bin", blocks.rows[0].itemsize * 8)):
-        if bits != params.sector_bits:
-            raise MalformedProof(f"{name}: sector_bits {bits} disagrees "
-                                 f"with params.json ({params.sector_bits})")
+    if manifest.sector_bits != params.sector_bits:
+        raise MalformedProof(f"manifest.json: sector_bits {manifest.sector_bits} "
+                             f"disagrees with params.json ({params.sector_bits})")
     _, u = _load_json(out, "owner_public.json", lambda d: _owner_public_keys(params, d),
                       _owner_public_text)
     skeys = _load_json(out, "provider.json", lambda d: _provider_keys(params, d),

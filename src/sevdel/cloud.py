@@ -352,7 +352,7 @@ def prove_encryption(
     rows = [i - 1 for i, _ in challenge.items]
     ls = [l for _, l in challenge.items]
     # the header and the challenged rows: the proof reads no other row
-    check_rows(blocks.rows, manifest.n, s, "block rows", rows)
+    blocks.check_shape(manifest, rows)
     cts.check_dims(manifest.n, s, rows)
     sealed_r = _sealed_rows(group, enclave, s)
     r_rows = [sealed_r(i) for i in rows]    # a destroyed enclave refuses before any work

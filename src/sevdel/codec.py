@@ -8,8 +8,9 @@ manifest records the true byte length so joining is exact.
 
 Each row of a BlockMatrix is one typed ``array`` of the sector width
 ('B', 'H' or 'I'): about 2 B per 16-bit sector, where a list of ints
-costs 36 B.  Code that reads rows[i][j] sees plain ints either way, and
-join still accepts list rows, refusing any value out of range.
+costs 36 B.  Such an array cannot hold a value outside [0, 2^sector_bits),
+so BlockMatrix.check_shape, which refuses any other row, is the one check
+that every sector fits the manifest's width.
 """
 
 from __future__ import annotations
@@ -94,21 +95,23 @@ class FileManifest:
 class BlockMatrix:
     """n x s sector values; rows[i][j] is block i+1, sector j+1.
 
-    split, the wire decoder and decryption give each row as an array of
-    the sector width.
+    Each row is an array of the sector width, as split, the wire decoder
+    and decryption build it; check_shape refuses any other row.
     """
 
     rows: list
 
-    def check_shape(self, manifest: FileManifest) -> None:
-        check_rows(self.rows, manifest.n, manifest.s, "block rows")
+    def check_shape(self, manifest: FileManifest, only=None) -> None:
+        """check_rows for the manifest's n x s and sector width."""
+        check_rows(self.rows, manifest.n, manifest.s, "block rows", only,
+                   _SECTOR_FMT[manifest.sector_bits])
 
 
-def check_rows(rows, n: int, s: int, what: str, only=None) -> None:
+def check_rows(rows, n: int, s: int, what: str, only=None, typecode=None) -> None:
     """MissingBlock for a row of None (a block the holder does not
-    possess), DimensionMismatch unless rows holds n rows of s entries.
-    With only, 0-based indices below n, the count and just those rows
-    are checked."""
+    possess), DimensionMismatch unless rows holds n rows of s entries,
+    each an array of typecode when one is given.  With only, 0-based
+    indices below n, the count and just those rows are checked."""
     if len(rows) != n:
         raise DimensionMismatch(f"{what}: {len(rows)} rows, expected {n}")
     for i in range(n) if only is None else only:
@@ -117,6 +120,9 @@ def check_rows(rows, n: int, s: int, what: str, only=None) -> None:
             raise MissingBlock(f"{what}: block {i + 1} not held")
         if len(row) != s:
             raise DimensionMismatch(f"{what}: block {i + 1} has {len(row)} entries, expected {s}")
+        if typecode is not None and (type(row) is not array or row.typecode != typecode):
+            raise DimensionMismatch(
+                f"{what}: block {i + 1} is not an array('{typecode}') of the sector width")
 
 
 def file_identity(content: bytes, owner_id: bytes = b"", file_name: bytes = b"") -> bytes:
@@ -178,24 +184,18 @@ def rows_from_bytes(sector_bits: int, data: bytes, offset: int, n: int, s: int) 
     return rows
 
 
-def pack_rows(sector_bits: int, rows) -> bytes:
-    """Little-endian sector bytes of rows, arrays or lists of ints alike;
-    DimensionMismatch for a value that is negative or not below
-    2^sector_bits."""
+def pack_rows(rows) -> bytes:
+    """Little-endian sector bytes of rows that check_shape has passed."""
     out = []
     for row in rows:
-        try:
-            packed = sector_row(sector_bits, row)
-        except OverflowError as exc:
-            raise DimensionMismatch(
-                f"sector value outside [0, 2^{sector_bits}): {exc}") from exc
         if _BIG_ENDIAN:
-            packed.byteswap()
-        out.append(packed.tobytes())
+            row = row[:]    # swap a copy: the matrix keeps native order
+            row.byteswap()
+        out.append(row.tobytes())
     return b"".join(out)
 
 
 def join(manifest: FileManifest, blocks: BlockMatrix) -> bytes:
     """Inverse of split: exact original bytes, truncated at original_len."""
     blocks.check_shape(manifest)
-    return pack_rows(manifest.sector_bits, blocks.rows)[: manifest.original_len]
+    return pack_rows(blocks.rows)[: manifest.original_len]

@@ -76,7 +76,7 @@ def decode_enc_tagset(params: SystemParams, data: bytes) -> EncTagSet:
 def encode_blocks(manifest: FileManifest, blocks: BlockMatrix) -> bytes:
     blocks.check_shape(manifest)
     return (struct.pack(">IIB", manifest.n, manifest.s, manifest.sector_bits)
-            + pack_rows(manifest.sector_bits, blocks.rows))
+            + pack_rows(blocks.rows))
 
 
 def decode_blocks(data: bytes) -> BlockMatrix:

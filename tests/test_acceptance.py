@@ -323,7 +323,7 @@ def test_criterion_6_binding_exhaustive_small_instance():
     # protocol-level confirmation on sampled alternatives plus the honest matrix
     pipeline_ok = True
     for rows in alternatives[:10]:
-        alt = codec.BlockMatrix([row[:] for row in rows])
+        alt = codec.BlockMatrix([codec.sector_row(params.sector_bits, row) for row in rows])
         registry = EnclaveRegistry()
         enclave = registry.create(manifest.file_id)
         cts, v_pub = cloud.encrypt_file(params, enclave, manifest, alt, rng.child("alt"))

@@ -434,11 +434,25 @@ def test_malformed_ciphertext_rows_raise_sevdel_errors(any_params):
     cloud.gen_enc_tags(params, skeys, manifest, cts, gens.u, v_gens)
 
 
+def _off_width(rows, k=1):
+    """(case, rows, error) for each way row k can fail to be an array of
+    the sector width: a list row, and an array('I') row of values from 2^31
+    on, which no 8- or 16-bit manifest can decrypt."""
+    def swap(row):
+        return [row if i == k else r for i, r in enumerate(rows)]
+    wide = array("I", range(2 ** 31 + 5, 2 ** 31 + 5 + len(rows[k])))
+    return [
+        ("wide row", swap(wide), DimensionMismatch),
+        ("list row", swap(list(rows[k])), DimensionMismatch),
+    ]
+
+
 def test_malformed_block_rows_raise_sevdel_errors(any_params):
     params = any_params
     rng, _, manifest, blocks, _, _, _, _ = _setup_file(params, size=12, s=2)
+    assert manifest.sector_bits < 32
     okeys = owner.keygen(params, rng.child("ok"))
-    for case, rows, error in _malformed(blocks.rows):
+    for case, rows, error in _malformed(blocks.rows) + _off_width(blocks.rows):
         bad = codec.BlockMatrix(rows)
         enclave = EnclaveRegistry().create(manifest.file_id)
         calls = [
@@ -503,6 +517,13 @@ def test_prove_checks_only_the_challenged_rows(any_params):
     assert proof == prove(blocks, cts)
     assert owner.verify_encryption_proof(params, manifest, gens.u, okeys.W, skeys.A, v_pub,
                                          ch, proof)
+    # a block row that is not an array of the sector width is refused only
+    # if challenged: block 1 is not, block 4 is
+    for (_, unread, _), (_, read, error) in zip(_off_width(blocks.rows, 0),
+                                                _off_width(blocks.rows, 3)):
+        assert prove(codec.BlockMatrix(unread), cts) == proof
+        with pytest.raises(error):
+            prove(codec.BlockMatrix(read), cts)
     # a challenged row (block 4) that is not held or is short still raises
     for bad, error in ((lambda row: None, MissingBlock), (lambda row: row[:-1], DimensionMismatch)):
         with pytest.raises(error):
@@ -678,6 +699,8 @@ def _toy_rows_of_every_stage(params, size, s):
     cloud_blocks = wire.decode_blocks(wire.encode_blocks(manifest, blocks))
     back = cloud.decrypt_file(params, enclave, decoded)
     assert codec.join(manifest, back) == data
+    for matrix in (blocks, cloud_blocks, back):
+        matrix.check_shape(manifest)
     ct_rows = [rows for m in (cts, decoded) for rows in (m.rows_prime, m.rows_dprime)]
     return ct_rows, [blocks.rows, cloud_blocks.rows, back.rows]
 

@@ -1,10 +1,11 @@
 """File codec: splitting, padding, identity, round-trips."""
 
 import json
+from array import array
 
 import pytest
 
-from sevdel.codec import BlockMatrix, FileManifest, file_identity, join, split
+from sevdel.codec import BlockMatrix, FileManifest, file_identity, join, sector_row, split
 from sevdel.errors import DimensionMismatch, EmptyFile, MalformedProof
 from sevdel.rng import SeededRng
 
@@ -142,15 +143,27 @@ def test_block_matrix_shape_helpers():
 
 @pytest.mark.parametrize("bits", [8, 16, 32])
 def test_join_refuses_list_rows_out_of_range(bits):
+    # a row is an array of the sector width, which holds exactly [0, 2^bits);
+    # a list row, in range or not, and an array of another typecode are refused
     manifest, blocks = split(bytes(4 * (bits // 8)), s=2, sector_bits=bits)
     top = (1 << bits) - 1
-    blocks.rows[0] = [top, 0]
-    blocks.rows[1] = [0, top]
+    blocks.rows[0] = sector_row(bits, [top, 0])
+    blocks.rows[1] = sector_row(bits, [0, top])
     full, zero = top.to_bytes(bits // 8, "little"), bytes(bits // 8)
     assert join(manifest, blocks) == full + zero + zero + full
     for bad in (-1, 1 << bits, -(1 << bits), 1 << 64):
         for row in ([bad, 0], [0, bad]):
+            with pytest.raises(OverflowError):
+                sector_row(bits, row)
             blocks.rows[1] = row
+            with pytest.raises(DimensionMismatch):
+                join(manifest, blocks)
+    blocks.rows[1] = [0, top]
+    with pytest.raises(DimensionMismatch):
+        join(manifest, blocks)
+    for typecode in "bBhHiIlLqQ":
+        if typecode != sector_row(bits, []).typecode:
+            blocks.rows[1] = array(typecode, [0, 1])
             with pytest.raises(DimensionMismatch):
                 join(manifest, blocks)
 
