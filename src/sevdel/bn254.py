@@ -36,8 +36,7 @@ refused once is checked, and refused, again on every call.  g1_hash
 keeps nothing: a record's sector generators are hashed once, by the
 contract that registers it.
 
-Base-field arithmetic runs on gmpy2 integers when available; everything
-degrades to plain ints otherwise.  Points are handed around in affine form
+Field elements are Python ints.  Points are handed around in affine form
 as (x, y) tuples with None for the identity; scalar multiplication works
 internally in Jacobian coordinates (g2_mul by NAF double-and-add).
 
@@ -77,19 +76,14 @@ from math import isqrt
 
 from .errors import DimensionMismatch, InvalidElement, InvariantViolation
 
-try:
-    from gmpy2 import mpz, invert as _invert
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
-
-    def _invert(a, m):
-        return pow(a, -1, m)
+# Read only by perfbench/run.py's environment(); goes with ROADMAP item 4.
+mpz = int
 
 # Curve parameter u and derived field/order constants.
 U = 4965661367192848881
-P = mpz(21888242871839275222246405745257275088696311157297823662689037894645226208583)
-R = mpz(21888242871839275222246405745257275088548364400416034343698204186575808495617)
-B = mpz(3)
+P = 21888242871839275222246405745257275088696311157297823662689037894645226208583
+R = 21888242871839275222246405745257275088548364400416034343698204186575808495617
+B = 3
 
 
 def _check(ok, what):
@@ -102,7 +96,7 @@ _check(P == 36 * U**4 + 36 * U**3 + 24 * U**2 + 6 * U + 1, "P does not match u")
 _check(R == 36 * U**4 + 36 * U**3 + 18 * U**2 + 6 * U + 1, "R does not match u")
 _check(P % 4 == 3, "P is not 3 mod 4")  # enables the simple square-root rule
 
-G1_GEN = (mpz(1), mpz(2))
+G1_GEN = (1, 2)
 
 FP_BYTES = 32
 G1_BYTES = 1 + FP_BYTES
@@ -112,7 +106,7 @@ G2_BYTES = 1 + 2 * FP_BYTES
 def _fp_inv(a):
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in Fp")
-    return _invert(a, P)
+    return pow(a, -1, P)
 
 
 _SQRT_EXP = (P + 1) // 4
@@ -122,7 +116,7 @@ def _fp_sqrt(a):
     """Square root mod P (P = 3 mod 4), or None if a is not a residue."""
     a = a % P
     if a == 0:
-        return mpz(0)
+        return 0
     y = pow(a, _SQRT_EXP, P)
     return y if y * y % P == a else None
 
@@ -145,10 +139,10 @@ class Fp2:
         return self.c0 == other.c0 and self.c1 == other.c1
 
     def __hash__(self):
-        return hash((int(self.c0), int(self.c1)))
+        return hash((self.c0, self.c1))
 
     def __repr__(self):
-        return f"Fp2({int(self.c0)}, {int(self.c1)})"
+        return f"Fp2({self.c0}, {self.c1})"
 
     def is_zero(self):
         return self.c0 == 0 and self.c1 == 0
@@ -197,10 +191,10 @@ class Fp2:
         if b == 0:
             y = _fp_sqrt(a)
             if y is not None:
-                return Fp2(y, mpz(0))
+                return Fp2(y, 0)
             y = _fp_sqrt(-a % P)
             if y is not None:
-                return Fp2(mpz(0), y)
+                return Fp2(0, y)
             return None
         s = _fp_sqrt((a * a + b * b) % P)
         if s is None:
@@ -217,16 +211,16 @@ class Fp2:
         return root if root.sqr() == self else None
 
 
-FP2_ONE = Fp2(mpz(1), mpz(0))
-XI = Fp2(mpz(9), mpz(1))
+FP2_ONE = Fp2(1, 0)
+XI = Fp2(9, 1)
 
-TWIST_B = Fp2(B, mpz(0)).mul(XI.inv())
+TWIST_B = Fp2(B, 0).mul(XI.inv())
 
 G2_GEN = (
-    Fp2(mpz(10857046999023057135944570762232829481370756359578518086990519993285655852781),
-        mpz(11559732032986387107991004021392285783925812861821192530917403151452391805634)),
-    Fp2(mpz(8495653923123431417604973247489272438418190587263600148770280649306958101930),
-        mpz(4082367875863433681332203403145435568316851327593401208105741076214120093531)),
+    Fp2(10857046999023057135944570762232829481370756359578518086990519993285655852781,
+        11559732032986387107991004021392285783925812861821192530917403151452391805634),
+    Fp2(8495653923123431417604973247489272438418190587263600148770280649306958101930,
+        4082367875863433681332203403145435568316851327593401208105741076214120093531),
 )
 
 # Frobenius multipliers.  (a*w^k)^p = conj(a) * gamma^k * w^k with
@@ -235,8 +229,8 @@ G2_GEN = (
 # _FROB2[k] = xi^(k(p^2-1)/6), which lies in Fp.  gamma^6 = xi^(p-1) fixes
 # gamma up to a sixth root of unity, its norm up to sign, and the G2
 # membership identity checked on G2_GEN below (psi uses gamma^3) the sign.
-_GAMMA = Fp2(mpz(8376118865763821496583973867626364092589906065868298776909617916018768340080),
-             mpz(16469823323077808223889137241176536799009286646108169935659301613961712198316))
+_GAMMA = Fp2(8376118865763821496583973867626364092589906065868298776909617916018768340080,
+             16469823323077808223889137241176536799009286646108169935659301613961712198316)
 _check(_GAMMA.sqr().mul(_GAMMA).sqr().mul(XI) == XI.conj(), "gamma^6 is not xi^(p-1)")
 _gamma_powers = [FP2_ONE]
 for _ in range(5):
@@ -329,7 +323,7 @@ class Fp12:
         return self.c == other.c
 
     def __repr__(self):
-        return f"Fp12{tuple(int(x) for x in self.c)}"
+        return f"Fp12{self.c}"
 
     def mul(self, o):
         g0, g1, h0, h1, g2, g3, h2, h3, g4, g5, h4, h5 = self.c
@@ -433,7 +427,7 @@ class Fp12:
         return Fp12(tuple(x * _FROB2[k >> 1] % P for k, x in enumerate(self.c)))
 
 
-FP12_ONE = Fp12((mpz(1),) + (mpz(0),) * 11)
+FP12_ONE = Fp12((1,) + (0,) * 11)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,7 @@ def _jac_add_affine(x1, y1, z1, x2, y2):
     if h == 0:
         if r == 0:
             return _jac_dbl(x1, y1, z1)
-        return mpz(1), mpz(1), mpz(0)
+        return 1, 1, 0
     hh = h * h % P
     hhh = h * hh % P
     v = x1 * hh % P
@@ -508,9 +502,9 @@ def _g1_mul_raw(pt, k):
             x, y, z = _jac_dbl(x, y, z)
         if bit == "1":
             if x is None:
-                x, y, z = x2, y2, mpz(1)
+                x, y, z = x2, y2, 1
             elif z == 0:
-                x, y, z = x2, y2, mpz(1)
+                x, y, z = x2, y2, 1
             else:
                 x, y, z = _jac_add_affine(x, y, z, x2, y2)
     if z == 0:
@@ -524,13 +518,11 @@ def _g1_mul_raw(pt, k):
 # Accumulators below are Jacobian (x, y, z) triples or None for the
 # identity; tables are affine so every addition is a mixed one.
 
-_ONE = mpz(1)
-
 
 def _batch_affine(points):
     """Affine forms of finite Jacobian points with one shared inversion."""
     partial = []
-    acc = _ONE
+    acc = 1
     for _, _, z in points:
         partial.append(acc)
         acc = acc * z % P
@@ -548,7 +540,7 @@ def _batch_affine(points):
 def _add_affine(acc, x, y):
     """acc + (x, y) for a Jacobian-or-None accumulator."""
     if acc is None:
-        return (x, y, _ONE)
+        return (x, y, 1)
     acc = _jac_add_affine(acc[0], acc[1], acc[2], x, y)
     return None if acc[2] == 0 else acc
 
@@ -583,10 +575,10 @@ def _odd_multiple_tables(points, size):
     """[P, 3P, ..., (2*size - 1)P] in affine form for every point P."""
     if size == 1:
         return [[pt] for pt in points]
-    doubles = _batch_affine([_jac_dbl(x, y, _ONE) for x, y in points])
+    doubles = _batch_affine([_jac_dbl(x, y, 1) for x, y in points])
     jac = []
     for (x, y), (dx, dy) in zip(points, doubles):
-        cur = (x, y, _ONE)
+        cur = (x, y, 1)
         jac.append(cur)
         for _ in range(size - 1):
             cur = _jac_add_affine(cur[0], cur[1], cur[2], dx, dy)
@@ -628,18 +620,18 @@ def _short_basis(n, lam):
 
 def _phi_eigenvalue():
     """The cube root of unity lambda mod R with phi(G) = lambda*G."""
-    lam = _cube_root_of_unity(int(R))
+    lam = _cube_root_of_unity(R)
     phi_gen = (_BETA * G1_GEN[0] % P, G1_GEN[1])
-    for cand in (lam, lam * lam % int(R)):
+    for cand in (lam, lam * lam % R):
         if _g1_mul_raw(G1_GEN, cand) == phi_gen:
             return cand
     raise InvariantViolation("no cube root of unity mod R acts as phi on G1")
 
 
-_BETA = mpz(_cube_root_of_unity(int(P)))
+_BETA = _cube_root_of_unity(P)
 _check(_BETA != 1 and pow(_BETA, 3, P) == 1, "beta is not a cube root of unity mod P")
 _LAMBDA = _phi_eigenvalue()
-(_GLV_A1, _GLV_B1), (_GLV_A2, _GLV_B2) = _short_basis(int(R), _LAMBDA)
+(_GLV_A1, _GLV_B1), (_GLV_A2, _GLV_B2) = _short_basis(R, _LAMBDA)
 _check(_GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1 == R
        and (_GLV_A1 + _GLV_B1 * _LAMBDA) % R == 0
        and (_GLV_A2 + _GLV_B2 * _LAMBDA) % R == 0, "GLV basis does not span the lattice")
@@ -751,7 +743,7 @@ def _add_affine_batch(starts, adds):
     """
     dens = [tx - ax for (ax, _), (tx, _) in zip(starts, adds)]
     partial = []
-    prod = _ONE
+    prod = 1
     for dx in dens:
         partial.append(prod)
         prod = prod * dx % P
@@ -770,8 +762,8 @@ def _generator_rows():
     global _gen_rows
     if _gen_rows is None:
         chain = []                              # 2^(8i) * G and its double, per row
-        x, y, z = G1_GEN[0], G1_GEN[1], _ONE
-        for _ in range(-(-int(R).bit_length() // _GEN_WINDOW)):
+        x, y, z = G1_GEN[0], G1_GEN[1], 1
+        for _ in range(-(-R.bit_length() // _GEN_WINDOW)):
             double = _jac_dbl(x, y, z)
             chain += [(x, y, z), double]
             x, y, z = double
@@ -984,7 +976,7 @@ def g1_to_bytes(pt):
         return b"\x00" + b"\x00" * FP_BYTES
     x, y = pt
     flag = 0x03 if y & 1 else 0x02
-    return bytes([flag]) + int(x).to_bytes(FP_BYTES, "big")
+    return bytes([flag]) + x.to_bytes(FP_BYTES, "big")
 
 
 def _g1_x(data):
@@ -999,7 +991,7 @@ def _g1_x(data):
         return None
     if flag not in (0x02, 0x03):
         raise InvalidElement(f"bad G1 flag byte {flag:#x}")
-    x = mpz(int.from_bytes(data[1:], "big"))
+    x = int.from_bytes(data[1:], "big")
     if x >= P:
         raise InvalidElement("G1 x-coordinate out of field range")
     return x
@@ -1082,7 +1074,7 @@ def g1_hash(data: bytes):
     """
     for ctr in range(65536):
         h = hashlib.sha256(b"sevdel/bn254-h2c:" + data + ctr.to_bytes(2, "big")).digest()
-        x = mpz(int.from_bytes(h, "big")) % P
+        x = int.from_bytes(h, "big") % P
         rhs = (x * x * x + B) % P
         if _jacobi(rhs, P) == 1:
             y = pow(rhs, _SQRT_EXP, P)
@@ -1229,7 +1221,7 @@ def g2_to_bytes(pt):
     x, y = pt
     par = (y.c0 if y.c0 != 0 else y.c1) & 1
     flag = 0x03 if par else 0x02
-    return bytes([flag]) + int(x.c0).to_bytes(FP_BYTES, "big") + int(x.c1).to_bytes(FP_BYTES, "big")
+    return bytes([flag]) + x.c0.to_bytes(FP_BYTES, "big") + x.c1.to_bytes(FP_BYTES, "big")
 
 
 # The protocol's G2 points are a few long-lived keys (g2, W, A): both G2
@@ -1267,8 +1259,8 @@ def _g2_decode(data):
         return None
     if flag not in (0x02, 0x03):
         raise InvalidElement(f"bad G2 flag byte {flag:#x}")
-    c0 = mpz(int.from_bytes(body[:FP_BYTES], "big"))
-    c1 = mpz(int.from_bytes(body[FP_BYTES:], "big"))
+    c0 = int.from_bytes(body[:FP_BYTES], "big")
+    c1 = int.from_bytes(body[FP_BYTES:], "big")
     if c0 >= P or c1 >= P:
         raise InvalidElement("G2 x-coordinate out of field range")
     x = Fp2(c0, c1)
@@ -1401,7 +1393,7 @@ def _g2_lines(qx0, qx1, qy0, qy1):
     """
     q = (qx0, qx1, qy0, qy1)
     nq = (qx0, qx1, -qy0 % P, -qy1 % P)
-    t = q + (mpz(1), mpz(0))
+    t = q + (1, 0)
     lines = []
     for d in _ATE_NAF:
         t, line = _dbl_step(t)
@@ -1504,7 +1496,7 @@ def pair(a, b):
 # ---------------------------------------------------------------------------
 
 name = "bn254"
-order = int(R)
+order = R
 scalar_bytes = 32
 g1_bytes = G1_BYTES
 g1_gen = G1_GEN

@@ -122,7 +122,7 @@ class ToyBackend:
         return a * (k % self.order) % self.order
 
     def _to_bytes(self, a, tag):
-        return tag + int(a).to_bytes(8, "big")
+        return tag + a.to_bytes(8, "big")
 
     def _from_bytes(self, data, tag):
         if len(data) != 9:
@@ -348,7 +348,7 @@ def elem_to_scalar(x: G1Elem) -> int:
 def scalar_to_bytes(group, v: int) -> bytes:
     if not 0 <= v < group.order:
         raise InvalidElement("scalar out of range")
-    return int(v).to_bytes(group.scalar_bytes, "big")
+    return v.to_bytes(group.scalar_bytes, "big")
 
 
 def scalar_from_bytes(group, data: bytes) -> int:

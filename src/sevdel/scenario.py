@@ -643,11 +643,9 @@ def bench_layers(group: str = "toy", seed: int = 1) -> dict:
 def bench_report(rows: list[dict], layers: dict, config: dict) -> dict:
     """The machine-readable bench record: host, run settings, phase rows
     (as in the CSV) and per-primitive layer times."""
-    from . import bn254
     return {
         "env": {
             "python": platform.python_version(),
-            "gmpy2": bn254.mpz is not int,
             "cpu_count": os.cpu_count(),
         },
         "config": config,

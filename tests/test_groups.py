@@ -308,12 +308,12 @@ def test_garbage_bytes_rejected(any_params):
 
 def test_g2_non_subgroup_point_rejected(bn_params):
     # find an on-twist point of the wrong order; its encoding must not decode
-    from sevdel.bn254 import Fp2, TWIST_B, mpz
+    from sevdel.bn254 import Fp2, TWIST_B
     x0 = 1
     while True:
-        x = Fp2(mpz(x0), mpz(1))
+        x = Fp2(x0, 1)
         y = x.sqr().mul(x).add(TWIST_B).sqrt()
-        if y is not None and bn254._g2_mul_raw((x, y), int(bn254.R)) is not None:
+        if y is not None and bn254._g2_mul_raw((x, y), bn254.R) is not None:
             rogue = (x, y)
             break
         x0 += 1
@@ -342,14 +342,25 @@ def test_backends_are_shared_and_bn254_is_its_module():
     assert setup("toy").group is setup("toy", 32).group
 
 
+def _imports_bn254(code):
+    """Whether running code in a fresh interpreter imports sevdel.bn254."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                          "print('sevdel.bn254' in sys.modules)"],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
 def test_toy_setup_never_imports_bn254():
     # the bn254 import-time checks would add to every toy run's setup
-    code = ("import sys, sevdel; sevdel.setup('toy'); "
-            "print('sevdel.bn254' in sys.modules)")
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not _imports_bn254("import sevdel; sevdel.setup('toy')")
+
+
+def test_toy_bench_never_imports_bn254():
+    # nor to a toy bench and its bench.json record
+    assert not _imports_bn254("from sevdel.scenario import bench, bench_report\n"
+                              "bench_report(bench([64], reps=1), {}, {})")
 
 
 def test_setup_rejects_bad_sector_bits():

@@ -113,8 +113,8 @@ CONSTANT_MUTATIONS = [
     # a gamma that is no sixth root of xi^(p-1)
     ("gamma", str(GAMMA[0]), str(GAMMA[0] + 1)),
     # -gamma passes the sixth-power and norm checks but flips psi's y
-    ("gamma_sign", f"mpz({GAMMA[0]}),\n             mpz({GAMMA[1]})",
-     f"mpz({P_INT - GAMMA[0]}),\n             mpz({P_INT - GAMMA[1]})"),
+    ("gamma_sign", f"Fp2({GAMMA[0]},\n             {GAMMA[1]})",
+     f"Fp2({P_INT - GAMMA[0]},\n             {P_INT - GAMMA[1]})"),
     ("psi", "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3]",
      "_PSI_X, _PSI_Y = _gamma_powers[2], _gamma_powers[3].neg()"),
     ("ate_naf", "_ATE_NAF = _digits(_wnaf(6 * U + 2, 2))[1:]",

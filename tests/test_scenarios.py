@@ -543,7 +543,7 @@ def test_bench_json_writes_env_phases_and_layers(tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "bench.json").read_text())
     assert set(report) == {"env", "config", "phases", "layers"}
-    assert set(report["env"]) == {"python", "gmpy2", "cpu_count"}
+    assert set(report["env"]) == {"python", "cpu_count"}
     assert report["config"]["sizes"] == [512]
     assert [r["phase"] for r in report["phases"]] == [
         "tagging", "encryption", "ciphertext_tagging", "ciphertext_decode", "decryption",
