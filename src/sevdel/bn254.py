@@ -53,9 +53,11 @@ interleaved width-w NAF (Straus) per row, where the GLV endomorphism
 phi(x, y) = (beta*x, y) = lambda*(x, y) halves the length of scalars wider
 than 128 bits.  g1_gen_add walks the generator table for many scalars in
 lockstep, one shared inversion per table row; g1_dlog_table, the dlog's
-baby steps centred on the identity, is blocks of such walks over the
-positive half, one inversion per block, keyed on x alone: one entry per
-+- pair, 2^15 for a 16-bit table, signed by the parity of y.
+baby steps centred on the identity, reads the positive half off the
+table's first two rows: each k past 128 is a row-1 centre C plus or
+minus a row-0 entry A, and C + A and C - A share one slope denominator,
+one inversion per centre.  It is keyed on x alone: one entry per +-
+pair, 2^15 for a 16-bit table, signed by the parity of y.
 g1_dlog_lookup reads a point's x and flips that sign by its own y-parity.
 The GLV, Frobenius and psi constants and the loop digits are checked at
 import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
@@ -501,9 +503,7 @@ def _g1_mul_raw(pt, k):
         if x is not None:
             x, y, z = _jac_dbl(x, y, z)
         if bit == "1":
-            if x is None:
-                x, y, z = x2, y2, 1
-            elif z == 0:
+            if x is None or z == 0:
                 x, y, z = x2, y2, 1
             else:
                 x, y, z = _jac_add_affine(x, y, z, x2, y2)
@@ -729,7 +729,7 @@ def _straus(terms):
 # step's additions in one _add_affine_batch.  Two walkers read the table
 # through the digits of _gen_digits: _add_gen_multiple, one scalar in
 # Jacobian mixed additions, and g1_gen_add, many scalars in lockstep with
-# one _add_affine_batch per row.
+# one _add_affine_batch per row; g1_dlog_table reads rows 0 and 1 directly.
 _GEN_WINDOW = 8
 _gen_rows = None
 
@@ -925,9 +925,6 @@ def g1_msm_rows(shared, rows):
     return [None if acc is None else next(finite) for acc in accs]
 
 
-_MULTIPLES_BLOCK = 1024     # 4 * 256, a single base-256 digit
-
-
 def g1_dlog_table(bits):
     """The baby steps of a bounded dlog over m in [0, 2^bits), centred on
     the identity (m - half) * G_GEN, half = 2^(bits - 1): {x: s}, one
@@ -935,20 +932,44 @@ def g1_dlog_table(bits):
     is even and -k when it is odd, so s * G_GEN is the twin with even y
     (the negation map of Bernstein and Lange, INDOCRYPT 2012).
 
-    Only k * G_GEN for k in [0, half] is walked, one block of 1024 at a
-    time: block 0 is one g1_gen_add from the identity, each later block
-    the one before plus 1024 * G_GEN, one addition per point and one
-    inversion per block; the identity, k = 0, gets no entry."""
+    The points are read off the generator table's first two rows, A = a *
+    G_GEN and C = 256c * G_GEN for a, c in [1, 128]: k <= 128 is an A,
+    and every larger k is 256c + d for d in [-127, 128], the centre C
+    plus or minus an A.  C + A and C - A share the slope denominator
+    x(A) - x(C), so one inversion per centre serves both, through
+    Montgomery's simultaneous-inversion trick.  The identity, k = 0, gets
+    no entry.  ValueError for bits outside [1, 16], past what the two rows
+    reach; InvariantViolation unless there are half distinct keys, since
+    g1_dlog_lookup reads half as len(table)."""
+    if not 1 <= bits <= 16:
+        raise ValueError(f"dlog table bits must be in [1, 16], not {bits}")
     half = 1 << (bits - 1)
-    table = {}
-    block = None
-    for start in range(0, half + 1, _MULTIPLES_BLOCK):
-        size = min(half + 1 - start, _MULTIPLES_BLOCK)
-        block = (g1_gen_add(block[:size], [_MULTIPLES_BLOCK] * size) if start
-                 else g1_gen_add([None] * size, range(size)))
-        for k, pt in enumerate(block, start):
-            if k:
-                table[pt[0]] = -k if pt[1] & 1 else k
+    low, centres = _generator_rows()[:2]
+    table = {x: -k if y & 1 else k for k, (x, y) in enumerate(low[:half], 1)}
+    for k in range(256, half + 1, 256):
+        cx, cy = centres[(k >> 8) - 1]
+        table[cx] = -k if cy & 1 else k
+        adds = low if k < half else low[:127]   # the last centre, half, has no C + A
+        dens = [ax - cx for ax, _ in adds]
+        partial = []
+        prod = 1
+        for dx in dens:
+            partial.append(prod)
+            prod = prod * dx % P
+        inv = _fp_inv(prod)                     # 1 / (product of every dx)
+        for a in range(len(adds), 0, -1):
+            ax, ay = adds[a - 1]
+            i = inv * partial[a - 1] % P
+            inv = inv * dens[a - 1] % P
+            if a < 128:                         # C - A: slope -(ay + cy) / dx
+                m = (ay + cy) * i % P
+                x3 = (m * m - cx - ax) % P
+                table[x3] = a - k if (m * (x3 - cx) - cy) % P & 1 else k - a
+            if k < half:                        # C + A: slope (ay - cy) / dx
+                m = (ay - cy) * i % P
+                x3 = (m * m - cx - ax) % P
+                table[x3] = -k - a if (m * (cx - x3) - cy) % P & 1 else k + a
+    _check(len(table) == half, "dlog table keys are not distinct")
     return table
 
 

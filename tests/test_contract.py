@@ -626,7 +626,7 @@ def _non_canonical(params, data):
     the encoding the ciphertext tags were made over."""
     group = params.group
     if params.group.name == "bn254":
-        P = int(bn254.P)
+        P = bn254.P
         x = int.from_bytes(data[1:], "big")
         off = next(t for t in range(x + 1, x + 1000)
                    if pow((t ** 3 + 3) % P, (P - 1) // 2, P) == P - 1)

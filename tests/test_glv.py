@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sevdel import bn254
 
-P, R = int(bn254.P), int(bn254.R)
+P, R = bn254.P, bn254.R
 BETA, LAM = int(bn254._BETA), int(bn254._LAMBDA)
 A1, B1, A2, B2 = (int(bn254._GLV_A1), int(bn254._GLV_B1),
                   int(bn254._GLV_A2), int(bn254._GLV_B2))

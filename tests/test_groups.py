@@ -136,24 +136,24 @@ def test_fast_final_exponentiation_matches_canonical():
     # optimal-ate output must equal the plain f^((p^12-1)/r) pairing; the
     # arbitrary element is not unitary, so a cyclotomic shortcut taken
     # before the easy part would show
-    hard = (int(bn254.P) ** 12 - 1) // int(bn254.R)
+    hard = (bn254.P ** 12 - 1) // bn254.R
     f = bn254.miller_loop(bn254.g1_mul(bn254.G1_GEN, 7), bn254.g2_mul(bn254.G2_GEN, 11))
     rng = random.Random(73)
-    x = bn254.Fp12(tuple(rng.randrange(int(bn254.P)) for _ in range(12)))
+    x = bn254.Fp12(tuple(rng.randrange(bn254.P) for _ in range(12)))
     assert x.conj().mul(x) != bn254.FP12_ONE
     for elem in (f, x):
         assert bn254.final_exponentiation(elem) == elem.pow(hard)
 
 
 def test_generator_orders():
-    assert bn254._g1_mul_raw(bn254.G1_GEN, int(bn254.R)) is None
-    assert bn254._g2_mul_raw(bn254.G2_GEN, int(bn254.R)) is None
+    assert bn254._g1_mul_raw(bn254.G1_GEN, bn254.R) is None
+    assert bn254._g2_mul_raw(bn254.G2_GEN, bn254.R) is None
 
 
 def test_frobenius_is_p_power():
     f = bn254.miller_loop(bn254.G1_GEN, bn254.G2_GEN)
-    assert f.frobenius() == f.pow(int(bn254.P))
-    assert f.frobenius_p2() == f.pow(int(bn254.P) ** 2)
+    assert f.frobenius() == f.pow(bn254.P)
+    assert f.frobenius_p2() == f.pow(bn254.P ** 2)
 
 
 # -- hash to curve -------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_hash_unknown_domain_rejected(any_params):
 def test_hash_output_in_subgroup(g1_on_curve):
     pt = bn254.g1_hash(b"subgroup check")
     assert g1_on_curve(pt)
-    assert bn254._g1_mul_raw(pt, int(bn254.R)) is None
+    assert bn254._g1_mul_raw(pt, bn254.R) is None
 
 
 # sha256 over the encodings of bn254.g1_hash(b"fixed-0" ... b"fixed-63"),
@@ -214,7 +214,7 @@ def test_g1_hash_of_bytes_like_inputs(data):
     assert bn254.g1_hash(bytearray(data)) == bn254.g1_hash(memoryview(data)) == point
 
 
-_P = int(bn254.P)
+_P = bn254.P
 
 
 def _euler(a):

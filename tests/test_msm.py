@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sevdel import bn254, cloud, codec, owner, wire
 from sevdel.enclave import EnclaveRegistry
-from sevdel.errors import DimensionMismatch, InvalidElement
+from sevdel.errors import DimensionMismatch, InvalidElement, InvariantViolation
 from sevdel.groups import DOMAIN_BLOCK, setup, vgen_points
 from sevdel.rng import Rng, SeededRng
 
@@ -327,9 +327,9 @@ def test_gen_add_matches_reference(walks, group):
 
 
 def test_gen_add_repeated_scalars(any_params, monkeypatch):
-    # walks that share a scalar share its digits: the dlog table's block
-    # shape [1024] * k from distinct starts, among them the doubling lane
-    # 1024*G and the cancelling -1024*G; repeats mixed with distinct
+    # walks that share a scalar share its digits: [1024] * k from distinct
+    # starts, among them the doubling lane 1024*G and the cancelling
+    # -1024*G; repeats mixed with distinct
     # scalars, r + 7 and -7 among them, equal to 7 and r - 7 only mod r;
     # and repeats of 300 = 44 + 256 whose walks double at row 0, cancel
     # there or cancel at the end
@@ -421,39 +421,43 @@ def _lookup_window(params, bits, running):
     return group.g1_dlog_lookup(group.g1_dlog_table(bits), points)
 
 
-def test_generator_multiples_are_a_running_sum(any_params, monkeypatch):
+def test_generator_multiples_are_a_running_sum(any_params):
     # every m in [0, 2^bits) comes back from a lookup of (m - half) * g1,
-    # and -(half + 1) * g1, +half * g1 and a hashed point miss; bn254 walks
-    # the half + 1 points k * g1, k in [0, half], in blocks, shrunk here so
-    # the walk ends on a short block (blocks of 3: 5 = 3 + 2 points), a full
-    # one (blocks of 3: 9 = 3 * 3) and a lone point (blocks of 4: 9 = 4 + 4 + 1)
-    running = _centred_running_sum(any_params.group, 2 * 64 + 2)
-    for block in (3, 4, 1024):
-        monkeypatch.setattr(bn254, "_MULTIPLES_BLOCK", block)
-        for bits in range(1, 8):
-            assert _lookup_window(any_params, bits, running) == [
-                None, *range(1 << bits), None, None], (block, bits)
+    # and -(half + 1) * g1, +half * g1 and a hashed point miss; bn254 reads
+    # k * g1 for k <= 128 off generator-table row 0 and every larger k as a
+    # row-1 centre 256c plus or minus a row-0 entry: bits 1-7 put half
+    # below 128, bits 8 at it, bits 9 end on the first centre (which, as
+    # the last, adds no C + A) and bits 10 run one full centre, then the last
+    running = _centred_running_sum(any_params.group, 2 * 512 + 2)
+    for bits in range(1, 11):
+        assert _lookup_window(any_params, bits, running) == [
+            None, *range(1 << bits), None, None], bits
+
+
+# sha256 over the 16-bit table's items sorted by x, each x as 32 B and its
+# signed value as 3 B, big-endian, recorded from a table that walked every
+# k * g1 with g1_gen_add: the table read off the generator table equals it
+_BABY_STEPS_16_SHA256 = "d5313f05e2e5f12e8752d8c446dd88b637b425e1c91ddc4d349901f344209127"
 
 
 def test_full_bn254_baby_step_table(monkeypatch):
-    # the table decryption reads: 2^15 entries, one per +- pair, from a
-    # walk of 2^15 + 1 points in 33 blocks, and every m below 2^16 comes
-    # back from a lookup of its own centred multiple; the identity at the
-    # centre is half, and -(half + 1) * g1, +half * g1 and a hashed point,
-    # just past either end and off the range, miss
-    walked = []
-    gen_add = bn254.g1_gen_add
+    # the table decryption reads: 2^15 entries, one per +- pair, read off
+    # the generator table without a g1_gen_add walk and equal, entry for
+    # entry, to the pinned one; every m below 2^16 comes back from a
+    # lookup of its own centred multiple; the identity at the centre is
+    # half, and -(half + 1) * g1, +half * g1 and a hashed point, just past
+    # either end and off the range, miss
+    def no_walk(points, scalars):
+        raise AssertionError("g1_dlog_table walked g1_gen_add")
 
-    def counting(points, scalars):
-        walked.append(len(points))
-        return gen_add(points, scalars)
-
-    monkeypatch.setattr(bn254, "g1_gen_add", counting)
+    monkeypatch.setattr(bn254, "g1_gen_add", no_walk)
     table = bn254.g1_dlog_table(16)
     monkeypatch.undo()
-    assert walked == [1024] * 32 + [1]
     half = 1 << 15
     assert len(table) == half
+    digest = hashlib.sha256(b"".join(x.to_bytes(32, "big") + k.to_bytes(3, "big", signed=True)
+                                     for x, k in sorted(table.items())))
+    assert digest.hexdigest() == _BABY_STEPS_16_SHA256
     baby, baby_bits = cloud._dlog_table(bn254, 16)
     assert baby_bits == 16
     assert baby == table
@@ -461,6 +465,26 @@ def test_full_bn254_baby_step_table(monkeypatch):
     running = _centred_running_sum(bn254, (1 << 16) + 2)
     assert running[half + 1] is None
     assert _lookup_window(params, 16, running) == [None, *range(1 << 16), None, None]
+
+
+def test_bn254_dlog_table_refuses_bits_past_two_generator_rows():
+    # rows 0 and 1 reach k = 128 * 256 = 2^15, the half of a 16-bit table
+    for bits in (-1, 0, 17, 32):
+        with pytest.raises(ValueError, match=r"\[1, 16\]"):
+            bn254.g1_dlog_table(bits)
+
+
+def test_bn254_dlog_table_refuses_colliding_keys(monkeypatch):
+    # g1_dlog_lookup reads half as len(table): a row-0 entry repeated in
+    # place of 2 * g1 leaves fewer keys than half: among row 0's entries
+    # (bits 2), and at bits 10 among a centre's sums and differences too
+    rows = bn254._generator_rows()
+    low = list(rows[0])
+    low[1] = low[0]
+    monkeypatch.setattr(bn254, "_generator_rows", lambda: [low, *rows[1:]])
+    for bits in (2, 10):
+        with pytest.raises(InvariantViolation, match="not distinct"):
+            bn254.g1_dlog_table(bits)
 
 
 def test_dlog_keys_are_distinct_with_the_identity_at_the_centre(any_params):

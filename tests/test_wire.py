@@ -453,8 +453,8 @@ def _group_codecs(params):
         g1_fields = g2_fields = [(1, 9, group.order)]
     else:
         from sevdel import bn254
-        g1_fields = [(1, 33, int(bn254.P))]
-        g2_fields = [(1, 33, int(bn254.P)), (33, 65, int(bn254.P))]
+        g1_fields = [(1, 33, bn254.P)]
+        g2_fields = [(1, 33, bn254.P), (33, 65, bn254.P)]
     width = group.scalar_bytes
     return [
         ("g1", params.g1_from_bytes, lambda e: e.to_bytes(),
@@ -565,7 +565,7 @@ def test_jacobi_check_accepts_exactly_what_decodes(data):
         encoding = data.draw(st.binary(min_size=33, max_size=33))
     elif kind == "flag-and-x":
         # x below p + 2^8 and every flag: about half the x < p are on the curve
-        x = data.draw(st.integers(0, int(bn254.P) + 255))
+        x = data.draw(st.integers(0, bn254.P + 255))
         encoding = bytes([data.draw(st.integers(0, 4))]) + x.to_bytes(32, "big")
     else:
         k = data.draw(st.integers(0, 32))
@@ -577,7 +577,7 @@ def test_jacobi_check_accepts_exactly_what_decodes(data):
 
 def test_jacobi_check_explicit_cases():
     from sevdel import bn254
-    p = int(bn254.P)
+    p = bn254.P
     valid = bn254.g1_to_bytes(bn254.g1_hash(b"explicit"))
     identity = bn254.g1_to_bytes(None)
     cases = [bytes([flag]) + x.to_bytes(32, "big")
