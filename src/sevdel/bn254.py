@@ -59,6 +59,9 @@ minus a row-0 entry A, and C + A and C - A share one slope denominator,
 one inversion per centre.  It is keyed on x alone: one entry per +-
 pair, 2^15 for a 16-bit table, signed by the parity of y.
 g1_dlog_lookup reads a point's x and flips that sign by its own y-parity.
+_inverses is the one place Montgomery's simultaneous-inversion trick
+lives: _batch_affine, _add_affine_batch and g1_dlog_table share their
+inversions through it.
 The GLV, Frobenius and psi constants and the loop digits are checked at
 import by _check.  _g1_mul_raw and _g2_mul_raw, plain double-and-add, are
 kept as the tests' references.
@@ -519,21 +522,28 @@ def _g1_mul_raw(pt, k):
 # identity; tables are affine so every addition is a mixed one.
 
 
-def _batch_affine(points):
-    """Affine forms of finite Jacobian points with one shared inversion."""
+def _inverses(values):
+    """[1 / v mod P] through one _fp_inv (Montgomery's trick): a prefix
+    product, its inverse, then a backward pass, 3 multiplications per
+    value.  ZeroDivisionError if any value is 0 mod P."""
     partial = []
     acc = 1
-    for _, _, z in points:
+    for v in values:
         partial.append(acc)
-        acc = acc * z % P
+        acc = acc * v % P
     inv = _fp_inv(acc)
-    out = [None] * len(points)
-    for k in range(len(points) - 1, -1, -1):
-        x, y, z = points[k]
-        zi = inv * partial[k] % P
-        inv = inv * z % P
+    for k in range(len(values) - 1, -1, -1):
+        partial[k] = inv * partial[k] % P
+        inv = inv * values[k] % P
+    return partial
+
+
+def _batch_affine(points):
+    """Affine forms of finite Jacobian points with one shared inversion."""
+    out = []
+    for (x, y, _), zi in zip(points, _inverses([z for _, _, z in points])):
         zi2 = zi * zi % P
-        out[k] = (x * zi2 % P, y * zi2 * zi % P)
+        out.append((x * zi2 % P, y * zi2 * zi % P))
     return out
 
 
@@ -737,24 +747,16 @@ _gen_rows = None
 def _add_affine_batch(starts, adds):
     """[A_t + T_t], affine, for affine points with A_t.x != T_t.x.
 
-    Every addition's slope shares one inversion (Montgomery's
-    simultaneous-inversion trick): about 6 multiplications per addition
-    against 11 for a mixed Jacobian one, and no inversion per result.
+    Every addition's slope shares one inversion, through _inverses: about
+    6 multiplications per addition against 11 for a mixed Jacobian one,
+    and no inversion per result.
     """
-    dens = [tx - ax for (ax, _), (tx, _) in zip(starts, adds)]
-    partial = []
-    prod = 1
-    for dx in dens:
-        partial.append(prod)
-        prod = prod * dx % P
-    inv = _fp_inv(prod)                         # 1 / (product of every dx)
-    out = [None] * len(dens)
-    for t in range(len(dens) - 1, -1, -1):
-        (ax, ay), (tx, ty) = starts[t], adds[t]
-        m = (ty - ay) * (inv * partial[t] % P) % P
-        inv = inv * dens[t] % P
+    invs = _inverses([tx - ax for (ax, _), (tx, _) in zip(starts, adds)])
+    out = []
+    for (ax, ay), (tx, ty), i in zip(starts, adds, invs):
+        m = (ty - ay) * i % P
         x3 = (m * m - ax - tx) % P
-        out[t] = (x3, (m * (ax - x3) - ay) % P)
+        out.append((x3, (m * (ax - x3) - ay) % P))
     return out
 
 
@@ -936,11 +938,10 @@ def g1_dlog_table(bits):
     G_GEN and C = 256c * G_GEN for a, c in [1, 128]: k <= 128 is an A,
     and every larger k is 256c + d for d in [-127, 128], the centre C
     plus or minus an A.  C + A and C - A share the slope denominator
-    x(A) - x(C), so one inversion per centre serves both, through
-    Montgomery's simultaneous-inversion trick.  The identity, k = 0, gets
-    no entry.  ValueError for bits outside [1, 16], past what the two rows
-    reach; InvariantViolation unless there are half distinct keys, since
-    g1_dlog_lookup reads half as len(table)."""
+    x(A) - x(C), so one _inverses call per centre serves both.  The identity,
+    k = 0, gets no entry.  ValueError for bits outside [1, 16], past what
+    the two rows reach; InvariantViolation unless there are half distinct
+    keys, since g1_dlog_lookup reads half as len(table)."""
     if not 1 <= bits <= 16:
         raise ValueError(f"dlog table bits must be in [1, 16], not {bits}")
     half = 1 << (bits - 1)
@@ -950,17 +951,8 @@ def g1_dlog_table(bits):
         cx, cy = centres[(k >> 8) - 1]
         table[cx] = -k if cy & 1 else k
         adds = low if k < half else low[:127]   # the last centre, half, has no C + A
-        dens = [ax - cx for ax, _ in adds]
-        partial = []
-        prod = 1
-        for dx in dens:
-            partial.append(prod)
-            prod = prod * dx % P
-        inv = _fp_inv(prod)                     # 1 / (product of every dx)
-        for a in range(len(adds), 0, -1):
-            ax, ay = adds[a - 1]
-            i = inv * partial[a - 1] % P
-            inv = inv * dens[a - 1] % P
+        invs = _inverses([ax - cx for ax, _ in adds])
+        for a, ((ax, ay), i) in enumerate(zip(adds, invs), 1):
             if a < 128:                         # C - A: slope -(ay + cy) / dx
                 m = (ay + cy) * i % P
                 x3 = (m * m - cx - ax) % P

@@ -332,6 +332,9 @@ class Contract:
         _require(isinstance(file_id, bytes) and all(
             isinstance(blobs, (list, tuple)) and all(isinstance(b, bytes) for b in blobs)
             for blobs in (sigma_bytes, u_bytes)), "register_tags takes bytes and lists of bytes")
+        # no audit can pass on a record without sigma or u, or under an id no manifest has
+        _require(len(file_id) == 32 and sigma_bytes and u_bytes,
+                 "register_tags needs a 32-byte file_id and nonempty sigma and u")
         with self._lock:
             rec = self._open(n_ref, "register_tags", STATE_CREATED)
             if rec.sigma_bytes is not None:

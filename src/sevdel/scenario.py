@@ -141,6 +141,9 @@ class Scenario:
             _require(_is_int(fault.get("block", 1), 1) and isinstance(blocks, list)
                      and all(_is_int(i, 1) for i in blocks),
                      f"fault blocks must be integers >= 1: {fault!r}")
+        # the runner applies one fault of each type; skip-encryption takes a list
+        kinds = [fault["type"] for fault in self.faults]
+        _require(len(set(kinds)) == len(kinds), f"each fault type may appear once: {kinds}")
         _require(isinstance(self.expect, dict)
                  and isinstance(self.expect.get("balances", {}), dict),
                  "expect and its balances must be objects")

@@ -508,6 +508,9 @@ ILL_TYPED_CALLS = {   # name: (stage, replaced arguments given the deployment)
     "register-sigma-none": ("created", lambda dep: {"sigma_bytes": None}),
     "register-u-none": ("created", lambda dep: {"u_bytes": None}),
     "register-file-id-str": ("created", lambda dep: {"file_id": dep.manifest.file_id.hex()}),
+    "register-file-id-short": ("created", lambda dep: {"file_id": dep.manifest.file_id[:31]}),
+    "register-sigma-empty": ("created", lambda dep: {"sigma_bytes": []}),
+    "register-u-empty": ("created", lambda dep: {"u_bytes": []}),
     "claim-n-ref-list": ("claimable", lambda dep: {"n_ref": [N]}),
     "audit-challenge-none": ("claimed", lambda dep: {"challenge": None}),
     "audit-response-none": ("claimed", lambda dep: {"response": None}),

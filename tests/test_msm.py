@@ -487,6 +487,26 @@ def test_bn254_dlog_table_refuses_colliding_keys(monkeypatch):
             bn254.g1_dlog_table(bits)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 512])
+def test_inverses_of_a_batch(n):
+    # 255 denominators are one dlog centre's, 512 one walk chunk's; the
+    # callers pass unreduced differences, so every other value is negative
+    values = SeededRng(b"inverses/%d" % n).scalars(n, bn254.P, nonzero=True)
+    values = [v - bn254.P if j & 1 else v for j, v in enumerate(values)]
+    inverses = bn254._inverses(values)
+    assert len(inverses) == n
+    assert all(v * i % bn254.P == 1 for v, i in zip(values, inverses))
+
+
+@pytest.mark.parametrize("zero", [0, bn254.P], ids=["0", "P"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_inverses_refuse_a_zero_anywhere(at, zero):
+    values = [3, 5, 7, 11, 13]
+    values[at] = zero
+    with pytest.raises(ZeroDivisionError):
+        bn254._inverses(values)
+
+
 def test_dlog_keys_are_distinct_with_the_identity_at_the_centre(any_params):
     # the identity is the centre, half; a multiple d * g1 and its negation,
     # which on bn254 share one entry, come back as half + d and half - d;

@@ -123,6 +123,8 @@ def test_scenario_parser_refuses_ill_typed_input():
         _with(faults={"type": "tamper-block"}),
         _with(faults=[{"type": "tamper-block", "block": 0}]),
         _with(faults=[{"type": "skip-encryption", "blocks": 1}]),
+        _with(faults=[{"type": "tamper-block", "block": 1},
+                      {"type": "tamper-block", "block": 3}]),
         _with(deadlines={**good["deadlines"], "t2": "a"}),
         _with(deadlines=[10, 20, 30, 40]),
         _with(file_size="x"),
@@ -445,6 +447,7 @@ BAD_OPTIONS = {   # name: command line, before --out
     "bench-sizes-0": _TOY_BENCH + ["--sizes", "0"],
     "bench-sizes-abc": _TOY_BENCH + ["--sizes", "abc"],
     "bench-sizes-empty": _TOY_BENCH + ["--sizes", ","],
+    "bench-sizes-empty-entry": _TOY_BENCH + ["--sizes", "64,,128"],
     "bench-challenge-count-0": _TOY_BENCH + ["--challenge-count", "0"],
     "bench-sectors-0": _TOY_BENCH + ["--sectors", "0"],
     "bench-seed-negative": _TOY_BENCH + ["--seed", "-1"],
