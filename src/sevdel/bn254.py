@@ -470,17 +470,19 @@ def _jac_dbl(x, y, z):
     return x3, y3, z3
 
 
-def _jac_add_affine(x1, y1, z1, x2, y2):
-    # mixed addition, (x2, y2) affine
+def _add_affine(acc, x2, y2):
+    """acc + (x2, y2), a mixed addition: acc and the result are Jacobian
+    triples or None for the identity, (x2, y2) is affine."""
+    if acc is None:
+        return (x2, y2, 1)
+    x1, y1, z1 = acc
     z1z1 = z1 * z1 % P
     u2 = x2 * z1z1 % P
     s2 = y2 * z1 * z1z1 % P
     h = (u2 - x1) % P
     r = (s2 - y1) % P
     if h == 0:
-        if r == 0:
-            return _jac_dbl(x1, y1, z1)
-        return 1, 1, 0
+        return _jac_dbl(x1, y1, z1) if r == 0 else None
     hh = h * h % P
     hhh = h * hh % P
     v = x1 * hh % P
@@ -501,17 +503,15 @@ def _g1_mul_raw(pt, k):
     if pt is None or k == 0:
         return None
     x2, y2 = pt
-    x, y, z = None, None, None
+    acc = None
     for bit in bin(k)[2:]:
-        if x is not None:
-            x, y, z = _jac_dbl(x, y, z)
+        if acc is not None:
+            acc = _jac_dbl(*acc)
         if bit == "1":
-            if x is None or z == 0:
-                x, y, z = x2, y2, 1
-            else:
-                x, y, z = _jac_add_affine(x, y, z, x2, y2)
-    if z == 0:
+            acc = _add_affine(acc, x2, y2)
+    if acc is None:
         return None
+    x, y, z = acc
     zi = _fp_inv(z)
     zi2 = zi * zi % P
     return (x * zi2 % P, y * zi2 * zi % P)
@@ -545,14 +545,6 @@ def _batch_affine(points):
         zi2 = zi * zi % P
         out.append((x * zi2 % P, y * zi2 * zi % P))
     return out
-
-
-def _add_affine(acc, x, y):
-    """acc + (x, y) for a Jacobian-or-None accumulator."""
-    if acc is None:
-        return (x, y, 1)
-    acc = _jac_add_affine(acc[0], acc[1], acc[2], x, y)
-    return None if acc[2] == 0 else acc
 
 
 def _wnaf(k, w):
@@ -591,7 +583,7 @@ def _odd_multiple_tables(points, size):
         cur = (x, y, 1)
         jac.append(cur)
         for _ in range(size - 1):
-            cur = _jac_add_affine(cur[0], cur[1], cur[2], dx, dy)
+            cur = _add_affine(cur, dx, dy)
             jac.append(cur)
     flat = _batch_affine(jac)
     return [flat[k:k + size] for k in range(0, len(flat), size)]

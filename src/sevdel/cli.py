@@ -197,9 +197,6 @@ def encrypt(seed, out):
     params = _load_params(out)
     manifest = _load(out / "manifest.json", codec.FileManifest.from_json)
     blocks = wire.decode_blocks(_load(out / "blocks.bin"))
-    if manifest.sector_bits != params.sector_bits:
-        raise MalformedProof(f"manifest.json: sector_bits {manifest.sector_bits} "
-                             f"disagrees with params.json ({params.sector_bits})")
     _, u = _load_json(out, "owner_public.json", lambda d: _owner_public_keys(params, d),
                       _owner_public_text)
     skeys = _load_json(out, "provider.json", lambda d: _provider_keys(params, d),

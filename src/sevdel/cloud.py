@@ -5,11 +5,12 @@ lives only inside the file's enclave: E'_ij = g1^{m_ij} V^{r_ij},
 E''_ij = g1^{r_ij}.  Decryption recovers g1^{m_ij} = E'_ij g1^{-v r_ij}
 from the sealed r_ij and solves the bounded discrete log by
 baby-step/giant-step, which is why sector values are capped at
-2^sector_bits.  Both directions are powers of g1 only, so they run as
-batched generator-table walks (the backend's g1_gen_add), one call per
-chunk of about _BATCH_SECTORS sectors.  Destroying the enclave forgets v
-and every r_ij, after which neither decryption nor proof generation is
-possible.
+2^params.sector_bits, the one width of every file encrypted under those
+params.  The enclave seals v, every r_ij and the file's n and s.  Both
+directions are powers of g1 only, so they run as batched generator-table
+walks (the backend's g1_gen_add), one call per chunk of about
+_BATCH_SECTORS sectors.  Destroying the enclave forgets v and every
+r_ij, after which neither decryption nor proof generation is possible.
 """
 
 from __future__ import annotations
@@ -134,11 +135,15 @@ def encrypt_file(
     Both components are powers of g1, E' = g1^(m + v*r) and E'' = g1^r,
     so each chunk of about _BATCH_SECTORS sectors is one g1_gen_add from
     the identity over both exponents of every sector; r_ij are drawn one
-    row at a time, in row order.  The per-sector randomness r_ij is sealed
-    into the enclave (the later encryption proof needs it); it never
-    leaves the enclave otherwise.
+    row at a time, in row order.  The enclave seals v, the r_ij (the
+    later encryption proof needs them) and the file's n and s; none of
+    them leaves it otherwise.  DimensionMismatch unless the manifest's
+    sector width is params.sector_bits, the width decryption reads.
     """
     blocks.check_shape(manifest)
+    if manifest.sector_bits != params.sector_bits:
+        raise DimensionMismatch(f"manifest sector width {manifest.sector_bits} is not "
+                                f"params.sector_bits {params.sector_bits}")
     _require_bound(enclave, manifest)
     rng = default_rng(rng)
     group = params.group
@@ -166,9 +171,8 @@ def encrypt_file(
             rows_dprime.append(g1_row(pts[off + s:off + 2 * s]))
     enclave.seal(_SEAL_KEY, scalar_to_bytes(group, v))
     enclave.seal(_SEAL_RAND, bytes(r_buf))
-    enclave.seal(_SEAL_META, json.dumps(
-        {"n": manifest.n, "s": manifest.s, "sector_bits": manifest.sector_bits},
-        sort_keys=True).encode())
+    enclave.seal(_SEAL_META, json.dumps({"n": manifest.n, "s": manifest.s},
+                                        sort_keys=True).encode())
     cts = CiphertextMatrix(
         rows_prime=rows_prime,
         rows_dprime=rows_dprime,
@@ -227,11 +231,6 @@ def _dlog(group, table, points, bits: int) -> list:
     raise DlogOutOfRange(f"no exponent below 2^{bits} matches; ciphertext corrupt?")
 
 
-def _unseal_key(params: SystemParams, enclave: Enclave) -> tuple[int, dict]:
-    v = scalar_from_bytes(params.group, enclave.unseal(_SEAL_KEY))
-    return v, json.loads(enclave.unseal(_SEAL_META))
-
-
 def _sealed_rows(group, enclave: Enclave, s: int):
     """Reader over the sealed r_ij: row(i) unseals and parses only the s
     scalars of block i + 1.  The enclave wrote them from [0, order), so
@@ -253,14 +252,14 @@ def _sealed_rows(group, enclave: Enclave, s: int):
 
 
 def decrypt_block(params: SystemParams, enclave: Enclave, e_pair: tuple[G1Elem, G1Elem]) -> int:
-    """Recover one sector value: the m with g1^m = E' / (E'')^v, shifted
-    by g1^-half for the centred dlog table, as one multi-exponentiation."""
-    v, meta = _unseal_key(params, enclave)
-    sector_bits = int(meta["sector_bits"])
-    table = _dlog_table(params.group, sector_bits)
+    """Recover one sector value below 2^params.sector_bits: the m with
+    g1^m = E' / (E'')^v, shifted by g1^-half for the centred dlog table,
+    as one multi-exponentiation.  Of the sealed state it reads only v."""
+    v = scalar_from_bytes(params.group, enclave.unseal(_SEAL_KEY))
+    table = _dlog_table(params.group, params.sector_bits)
     half = 1 << (table[1] - 1)
     lifted = params.g1_msm((*e_pair, params.g1), (1, -v, -half))
-    return _dlog(params.group, table, [lifted.raw], sector_bits)[0]
+    return _dlog(params.group, table, [lifted.raw], params.sector_bits)[0]
 
 
 def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) -> BlockMatrix:
@@ -271,9 +270,12 @@ def decrypt_file(params: SystemParams, enclave: Enclave, cts: CiphertextMatrix) 
     table (half as in _dlog_table): the shift rides on the scalar, at no
     point operation.  Each chunk's lifted points go to _dlog as one list.
     E'' is not read, so no E'' component of a decoded matrix is decoded
-    here; a wrong E' still fails the bounded dlog or decrypts wrong."""
-    v, meta = _unseal_key(params, enclave)
-    n, s, sector_bits = int(meta["n"]), int(meta["s"]), int(meta["sector_bits"])
+    here; a wrong E' still fails the bounded dlog or decrypts wrong.  It
+    reads the sealed v, r_ij and n x s, DimensionMismatch unless cts has
+    that shape, and bounds each sector by params.sector_bits."""
+    v = scalar_from_bytes(params.group, enclave.unseal(_SEAL_KEY))
+    meta = json.loads(enclave.unseal(_SEAL_META))
+    n, s, sector_bits = int(meta["n"]), int(meta["s"]), params.sector_bits
     cts.check_dims(n, s)
     group = params.group
     table = _dlog_table(group, sector_bits)
@@ -342,13 +344,16 @@ def prove_encryption(
     Q_j = sum_i l_i m_ij, P2 = prod_i phi_i^l_i, R_j = sum_i l_i r_ij;
     needs the enclave for the sealed r_ij, so it dies with the enclave.
     Raises MalformedProof unless the challenge fits the file, by the same
-    owner.check_challenge both verifiers apply.
+    owner.check_challenge both verifiers apply, and DimensionMismatch
+    unless tags holds one tag per block.
     """
     _require_bound(enclave, manifest)
     group = params.group
     order = params.order
     s = manifest.s
     check_challenge(challenge, manifest.n, order)
+    if len(tags.phi) != manifest.n:
+        raise DimensionMismatch(f"{len(tags.phi)} block tags for {manifest.n} blocks")
     rows = [i - 1 for i, _ in challenge.items]
     ls = [l for _, l in challenge.items]
     # the header and the challenged rows: the proof reads no other row

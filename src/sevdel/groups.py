@@ -252,7 +252,10 @@ def get_backend(name: str):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Public system parameters fixed at setup time."""
+    """Public system parameters fixed at setup time.  sector_bits is the
+    width every file encrypted under these params must have:
+    cloud.encrypt_file refuses a manifest of another, and decryption
+    bounds each discrete log by it."""
 
     g1: G1Elem
     g2: G2Elem
@@ -303,11 +306,12 @@ class SystemParams:
 def setup(group: str = "bn254", sector_bits: int = 16) -> SystemParams:
     """Bootstrap system parameters over the named curve family.
 
-    Decryption recovers each sector by a bounded discrete log.  On
-    plain-int bn254 (2-vCPU host) a 16-bit sector is one lookup, 0.16 to
-    0.22 ms; a 32-bit sector x takes x // 2^16 giant steps shared by its
-    chunk's misses: 0.18 to 0.22 s a sector over 128 random ones, about
-    2.2 s for a lone one near 2^32."""
+    sector_bits is the width every file encrypted under these params
+    must have been split at.  Decryption recovers each sector by a
+    bounded discrete log.  On plain-int bn254 (2-vCPU host) a 16-bit
+    sector is one lookup, 0.16 to 0.22 ms; a 32-bit sector x takes
+    x // 2^16 giant steps shared by its chunk's misses: 0.18 to 0.22 s a
+    sector over 128 random ones, about 2.2 s for a lone one near 2^32."""
     if type(sector_bits) is not int or sector_bits not in SECTOR_WIDTHS:
         raise ValueError(f"sector_bits must be one of {SECTOR_WIDTHS}")
     backend = get_backend(group)

@@ -225,23 +225,21 @@ def audit_respond(
     sigma (the registered ciphertext tags) is unused: the verifier
     aggregates the tags it holds itself.  It stays in the signature for
     positional callers.  Raises MalformedProof for a challenge that
-    check_challenge refuses, and missing-block if the owner does not hold
+    check_challenge refuses, and MissingBlock if the owner does not hold
     a challenged block, which is exactly the position of an owner who
-    never saw the ciphertext.
+    never saw the ciphertext; DimensionMismatch unless leaked has the
+    manifest's n rows and s sectors in every challenged row, by the
+    check_dims that prove_encryption applies.
     """
     check_challenge(audit_challenge, manifest.n, params.order)
     if leaked is None:
         raise MissingBlock("owner holds no leaked ciphertexts")
+    indices = audit_challenge.indices
+    leaked.check_dims(manifest.n, manifest.s, [i - 1 for i in indices])
     encodings = params.group.g1_row_encodings
-    revealed_prime, revealed_dprime = {}, {}
-    for i in audit_challenge.indices:
-        row_p = leaked.rows_prime[i - 1]
-        row_pp = leaked.rows_dprime[i - 1]
-        if row_p is None or row_pp is None:
-            raise MissingBlock(f"challenged ciphertext block {i} not held")
-        revealed_prime[i] = tuple(encodings(row_p))
-        revealed_dprime[i] = tuple(encodings(row_pp))
-    return AuditResponse(revealed_prime=revealed_prime, revealed_dprime=revealed_dprime)
+    return AuditResponse(
+        revealed_prime={i: tuple(encodings(leaked.rows_prime[i - 1])) for i in indices},
+        revealed_dprime={i: tuple(encodings(leaked.rows_dprime[i - 1])) for i in indices})
 
 
 # -- owner-authenticated deletion requests -----------------------------------

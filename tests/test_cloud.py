@@ -1,6 +1,7 @@
 """Cloud protocol: encryption, bounded dlog, ciphertext tags, proving."""
 
 import dataclasses
+import json
 import sys
 from array import array
 
@@ -16,6 +17,7 @@ from sevdel.errors import (
     InvalidElement,
     MalformedProof,
     MissingBlock,
+    SecretNotFound,
     UnknownFile,
 )
 from sevdel.groups import elem_to_scalar, pairing_eq, scalar_from_bytes, setup, vgen_points
@@ -345,6 +347,26 @@ def test_encrypt_shape_mismatch(any_params):
         cloud.encrypt_file(any_params, enclave, manifest, other_blocks)
 
 
+@pytest.mark.parametrize("group", ["toy", "bn254"])
+def test_encrypt_refuses_a_manifest_of_another_sector_width(group):
+    # params.sector_bits is the one width: a file split at 8 bits under
+    # 16-bit params is refused before anything is sealed, and a file of
+    # the params' width seals only its n and s beside v and the r_ij
+    params = setup(group, 16)
+    data = bytes(range(1, 33))
+    manifest, blocks = codec.split(data, 4, 8)
+    enclave = EnclaveRegistry().create(manifest.file_id)
+    with pytest.raises(DimensionMismatch, match="sector width"):
+        cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"narrow"))
+    for key in (cloud._SEAL_KEY, cloud._SEAL_RAND, cloud._SEAL_META):
+        with pytest.raises(SecretNotFound):
+            enclave.unseal(key)
+    manifest, blocks = codec.split(data, 4, 16)
+    cts, _ = cloud.encrypt_file(params, enclave, manifest, blocks, SeededRng(b"narrow"))
+    assert json.loads(enclave.unseal(cloud._SEAL_META)) == {"n": manifest.n, "s": manifest.s}
+    assert codec.join(manifest, cloud.decrypt_file(params, enclave, cts)) == data
+
+
 # -- ciphertext tags -----------------------------------------------------------
 
 def test_enc_tag_single_recomputed(any_params, ct_pair):
@@ -491,6 +513,25 @@ def test_prove_rejects_bad_index(any_params):
     ch = owner.Challenge(items=((manifest.n + 1, 1),), nonce=b"\x00" * 16)
     with pytest.raises(MalformedProof, match="outside"):
         cloud.prove_encryption(any_params, enclave, manifest, blocks, cts, tags, ch)
+
+
+def test_prove_refuses_a_tag_set_of_another_length(any_params, monkeypatch):
+    # a TagSet decoded from the wire with fewer or more tags than the file
+    # has blocks is DimensionMismatch, before any sealed row is read
+    params = any_params
+    size = 64 * (params.sector_bits // 8)
+    rng, _, manifest, blocks, _, enclave, cts, _ = _setup_file(params, size=size, s=1)
+    assert manifest.n == 64
+    _, tags = owner.outsource(params, owner.keygen(params, rng.child("k")),
+                              manifest, blocks, rng.child("o"))
+    ch = owner.Challenge(items=((64, 1),), nonce=b"\x03" * 16)
+    unsealed = []
+    monkeypatch.setattr(type(enclave), "unseal", lambda self, *args: unsealed.append(args))
+    for phi in (tags.phi[:3], tags.phi + tags.phi[:1]):
+        short = wire.decode_tagset(params, wire.encode_tagset(owner.TagSet(phi=phi)))
+        with pytest.raises(DimensionMismatch, match="block tags"):
+            cloud.prove_encryption(params, enclave, manifest, blocks, cts, short, ch)
+    assert unsealed == []
 
 
 def test_prove_checks_only_the_challenged_rows(any_params):

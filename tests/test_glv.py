@@ -1,8 +1,10 @@
 """The GLV endomorphism inside the bn254 G1 kernel.
 
 Constants, the scalar split, and ``g1_mul``/``g1_msm`` are checked against
-plain double-and-add (``_g1_mul_raw``) and affine ``g1_add``, which share no
-code with the kernel.
+plain double-and-add (``_g1_mul_raw``) and affine ``g1_add``.  The
+double-and-add reference shares the Jacobian doubling ``_jac_dbl`` and the
+mixed addition ``_add_affine`` with the kernel, but none of its NAF, GLV or
+table code; affine ``g1_add`` shares no code with it.
 """
 
 import pytest

@@ -7,7 +7,7 @@ import pytest
 
 from sevdel import cloud, codec, contract, owner
 from sevdel.enclave import EnclaveRegistry
-from sevdel.errors import CountOutOfRange, MalformedProof, MissingBlock
+from sevdel.errors import CountOutOfRange, DimensionMismatch, MalformedProof, MissingBlock
 from sevdel.groups import block_point, pairing_eq, vgen_points
 from sevdel.nizk import prove_opening
 from sevdel.rng import SeededRng
@@ -330,6 +330,26 @@ def test_audit_missing_ciphertexts(any_params):
     cts.rows_prime[ch.indices[0] - 1] = None
     with pytest.raises(MissingBlock):
         owner.audit_respond(any_params, manifest, cts, enc_tags, ch)
+
+
+def test_audit_refuses_a_leaked_matrix_of_another_shape(any_params):
+    # fewer rows than the manifest, or challenged rows with fewer sectors,
+    # are DimensionMismatch by the ciphertext matrix's own check_dims
+    params = any_params
+    size = 64 * 4 * (params.sector_bits // 8)
+    rng, _, manifest, blocks, okeys, gens, tags = _outsourced(params, size=size, s=4)
+    assert (manifest.n, manifest.s) == (64, 4)
+    _, _, cts, _ = _encrypted(params, rng, manifest, blocks)
+    ch = owner.Challenge(items=((64, 1), (2, 3)), nonce=b"\x00" * 16)
+    assert sorted(owner.audit_respond(params, manifest, cts, None, ch).revealed_prime) == [2, 64]
+    eight_rows = dataclasses.replace(cts, rows_prime=cts.rows_prime[:8],
+                                     rows_dprime=cts.rows_dprime[:8])
+    narrow = dataclasses.replace(cts, rows_prime=[row[:2] for row in cts.rows_prime],
+                                 rows_dprime=[row[:2] for row in cts.rows_dprime])
+    for leaked in (eight_rows, dataclasses.replace(eight_rows, n=8),
+                   narrow, dataclasses.replace(narrow, s=2)):
+        with pytest.raises(DimensionMismatch):
+            owner.audit_respond(params, manifest, leaked, None, ch)
 
 
 # -- owner-signed deletion requests ---------------------------------------------
